@@ -255,8 +255,8 @@ BENCHMARK(BM_NeighborPairsBitPlane)->Arg(1 << 13);
 // memory-bound node copies per expansion, so they time within noise of each
 // other (~1.0x).  The batched path is shipped because the single run-append
 // amortizes the stack's bounds/ownership checks and is the shape the
-// vector backend's batch expansion needs — not because this microbenchmark
-// shows a win.
+// engine's batched 15-puzzle step scatters from — not because this
+// microbenchmark shows a win.
 void BM_ChildStagingPerNode(benchmark::State& state) {
   const synthetic::Tree tree(synthetic::Params{5, 4, 0.38, 30});
   search::WorkStack<synthetic::Tree::Node> stack;

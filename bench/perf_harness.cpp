@@ -59,7 +59,6 @@
 #include "simd/scan.hpp"
 #include "simd/summary.hpp"
 #include "synthetic/tree.hpp"
-#include "vec/expand.hpp"
 
 namespace {
 
@@ -271,52 +270,6 @@ std::vector<KernelSample> run_kernel_benchmarks(unsigned reps,
 
   return out;
 }
-
-#ifdef SIMDTS_VECTOR_BACKEND
-
-/// Median ns per 64-node batch: scalar fallback vs SIMD batch kernel on the
-/// same breadth-first node pool.  Both sides run the identical node stream
-/// (rotating 64-node windows), so the ratio is the kernel's own win.
-template <typename P>
-std::pair<double, double> time_batch_expand(const P& problem, unsigned reps,
-                                            std::size_t iters,
-                                            std::uint64_t& sink) {
-  std::vector<typename P::Node> pool;
-  std::vector<typename P::Node> frontier{problem.root()};
-  search::NextBound nb;
-  while (pool.size() < 4096 && !frontier.empty()) {
-    std::vector<typename P::Node> next;
-    for (const auto& n : frontier) {
-      pool.push_back(n);
-      problem.expand(n, search::kUnbounded, next, nb);
-    }
-    frontier = std::move(next);
-  }
-  constexpr std::uint32_t kBatch = 64;
-  while (pool.size() < kBatch) pool.push_back(problem.root());
-  const std::size_t span = pool.size() - kBatch + 1;
-  std::vector<typename P::Node> out;
-  std::vector<std::uint32_t> counts(kBatch);
-  std::size_t pos = 0;
-  const double scalar_ns = time_kernel_ns(reps, iters, sink, [&] {
-    out.clear();
-    search::expand_batch_fallback(problem, pool.data() + pos, kBatch,
-                                  search::kUnbounded, out, counts.data(), nb);
-    pos = (pos + kBatch) % span;
-    return static_cast<std::uint64_t>(out.size());
-  });
-  pos = 0;
-  const double vector_ns = time_kernel_ns(reps, iters, sink, [&] {
-    out.clear();
-    vec::BatchExpander<P>::expand(problem, pool.data() + pos, kBatch,
-                                  search::kUnbounded, out, counts.data(), nb);
-    pos = (pos + kBatch) % span;
-    return static_cast<std::uint64_t>(out.size());
-  });
-  return {scalar_ns, vector_ns};
-}
-
-#endif  // SIMDTS_VECTOR_BACKEND
 
 }  // namespace
 
@@ -534,115 +487,6 @@ int main() {
 #endif
 
   std::uint64_t sink = 0;
-
-  // --- Vector backend: build-flavor gate + scalar-vs-vector equality. -----
-  // Same two-sided contract as the sanitizer: the default build must NOT
-  // contain the backend (CI's default perf smoke runs without
-  // SIMDTS_EXPECT_VECTOR and hard-fails if the backend leaked in), the
-  // x86-64-v3 job sets SIMDTS_EXPECT_VECTOR=1 and hard-fails if it is
-  // missing.  When present, the scalar engine stays the reference: a vector
-  // run whose IterationStats differ from the scalar run is a FATAL error,
-  // never a reported speedup.
-  const char* expect_vec_env = std::getenv("SIMDTS_EXPECT_VECTOR");
-  const bool expect_vector = expect_vec_env != nullptr &&
-                             expect_vec_env[0] != '\0' &&
-                             expect_vec_env[0] != '0';
-  if (vec::kCompiledIn != expect_vector) {
-    std::cout << "\nFATAL: vector backend compiled_in="
-              << (vec::kCompiledIn ? "true" : "false") << " but this run "
-              << (expect_vector
-                      ? "expected a SIMDTS_VECTOR_BACKEND=ON build "
-                        "(SIMDTS_EXPECT_VECTOR is set)."
-                      : "expected the default build — the backend leaked in "
-                        "and -march=x86-64-v3 codegen would contaminate "
-                        "every number in this report.")
-              << "\n";
-    return 1;
-  }
-  double vec_scalar_wall = 0.0;
-  double vec_vector_wall = 0.0;
-  double vec_tree_scalar_ns = 0.0;
-  double vec_tree_vector_ns = 0.0;
-  double vec_fifteen_scalar_ns = 0.0;
-  double vec_fifteen_vector_ns = 0.0;
-#ifdef SIMDTS_VECTOR_BACKEND
-  {
-    const synthetic::Tree tree(big.params);
-    lb::IterationStats scalar_ref;
-    std::vector<double> scalar_walls;
-    std::vector<double> vector_walls;
-    bool vec_identical = true;
-    for (unsigned rep = 0; rep < reps; ++rep) {
-      simd::Machine scalar_machine(sizes.back(), cost);
-      lb::Engine<synthetic::Tree> scalar_engine(tree, scalar_machine, cfg);
-      auto start = Clock::now();
-      const lb::IterationStats scalar_stats =
-          scalar_engine.run_iteration(search::kUnbounded);
-      scalar_walls.push_back(seconds_since(start));
-      if (rep == 0) {
-        scalar_ref = scalar_stats;
-      } else if (!(scalar_stats == scalar_ref)) {
-        vec_identical = false;
-      }
-
-      simd::Machine vector_machine(sizes.back(), cost);
-      lb::Engine<synthetic::Tree> vector_engine(tree, vector_machine, cfg);
-      vector_engine.set_backend(lb::ExecBackend::kVector);
-      start = Clock::now();
-      const lb::IterationStats vector_stats =
-          vector_engine.run_iteration(search::kUnbounded);
-      vector_walls.push_back(seconds_since(start));
-      if (!(vector_stats == scalar_ref)) vec_identical = false;
-    }
-    if (!vec_identical) {
-      std::cout << "\nFATAL: the vector backend changed the simulated "
-                   "results — a speedup obtained by changing the answer is "
-                   "a bug, not a result.\n";
-      return 1;
-    }
-    vec_scalar_wall = median(std::move(scalar_walls));
-    vec_vector_wall = median(std::move(vector_walls));
-    std::cout << "vector backend (SIMDTS_VECTOR_BACKEND=ON build): engine "
-              << analysis::format_double(vec_vector_wall, 3) << " s vs "
-              << analysis::format_double(vec_scalar_wall, 3)
-              << " s scalar (interleaved), speedup "
-              << analysis::format_double(
-                     vec_vector_wall > 0.0 ? vec_scalar_wall / vec_vector_wall
-                                           : 0.0,
-                     2)
-              << "x, results bit-identical\n";
-
-    const std::size_t batch_iters = analysis::quick_mode() ? 2000 : 10000;
-    std::tie(vec_tree_scalar_ns, vec_tree_vector_ns) =
-        time_batch_expand(tree, reps, batch_iters, sink);
-    const puzzle::FifteenPuzzle fifteen(puzzle::random_walk(7, 80));
-    std::tie(vec_fifteen_scalar_ns, vec_fifteen_vector_ns) =
-        time_batch_expand(fifteen, reps, batch_iters, sink);
-    std::cout << "  batch expand (64-node batches, median ns/batch, scalar "
-                 "vs vector):\n"
-              << "    tree: "
-              << analysis::format_double(vec_tree_scalar_ns, 0) << " -> "
-              << analysis::format_double(vec_tree_vector_ns, 0) << " ns ("
-              << analysis::format_double(
-                     vec_tree_vector_ns > 0.0
-                         ? vec_tree_scalar_ns / vec_tree_vector_ns
-                         : 0.0,
-                     2)
-              << "x)\n"
-              << "    fifteen: "
-              << analysis::format_double(vec_fifteen_scalar_ns, 0) << " -> "
-              << analysis::format_double(vec_fifteen_vector_ns, 0) << " ns ("
-              << analysis::format_double(
-                     vec_fifteen_vector_ns > 0.0
-                         ? vec_fifteen_scalar_ns / vec_fifteen_vector_ns
-                         : 0.0,
-                     2)
-              << "x)\n\n";
-  }
-#else
-  std::cout << "vector backend: not compiled in (default build) — absence "
-               "held by lint.vector_backend_symbols\n\n";
-#endif
 
   // --- Substrate kernels: byte plane vs packed bit plane. -----------------
   const std::size_t kernel_lanes = 1 << 14;
@@ -983,33 +827,6 @@ int main() {
          << ", \"armed_wall_s\": " << format_json_double(san_armed_wall)
          << ", \"overhead_pct\": " << format_json_double(san_overhead_pct)
          << ", \"results_identical\": true";
-  }
-  json << "},\n"
-       << "  \"vector_backend\": {\"compiled_in\": "
-       << (vec::kCompiledIn ? "true" : "false");
-  if (vec::kCompiledIn) {
-    json << ", \"engine_scalar_wall_s\": "
-         << format_json_double(vec_scalar_wall)
-         << ", \"engine_vector_wall_s\": "
-         << format_json_double(vec_vector_wall) << ", \"engine_speedup\": "
-         << format_json_double(vec_vector_wall > 0.0
-                                   ? vec_scalar_wall / vec_vector_wall
-                                   : 0.0)
-         << ", \"results_identical\": true, \"batch_expand\": {"
-         << "\"tree\": {\"scalar_ns\": "
-         << format_json_double(vec_tree_scalar_ns) << ", \"vector_ns\": "
-         << format_json_double(vec_tree_vector_ns) << ", \"speedup\": "
-         << format_json_double(vec_tree_vector_ns > 0.0
-                                   ? vec_tree_scalar_ns / vec_tree_vector_ns
-                                   : 0.0)
-         << "}, \"fifteen\": {\"scalar_ns\": "
-         << format_json_double(vec_fifteen_scalar_ns) << ", \"vector_ns\": "
-         << format_json_double(vec_fifteen_vector_ns) << ", \"speedup\": "
-         << format_json_double(
-                vec_fifteen_vector_ns > 0.0
-                    ? vec_fifteen_scalar_ns / vec_fifteen_vector_ns
-                    : 0.0)
-         << "}}";
   }
   json << "},\n"
        << "  \"service\": {\"requests\": " << svc_n << ", \"runs\": [\n";

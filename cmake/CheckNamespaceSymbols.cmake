@@ -1,12 +1,11 @@
 # Test-time script proving an optional subsystem is what it claims to be at
-# the symbol level.  Backs two ctests registered in the top-level CMakeLists:
+# the symbol level.  Backs a ctest registered in the top-level CMakeLists:
 #
 #   lint.sanitizer_zero_cost      PREFIX=6simdts3san  (simdts::san, SimdSan)
-#   lint.vector_backend_symbols   PREFIX=6simdts3vec  (simdts::vec kernels)
 #
 # With the subsystem's option OFF, no symbol of the namespace may be defined
 # anywhere in libsimdts.a — the code must vanish, not just idle; with ON, the
-# symbols must be present (the hooks/kernels really were compiled in).  The
+# symbols must be present (the hooks really were compiled in).  The
 # check greps nm output for the mangled namespace prefix (the itanium
 # encoding, e.g. `6simdts3san` for simdts::san), which no other namespace in
 # the project can produce.

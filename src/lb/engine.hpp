@@ -45,6 +45,16 @@
 // the expansion loop masks it out one word at a time, so with no plan armed
 // (the plane all-zero) the fault machinery costs one AND per 64 lanes and
 // the run is bit-identical to the pre-fault engine.
+//
+// Expansion step: the word walk expands each word's active lanes with one of
+// two steps, chosen once at construction.  The per-bit step pops and expands
+// lane by lane through the problem's expand(); every domain uses it, and it
+// is the reference.  The batched step pops a word's lanes first and expands
+// them with one call of the 15-puzzle kernel (vec/expand.hpp, which also
+// states the selection rule).  Both steps feed the same flag/census
+// transition in the same bit order, so the choice never moves a simulated
+// result; tests/test_vector_backend.cpp pins that.
+//
 // Mega-P (P up to 2^20 and beyond): three coordinated mechanisms keep such
 // machines practical.  Per-lane state lives in a common::ShardedArray
 // (64-word-aligned chunks, stable addresses, incremental allocation); each
@@ -80,19 +90,9 @@
 #include "simd/bitplane.hpp"
 #include "simd/machine.hpp"
 #include "simd/summary.hpp"
-#ifdef SIMDTS_VECTOR_BACKEND
 #include "vec/expand.hpp"
-#endif
 
 namespace simdts::lb {
-
-/// Execution backend of the expansion cycle.  kScalar is the bit-exact
-/// reference: one problem_.expand() call per set bit.  kVector (available
-/// only when the library is built with SIMDTS_VECTOR_BACKEND) pops each
-/// word's active lanes into a struct-of-arrays batch and expands them with
-/// one vec::BatchExpander call — same tree, same goals, same metrics, by
-/// construction and by the oracle gate in tests/test_vector_backend.cpp.
-enum class ExecBackend : std::uint8_t { kScalar, kVector };
 
 /// `StackT` selects the per-lane stack representation: WorkStack<Node> (the
 /// default — full nodes, every TreeProblem) or search::CompactStack<P> (delta
@@ -114,6 +114,7 @@ class Engine {
       : problem_(problem),
         machine_(machine),
         cfg_(cfg),
+        batched_(select_batched(problem, machine.size())),
         matcher_(cfg.match),
         stacks_(machine.size()),
         busy_flags_(machine.size()),
@@ -132,16 +133,16 @@ class Engine {
     // records at most one goal per PE and a batch never crosses one flag
     // word, so with these capacities a steady-state cycle touches no
     // allocator at all (the effect analysis pins the remaining growth
-    // sites, see the markers in expand_cycle / expand_cycle_vector).  The
+    // sites, see the markers in expand_cycle and its step helpers).  The
     // goal reserve is capped: at mega-P a per-host-lane reserve of P nodes
     // would itself dominate memory, and a cycle landing more than the cap in
     // goals at once is a terminal burst whose growth the markers cover.
     for (LaneScratch& ls : lane_scratch_) {
       ls.goal_nodes.reserve(std::min<std::size_t>(machine.size(), 4096));
-#ifdef SIMDTS_VECTOR_BACKEND
-      ls.batch_nodes.reserve(simd::BitPlane::kWordBits);
-      ls.batch_counts.resize(simd::BitPlane::kWordBits);
-#endif
+      if (batched_) {
+        ls.batch_nodes.reserve(simd::BitPlane::kWordBits);
+        ls.batch_counts.resize(simd::BitPlane::kWordBits);
+      }
     }
 #ifdef SIMDTS_SANITIZE
     san_dead_.resize(machine.size());
@@ -169,25 +170,10 @@ class Engine {
 #endif
   }
 
-  /// Selects the execution backend for subsequent runs.  The scalar backend
-  /// is always available; the vector backend requires the library to be
-  /// built with SIMDTS_VECTOR_BACKEND=ON and throws simdts::ConfigError
-  /// otherwise (requesting an absent backend is a configuration error, not
-  /// a silent fallback — a benchmark that silently ran scalar would report
-  /// fictitious speedups).
-  void set_backend(ExecBackend backend) {
-#ifndef SIMDTS_VECTOR_BACKEND
-    if (backend == ExecBackend::kVector) {
-      throw ConfigError(
-          "vector backend requested but SIMDTS_VECTOR_BACKEND is not "
-          "compiled in",
-          cfg_.name());
-    }
-#endif
-    backend_ = backend;
-  }
-
-  [[nodiscard]] ExecBackend backend() const noexcept { return backend_; }
+  /// True when this engine expands through the batched 15-puzzle kernel
+  /// instead of per-node expand() (see the selection rule in
+  /// vec/expand.hpp).  Results are identical either way.
+  [[nodiscard]] bool batched() const noexcept { return batched_; }
 
   /// Watchdog: a nonzero budget bounds the expand cycles of each bounded DFS
   /// (each run_iteration / IDA* iteration); exceeding it throws
@@ -291,15 +277,7 @@ class Engine {
                            cycle_budget_);
       }
       const std::uint32_t working = counts_.nonempty;
-#ifdef SIMDTS_VECTOR_BACKEND
-      if (backend_ == ExecBackend::kVector) {
-        expand_cycle_vector(bound, stats);
-      } else {
-        expand_cycle(bound, stats);
-      }
-#else
       expand_cycle(bound, stats);
-#endif
       machine_.charge_expand_cycle(working, alive_);
       trigger.note_cycle(working);
       ++stats.expand_cycles;
@@ -456,11 +434,19 @@ class Engine {
     std::vector<Node> goal_nodes;
     std::vector<Node> children;  ///< flat staging buffer, cleared per word
     search::NextBound next_bound;
-#ifdef SIMDTS_VECTOR_BACKEND
-    std::vector<Node> batch_nodes;  ///< one word's popped non-goal nodes
-    std::vector<std::uint32_t> batch_counts;  ///< per-slot child counts
-#endif
+    std::vector<Node> batch_nodes;  ///< batched step: a word's non-goal pops
+    std::vector<std::uint32_t> batch_counts;  ///< batched step: child counts
   };
+
+  /// The step-selection rule: only a problem with a batch kernel can take
+  /// the batched step, and vec::batch_applies decides whether it does.
+  static bool select_batched(const P& problem, std::uint32_t pes) {
+    if constexpr (vec::kHasKernel<P>) {
+      return vec::batch_applies(problem, pes);
+    } else {
+      return false;
+    }
+  }
 
   [[nodiscard]] double initial_lb_cost() const {
     return cfg_.match == MatchScheme::kNeighbor
@@ -482,6 +468,12 @@ class Engine {
   /// two lanes write the same flag word; census deltas, goals and pruned
   /// bounds land in lane scratch and are reduced in lane order at the
   /// barrier.
+  ///
+  /// The per-word step is the only part that varies (batched_, fixed at
+  /// construction).  The per-bit step pops and expands inside the bit loop.
+  /// The batched step pops the whole word first (expand_word_batched) and
+  /// the bit loop then appends each lane's run of kernel children.  Either
+  /// way the bit loop runs the one flag/census transition in bit order.
   // SIMDLINT-REGION(lockstep)
   void expand_cycle(search::Bound bound, IterationStats& stats) {
     for (auto& ls : lane_scratch_) {
@@ -497,6 +489,9 @@ class Engine {
     const std::uint64_t* const dead_words = dead_.words().data();
     const std::size_t nwords = idle_flags_.word_count();
     const std::uint64_t last_mask = idle_flags_.word_mask(nwords - 1);
+    // Constant false for problems without a kernel, so their walk compiles
+    // to the per-bit step alone.
+    const bool batched = vec::kHasKernel<P> && batched_;
     simd::ThreadPool* pool = machine_.pool();
     // SIMDLINT-SOURCE(partition) — lane index and word-range bounds vary
     auto body = [&, bound](unsigned lane, std::size_t wbegin,
@@ -539,29 +534,39 @@ class Engine {
         if (active == 0) continue;
         ls.children.clear();
         const std::size_t base = w * kWordBits;
+#ifdef SIMDTS_SANITIZE
+        for (std::uint64_t m = active; m != 0; m &= m - 1) {
+          const auto b = static_cast<unsigned>(std::countr_zero(m));
+          san_dead_.check_alive(base + b, "expand");
+        }
+#endif
+        std::uint64_t goal_bits = 0;
+        if constexpr (vec::kHasKernel<P>) {
+          if (batched) goal_bits = expand_word_batched(ls, base, active, bound);
+        }
+        std::size_t off = 0;     // batched: start of the next children run
+        std::uint32_t slot = 0;  // batched: index into ls.batch_counts
         std::uint64_t m = active;
         while (m != 0) {
           const auto b = static_cast<unsigned>(std::countr_zero(m));
           m &= m - 1;
-#ifdef SIMDTS_SANITIZE
-          san_dead_.check_alive(base + b, "expand");
-#endif
           auto& st = stacks_[base + b];
-          Node n = st.pop();
-          if (problem_.is_goal(n)) {
-            ++ls.goal_hits;
-            // SIMDLINT-EFFECT-OK(allocates) capacity min(P, 4096) reserved
-            ls.goal_nodes.push_back(std::move(n));  // at construction; only
-            // a terminal goal burst past the cap grows it, amortized.
-          } else {
-            const std::size_t staged = ls.children.size();
-            // SIMDLINT-EFFECT-OK(allocates) children is persistent-capacity
-            problem_.expand(n, bound, ls.children, ls.next_bound);  // lane
-            // scratch: growth is amortized across the whole run.
-            const std::size_t added = ls.children.size() - staged;
-            if (added != 0) st.append(ls.children.data() + staged, added);
-          }
           const std::uint64_t bit = std::uint64_t{1} << b;
+          if (!batched) {
+            Node n = st.pop();
+            if (!record_goal(ls, n)) {
+              const std::size_t staged = ls.children.size();
+              // SIMDLINT-EFFECT-OK(allocates) children is persistent-capacity
+              problem_.expand(n, bound, ls.children, ls.next_bound);  // lane
+              // scratch: growth is amortized across the whole run.
+              const std::size_t added = ls.children.size() - staged;
+              if (added != 0) st.append(ls.children.data() + staged, added);
+            }
+          } else if ((goal_bits & bit) == 0) {
+            const std::size_t added = ls.batch_counts[slot++];
+            if (added != 0) st.append(ls.children.data() + off, added);
+            off += added;
+          }
           const bool was_split = (busy_w & bit) != 0;
           if (st.empty()) {
             idle_w |= bit;
@@ -617,10 +622,49 @@ class Engine {
 #endif
   }
 
+  /// Records `n` in the lane scratch if it is a goal (goals are never
+  /// expanded) and says whether it was.
+  bool record_goal(LaneScratch& ls, Node& n) {
+    if (!problem_.is_goal(n)) return false;
+    ++ls.goal_hits;
+    // SIMDLINT-EFFECT-OK(allocates) capacity min(P, 4096) reserved at
+    ls.goal_nodes.push_back(std::move(n));  // construction; only a terminal
+    // goal burst past the cap grows it, amortized.
+    return true;
+  }
+
+  /// The batched step's gather: pops every active lane of the word at
+  /// `base` in bit order, recording goals as it goes (so goal order matches
+  /// the per-bit step), then expands the other nodes with one kernel call.
+  /// Node j's children land as the j-th run of ls.children, its length in
+  /// ls.batch_counts[j].  Returns the word's goal bits.
+  std::uint64_t expand_word_batched(LaneScratch& ls, std::size_t base,
+                                    std::uint64_t active,
+                                    search::Bound bound) {
+    ls.batch_nodes.clear();
+    std::uint64_t goal_bits = 0;
+    for (std::uint64_t m = active; m != 0; m &= m - 1) {
+      const auto b = static_cast<unsigned>(std::countr_zero(m));
+      Node n = stacks_[base + b].pop();
+      if (record_goal(ls, n)) {
+        goal_bits |= std::uint64_t{1} << b;
+      } else {
+        // SIMDLINT-EFFECT-OK(allocates) capacity kWordBits reserved at
+        ls.batch_nodes.push_back(n);  // construction; a batch never crosses
+        // one flag word, so this never reallocates.
+      }
+    }
+    vec::expand_fifteen(ls.batch_nodes.data(),
+                        static_cast<std::uint32_t>(ls.batch_nodes.size()),
+                        bound, ls.children, ls.batch_counts.data(),
+                        ls.next_bound);
+    return goal_bits;
+  }
+
   /// Ordered reduction of the per-lane scratch at the cycle barrier: lane 0
-  /// first, then lane 1, ... — bit-identical for any lane count.  Shared by
-  /// both execution backends (the reduction is where the determinism
-  /// guarantee lives, so there is exactly one copy of it).
+  /// first, then lane 1, ... — bit-identical for any lane count (the
+  /// reduction is where the determinism guarantee lives, so there is
+  /// exactly one copy of it).
   // SIMDLINT-MERGE(commutative) — fixed lane order, thread-count-invariant
   void reduce_cycle_scratch(IterationStats& stats) {
     std::int64_t d_nonempty = 0;
@@ -641,177 +685,6 @@ class Engine {
     counts_.empty = static_cast<std::uint32_t>(
         static_cast<std::int64_t>(counts_.empty) - d_nonempty);
   }
-
-#ifdef SIMDTS_VECTOR_BACKEND
-  /// One lock-step expansion cycle on the vector backend.  Same word walk,
-  /// same flag/census discipline, same host-thread word partitioning as
-  /// expand_cycle() — but each word's active lanes are popped into a
-  /// struct-of-arrays batch and expanded by a single vec::BatchExpander
-  /// call instead of one problem_.expand() per set bit.
-  ///
-  /// Bit-exactness with the scalar cycle, piece by piece:
-  ///  - Goal lanes are detected at pop time in bit order and excluded from
-  ///    the batch, so goal_nodes_ order is unchanged.
-  ///  - Dead lanes never enter a batch: `active` masks them out word by
-  ///    word exactly as in the scalar walk (satisfying degraded mode's
-  ///    dead-lanes-never-expand invariant).
-  ///  - The batch expander's contract (search::expand_batch) is per-slot
-  ///    observational equivalence with scalar expand(), so each stack
-  ///    receives the same children in the same order.
-  ///  - The scatter pass replays the per-lane flag/census transitions in
-  ///    bit order, so every plane word and census delta is identical.
-  ///  - A batch never crosses a word, hence never a host-thread ownership
-  ///    boundary; the barrier reduction is the same reduce_cycle_scratch.
-  // SIMDLINT-REGION(lockstep)
-  void expand_cycle_vector(search::Bound bound, IterationStats& stats) {
-    for (auto& ls : lane_scratch_) {
-      ls.d_nonempty = 0;
-      ls.d_splittable = 0;
-      ls.goal_hits = 0;
-      ls.goal_nodes.clear();
-      ls.next_bound = search::NextBound{};
-    }
-    constexpr std::size_t kWordBits = simd::BitPlane::kWordBits;
-    std::uint64_t* const idle_words = idle_flags_.words().data();
-    std::uint64_t* const busy_words = busy_flags_.words().data();
-    const std::uint64_t* const dead_words = dead_.words().data();
-    const std::size_t nwords = idle_flags_.word_count();
-    const std::uint64_t last_mask = idle_flags_.word_mask(nwords - 1);
-    simd::ThreadPool* pool = machine_.pool();
-    // SIMDLINT-SOURCE(partition) — lane index and word-range bounds vary
-    auto body = [&, bound](unsigned lane, std::size_t wbegin,
-                           std::size_t wend) {
-      LaneScratch& ls = lane_scratch_[lane];
-#ifdef SIMDTS_SANITIZE
-      const std::size_t claim_end =
-          san::mutation().shrink_word_claim && wend > wbegin ? wend - 1 : wend;
-      san::WordClaim claim(san_claims_, lane, wbegin, claim_end);
-      // The dead-lane-expansion mutation needs the flat walk: it fakes every
-      // lane alive, which the work summary would mask back out by skipping
-      // all-dead words entirely.
-      const bool san_flat = san::mutation().expand_dead_lane;
-#else
-      constexpr bool san_flat = false;
-#endif
-      // Walk only work-summary-occupied words: a clear summary bit
-      // guarantees `active == 0` below, so skipping it is exactly the flat
-      // walk's `continue`.  The bounded scan stays inside this host lane's
-      // 64-word-aligned chunk, whose summary words no other lane writes.
-      for (std::size_t w =
-               san_flat ? wbegin
-                        : work_summary_.next_occupied_below(wbegin, wend);
-           w < wend;
-           w = san_flat ? w + 1
-                        : work_summary_.next_occupied_below(w + 1, wend)) {
-        const std::uint64_t valid =
-            (w + 1 == nwords) ? last_mask : ~std::uint64_t{0};
-        std::uint64_t idle_w = idle_words[w];
-        std::uint64_t busy_w = busy_words[w];
-        std::uint64_t not_dead = ~dead_words[w];
-#ifdef SIMDTS_SANITIZE
-        if (san::mutation().expand_dead_lane) not_dead = ~std::uint64_t{0};
-#endif
-        const std::uint64_t active = ~idle_w & not_dead & valid;
-        if (active == 0) continue;
-        ls.children.clear();
-        ls.batch_nodes.clear();
-        const std::size_t base = w * kWordBits;
-        // Pop pass: gather the word's non-goal nodes into the batch, in bit
-        // order; goals are recorded immediately (bit order = goal order).
-        std::uint64_t goal_bits = 0;
-        std::uint64_t m = active;
-        while (m != 0) {
-          const auto b = static_cast<unsigned>(std::countr_zero(m));
-          m &= m - 1;
-#ifdef SIMDTS_SANITIZE
-          san_dead_.check_alive(base + b, "expand");
-#endif
-          Node n = stacks_[base + b].pop();
-          if (problem_.is_goal(n)) {
-            ++ls.goal_hits;
-            // SIMDLINT-EFFECT-OK(allocates) capacity min(P, 4096) reserved
-            ls.goal_nodes.push_back(std::move(n));  // at construction; only
-            // a terminal goal burst past the cap grows it, amortized.
-            goal_bits |= std::uint64_t{1} << b;
-          } else {
-            // SIMDLINT-EFFECT-OK(allocates) capacity kWordBits reserved at
-            ls.batch_nodes.push_back(std::move(n));  // construction; a batch
-            // never crosses one flag word, so this never reallocates.
-          }
-        }
-        if (!ls.batch_nodes.empty()) {
-          // SIMDLINT-EFFECT-OK(allocates) children is persistent-capacity
-          vec::BatchExpander<P>::expand(
-              problem_, ls.batch_nodes.data(),
-              static_cast<std::uint32_t>(ls.batch_nodes.size()), bound,
-              ls.children, ls.batch_counts.data(), ls.next_bound);
-        }
-        // Scatter pass: append each slot's children run to its stack and
-        // replay the scalar flag/census transitions in bit order.
-        std::size_t off = 0;
-        std::uint32_t slot = 0;
-        m = active;
-        while (m != 0) {
-          const auto b = static_cast<unsigned>(std::countr_zero(m));
-          m &= m - 1;
-          auto& st = stacks_[base + b];
-          if ((goal_bits >> b & 1) == 0) {
-            const std::size_t added = ls.batch_counts[slot++];
-            if (added != 0) st.append(ls.children.data() + off, added);
-            off += added;
-          }
-          const std::uint64_t bit = std::uint64_t{1} << b;
-          const bool was_split = (busy_w & bit) != 0;
-          if (st.empty()) {
-            idle_w |= bit;
-            busy_w &= ~bit;
-            --ls.d_nonempty;
-            if (was_split) --ls.d_splittable;
-            if constexpr (requires { st.release_if_drained(); }) {
-              // Pooled release: a drained lane's heap goes back to the
-              // allocator the cycle it goes idle, so resident stack memory
-              // tracks *live* work — the memory bound that makes P = 2^20
-              // practical.  Memory-only: simulated results are unchanged.
-              st.release_if_drained();
-            }
-          } else if (st.splittable() != was_split) {
-            ls.d_splittable += was_split ? -1 : 1;
-            busy_w ^= bit;
-          }
-        }
-#ifdef SIMDTS_SANITIZE
-        san::check_word_write(san_claims_, w);
-#endif
-        idle_words[w] = idle_w;
-        busy_words[w] = busy_w;
-        busy_summary_.update_word(w, busy_w);
-        idle_summary_.update_word(w, idle_w);
-        work_summary_.update_word(w, ~idle_w & ~dead_words[w] & valid);
-      }
-    };
-    if (pool != nullptr && pool->size() > 1) {
-      // 64-word alignment gives every summary word a single writer; chunk
-      // boundaries never affect simulated results (see the determinism note
-      // in the header comment).
-      pool->parallel_for_lanes_aligned(nwords, simd::BitPlane::kWordBits,
-                                       body);
-    } else {
-      body(0, 0, nwords);
-    }
-#ifdef SIMDTS_SANITIZE
-    if (san::mutation().corrupt_tail && last_mask != ~std::uint64_t{0}) {
-      idle_words[nwords - 1] |= ~last_mask & (last_mask + 1);
-    }
-    if (san::mutation().drop_census_delta && !lane_scratch_.empty()) {
-      lane_scratch_[0].d_splittable = 0;
-    }
-#endif
-    reduce_cycle_scratch(stats);
-#ifdef SIMDTS_SANITIZE
-    san_verify_cycle();
-#endif
-  }
-#endif  // SIMDTS_VECTOR_BACKEND
 
 #ifdef SIMDTS_SANITIZE
   /// SimdSan per-cycle sweep: the packed planes keep their zero tails, and
@@ -1196,7 +1069,7 @@ class Engine {
   const P& problem_;
   simd::Machine& machine_;
   SchemeConfig cfg_;
-  ExecBackend backend_ = ExecBackend::kScalar;
+  const bool batched_;  ///< expansion step, fixed at construction
   Matcher matcher_;
   common::ShardedArray<StackT> stacks_;
   simd::BitPlane busy_flags_;   ///< splittable, maintained in place

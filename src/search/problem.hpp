@@ -48,49 +48,10 @@ concept TreeProblem = requires(const P& p, const typename P::Node& n,
   { p.f_value(n) } -> std::convertible_to<Bound>;
 };
 
-/// Optional batch extension of TreeProblem: expand_batch() expands `count`
-/// nodes in one call.  Children are appended to `out` grouped by input slot
-/// in input order — slot j's children are contiguous and ordered exactly as
-/// the per-node expand() would emit them — and `child_counts[j]` receives
-/// slot j's child count.  Pruned f-values are observed in `next` as usual
-/// (NextBound is a pure min, so observation order is irrelevant).
-///
-/// The contract is observational equivalence with `count` scalar expand()
-/// calls: same children, same order within each slot, same NextBound result.
-/// The vectorized execution backend (src/vec/) relies on this to stay
-/// bit-exact with the scalar engine; the oracle gate in
-/// tests/test_vector_backend.cpp enforces it end to end.
-template <typename P>
-concept BatchTreeProblem =
-    TreeProblem<P> &&
-    requires(const P& p, const typename P::Node* nodes, std::uint32_t count,
-             std::vector<typename P::Node>& out, std::uint32_t* child_counts,
-             Bound bound, NextBound& next) {
-      { p.expand_batch(nodes, count, bound, out, child_counts, next) }
-          -> std::same_as<void>;
-    };
-
-/// Scalar reference path for expand_batch: a loop of per-node expand() calls
-/// recording each slot's child count.  This is both the fallback for domains
-/// without a batch kernel and the oracle the batch kernels are tested
-/// against.
-template <TreeProblem P>
-void expand_batch_fallback(const P& p, const typename P::Node* nodes,
-                           std::uint32_t count, Bound bound,
-                           std::vector<typename P::Node>& out,
-                           std::uint32_t* child_counts, NextBound& next) {
-  for (std::uint32_t j = 0; j < count; ++j) {
-    const std::size_t before = out.size();
-    p.expand(nodes[j], bound, out, next);
-    child_counts[j] = static_cast<std::uint32_t>(out.size() - before);
-  }
-}
-
-/// Optional delta-codec extension of TreeProblem, the memory-bounding
-/// counterpart of BatchTreeProblem: a child node is representable as its
-/// parent plus a one-byte delta (a move index / child ordinal), so a work
-/// stack can store deltas instead of full Node copies and materialize on pop
-/// (search::CompactStack).
+/// Optional delta-codec extension of TreeProblem: a child node is
+/// representable as its parent plus a one-byte delta (a move index / child
+/// ordinal), so a work stack can store deltas instead of full Node copies and
+/// materialize on pop (search::CompactStack).
 ///
 /// Contract:
 ///  - decode_delta(parent, d) must reproduce — BIT-EXACTLY, every field —
@@ -126,20 +87,5 @@ concept UndoDeltaProblem =
       { p.undo_delta(child, delta, parent_delta) }
           -> std::same_as<typename P::Node>;
     };
-
-/// Batch expansion entry point: routes to the problem's expand_batch() when
-/// it provides one, otherwise to the scalar fallback.  Domains opt in by
-/// adding the member; nothing else in the engine changes.
-template <TreeProblem P>
-void expand_batch(const P& p, const typename P::Node* nodes,
-                  std::uint32_t count, Bound bound,
-                  std::vector<typename P::Node>& out,
-                  std::uint32_t* child_counts, NextBound& next) {
-  if constexpr (BatchTreeProblem<P>) {
-    p.expand_batch(nodes, count, bound, out, child_counts, next);
-  } else {
-    expand_batch_fallback(p, nodes, count, bound, out, child_counts, next);
-  }
-}
 
 }  // namespace simdts::search

@@ -124,9 +124,9 @@ class Tree {
     return static_cast<double>(h >> 11) * 0x1.0p-53;
   }
 
-  /// Random-walk step of the climate, clamped to the uint16 range.  Public
-  /// (like hash2/normalized) so the vectorized batch kernel in src/vec/ can
-  /// reuse the exact shape-defining arithmetic instead of duplicating it.
+ private:
+  /// Random-walk step of the climate, clamped to the uint16 range.  Shared
+  /// by expand() and decode_delta(), which must agree bit for bit.
   [[nodiscard]] static std::uint16_t drift_climate(std::uint16_t climate,
                                                    std::uint64_t h) {
     const auto delta = static_cast<std::int32_t>((h >> 40) % 8192) - 4096;
@@ -136,7 +136,6 @@ class Tree {
     return static_cast<std::uint16_t>(next);
   }
 
- private:
   Params params_;
 };
 

@@ -1,86 +1,86 @@
-// SIMD batch-expansion kernels (compiled only under SIMDTS_VECTOR_BACKEND).
+// The batched 15-puzzle kernel (see vec/expand.hpp for the contract and the
+// selection rule).
 //
-// Both kernels follow the same two-phase shape: a *candidate phase* that is
-// pure branch-free lane arithmetic over the SoA pools — every potential
-// child of every batched node is computed unconditionally into slot-major
-// candidate arrays (`cand[slot][lane]`), exactly like the scalar domains'
-// predicated staging writes, just transposed — and a scalar *emission phase*
-// that walks the candidates per node in slot order and advances a write
-// cursor by the existence predicate.  The candidate phase carries all the
-// work (hashing, board arithmetic, heuristic deltas, bound tests) and
-// vectorizes cleanly because no lane ever branches; the emission phase is
-// the same predicated-cursor copy the scalar expand() already does.
+// Two phases.  The *candidate phase* is pure branch-free lane arithmetic
+// over struct-of-arrays copies of the batch: every potential child of every
+// node is computed unconditionally into move-major arrays (`cand[move][lane]`)
+// — the transpose of expand()'s predicated staging writes.  The *emission
+// phase* walks the candidates per node in move order and advances a write
+// cursor by the take predicate, exactly like expand()'s staging loop.  The
+// candidate phase carries all the work (board arithmetic, heuristic deltas,
+// bound tests) and vectorizes because no lane ever branches.
 //
-// Bit-exactness with the scalar reference:
-//  - synthetic::Tree's only floating-point step, `normalized(h) < p`, is
-//    replaced by the integer compare `(h >> 11) < T` with
-//    T = min(ceil(p * 2^53), 2^53).  The two are equivalent: normalized(h)
-//    = (h >> 11) * 2^-53, and scaling both sides of the compare by the
-//    power of two 2^53 is exact in double precision, (h >> 11) <= 2^53 - 1
-//    is exactly representable, and t < x over the reals iff t < ceil(x) for
-//    integer t.  The clamp to 2^53 only widens the always-true region
-//    (t never reaches 2^53) and keeps T in signed-positive range for the
-//    AVX2 compare (which is signed-only).
-//  - The 15-puzzle kernel recomputes tile distances from the coordinate
-//    formula |row(pos) - row(t)| + |col(pos) - col(t)|, which equals the
-//    scalar path's table lookup for every real tile (the goal cell of tile
-//    t is cell t; the moved tile is never the blank on a legal move).
-//  - NextBound is a pure min, so observing the per-batch minimum pruned f
-//    once equals observing every pruned f individually.
-//
-// The oracle gate in tests/test_vector_backend.cpp checks all of this end
-// to end against the scalar engine on the fig4a grid.
-#ifdef SIMDTS_VECTOR_BACKEND
-
+// Bit-exactness with FifteenPuzzle::expand():
+//  - Tile distances come from the coordinate formula
+//    |row(pos) - row(t)| + |col(pos) - col(t)|, which equals expand()'s
+//    table lookup for every real tile (the goal cell of tile t is cell t;
+//    the moved tile is never the blank on a legal move).
+//  - NextBound is a pure min, so observing the batch's minimum pruned f once
+//    equals observing every pruned f individually.
 #include "vec/expand.hpp"
 
-#include <cmath>
-#include <cstdlib>
+#include "puzzle/board.hpp"
 
-#include "vec/soa.hpp"
-
-#if defined(__AVX2__)
-#include <immintrin.h>
+// The kernel is compiled for AVX2/BMI2 function by function, so the library
+// keeps its default target flags everywhere else.
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+#define VEC_X86 1
+#define VEC_TARGET_AVX2 __attribute__((target("avx2,bmi2")))
+#else
+#define VEC_X86 0
+#define VEC_TARGET_AVX2
 #endif
 
 namespace simdts::vec {
 
 namespace {
 
-/// Child-slot cap of the specialized tree kernel; trees bushier than this
-/// (none of the calibrated workloads come close) take the scalar fallback.
-constexpr std::uint32_t kMaxTreeSlots = 8;
+/// Batch width: one flag word of lanes.
+constexpr std::uint32_t kBatchLanes = 64;
 
-/// Salt base of synthetic::Tree's child hash (tree.hpp uses
-/// hash2(id, 0x4348494C44 + slot)).
-constexpr std::uint64_t kChildSalt = 0x4348494C44ULL;
+/// Vector width the batch is padded to (AVX2's 4x64-bit lanes), so the
+/// candidate loops run full-width with no scalar remainder.
+constexpr std::uint32_t kPadLanes = 4;
 
-#if defined(__AVX2__)
-
-/// 64x64->64 multiply for 4 lanes: AVX2 has no vpmullq (that is AVX-512DQ),
-/// so synthesize it from 32x32->64 partial products.
-inline __m256i mul64(__m256i a, __m256i b) {
-  const __m256i ll = _mm256_mul_epu32(a, b);
-  const __m256i lh = _mm256_mul_epu32(a, _mm256_srli_epi64(b, 32));
-  const __m256i hl = _mm256_mul_epu32(_mm256_srli_epi64(a, 32), b);
-  const __m256i cross = _mm256_add_epi64(lh, hl);
-  return _mm256_add_epi64(ll, _mm256_slli_epi64(cross, 32));
+constexpr std::uint32_t padded_count(std::uint32_t count) {
+  return (count + (kPadLanes - 1)) & ~(kPadLanes - 1);
 }
 
-/// 4-lane Tree::hash2(a[i], b) for a broadcast second argument.
-inline __m256i hash2x4(__m256i a, std::uint64_t b) {
-  __m256i x = mul64(
-      a, _mm256_set1_epi64x(static_cast<long long>(0x9E3779B97F4A7C15ULL)));
-  x = _mm256_add_epi64(
-      x, _mm256_set1_epi64x(static_cast<long long>(b + 0x2545F4914F6CDD1DULL)));
-  x = _mm256_xor_si256(x, _mm256_srli_epi64(x, 30));
-  x = mul64(x, _mm256_set1_epi64x(static_cast<long long>(0xBF58476D1CE4E5B9ULL)));
-  x = _mm256_xor_si256(x, _mm256_srli_epi64(x, 27));
-  x = mul64(x, _mm256_set1_epi64x(static_cast<long long>(0x94D049BB133111EBULL)));
-  return _mm256_xor_si256(x, _mm256_srli_epi64(x, 31));
-}
+/// Struct-of-arrays copy of one batch.  The packed nibble boards stay packed
+/// (moves are shift/mask arithmetic on the u64 directly); the byte fields
+/// widen all the way to u64 so every value in the candidate loop has the
+/// same width — GCC's vectorizer refuses loops that mix 64-bit board words
+/// with narrower metadata ("no vectype"), and a type-homogeneous u64 loop
+/// compiles to 4-wide AVX2 (vpsrlvq/vpsllvq for the nibble shifts).  Pad
+/// lanes hold copies of the last real node; their results are never emitted.
+struct FifteenBatchSoA {
+  alignas(32) std::uint64_t board[kBatchLanes];
+  alignas(32) std::uint64_t blank[kBatchLanes];
+  alignas(32) std::uint64_t g[kBatchLanes];
+  alignas(32) std::uint64_t h[kBatchLanes];
+  /// inverse(last), or kNoMove at the root.
+  alignas(32) std::uint64_t skip[kBatchLanes];
 
-#endif  // __AVX2__
+  void load(const puzzle::FifteenPuzzle::Node* nodes, std::uint32_t count) {
+    for (std::uint32_t j = 0; j < count; ++j) {
+      board[j] = nodes[j].board;
+      blank[j] = nodes[j].blank;
+      g[j] = nodes[j].g;
+      h[j] = nodes[j].h;
+      skip[j] = nodes[j].last == puzzle::kNoMove
+                    ? puzzle::kNoMove
+                    : static_cast<std::uint64_t>(puzzle::inverse(
+                          static_cast<puzzle::Move>(nodes[j].last)));
+    }
+    for (std::uint32_t j = count; j < padded_count(count); ++j) {
+      board[j] = board[count - 1];
+      blank[j] = blank[count - 1];
+      g[j] = g[count - 1];
+      h[j] = h[count - 1];
+      skip[j] = skip[count - 1];
+    }
+  }
+};
 
 /// |x - y| for u64 lanes via the sign-propagation trick — pure bit ops, no
 /// compare/branch, so the vectorizer never bails on it.
@@ -90,27 +90,23 @@ inline std::uint64_t absdiff(std::uint64_t x, std::uint64_t y) {
   return (d ^ m) - m;
 }
 
-/// Candidate phase for one 15-puzzle move direction, all lanes at once.
-/// kMove follows puzzle::Move: 0 up, 1 down, 2 left, 3 right (the blank
-/// moves).  Illegal lanes compute a self-move (shift amounts stay in range,
-/// no UB) whose candidate is discarded by take = 0.
+/// Candidate phase for one move direction, all lanes at once.  kMove follows
+/// puzzle::Move: 0 up, 1 down, 2 left, 3 right (the blank moves).  Illegal
+/// lanes compute a self-move (shift amounts stay in range, no UB) whose
+/// candidate is discarded by take = 0.
 ///
 /// Every value in the loop is u64 — legality masks, coordinates, f-values —
-/// because GCC's vectorizer rejects loops mixing the 64-bit board words
-/// with narrower lanes ("no vectype"), which silently costs the whole
-/// kernel.  All-u64, the loop compiles to 4-wide AVX2 (variable nibble
-/// shifts are vpsrlvq/vpsllvq).  Selects are explicit 0/1-mask arithmetic
-/// (never multiplies: AVX2 has no vpmullq).  All quantities are small and
-/// non-negative (g, h < 255; hh >= 0 since h includes the moved tile's
-/// d_from), so u64 and i32 arithmetic agree exactly.
+/// for the vectorizer's sake (see FifteenBatchSoA).  Selects are explicit
+/// 0/1-mask arithmetic (never multiplies: AVX2 has no vpmullq).  All
+/// quantities are small and non-negative (g, h < 255; hh >= 0 since h
+/// includes the moved tile's d_from), so u64 and i32 arithmetic agree.
 template <int kMove>
-void fifteen_candidates(const FifteenBatchSoA& s, std::uint32_t padded,
-                        search::Bound bound, std::uint64_t* cand_board,
-                        std::uint64_t* cand_blank, std::uint64_t* cand_h,
-                        std::uint64_t* take, std::uint64_t* pruned_min) {
+VEC_TARGET_AVX2 void fifteen_candidates(
+    const FifteenBatchSoA& s, std::uint32_t padded, search::Bound bound,
+    std::uint64_t* cand_board, std::uint64_t* cand_blank,
+    std::uint64_t* cand_h, std::uint64_t* take, std::uint64_t* pruned_min) {
   const auto bound64 = static_cast<std::uint64_t>(bound);
   constexpr auto kUnb64 = static_cast<std::uint64_t>(search::kUnbounded);
-#pragma omp simd
   for (std::uint32_t j = 0; j < padded; ++j) {
     const std::uint64_t b = s.blank[j];
     const std::uint64_t board = s.board[j];
@@ -164,116 +160,30 @@ void fifteen_candidates(const FifteenBatchSoA& s, std::uint32_t padded,
 
 }  // namespace
 
-// SIMDLINT-REGION(lockstep)
-void expand_batch_tree(const synthetic::Tree& tree,
-                       const synthetic::Tree::Node* nodes, std::uint32_t count,
-                       search::Bound bound,
-                       std::vector<synthetic::Tree::Node>& out,
-                       std::uint32_t* child_counts, search::NextBound& next) {
-  using Node = synthetic::Tree::Node;
-  const synthetic::Params& prm = tree.params();
-  if (count == 0) return;
-  if (prm.max_children > kMaxTreeSlots) {
-    // SIMDLINT-EFFECT-OK(allocates) scalar fallback stages into the same
-    search::expand_batch_fallback(tree, nodes, count, bound, out, child_counts,
-                                  next);  // persistent-capacity buffer.
-    return;
-  }
-
-  TreeBatchSoA soa;
-  soa.load(nodes, count);
-  const std::uint32_t padded = padded_count(count);
-
-  // Per-lane existence thresholds: child slot i of lane j exists iff
-  // (hash >> 11) < thresh[j].  Leaf lanes (depth >= max_depth) get 0, which
-  // matches the scalar early return.
-  alignas(32) std::uint64_t thresh[kBatchLanes];
-  for (std::uint32_t j = 0; j < padded; ++j) {
-    const double p =
-        prm.fertility *
-        (0.5 + static_cast<double>(soa.climate[j]) * 0x1.0p-16);
-    const double x = std::ceil(p * 0x1.0p53);
-    std::uint64_t t = 0;
-    if (soa.depth[j] < prm.max_depth && x > 0.0) {
-      t = x >= 0x1.0p53 ? (std::uint64_t{1} << 53)
-                        : static_cast<std::uint64_t>(x);
-    }
-    thresh[j] = t;
-  }
-
-  // Candidate phase: slot-major hash, existence, and climate-drift arrays.
-  alignas(32) std::uint64_t cand_hash[kMaxTreeSlots][kBatchLanes];
-  alignas(32) std::uint16_t cand_climate[kMaxTreeSlots][kBatchLanes];
-  alignas(32) std::uint8_t exists[kMaxTreeSlots][kBatchLanes];
-  for (std::uint32_t i = 0; i < prm.max_children; ++i) {
-    const std::uint64_t salt = kChildSalt + i;
-#if defined(__AVX2__)
-    for (std::uint32_t j = 0; j < padded; j += 4) {
-      const __m256i id = _mm256_load_si256(
-          reinterpret_cast<const __m256i*>(&soa.id[j]));
-      _mm256_store_si256(reinterpret_cast<__m256i*>(&cand_hash[i][j]),
-                         hash2x4(id, salt));
-    }
+bool cpu_has_avx2() noexcept {
+#if VEC_X86
+  static const bool has = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("bmi2");
+  }();
+  return has;
 #else
-#pragma omp simd
-    for (std::uint32_t j = 0; j < padded; ++j) {
-      cand_hash[i][j] = synthetic::Tree::hash2(soa.id[j], salt);
-    }
+  return false;
 #endif
-#pragma omp simd
-    for (std::uint32_t j = 0; j < padded; ++j) {
-      const std::uint64_t h = cand_hash[i][j];
-      exists[i][j] = static_cast<std::uint8_t>((h >> 11) < thresh[j]);
-      // Inline drift_climate (tree.hpp): a clamped random-walk step.
-      const auto delta =
-          static_cast<std::int32_t>((h >> 40) % 8192) - 4096;
-      std::int32_t c = static_cast<std::int32_t>(soa.climate[j]) + delta;
-      c = c < 0 ? 0 : c;
-      c = c > 0xFFFF ? 0xFFFF : c;
-      cand_climate[i][j] = static_cast<std::uint16_t>(c);
-    }
-  }
+}
 
-  // Emission: per node in batch order, per slot in slot order, cursor
-  // advanced by the existence predicate — the scalar staging loop exactly.
-  const std::size_t base = out.size();
-  // SIMDLINT-EFFECT-OK(allocates) `out` is the caller's persistent-capacity
-  out.resize(base + static_cast<std::size_t>(count) * prm.max_children);
-  Node* const dst = out.data() + base;  // staging buffer; growth amortizes.
-  std::size_t k = 0;
-  for (std::uint32_t j = 0; j < count; ++j) {
-    const std::size_t start = k;
-    const auto depth = static_cast<std::uint16_t>(soa.depth[j] + 1);
-    for (std::uint32_t i = 0; i < prm.max_children; ++i) {
-      dst[k] = Node{cand_hash[i][j], depth, cand_climate[i][j]};
-      k += exists[i][j];
-    }
-    child_counts[j] = static_cast<std::uint32_t>(k - start);
-  }
-  // SIMDLINT-EFFECT-OK(allocates) shrinking resize: capacity is retained
-  out.resize(base + k);
-  // Exhaustive domain: the bound is ignored and next never observed, as in
-  // the scalar expand().
-  static_cast<void>(next);
+bool batch_applies(const puzzle::FifteenPuzzle& p,
+                   std::uint32_t pes) noexcept {
+  return p.heuristic() == puzzle::Heuristic::kManhattan &&
+         pes >= kMinBatchPes && cpu_has_avx2();
 }
 
 // SIMDLINT-REGION(lockstep)
-void expand_batch_fifteen(const puzzle::FifteenPuzzle& p,
-                          const puzzle::FifteenPuzzle::Node* nodes,
-                          std::uint32_t count, search::Bound bound,
-                          std::vector<puzzle::FifteenPuzzle::Node>& out,
-                          std::uint32_t* child_counts,
-                          search::NextBound& next) {
+VEC_TARGET_AVX2 void expand_fifteen(
+    const puzzle::FifteenPuzzle::Node* nodes, std::uint32_t count,
+    search::Bound bound, std::vector<puzzle::FifteenPuzzle::Node>& out,
+    std::uint32_t* child_counts, search::NextBound& next) {
   using Node = puzzle::FifteenPuzzle::Node;
-  if (count == 0) return;
-  if (p.heuristic() != puzzle::Heuristic::kManhattan) {
-    // Linear conflict re-evaluates whole boards; keep the scalar reference.
-    // SIMDLINT-EFFECT-OK(allocates) scalar fallback stages into the same
-    search::expand_batch_fallback(p, nodes, count, bound, out, child_counts,
-                                  next);  // persistent-capacity buffer.
-    return;
-  }
-
   FifteenBatchSoA soa;
   soa.load(nodes, count);
   const std::uint32_t padded = padded_count(count);
@@ -296,8 +206,8 @@ void expand_batch_fifteen(const puzzle::FifteenPuzzle& p,
   fifteen_candidates<3>(soa, padded, bound, cand_board[3], cand_blank[3],
                         cand_h[3], take[3], pruned_min);
 
-  // NextBound is a min: one observation of the batch minimum equals the
-  // scalar path's per-candidate observations.  Pad lanes are excluded.
+  // NextBound is a min: one observation of the batch minimum equals
+  // expand()'s per-candidate observations.  Pad lanes are excluded.
   std::uint64_t m = static_cast<std::uint64_t>(search::kUnbounded);
   for (std::uint32_t j = 0; j < count; ++j) {
     if (pruned_min[j] < m) m = pruned_min[j];
@@ -329,5 +239,3 @@ void expand_batch_fifteen(const puzzle::FifteenPuzzle& p,
 }
 
 }  // namespace simdts::vec
-
-#endif  // SIMDTS_VECTOR_BACKEND

@@ -1,24 +1,26 @@
-// Batch-expansion dispatch for the vectorized execution backend.
+// Batched 15-puzzle expansion: the engine's second per-word step.
 //
-// BatchExpander<P>::expand() is what the engine's vector execution mode
-// calls with the up-to-64 nodes popped from one flag word.  The primary
-// template routes through search::expand_batch — a problem's own
-// expand_batch() member if it has one, else the scalar per-node fallback —
-// so *any* TreeProblem works under the vector backend; domains with a real
-// SIMD kernel (synthetic::Tree and puzzle::FifteenPuzzle, below) specialize
-// it to the kernels in vec/expand.cpp.
+// The engine's reference step pops one node per active lane and calls the
+// problem's expand() on it.  For puzzle::FifteenPuzzle under the Manhattan
+// heuristic the engine can instead pop a whole flag word's active lanes (at
+// most 64 nodes) and expand them with one expand_fifteen() call: the kernel
+// computes all four moves of every node as branch-free u64 lane arithmetic
+// (AVX2-wide), then copies the taken children out per node in move order.
 //
-// The kernel definitions are compiled only under SIMDTS_VECTOR_BACKEND (the
-// TU is empty otherwise), which keeps the backend's absence provable at the
-// symbol level: with the option OFF, no simdts::vec symbol may appear in
-// libsimdts.a (the lint.vector_backend_symbols ctest runs nm to enforce it,
-// mirroring SimdSan's zero-cost gate).
+// The engine picks the step once, at construction (batch_applies):
+//  - the problem has a kernel (kHasKernel — only puzzle::FifteenPuzzle);
+//  - its heuristic is Manhattan (linear conflict re-evaluates whole boards);
+//  - P >= kMinBatchPes (on a machine smaller than one flag word the
+//    gather/scatter costs more than the kernel saves);
+//  - the host CPU has AVX2 and BMI2 (the kernel is compiled for them with a
+//    function-level target attribute; the rest of the library keeps its
+//    default flags, so no floating-point code generation changes).
 //
-// Contract (inherited from search::expand_batch and enforced end-to-end by
-// the oracle gate in tests/test_vector_backend.cpp): identical children, in
-// identical per-slot order, and an identical NextBound outcome as `count`
-// scalar expand() calls.  The kernels keep that bit-exact by doing the same
-// integer arithmetic as the scalar domains — only the *schedule* changes.
+// Contract, pinned end to end by tests/test_vector_backend.cpp: identical
+// children, in identical per-node order, identical per-node child counts and
+// an identical NextBound outcome as `count` calls of FifteenPuzzle::expand().
+// The kernel does the same integer arithmetic as expand() — only the
+// schedule changes — so the engine's results do not depend on the step.
 #pragma once
 
 #include <cstdint>
@@ -26,78 +28,34 @@
 
 #include "puzzle/fifteen.hpp"
 #include "search/problem.hpp"
-#include "synthetic/tree.hpp"
 
 namespace simdts::vec {
 
-/// True when the library was built with -DSIMDTS_VECTOR_BACKEND=ON.
-/// Available in both build flavors so harnesses can report which binary
-/// they measured (constexpr, so it leaves no simdts::vec symbol behind in
-/// a backend-off build — the nm gate stays clean).
-#ifdef SIMDTS_VECTOR_BACKEND
-inline constexpr bool kCompiledIn = true;
-#else
-inline constexpr bool kCompiledIn = false;
-#endif
-
-/// Generic batch expander: scalar semantics via search::expand_batch.
-template <search::TreeProblem P>
-struct BatchExpander {
-  /// True when a real SIMD kernel backs this problem (reported in the
-  /// perf harness so speedups are attributed honestly).
-  static constexpr bool kVectorized = false;
-
-  static void expand(const P& p, const typename P::Node* nodes,
-                     std::uint32_t count, search::Bound bound,
-                     std::vector<typename P::Node>& out,
-                     std::uint32_t* child_counts, search::NextBound& next) {
-    search::expand_batch(p, nodes, count, bound, out, child_counts, next);
-  }
-};
-
-#ifdef SIMDTS_VECTOR_BACKEND
-
-/// SIMD batch kernel for synthetic::Tree (vec/expand.cpp).
-void expand_batch_tree(const synthetic::Tree& tree,
-                       const synthetic::Tree::Node* nodes, std::uint32_t count,
-                       search::Bound bound,
-                       std::vector<synthetic::Tree::Node>& out,
-                       std::uint32_t* child_counts, search::NextBound& next);
-
-/// SIMD batch kernel for puzzle::FifteenPuzzle (vec/expand.cpp).
-void expand_batch_fifteen(const puzzle::FifteenPuzzle& p,
-                          const puzzle::FifteenPuzzle::Node* nodes,
-                          std::uint32_t count, search::Bound bound,
-                          std::vector<puzzle::FifteenPuzzle::Node>& out,
-                          std::uint32_t* child_counts,
-                          search::NextBound& next);
-
+/// True for the problem types expand_fifteen() can expand.
+template <typename P>
+inline constexpr bool kHasKernel = false;
 template <>
-struct BatchExpander<synthetic::Tree> {
-  static constexpr bool kVectorized = true;
+inline constexpr bool kHasKernel<puzzle::FifteenPuzzle> = true;
 
-  static void expand(const synthetic::Tree& p,
-                     const synthetic::Tree::Node* nodes, std::uint32_t count,
-                     search::Bound bound,
-                     std::vector<synthetic::Tree::Node>& out,
-                     std::uint32_t* child_counts, search::NextBound& next) {
-    expand_batch_tree(p, nodes, count, bound, out, child_counts, next);
-  }
-};
+/// Smallest machine the engine runs the batched step on.
+inline constexpr std::uint32_t kMinBatchPes = 64;
 
-template <>
-struct BatchExpander<puzzle::FifteenPuzzle> {
-  static constexpr bool kVectorized = true;
+/// True when the host CPU executes the kernel's AVX2/BMI2 code (always
+/// false off x86 or without GCC/Clang builtins).
+[[nodiscard]] bool cpu_has_avx2() noexcept;
 
-  static void expand(const puzzle::FifteenPuzzle& p,
-                     const puzzle::FifteenPuzzle::Node* nodes,
-                     std::uint32_t count, search::Bound bound,
-                     std::vector<puzzle::FifteenPuzzle::Node>& out,
-                     std::uint32_t* child_counts, search::NextBound& next) {
-    expand_batch_fifteen(p, nodes, count, bound, out, child_counts, next);
-  }
-};
+/// The selection rule: true when an engine of `pes` lanes over `p` should
+/// expand through expand_fifteen() instead of per-node expand().
+[[nodiscard]] bool batch_applies(const puzzle::FifteenPuzzle& p,
+                                 std::uint32_t pes) noexcept;
 
-#endif  // SIMDTS_VECTOR_BACKEND
+/// Expands `count` (at most 64) Manhattan-heuristic nodes with `bound`:
+/// appends their children to `out` grouped by input node, in input order,
+/// stores node j's child count in `child_counts[j]`, and observes the
+/// smallest pruned f-value in `next`.  Requires cpu_has_avx2().
+void expand_fifteen(const puzzle::FifteenPuzzle::Node* nodes,
+                    std::uint32_t count, search::Bound bound,
+                    std::vector<puzzle::FifteenPuzzle::Node>& out,
+                    std::uint32_t* child_counts, search::NextBound& next);
 
 }  // namespace simdts::vec

@@ -22,11 +22,14 @@
 #include "fault/fault.hpp"
 #include "lb/config.hpp"
 #include "lb/engine.hpp"
+#include "puzzle/fifteen.hpp"
+#include "puzzle/workloads.hpp"
 #include "search/work_stack.hpp"
 #include "simd/bitplane.hpp"
 #include "simd/cost_model.hpp"
 #include "simd/machine.hpp"
 #include "synthetic/tree.hpp"
+#include "vec/expand.hpp"
 #endif
 
 namespace simdts {
@@ -84,6 +87,24 @@ lb::RunStats run_synthetic(std::uint32_t p,
   return engine.run();
 }
 
+/// The same scenario on the batched 15-puzzle step (P >= 64, Manhattan), so
+/// every engine mutation is also seen through the kernel's gather/scatter.
+lb::RunStats run_batched_puzzle(std::uint32_t p,
+                                const fault::FaultPlan* plan = nullptr) {
+  const puzzle::FifteenPuzzle problem(puzzle::test_workloads()[2].board());
+  simd::Machine machine(p, simd::cm2_cost_model());
+  lb::Engine<puzzle::FifteenPuzzle> engine(problem, machine,
+                                           lb::gp_static(0.9));
+  EXPECT_TRUE(engine.batched());
+  if (plan != nullptr) engine.arm_faults(plan);
+  return engine.run();
+}
+
+#define SKIP_WITHOUT_AVX2()                                              \
+  if (!vec::cpu_has_avx2()) {                                            \
+    GTEST_SKIP() << "host CPU lacks AVX2/BMI2: no batched step to test"; \
+  }
+
 // ---------------------------------------------------------------------------
 // Positive control: armed, unmutated runs pass every check and the checks
 // never change simulated results.
@@ -98,6 +119,14 @@ TEST(Sanitizer, CleanRunPassesAllChecksArmedAndDisarmed) {
   EXPECT_EQ(armed.total.nodes_expanded, disarmed.total.nodes_expanded);
   EXPECT_EQ(armed.total.lb_phases, disarmed.total.lb_phases);
   EXPECT_EQ(armed.goals_found, disarmed.goals_found);
+}
+
+TEST(Sanitizer, CleanBatchedPuzzleRunPassesAllChecks) {
+  SKIP_WITHOUT_AVX2();
+  MutationGuard guard;
+  const fault::FaultPlan plan({{2, fault::FaultKind::kKillPe, 0, 0}});
+  EXPECT_NO_THROW(run_batched_puzzle(64));
+  EXPECT_NO_THROW(run_batched_puzzle(100, &plan));
 }
 
 TEST(Sanitizer, CleanFaultRunPassesAllChecks) {
@@ -154,6 +183,37 @@ TEST(SanitizerMutation, DroppedCensusDeltaTripsCensusDivergence) {
   MutationGuard guard;
   san::mutation().drop_census_delta = true;
   expect_fires("census-divergence", [] { run_synthetic(64); });
+}
+
+// The four engine mutations again, on the batched step.
+
+TEST(SanitizerMutation, ShrunkWordClaimTripsWordOwnershipBatched) {
+  SKIP_WITHOUT_AVX2();
+  MutationGuard guard;
+  san::mutation().shrink_word_claim = true;
+  expect_fires("word-ownership", [] { run_batched_puzzle(64); });
+}
+
+TEST(SanitizerMutation, ExpandingADeadLaneTripsDeadLaneBatched) {
+  SKIP_WITHOUT_AVX2();
+  MutationGuard guard;
+  san::mutation().expand_dead_lane = true;
+  const fault::FaultPlan plan({{2, fault::FaultKind::kKillPe, 0, 0}});
+  expect_fires("dead-lane", [&] { run_batched_puzzle(64, &plan); });
+}
+
+TEST(SanitizerMutation, CorruptedTailTripsTailBitsBatched) {
+  SKIP_WITHOUT_AVX2();
+  MutationGuard guard;
+  san::mutation().corrupt_tail = true;
+  expect_fires("tail-bits", [] { run_batched_puzzle(100); });
+}
+
+TEST(SanitizerMutation, DroppedCensusDeltaTripsCensusDivergenceBatched) {
+  SKIP_WITHOUT_AVX2();
+  MutationGuard guard;
+  san::mutation().drop_census_delta = true;
+  expect_fires("census-divergence", [] { run_batched_puzzle(64); });
 }
 
 TEST(SanitizerMutation, UnsortedFaultPlanTripsPlanOrder) {

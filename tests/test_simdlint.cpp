@@ -1195,9 +1195,8 @@ TEST(SimdlintTaint, OrphanedMarkersAreStaleEvenInSubsetRuns) {
       "  x = 1;\n"
       "}\n"
       "}\n";
-  const Finding* m = only_rule(
-      taint({{"src/lb/a.cpp", merge_orphan}}, "", /*subset=*/true),
-      "stale-merge");
+  const auto ms = taint({{"src/lb/a.cpp", merge_orphan}}, "", /*subset=*/true);
+  const Finding* m = only_rule(ms, "stale-merge");
   ASSERT_NE(m, nullptr);
   EXPECT_EQ(m->line, 4u);
 }

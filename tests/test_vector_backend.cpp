@@ -1,18 +1,16 @@
-// The vector execution backend's oracle gate and the expand_batch contract.
+// The batched 15-puzzle step against the per-bit reference.
 //
-// The contract under test (docs/performance.md "Vector backend"): with the
-// scalar engine as the bit-exact reference, the vector backend must produce
-// *identical* IterationStats (nodes expanded, goals, lb metrics, simulated
-// clock), identical goal-node sequences, and identical behavior across host
-// thread counts — on the fig4a-style grid of synthetic workloads and machine
-// sizes, on real 15-puzzle IDA* runs, and through the scalar fallback for
-// domains without a batch kernel (including under an armed FaultPlan, whose
-// dead lanes must never enter a batch).
+// The contract under test (vec/expand.hpp): an engine that expands through
+// the 15-puzzle kernel produces *identical* RunStats (nodes expanded, goals,
+// every lb metric, the simulated clock) and an identical goal-node sequence
+// as the per-bit step — across bounds, run modes, host thread counts, both
+// stack representations, and with a FaultPlan armed (dead lanes must never
+// enter a batch).
 //
-// Everything engine-level runs only when SIMDTS_VECTOR_BACKEND is compiled
-// in; the search::expand_batch dispatch layer and the concept checks are
-// always live, and the OFF build checks that requesting the vector backend
-// is a loud ConfigError, not a silent fallback.
+// The reference is NoBatchPuzzle: a forwarding wrapper around FifteenPuzzle
+// whose type has no kernel, so the engine always gives it the per-bit step
+// while it searches exactly the same tree.  Tests that need the kernel skip
+// only when the host CPU lacks AVX2.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,45 +18,22 @@
 
 #include "fault/fault.hpp"
 #include "lb/engine.hpp"
+#include "puzzle/fifteen.hpp"
+#include "puzzle/heuristic.hpp"
+#include "puzzle/workloads.hpp"
+#include "search/compact_stack.hpp"
+#include "search/problem.hpp"
 #include "simd/machine.hpp"
 #include "simd/thread_pool.hpp"
-#include "puzzle/fifteen.hpp"
-#include "puzzle/workloads.hpp"
-#include "search/problem.hpp"
 #include "synthetic/tree.hpp"
-#include "tsp/tsp.hpp"
 #include "vec/expand.hpp"
 
 namespace simdts::lb {
 namespace {
 
 using puzzle::FifteenPuzzle;
-using search::kUnbounded;
-using synthetic::Tree;
 
-// ---------------------------------------------------------------------------
-// The expand_batch dispatch layer (always compiled).
-// ---------------------------------------------------------------------------
-
-/// A TreeProblem that deliberately lacks expand_batch: must route through
-/// the scalar fallback.
-struct NoBatchTree {
-  using Node = Tree::Node;
-  explicit NoBatchTree(synthetic::Params p) : inner(p) {}
-  [[nodiscard]] Node root() const { return inner.root(); }
-  void expand(const Node& n, search::Bound b, std::vector<Node>& out,
-              search::NextBound& nb) const {
-    inner.expand(n, b, out, nb);
-  }
-  [[nodiscard]] bool is_goal(const Node& n) const { return inner.is_goal(n); }
-  [[nodiscard]] search::Bound f_value(const Node& n) const {
-    return inner.f_value(n);
-  }
-  Tree inner;
-};
-
-/// A goal-bearing TreeProblem without expand_batch (wraps the 15-puzzle), so
-/// the fallback path is exercised with goals and NextBound pruning.
+/// FifteenPuzzle behind a type with no kernel: the per-bit reference.
 struct NoBatchPuzzle {
   using Node = FifteenPuzzle::Node;
   explicit NoBatchPuzzle(puzzle::Board b) : inner(b) {}
@@ -74,50 +49,25 @@ struct NoBatchPuzzle {
   FifteenPuzzle inner;
 };
 
-/// A TreeProblem with an instrumented expand_batch member: dispatch must
-/// prefer it over the fallback.
-struct CountingBatchTree {
-  using Node = Tree::Node;
-  explicit CountingBatchTree(synthetic::Params p) : inner(p) {}
-  [[nodiscard]] Node root() const { return inner.root(); }
-  void expand(const Node& n, search::Bound b, std::vector<Node>& out,
-              search::NextBound& nb) const {
-    inner.expand(n, b, out, nb);
-  }
-  [[nodiscard]] bool is_goal(const Node& n) const { return inner.is_goal(n); }
-  [[nodiscard]] search::Bound f_value(const Node& n) const {
-    return inner.f_value(n);
-  }
-  void expand_batch(const Node* nodes, std::uint32_t count, search::Bound b,
-                    std::vector<Node>& out, std::uint32_t* child_counts,
-                    search::NextBound& nb) const {
-    ++batch_calls;
-    search::expand_batch_fallback(inner, nodes, count, b, out, child_counts,
-                                  nb);
-  }
-  Tree inner;
-  mutable std::uint64_t batch_calls = 0;
-};
-
-static_assert(search::TreeProblem<NoBatchTree>);
-static_assert(!search::BatchTreeProblem<NoBatchTree>);
 static_assert(search::TreeProblem<NoBatchPuzzle>);
-static_assert(!search::BatchTreeProblem<NoBatchPuzzle>);
-static_assert(search::BatchTreeProblem<CountingBatchTree>);
-// The shipped domains themselves don't carry expand_batch members; their
-// SIMD kernels live in vec::BatchExpander specializations.
-static_assert(!search::BatchTreeProblem<Tree>);
-static_assert(!search::BatchTreeProblem<FifteenPuzzle>);
+static_assert(vec::kHasKernel<FifteenPuzzle>);
+static_assert(!vec::kHasKernel<NoBatchPuzzle>);
+static_assert(!vec::kHasKernel<synthetic::Tree>);
 
-/// Breadth-first pool of tree nodes to batch up in tests.
-template <typename P>
-std::vector<typename P::Node> node_pool(const P& p, std::size_t want,
-                                        search::Bound bound) {
-  std::vector<typename P::Node> pool;
-  std::vector<typename P::Node> frontier{p.root()};
+#define SKIP_WITHOUT_AVX2()                                            \
+  if (!vec::cpu_has_avx2()) {                                          \
+    GTEST_SKIP() << "host CPU lacks AVX2/BMI2: the kernel never runs"; \
+  }
+
+/// Breadth-first pool of nodes within `bound`, to batch up.
+std::vector<FifteenPuzzle::Node> node_pool(const FifteenPuzzle& p,
+                                           std::size_t want,
+                                           search::Bound bound) {
+  std::vector<FifteenPuzzle::Node> pool;
+  std::vector<FifteenPuzzle::Node> frontier{p.root()};
   search::NextBound nb;
   while (pool.size() < want && !frontier.empty()) {
-    std::vector<typename P::Node> next;
+    std::vector<FifteenPuzzle::Node> next;
     for (const auto& n : frontier) {
       pool.push_back(n);
       if (!p.is_goal(n)) p.expand(n, bound, next, nb);
@@ -128,308 +78,168 @@ std::vector<typename P::Node> node_pool(const P& p, std::size_t want,
   return pool;
 }
 
-TEST(ExpandBatch, FallbackMatchesPerNodeExpand) {
-  const Tree tree(synthetic::Params{9013, 4, 0.395, 14});  // ~940 nodes
-  const auto nodes = node_pool(tree, 64, kUnbounded);
-  ASSERT_GE(nodes.size(), 32u);
-
-  std::vector<Tree::Node> batched;
-  std::vector<std::uint32_t> counts(nodes.size());
-  search::NextBound batched_nb;
-  search::expand_batch_fallback(tree, nodes.data(),
-                                static_cast<std::uint32_t>(nodes.size()),
-                                kUnbounded, batched, counts.data(),
-                                batched_nb);
-
-  std::vector<Tree::Node> serial;
-  search::NextBound serial_nb;
-  for (std::size_t j = 0; j < nodes.size(); ++j) {
-    const std::size_t before = serial.size();
-    tree.expand(nodes[j], kUnbounded, serial, serial_nb);
-    EXPECT_EQ(counts[j], serial.size() - before) << "slot " << j;
-  }
-  EXPECT_EQ(batched, serial);
-  EXPECT_EQ(batched_nb.has_value(), serial_nb.has_value());
-}
-
-TEST(ExpandBatch, DispatchPrefersTheMemberKernel) {
-  const CountingBatchTree p(synthetic::Params{123, 4, 0.5, 12});
-  const auto nodes = node_pool(p, 16, kUnbounded);
-  std::vector<Tree::Node> out;
-  std::vector<std::uint32_t> counts(nodes.size());
-  search::NextBound nb;
-  search::expand_batch(p, nodes.data(),
-                       static_cast<std::uint32_t>(nodes.size()), kUnbounded,
-                       out, counts.data(), nb);
-  EXPECT_EQ(p.batch_calls, 1u);
-
-  const NoBatchTree q(synthetic::Params{123, 4, 0.5, 12});
-  std::vector<Tree::Node> out2;
-  std::vector<std::uint32_t> counts2(nodes.size());
-  search::NextBound nb2;
-  search::expand_batch(q, nodes.data(),
-                       static_cast<std::uint32_t>(nodes.size()), kUnbounded,
-                       out2, counts2.data(), nb2);
-  EXPECT_EQ(out, out2);
-  EXPECT_EQ(counts, counts2);
-}
-
-#ifndef SIMDTS_VECTOR_BACKEND
-
-TEST(VectorBackend, RequestingAbsentBackendThrows) {
-  const Tree tree(synthetic::Params{1, 4, 0.3, 8});
-  simd::Machine machine(64, simd::cm2_cost_model());
-  Engine<Tree> engine(tree, machine, gp_dk());
-  EXPECT_EQ(engine.backend(), ExecBackend::kScalar);
-  EXPECT_NO_THROW(engine.set_backend(ExecBackend::kScalar));
-  EXPECT_THROW(engine.set_backend(ExecBackend::kVector), ConfigError);
-}
-
-#else  // SIMDTS_VECTOR_BACKEND
-
-// ---------------------------------------------------------------------------
-// Batch-kernel unit oracles: the SIMD kernels against the scalar fallback,
-// across batch sizes (including lone nodes and full 64-lane words).
-// ---------------------------------------------------------------------------
-
-template <typename P>
-void expect_kernel_matches_fallback(const P& p,
-                                    const std::vector<typename P::Node>& pool,
-                                    search::Bound bound) {
-  static_assert(vec::BatchExpander<P>::kVectorized);
-  for (const std::uint32_t count : {1u, 2u, 3u, 17u, 33u, 64u}) {
-    if (pool.size() < count) break;
-    std::vector<typename P::Node> fast;
-    std::vector<typename P::Node> ref;
-    std::vector<std::uint32_t> fast_counts(count);
-    std::vector<std::uint32_t> ref_counts(count);
-    search::NextBound fast_nb;
-    search::NextBound ref_nb;
-    vec::BatchExpander<P>::expand(p, pool.data(), count, bound, fast,
-                                  fast_counts.data(), fast_nb);
-    search::expand_batch_fallback(p, pool.data(), count, bound, ref,
-                                  ref_counts.data(), ref_nb);
-    EXPECT_EQ(fast, ref) << "count " << count;
-    EXPECT_EQ(fast_counts, ref_counts) << "count " << count;
-    EXPECT_EQ(fast_nb.has_value(), ref_nb.has_value()) << "count " << count;
-    if (ref_nb.has_value()) {
-      EXPECT_EQ(fast_nb.value(), ref_nb.value()) << "count " << count;
-    }
-  }
-}
-
-TEST(VectorKernel, TreeBatchMatchesScalar) {
-  // Seeds chosen so the trees actually grow (roughly 1k-13k nodes each);
-  // many seeds die at the root with subcritical fertility.
-  for (const auto& prm :
-       {synthetic::Params{9013, 4, 0.395, 14},
-        synthetic::Params{9011, 4, 0.400, 18},
-        synthetic::Params{123, 4, 0.5, 12}, synthetic::Params{2718, 6, 0.3, 12},
-        synthetic::Params{999, 8, 0.22, 12}}) {
-    const Tree tree(prm);
-    expect_kernel_matches_fallback(tree, node_pool(tree, 64, kUnbounded),
-                                   kUnbounded);
-  }
-}
-
-TEST(VectorKernel, TreeLeafDepthEmitsNothing) {
-  const Tree tree(synthetic::Params{9, 4, 0.9, 3});
-  // Deep pool: include nodes at max_depth so the leaf cutoff is exercised.
-  const auto pool = node_pool(tree, 64, kUnbounded);
-  expect_kernel_matches_fallback(tree, pool, kUnbounded);
-}
-
-TEST(VectorKernel, TreeBushyFallbackPathStillExact) {
-  // max_children > 8 exceeds the kernel's slot cap: it must take the scalar
-  // fallback internally and stay exact.
-  const Tree tree(synthetic::Params{606, 12, 0.3, 6});
-  expect_kernel_matches_fallback(tree, node_pool(tree, 64, kUnbounded),
-                                 kUnbounded);
-}
-
-TEST(VectorKernel, FifteenBatchMatchesScalarAcrossBounds) {
+TEST(FifteenKernel, MatchesPerNodeExpandAcrossBounds) {
+  SKIP_WITHOUT_AVX2();
   const auto& workloads = puzzle::test_workloads();
-  for (std::size_t w = 0; w < 2 && w < workloads.size(); ++w) {
+  for (std::size_t w = 0; w < 2; ++w) {
     const FifteenPuzzle p(workloads[w].board());
     const search::Bound f0 = p.f_value(p.root());
     // A tight bound forces pruning (NextBound must match); looser bounds
     // take more children.
     for (const search::Bound bound : {f0, static_cast<search::Bound>(f0 + 2),
                                       static_cast<search::Bound>(f0 + 8)}) {
-      expect_kernel_matches_fallback(p, node_pool(p, 64, bound), bound);
+      const auto pool = node_pool(p, 64, bound);
+      // Lone nodes, pad-lane remainders and a full 64-lane word.
+      for (const std::uint32_t count : {1u, 2u, 3u, 17u, 33u, 64u}) {
+        if (pool.size() < count) break;
+        std::vector<FifteenPuzzle::Node> fast;
+        std::vector<std::uint32_t> fast_counts(count);
+        search::NextBound fast_nb;
+        vec::expand_fifteen(pool.data(), count, bound, fast,
+                            fast_counts.data(), fast_nb);
+
+        std::vector<FifteenPuzzle::Node> ref;
+        std::vector<std::uint32_t> ref_counts(count);
+        search::NextBound ref_nb;
+        for (std::uint32_t j = 0; j < count; ++j) {
+          const std::size_t before = ref.size();
+          p.expand(pool[j], bound, ref, ref_nb);
+          ref_counts[j] = static_cast<std::uint32_t>(ref.size() - before);
+        }
+        EXPECT_EQ(fast, ref) << "bound " << bound << " count " << count;
+        EXPECT_EQ(fast_counts, ref_counts)
+            << "bound " << bound << " count " << count;
+        EXPECT_EQ(fast_nb.value(), ref_nb.value())
+            << "bound " << bound << " count " << count;
+      }
     }
   }
 }
 
-TEST(VectorKernel, FifteenLinearConflictFallsBackExactly) {
-  const auto& wl = puzzle::test_workloads()[0];
-  const FifteenPuzzle p(wl.board(), puzzle::Heuristic::kLinearConflict);
-  const search::Bound bound = p.f_value(p.root()) + 4;
-  expect_kernel_matches_fallback(p, node_pool(p, 32, bound), bound);
+TEST(FifteenKernel, SelectionRulePinsEachBranch) {
+  const puzzle::Board board = puzzle::test_workloads()[1].board();
+  const FifteenPuzzle manhattan(board);
+  const FifteenPuzzle conflict(board, puzzle::Heuristic::kLinearConflict);
+  const NoBatchPuzzle no_kernel(board);
+  simd::Machine m64(64, simd::cm2_cost_model());
+  simd::Machine m63(63, simd::cm2_cost_model());
+
+  // Every other condition holds; each of these fails exactly one.
+  EXPECT_FALSE(Engine<FifteenPuzzle>(conflict, m64, gp_dk()).batched());
+  EXPECT_FALSE(Engine<FifteenPuzzle>(manhattan, m63, gp_dk()).batched());
+  EXPECT_FALSE(Engine<NoBatchPuzzle>(no_kernel, m64, gp_dk()).batched());
+  EXPECT_FALSE(vec::batch_applies(manhattan, vec::kMinBatchPes - 1));
+
+  // All four hold (the CPU condition only on an AVX2 host).
+  const bool avx2 = vec::cpu_has_avx2();
+  EXPECT_EQ(Engine<FifteenPuzzle>(manhattan, m64, gp_dk()).batched(), avx2);
+  EXPECT_EQ(CompactEngine<FifteenPuzzle>(manhattan, m64, gp_dk()).batched(),
+            avx2);
 }
 
-// ---------------------------------------------------------------------------
-// The oracle gate: whole engine runs, scalar vs vector, across the
-// fig4a-style grid and across host thread counts.
-// ---------------------------------------------------------------------------
+/// Full IDA* on the kernel step (stack `StackT`) against the per-bit
+/// reference, at 1, 2 and 8 host threads.
+template <typename StackT>
+void expect_kernel_runs_match(const puzzle::PuzzleWorkload& wl,
+                              std::uint32_t p) {
+  const NoBatchPuzzle reference(wl.board());
+  simd::Machine m_ref(p, simd::cm2_cost_model());
+  Engine<NoBatchPuzzle> per_bit(reference, m_ref, gp_dk());
+  const RunStats ref = per_bit.run();
+  ASSERT_EQ(ref.solution_bound, wl.solution_length);
 
-template <typename P>
-void expect_backends_agree_iteration(const P& problem, std::uint32_t p,
-                                     const SchemeConfig& cfg,
-                                     search::Bound bound) {
-  simd::Machine m_scalar(p, simd::cm2_cost_model());
-  Engine<P> scalar(problem, m_scalar, cfg);
-  const IterationStats ref = scalar.run_iteration(bound);
-
-  simd::Machine m_vec(p, simd::cm2_cost_model());
-  Engine<P> vectored(problem, m_vec, cfg);
-  vectored.set_backend(ExecBackend::kVector);
-  const IterationStats got = vectored.run_iteration(bound);
-
-  EXPECT_EQ(got, ref) << cfg.name() << " P=" << p;
-  EXPECT_EQ(vectored.goal_nodes(), scalar.goal_nodes())
-      << cfg.name() << " P=" << p;
-
-  // Host threads must not change vector-backend results either: the same
-  // word-granularity ownership argument as the scalar engine's.
-  for (const unsigned threads : {2u, 8u}) {
-    simd::ThreadPool pool(threads);
-    simd::Machine m_pool(p, simd::cm2_cost_model(), &pool);
-    Engine<P> pooled(problem, m_pool, cfg);
-    pooled.set_backend(ExecBackend::kVector);
-    const IterationStats pooled_it = pooled.run_iteration(bound);
-    EXPECT_EQ(pooled_it, ref) << cfg.name() << " P=" << p << " threads="
-                              << threads;
-    EXPECT_EQ(pooled.goal_nodes(), scalar.goal_nodes())
-        << cfg.name() << " P=" << p << " threads=" << threads;
-  }
-}
-
-TEST(VectorOracle, SyntheticGridIdenticalStats) {
-  // The fig4a grid shape: workloads of growing W against machine sizes, run
-  // through both backends.  IterationStats equality covers nodes_expanded,
-  // goals, every lb metric, and the simulated clock.
-  const synthetic::Params grid[] = {
-      {9013, 4, 0.395, 14}, {9011, 4, 0.400, 18}, {2718, 6, 0.3, 12}};
-  const std::uint32_t sizes[] = {64, 256, 1024};
-  for (const auto& prm : grid) {
-    const Tree tree(prm);
-    for (const std::uint32_t p : sizes) {
-      expect_backends_agree_iteration(tree, p, gp_dk(), kUnbounded);
-    }
-    expect_backends_agree_iteration(tree, 256, ngp_static(0.75), kUnbounded);
-  }
-}
-
-TEST(VectorOracle, PuzzleFullIdaRunsIdentical) {
-  const auto& workloads = puzzle::test_workloads();
-  for (std::size_t w = 0; w < 2 && w < workloads.size(); ++w) {
-    const FifteenPuzzle problem(workloads[w].board());
-    for (const std::uint32_t p : {64u, 256u}) {
-      simd::Machine m_scalar(p, simd::cm2_cost_model());
-      Engine<FifteenPuzzle> scalar(problem, m_scalar, gp_dk());
-      const RunStats ref = scalar.run();
-
-      simd::ThreadPool pool(2);
-      simd::Machine m_vec(p, simd::cm2_cost_model(), &pool);
-      Engine<FifteenPuzzle> vectored(problem, m_vec, gp_dk());
-      vectored.set_backend(ExecBackend::kVector);
-      const RunStats got = vectored.run();
-
-      EXPECT_EQ(got, ref) << "P=" << p;
-      EXPECT_EQ(vectored.goal_nodes(), scalar.goal_nodes()) << "P=" << p;
-    }
-  }
-}
-
-TEST(VectorOracle, FirstSolutionAndBnbModesIdentical) {
-  const auto& wl = puzzle::test_workloads()[1];
   const FifteenPuzzle problem(wl.board());
-  simd::Machine m1(64, simd::cm2_cost_model());
-  Engine<FifteenPuzzle> scalar(problem, m1, gp_dk());
-  simd::Machine m2(64, simd::cm2_cost_model());
-  Engine<FifteenPuzzle> vectored(problem, m2, gp_dk());
-  vectored.set_backend(ExecBackend::kVector);
-  EXPECT_EQ(vectored.run_first_solution(wl.solution_length),
-            scalar.run_first_solution(wl.solution_length));
-
-  // Branch and bound through the generic fallback (no TSP batch kernel).
-  const tsp::Tsp t(10, 21);
-  simd::Machine m3(64, simd::cm2_cost_model());
-  Engine<tsp::Tsp> bnb_scalar(t, m3, gp_dk());
-  const auto ref = bnb_scalar.run_branch_and_bound();
-  simd::Machine m4(64, simd::cm2_cost_model());
-  Engine<tsp::Tsp> bnb_vec(t, m4, gp_dk());
-  bnb_vec.set_backend(ExecBackend::kVector);
-  const auto got = bnb_vec.run_branch_and_bound();
-  EXPECT_EQ(got.best, ref.best);
-  EXPECT_EQ(got.stats, ref.stats);
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    simd::ThreadPool pool(threads);
+    simd::Machine m(p, simd::cm2_cost_model(), threads > 1 ? &pool : nullptr);
+    Engine<FifteenPuzzle, StackT> batched(problem, m, gp_dk());
+    ASSERT_TRUE(batched.batched());
+    EXPECT_EQ(batched.run(), ref)
+        << wl.name << " P=" << p << " threads=" << threads;
+    EXPECT_EQ(batched.goal_nodes(), per_bit.goal_nodes())
+        << wl.name << " P=" << p << " threads=" << threads;
+  }
 }
 
-// ---------------------------------------------------------------------------
-// Fallback semantics inside the engine: problems without a batch kernel run
-// the scalar path per slot with identical results — including degraded mode,
-// where dead lanes must be excluded from every batch.
-// ---------------------------------------------------------------------------
-
-TEST(VectorFallback, MockProblemsRouteThroughScalarPath) {
-  const NoBatchTree tree(synthetic::Params{9013, 4, 0.395, 14});
-  static_assert(!vec::BatchExpander<NoBatchTree>::kVectorized);
-  expect_backends_agree_iteration(tree, 256, gp_dk(), kUnbounded);
-
-  const NoBatchPuzzle nb(puzzle::test_workloads()[0].board());
-  simd::Machine m1(64, simd::cm2_cost_model());
-  Engine<NoBatchPuzzle> scalar(nb, m1, gp_dk());
-  const RunStats ref = scalar.run();
-  simd::Machine m2(64, simd::cm2_cost_model());
-  Engine<NoBatchPuzzle> vectored(nb, m2, gp_dk());
-  vectored.set_backend(ExecBackend::kVector);
-  const RunStats got = vectored.run();
-  EXPECT_EQ(got, ref);
-  EXPECT_EQ(vectored.goal_nodes(), scalar.goal_nodes());
+TEST(FifteenOracle, FullIdaIdenticalAcrossThreadsWorkStack) {
+  SKIP_WITHOUT_AVX2();
+  const auto& workloads = puzzle::test_workloads();
+  // P = 100 leaves a partial last flag word.
+  for (const std::uint32_t p : {64u, 100u, 256u}) {
+    expect_kernel_runs_match<search::WorkStack<FifteenPuzzle::Node>>(
+        workloads[1], p);
+    expect_kernel_runs_match<search::WorkStack<FifteenPuzzle::Node>>(
+        workloads[2], p);
+  }
+  // Host lanes own 64-word (4096-lane) chunks, so only P > 4096 splits a
+  // cycle across threads.
+  expect_kernel_runs_match<search::WorkStack<FifteenPuzzle::Node>>(
+      workloads[3], 8192);
 }
 
-TEST(VectorFallback, ArmedFaultPlanIdenticalAndDeadLanesExcluded) {
-  const NoBatchTree tree(synthetic::Params{9013, 4, 0.395, 14});
-  // Early explicit kills so they land inside the iteration (the 9013 tree
-  // drains in a couple dozen cycles at P=64).
-  const fault::FaultPlan plan({{3, fault::FaultKind::kKillPe, 5, 0},
-                               {6, fault::FaultKind::kKillPe, 17, 0},
-                               {9, fault::FaultKind::kKillPe, 40, 0}});
-
-  simd::Machine m1(64, simd::cm2_cost_model());
-  Engine<NoBatchTree> scalar(tree, m1, gp_dk());
-  scalar.arm_faults(&plan);
-  const IterationStats ref = scalar.run_iteration(kUnbounded);
-
-  simd::Machine m2(64, simd::cm2_cost_model());
-  Engine<NoBatchTree> vectored(tree, m2, gp_dk());
-  vectored.set_backend(ExecBackend::kVector);
-  vectored.arm_faults(&plan);
-  // run_iteration's conservation check plus degraded-mode accounting make
-  // any dead lane slipping into a batch surface as a stats divergence or a
-  // FaultError; equality means dead lanes were excluded word by word.
-  const IterationStats got = vectored.run_iteration(kUnbounded);
-
-  EXPECT_EQ(got, ref);
-  EXPECT_GT(got.pes_killed, 0u);
-  ASSERT_EQ(vectored.recovery_journal().size(),
-            scalar.recovery_journal().size());
-
-  // The real batch kernels under the same armed plan, for good measure.
-  const Tree raw(synthetic::Params{9013, 4, 0.395, 14});
-  simd::Machine m3(64, simd::cm2_cost_model());
-  Engine<Tree> scalar_raw(raw, m3, gp_dk());
-  scalar_raw.arm_faults(&plan);
-  const IterationStats ref_raw = scalar_raw.run_iteration(kUnbounded);
-  simd::Machine m4(64, simd::cm2_cost_model());
-  Engine<Tree> vec_raw(raw, m4, gp_dk());
-  vec_raw.set_backend(ExecBackend::kVector);
-  vec_raw.arm_faults(&plan);
-  EXPECT_EQ(vec_raw.run_iteration(kUnbounded), ref_raw);
+TEST(FifteenOracle, FullIdaIdenticalAcrossThreadsCompactStack) {
+  SKIP_WITHOUT_AVX2();
+  const auto& workloads = puzzle::test_workloads();
+  for (const std::uint32_t p : {64u, 256u}) {
+    expect_kernel_runs_match<search::CompactStack<FifteenPuzzle>>(
+        workloads[2], p);
+  }
 }
 
-#endif  // SIMDTS_VECTOR_BACKEND
+TEST(FifteenOracle, FirstSolutionIdentical) {
+  SKIP_WITHOUT_AVX2();
+  const auto& wl = puzzle::test_workloads()[2];
+  const NoBatchPuzzle reference(wl.board());
+  const FifteenPuzzle problem(wl.board());
+  for (const std::uint32_t p : {64u, 256u}) {
+    simd::Machine m_ref(p, simd::cm2_cost_model());
+    Engine<NoBatchPuzzle> per_bit(reference, m_ref, gp_dk());
+    simd::Machine m(p, simd::cm2_cost_model());
+    Engine<FifteenPuzzle> batched(problem, m, gp_dk());
+    ASSERT_TRUE(batched.batched());
+    EXPECT_EQ(batched.run_first_solution(wl.solution_length),
+              per_bit.run_first_solution(wl.solution_length))
+        << "P=" << p;
+    EXPECT_EQ(batched.goal_nodes(), per_bit.goal_nodes()) << "P=" << p;
+  }
+}
+
+TEST(FifteenOracle, ArmedFaultPlanIdenticalAndDeadLanesExcluded) {
+  SKIP_WITHOUT_AVX2();
+  const auto& wl = puzzle::test_workloads()[2];
+  const std::uint32_t p = 128;
+  // Kills inside the final iteration's search plus a revive, on lanes that
+  // share flag words with survivors, so dead lanes sit in batched words.
+  const fault::FaultPlan plan({{3, fault::FaultKind::kKillPe, 0, 0},
+                               {9, fault::FaultKind::kKillPe, 65, 0},
+                               {20, fault::FaultKind::kKillPe, 7, 0},
+                               {40, fault::FaultKind::kRevivePe, 7, 0}});
+
+  const NoBatchPuzzle reference(wl.board());
+  simd::Machine m_ref(p, simd::cm2_cost_model());
+  Engine<NoBatchPuzzle> per_bit(reference, m_ref, gp_dk());
+  per_bit.arm_faults(&plan);
+  const IterationStats ref = per_bit.run_iteration(wl.solution_length);
+  EXPECT_GT(ref.pes_killed, 0u);
+
+  const FifteenPuzzle problem(wl.board());
+  for (const unsigned threads : {1u, 2u}) {
+    simd::ThreadPool pool(threads);
+    simd::Machine m(p, simd::cm2_cost_model(), threads > 1 ? &pool : nullptr);
+    Engine<FifteenPuzzle> batched(problem, m, gp_dk());
+    ASSERT_TRUE(batched.batched());
+    batched.arm_faults(&plan);
+    // run_iteration's conservation check plus degraded-mode accounting make
+    // a dead lane slipping into a batch surface as a stats divergence or a
+    // FaultError; equality means dead lanes were excluded word by word.
+    EXPECT_EQ(batched.run_iteration(wl.solution_length), ref)
+        << "threads=" << threads;
+    EXPECT_EQ(batched.goal_nodes(), per_bit.goal_nodes())
+        << "threads=" << threads;
+    EXPECT_EQ(batched.recovery_journal(), per_bit.recovery_journal())
+        << "threads=" << threads;
+  }
+}
 
 }  // namespace
 }  // namespace simdts::lb

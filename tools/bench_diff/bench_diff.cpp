@@ -341,33 +341,6 @@ void check_schema(Checker& c, const Value& root) {
   if (const Value* s = c.need(root, "$", "sanitizer", Value::Kind::kObject))
     c.need(*s, "$.sanitizer", "compiled_in", Value::Kind::kBool);
 
-  if (const Value* vb =
-          c.need(root, "$", "vector_backend", Value::Kind::kObject)) {
-    const Value* in =
-        c.need(*vb, "$.vector_backend", "compiled_in", Value::Kind::kBool);
-    if (in && in->boolean) {
-      for (const char* key :
-           {"engine_scalar_wall_s", "engine_vector_wall_s", "engine_speedup"})
-        c.need_number(*vb, "$.vector_backend", key);
-      c.need_true(*vb, "$.vector_backend", "results_identical");
-      if (const Value* be = c.need(*vb, "$.vector_backend", "batch_expand",
-                                   Value::Kind::kObject)) {
-        if (be->object.empty())
-          c.fail("$.vector_backend.batch_expand", "must not be empty");
-        for (const auto& [name, dom] : be->object) {
-          const std::string path = "$.vector_backend.batch_expand." + name;
-          if (dom->kind != Value::Kind::kObject) {
-            c.fail(path, "must be an object");
-            continue;
-          }
-          for (const char* key : {"scalar_ns", "vector_ns", "speedup"})
-            c.need_number(*dom, path, key);
-          c.check_ratio(*dom, path, "scalar_ns", "vector_ns");
-        }
-      }
-    }
-  }
-
   if (const Value* sv = c.need(root, "$", "service", Value::Kind::kObject)) {
     c.need_number(*sv, "$.service", "requests");
     c.need_number(*sv, "$.service", "p99_sim_cycles");

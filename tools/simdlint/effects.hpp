@@ -11,7 +11,7 @@
 //   2. calls are resolved across the whole parsed file set — qualified
 //      names by component-suffix match, member/bare calls by last name
 //      (explicit-receiver calls never resolve to the caller itself, so
-//      `problem.expand(...)` inside `BatchExpander::expand` is not fake
+//      `problem.expand(...)` inside a forwarding `expand` wrapper is not fake
 //      recursion); unresolved calls fall back to intrinsic tables
 //      (push_back/resize → allocates, fetch_add/wait → locks, ...) and are
 //      otherwise treated as effect-free (optimistic: external code is
