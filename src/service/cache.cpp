@@ -1,8 +1,6 @@
 #include "service/cache.hpp"
 
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
+#include <charconv>
 
 #include "common/error.hpp"
 
@@ -10,18 +8,24 @@ namespace simdts::service {
 
 namespace {
 
-/// Parses a full hex token; false unless every character was consumed.
-bool parse_hex(const std::string& token, std::uint64_t& out) {
-  if (token.empty()) return false;
-  char* end = nullptr;
-  out = std::strtoull(token.c_str(), &end, 16);
-  return end == token.c_str() + token.size();
+constexpr std::size_t kMaxHexDigits = 16;  // a uint64_t in base 16
+
+/// Parses a whole lowercase-or-uppercase hex token: no sign, no `0x`, no
+/// whitespace, no overflow.  False unless every character was consumed.
+bool parse_hex(std::string_view token, std::uint64_t& out) {
+  const char* const end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, out, 16);
+  return ec == std::errc{} && ptr == end;
+}
+
+/// Writes `v` as lowercase hex without a prefix; returns one past the end.
+char* put_hex(char* out, std::uint64_t v) {
+  return std::to_chars(out, out + kMaxHexDigits, v, 16).ptr;
 }
 
 std::string to_hex(std::uint64_t v) {
-  std::ostringstream os;
-  os << std::hex << v;
-  return os.str();
+  char buf[kMaxHexDigits];
+  return {buf, put_hex(buf, v)};
 }
 
 }  // namespace
@@ -41,26 +45,34 @@ std::uint64_t ResultCache::entry_checksum(std::uint64_t key,
 ResultCache::ResultCache(std::filesystem::path path) : path_(std::move(path)) {
   std::ifstream in(path_);
   if (!in) return;  // first use: the journal appears on the first insert
-  std::string line;
-  while (std::getline(in, line)) {
+  std::string data;
+  char chunk[1 << 14];
+  while (in.read(chunk, sizeof chunk), in.gcount() > 0) {
+    data.append(chunk, static_cast<std::size_t>(in.gcount()));
+  }
+
+  constexpr std::string_view kCommit = " ok";
+  std::string_view rest = data;
+  while (!rest.empty()) {
+    const std::size_t nl = rest.find('\n');
+    std::string_view line = rest.substr(0, nl);
+    rest.remove_prefix(nl == std::string_view::npos ? rest.size() : nl + 1);
     // A committed line ends in " ok"; anything else is torn — skip it.
-    if (line.size() < 3 || line.compare(line.size() - 3, 3, " ok") != 0) {
-      continue;
-    }
-    const std::string body = line.substr(0, line.size() - 3);
-    const std::size_t s1 = body.find(' ');
-    if (s1 == std::string::npos) continue;
-    const std::size_t s2 = body.find(' ', s1 + 1);
-    if (s2 == std::string::npos) continue;
+    if (!line.ends_with(kCommit)) continue;
+    line.remove_suffix(kCommit.size());
+    const std::size_t s1 = line.find(' ');
+    if (s1 == std::string_view::npos) continue;
+    const std::size_t s2 = line.find(' ', s1 + 1);
+    if (s2 == std::string_view::npos) continue;
     std::uint64_t key = 0;
     std::uint64_t checksum = 0;
-    if (!parse_hex(body.substr(0, s1), key) ||
-        !parse_hex(body.substr(s1 + 1, s2 - s1 - 1), checksum)) {
+    if (!parse_hex(line.substr(0, s1), key) ||
+        !parse_hex(line.substr(s1 + 1, s2 - s1 - 1), checksum)) {
       continue;
     }
     // Last-wins: a re-appended entry (or a scripted corruption) supersedes
     // the earlier line.  Verification is deferred to lookup().
-    entries_[key] = Entry{checksum, body.substr(s2 + 1)};
+    entries_[key] = Entry{checksum, std::string(line.substr(s2 + 1))};
   }
 }
 
@@ -106,14 +118,25 @@ bool ResultCache::corrupt_payload_byte(std::uint64_t key,
 
 void ResultCache::append_line(std::uint64_t key, std::uint64_t checksum,
                               const std::string& payload) {
-  std::ofstream out(path_, std::ios::app);
-  if (!out) {
-    throw InvariantError("result-cache journal is not writable",
-                         path_.string());
+  if (!journal_.is_open()) {
+    journal_.open(path_, std::ios::app);  // clears the state on success
+    if (!journal_) {
+      throw InvariantError("result-cache journal is not writable",
+                           path_.string());
+    }
   }
-  out << to_hex(key) << ' ' << to_hex(checksum) << ' ' << payload << " ok\n";
-  out.flush();
-  if (!out) {
+  char head[2 * kMaxHexDigits + 2];
+  char* p = put_hex(head, key);
+  *p++ = ' ';
+  p = put_hex(p, checksum);
+  *p++ = ' ';
+  journal_.write(head, p - head);
+  journal_.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+  journal_.write(" ok\n", 4);
+  // Flushed per line: a second cache opened on this path sees the entry now.
+  journal_.flush();
+  if (!journal_) {
+    journal_.close();  // the next append reopens and tries again
     throw InvariantError("result-cache journal append failed",
                          path_.string());
   }

@@ -2,10 +2,18 @@
 //
 // The cache maps canonical_key(request) to the encoded solve result, backed
 // by an append-only journal in the SweepJournal discipline: one line per
-// insert, `<key> <checksum> <payload> ok`, where the trailing "ok" only hits
-// the disk after the whole line.  A process killed mid-append leaves a torn
-// final line with no "ok"; load() skips it and the entry is simply absent —
-// a clean miss, never a garbled hit.
+// insert, `<key> <checksum> <payload> ok` (key and checksum in lowercase hex
+// with no prefix), where the trailing "ok" only hits the disk after the
+// whole line.  A process killed mid-append leaves a torn final line with no
+// "ok"; the constructor's replay skips it and the entry is simply absent — a
+// clean miss, never a garbled hit.
+//
+// The journal is opened on the first append and held open for the cache's
+// lifetime.  Every line is written whole and flushed before insert() or
+// corrupt_payload_byte() returns, so a second cache opened on the same path
+// while this one is alive replays every line written so far.  A journal
+// that cannot be opened or written throws simdts::InvariantError on each
+// append that fails; no file exists until the first insert.
 //
 // Verified-on-read: the journaled checksum covers (key, payload), and
 // lookup() recomputes it before serving.  A mismatch — bit rot, a torn
@@ -16,25 +24,26 @@
 // either the exact inserted payload or a miss.  Wrong answers are not an
 // outcome.
 //
-// Duplicate keys keep the last journaled entry (last-wins on load), which is
-// what makes corrupt_payload_byte() — the scripted kCacheCorrupt fault —
+// Duplicate keys keep the last journaled entry (last-wins on replay), which
+// is what makes corrupt_payload_byte() — the scripted kCacheCorrupt fault —
 // durable through an append-only file: it re-appends the damaged payload
 // under the original checksum instead of rewriting history.
 #pragma once
 
 #include <cstdint>
 #include <filesystem>
-#include <map>
+#include <fstream>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 
 namespace simdts::service {
 
 class ResultCache {
  public:
-  /// Opens (and replays) the journal at `path`, creating it on first use.
-  /// Torn or malformed lines are skipped, not errors.
+  /// Replays the journal at `path` if it exists; the file itself is created
+  /// by the first insert.  Torn or malformed lines are skipped, not errors.
   explicit ResultCache(std::filesystem::path path);
 
   /// Verified read.  Returns the payload only if its stored checksum
@@ -44,8 +53,9 @@ class ResultCache {
   [[nodiscard]] std::optional<std::string> lookup(
       std::uint64_t key, std::string* diagnostic = nullptr);
 
-  /// Appends `<key> <checksum> <payload> ok` and updates the in-memory map.
-  /// The payload must be newline-free (simdts::InvariantError otherwise).
+  /// Appends and flushes `<key> <checksum> <payload> ok`, then updates the
+  /// in-memory map.  The payload must be newline-free, and the journal
+  /// writable (simdts::InvariantError otherwise; the map is left unchanged).
   void insert(std::uint64_t key, const std::string& payload);
 
   /// Scripted fault (fault::ServiceFaultKind::kCacheCorrupt): XOR-flips the
@@ -79,7 +89,8 @@ class ResultCache {
                    const std::string& payload);
 
   std::filesystem::path path_;
-  std::map<std::uint64_t, Entry> entries_;
+  std::ofstream journal_;  ///< opened by the first append_line()
+  std::unordered_map<std::uint64_t, Entry> entries_;
   std::uint64_t corruptions_detected_ = 0;
 };
 

@@ -57,23 +57,34 @@ const char* to_string(ResponseStatus s) {
   return "?";
 }
 
-void validate(const Request& r) {
+namespace {
+
+/// Throws the ConfigError for a rejected request.  Out of line, so the error
+/// context is built only when a request fails: validate() runs once per
+/// request on the service's serial admission path.
+[[noreturn]] void reject(const Request& r, const char* what,
+                         const char* field = nullptr, std::uint32_t value = 0) {
   std::ostringstream ctx;
   ctx << "request=" << r.id;
+  if (field != nullptr) ctx << ' ' << field << '=' << value;
+  throw ConfigError(what, ctx.str());
+}
+
+}  // namespace
+
+void validate(const Request& r) {
   if (r.p < 2 || r.p > 4096 || (r.p & (r.p - 1)) != 0) {
-    ctx << " p=" << r.p;
-    throw ConfigError("request machine size must be a power of two in "
-                      "[2, 4096]",
-                      ctx.str());
+    reject(r, "request machine size must be a power of two in [2, 4096]", "p",
+           r.p);
   }
   if (r.instance_size == 0 || r.instance_size > 64) {
-    ctx << " instance_size=" << r.instance_size;
-    throw ConfigError("request instance_size must be in [1, 64]", ctx.str());
+    reject(r, "request instance_size must be in [1, 64]", "instance_size",
+           r.instance_size);
   }
   if (r.cost_hint == 0) {
-    throw ConfigError("request cost_hint must be positive (admission uses it "
-                      "as the service-time estimate)",
-                      ctx.str());
+    reject(r,
+           "request cost_hint must be positive (admission uses it as the "
+           "service-time estimate)");
   }
 }
 

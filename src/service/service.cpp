@@ -1,9 +1,10 @@
 #include "service/service.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstddef>
-#include <map>
 #include <sstream>
+#include <unordered_map>
 
 #include "common/error.hpp"
 #include "lb/config.hpp"
@@ -115,25 +116,39 @@ void append_note(std::string& note, const std::string& extra) {
 std::string encode_cache_payload(std::uint64_t nodes_expanded,
                                  std::uint64_t expand_cycles,
                                  std::uint64_t goals_found) {
-  std::ostringstream os;
-  os << nodes_expanded << ' ' << expand_cycles << ' ' << goals_found;
-  return os.str();
+  constexpr std::ptrdiff_t kDigits = 20;  // a uint64_t in decimal
+  char buf[3 * kDigits + 2];
+  char* p = std::to_chars(buf, buf + kDigits, nodes_expanded).ptr;
+  *p++ = ' ';
+  p = std::to_chars(p, p + kDigits, expand_cycles).ptr;
+  *p++ = ' ';
+  p = std::to_chars(p, p + kDigits, goals_found).ptr;
+  return {buf, p};
 }
 
-bool decode_cache_payload(const std::string& payload,
+bool decode_cache_payload(std::string_view payload,
                           std::uint64_t& nodes_expanded,
                           std::uint64_t& expand_cycles,
                           std::uint64_t& goals_found) {
-  std::istringstream is(payload);
-  std::uint64_t n = 0;
-  std::uint64_t c = 0;
-  std::uint64_t g = 0;
-  if (!(is >> n >> c >> g)) return false;
-  std::string rest;
-  if (is >> rest) return false;  // trailing junk
-  nodes_expanded = n;
-  expand_cycles = c;
-  goals_found = g;
+  // Exactly what the encoder writes: three unsigned decimal fields, one
+  // space apart.  from_chars takes no sign, prefix or whitespace, and
+  // reports overflow, so each of those decodes as a miss.
+  std::uint64_t fields[3] = {};
+  const char* p = payload.data();
+  const char* const end = p + payload.size();
+  for (std::size_t f = 0; f < 3; ++f) {
+    if (f > 0) {
+      if (p == end || *p != ' ') return false;
+      ++p;
+    }
+    const auto [next, ec] = std::from_chars(p, end, fields[f]);
+    if (ec != std::errc{}) return false;
+    p = next;
+  }
+  if (p != end) return false;  // trailing junk
+  nodes_expanded = fields[0];
+  expand_cycles = fields[1];
+  goals_found = fields[2];
   return true;
 }
 
@@ -192,7 +207,7 @@ std::vector<Response> SolveService::run_trace(
   std::vector<std::ptrdiff_t> exec_slot(trace.size(), -1);
   std::vector<std::uint64_t> keys(trace.size(), 0);
   std::vector<bool> keyed(trace.size(), false);
-  std::map<std::uint64_t, std::size_t> pending;  // key -> leader slot
+  std::unordered_map<std::uint64_t, std::size_t> pending;  // key -> leader
 
   for (std::size_t i = 0; i < trace.size(); ++i) {
     const Request& r = trace[i];

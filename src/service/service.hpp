@@ -36,6 +36,7 @@
 #include <filesystem>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "fault/service_fault.hpp"
@@ -121,9 +122,11 @@ class SolveService {
                                                std::uint64_t expand_cycles,
                                                std::uint64_t goals_found);
 
-/// False (out untouched) on any malformed payload — a decode failure is
-/// treated as a miss, same as a checksum failure.
-[[nodiscard]] bool decode_cache_payload(const std::string& payload,
+/// False (out untouched) unless `payload` is exactly three unsigned decimal
+/// fields that fit in 64 bits, one space apart: a sign, prefix, extra
+/// whitespace or trailing junk is malformed.  A decode failure is treated as
+/// a miss, same as a checksum failure.
+[[nodiscard]] bool decode_cache_payload(std::string_view payload,
                                         std::uint64_t& nodes_expanded,
                                         std::uint64_t& expand_cycles,
                                         std::uint64_t& goals_found);

@@ -9,7 +9,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -33,6 +35,12 @@ std::string temp_path(const std::string& name) {
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+std::string hex(std::uint64_t v) {
+  std::ostringstream os;
+  os << std::hex << v;
+  return os.str();
 }
 
 void write_file(const std::string& path, const std::string& bytes) {
@@ -115,19 +123,35 @@ TEST(ServiceFaultPlan, RandomIsSeedDeterministic) {
 // Request schema and the content address.
 // ---------------------------------------------------------------------------
 
+std::string validation_error(const service::Request& r) {
+  try {
+    service::validate(r);
+  } catch (const ConfigError& e) {
+    return e.what();
+  }
+  return "<valid>";
+}
+
 TEST(ServiceRequest, ValidationRejectsNonsense) {
   service::Request r = make_req(1, 0, service::Priority::kStandard);
   EXPECT_NO_THROW(service::validate(r));
   r.p = 3;
   EXPECT_THROW(service::validate(r), ConfigError);
+  EXPECT_NE(validation_error(r).find("[request=1 p=3]"), std::string::npos)
+      << validation_error(r);
   r.p = 8192;
   EXPECT_THROW(service::validate(r), ConfigError);
   r = make_req(1, 0, service::Priority::kStandard);
   r.instance_size = 0;
   EXPECT_THROW(service::validate(r), ConfigError);
+  EXPECT_NE(validation_error(r).find("[request=1 instance_size=0]"),
+            std::string::npos)
+      << validation_error(r);
   r = make_req(1, 0, service::Priority::kStandard);
   r.cost_hint = 0;
   EXPECT_THROW(service::validate(r), ConfigError);
+  EXPECT_NE(validation_error(r).find("[request=1]"), std::string::npos)
+      << validation_error(r);
 }
 
 TEST(ServiceRequest, CanonicalKeyHashesContentNotEnvelope) {
@@ -329,6 +353,159 @@ TEST(ResultCache, CorruptOfAbsentKeyIsANoop) {
   service::ResultCache cache(path);
   EXPECT_FALSE(cache.corrupt_payload_byte(1, 0));
   std::remove(path.c_str());
+}
+
+// The journal is held open for the cache's lifetime, one flushed line per
+// append: a second reader on the same path sees every line while the writer
+// is still alive.
+TEST(ResultCache, SecondCacheOnLivePathSeesEveryLine) {
+  const std::string path = temp_path("live_reader");
+  service::ResultCache writer(path);
+  writer.insert(0x10, "1 2 3");
+  writer.insert(0x20, "4 5 6");
+  writer.insert(0x30, "7 8 9");
+  ASSERT_TRUE(writer.corrupt_payload_byte(0x20, 0));
+  {
+    service::ResultCache reader(path);
+    EXPECT_EQ(reader.size(), 3u);
+    EXPECT_EQ(reader.lookup(0x10).value_or("<miss>"), "1 2 3");
+    EXPECT_EQ(reader.lookup(0x30).value_or("<miss>"), "7 8 9");
+    std::string diag;
+    EXPECT_FALSE(reader.lookup(0x20, &diag).has_value());
+    EXPECT_NE(diag.find("checksum mismatch"), std::string::npos) << diag;
+  }
+  // The writer keeps appending after a reader came and went.
+  writer.insert(0x40, "10 11 12");
+  service::ResultCache late_reader(path);
+  EXPECT_EQ(late_reader.lookup(0x40).value_or("<miss>"), "10 11 12");
+  std::remove(path.c_str());
+}
+
+TEST(ResultCache, NoJournalUntilFirstInsert) {
+  const std::string path = temp_path("lazy_open");
+  service::ResultCache cache(path);
+  EXPECT_FALSE(cache.lookup(1).has_value());
+  EXPECT_FALSE(cache.corrupt_payload_byte(1, 0));
+  EXPECT_FALSE(std::filesystem::exists(path));
+  cache.insert(1, "1 1 1");
+  EXPECT_TRUE(std::filesystem::exists(path));
+  const std::uint64_t checksum =
+      service::ResultCache::entry_checksum(1, "1 1 1");
+  EXPECT_EQ(read_file(path), "1 " + hex(checksum) + " 1 1 1 ok\n");
+  std::remove(path.c_str());
+}
+
+TEST(ResultCache, UnwritableJournalThrowsOnEveryInsert) {
+  const std::string path =
+      ::testing::TempDir() + "simdts_service_no_such_dir/cache.journal";
+  std::filesystem::remove_all(std::filesystem::path(path).parent_path());
+  service::ResultCache cache(path);
+  EXPECT_THROW(cache.insert(1, "1 2 3"), InvariantError);
+  EXPECT_THROW(cache.insert(2, "4 5 6"), InvariantError);
+  // A failed append leaves the in-memory map untouched.
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_FALSE(cache.lookup(1).has_value());
+}
+
+// Golden replay: a hand-written journal with every kind of line the loader
+// must accept or skip, pinned to the exact entries that load.  Key and
+// checksum tokens are whole lowercase (or uppercase) hex with no sign, `0x`
+// prefix or whitespace, and must fit in 64 bits; the writer never emits
+// anything else.  (The loader once used strtoull, which also took a sign,
+// a `0x` prefix or leading whitespace and saturated on overflow; such lines
+// are now skipped.)
+TEST(ResultCache, JournalReplayLoadsExactlyTheCommittedLines) {
+  const std::string path = temp_path("replay_golden");
+  // `<key_token> <checksum of (key, payload)> <payload><end>`
+  const auto line = [](const std::string& key_token, std::uint64_t key,
+                       const std::string& payload,
+                       const std::string& end = " ok\n") {
+    return key_token + " " +
+           hex(service::ResultCache::entry_checksum(key, payload)) + " " +
+           payload + end;
+  };
+  std::string journal;
+  journal += line("1", 1, "1 2 3");                   // valid
+  journal += line("2", 2, "4 5 6");                   // valid
+  journal += line("1", 1, "7 8 9");                   // duplicate: last wins
+  journal += line("3", 3, "1 2 3", "\n");             // no " ok"
+  journal += "2 0 99 9 o\n";                          // torn mid-terminator
+  journal += line("4", 4, "1 2 3", "ok\n");           // "ok" without its space
+  journal += line("5", 5, "1 2 3", " OK\n");          // wrong terminator
+  journal += "\n";                                    // empty line
+  journal += line("0x6", 6, "1 2 3");                 // `0x` prefix
+  journal += line("+7", 7, "1 2 3");                  // signed key
+  journal += line("-7", 7, "1 2 3");                  // negative key
+  journal += line("6g", 6, "1 2 3");                  // non-hex digit
+  journal += line("10000000000000006", 6, "1 2 3");   // 65-bit key
+  journal += "6 zz 1 2 3 ok\n";                       // bad checksum token
+  journal += "6 -" + line("", 6, "1 2 3").substr(1);  // signed checksum
+  journal += "6 ok\n";                                // no checksum field
+  journal += line("a", 0xA, "");                      // empty payload: loads
+  journal += line("B", 0xB, "13 14 15");              // uppercase hex
+  journal += line("c", 0xC, "16 17 18");              // valid
+  journal.pop_back();                                 // final line: no newline
+  write_file(path, journal);
+
+  service::ResultCache cache(path);
+  EXPECT_EQ(cache.size(), 5u);
+  EXPECT_EQ(cache.lookup(1).value_or("<miss>"), "7 8 9");
+  EXPECT_EQ(cache.lookup(2).value_or("<miss>"), "4 5 6");
+  EXPECT_EQ(cache.lookup(0xA).value_or("<miss>"), "");
+  EXPECT_EQ(cache.lookup(0xB).value_or("<miss>"), "13 14 15");
+  EXPECT_EQ(cache.lookup(0xC).value_or("<miss>"), "16 17 18");
+  for (const std::uint64_t absent : {3, 4, 5, 6, 7}) {
+    std::string diag;
+    EXPECT_FALSE(cache.lookup(absent, &diag).has_value()) << absent;
+    EXPECT_TRUE(diag.empty()) << absent << ": " << diag;
+  }
+  EXPECT_EQ(cache.corruptions_detected(), 0u);
+  std::remove(path.c_str());
+}
+
+TEST(CachePayloadCodec, RejectsAnythingButThreeUnsignedFields) {
+  const char* const malformed[] = {
+      "",                          // empty
+      "1 2",                       // two fields
+      "1 2 3 4",                   // four fields
+      "1 2 3x",                    // trailing junk
+      "1 2 3 ",                    // trailing space
+      " 1 2 3",                    // leading space
+      "1  2 3",                    // double separator
+      "-1 2 3",                    // negative
+      "-1 +2 3",                   // negative and signed
+      "1 +2 3",                    // signed
+      "1 2 0x10",                  // hex prefix
+      "1 2 18446744073709551616",  // 2^64 overflows
+  };
+  for (const char* payload : malformed) {
+    std::uint64_t n = 11;
+    std::uint64_t c = 22;
+    std::uint64_t g = 33;
+    EXPECT_FALSE(service::decode_cache_payload(payload, n, c, g))
+        << '"' << payload << '"';
+    EXPECT_EQ(n, 11u) << '"' << payload << '"';
+    EXPECT_EQ(c, 22u) << '"' << payload << '"';
+    EXPECT_EQ(g, 33u) << '"' << payload << '"';
+  }
+}
+
+TEST(CachePayloadCodec, RoundTripsTheExtremes) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_EQ(service::encode_cache_payload(0, 0, 0), "0 0 0");
+  EXPECT_EQ(service::encode_cache_payload(kMax, kMax, kMax),
+            "18446744073709551615 18446744073709551615 "
+            "18446744073709551615");
+  for (const std::uint64_t v : {std::uint64_t{0}, kMax}) {
+    std::uint64_t n = 1;
+    std::uint64_t c = 1;
+    std::uint64_t g = 1;
+    ASSERT_TRUE(service::decode_cache_payload(
+        service::encode_cache_payload(v, v, v), n, c, g));
+    EXPECT_EQ(n, v);
+    EXPECT_EQ(c, v);
+    EXPECT_EQ(g, v);
+  }
 }
 
 // The crash-tolerance fuzz: truncate the journal at every byte offset, and
@@ -569,6 +746,30 @@ TEST(SolveService, WarmCacheTurnsSolvesIntoVerifiedHits) {
       }
     }
   }
+  std::remove(path.c_str());
+}
+
+TEST(SolveService, SecondLiveServiceOnOneJournalHitsEveryOkResult) {
+  const std::string path = temp_path("two_live");
+  const auto trace = service::random_trace(4242, 24, 2);
+  service::ServiceConfig cfg = small_service();
+  cfg.cache_path = path;
+  service::SolveService first(cfg);
+  const auto cold = first.run_trace(trace);
+  ASSERT_GT(first.counters().ok, 0u);
+  // `first` is still alive, its journal still open.
+  service::SolveService second(cfg);
+  const auto warm = second.run_trace(trace);
+  for (std::size_t i = 0; i < cold.size(); ++i) {
+    if (cold[i].status != service::ResponseStatus::kOk) continue;
+    EXPECT_EQ(warm[i].status, service::ResponseStatus::kCacheHit) << i;
+    EXPECT_EQ(warm[i].nodes_expanded, cold[i].nodes_expanded) << i;
+    EXPECT_EQ(warm[i].expand_cycles, cold[i].expand_cycles) << i;
+    EXPECT_EQ(warm[i].goals_found, cold[i].goals_found) << i;
+  }
+  // Followers that coalesced onto an ok leader hit its entry too.
+  EXPECT_EQ(second.counters().cache_hits,
+            first.counters().ok + first.counters().coalesced);
   std::remove(path.c_str());
 }
 
