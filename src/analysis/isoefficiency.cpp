@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <memory>
+#include <numeric>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -58,6 +59,24 @@ bool decode_grid_point(const std::string& payload, GridPoint& out) {
   return true;
 }
 
+std::vector<std::size_t> grid_dispatch_order(
+    std::span<const synthetic::SyntheticWorkload> workloads,
+    std::span<const std::uint32_t> machine_sizes) {
+  const std::size_t per_size = workloads.size();
+  std::vector<std::size_t> order(machine_sizes.size() * per_size);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    const std::uint64_t wa = workloads[a % per_size].w;
+    const std::uint64_t wb = workloads[b % per_size].w;
+    if (wa != wb) return wa > wb;
+    const std::uint32_t pa = machine_sizes[a / per_size];
+    const std::uint32_t pb = machine_sizes[b / per_size];
+    if (pa != pb) return pa > pb;
+    return a < b;
+  });
+  return order;
+}
+
 GridResult run_grid(const lb::SchemeConfig& config,
                     std::span<const synthetic::SyntheticWorkload> workloads,
                     std::span<const std::uint32_t> machine_sizes,
@@ -94,8 +113,13 @@ GridResult run_grid(const lb::SchemeConfig& config,
     }
   }
 
+  // Longest cells first; each still writes its own slot, so the order
+  // changes only when a cell runs, never what it produces.
+  const std::vector<std::size_t> order =
+      grid_dispatch_order(workloads, machine_sizes);
   runtime::SweepRunner runner(options.threads);
-  runner.run(result.points.size(), [&](std::size_t k) {
+  runner.run(order.size(), [&](std::size_t i) {
+    const std::size_t k = order[i];
     if (done[k] != 0) return;  // replayed from the journal
     const std::uint32_t p = machine_sizes[k / per_size];
     const auto& wl = workloads[k % per_size];

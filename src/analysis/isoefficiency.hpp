@@ -12,6 +12,8 @@
 // of hanging the sweep) and an optional on-disk journal of completed slots,
 // so an interrupted grid resumes — skipping finished points and emitting a
 // byte-identical CSV (GridPoint codecs keep doubles as bit patterns).
+// Cells are dispatched longest first (grid_dispatch_order) but written to
+// their own slots, so neither the points nor a resume depend on that order.
 #pragma once
 
 #include <cstdint>
@@ -64,12 +66,24 @@ struct GridOptions {
   bool resume = false;
 };
 
+/// The order run_grid hands its cells to the sweep threads: every slot
+/// (size index * workloads.size() + workload index) exactly once, by
+/// descending workload W, ties by descending P, then ascending slot.  A
+/// cell's host cost grows with W (and, at equal W, with P), so starting
+/// the longest cells first keeps one of them from starting last and
+/// running alone at the end of the sweep.  Results never depend on it:
+/// each cell writes its own slot.
+[[nodiscard]] std::vector<std::size_t> grid_dispatch_order(
+    std::span<const synthetic::SyntheticWorkload> workloads,
+    std::span<const std::uint32_t> machine_sizes);
+
 /// Runs the scheme over every (machine size, workload) pair.  The grid's
 /// runs are independent simulations, so they are swept concurrently across
-/// `threads` host threads (0 = runtime::sweep_threads()); each task owns a
-/// private simd::Machine and writes its pre-assigned slot, so the returned
-/// points — simulated counts and clocks included — are bit-identical to the
-/// serial run for any thread count.
+/// `threads` host threads (0 = runtime::sweep_threads()), longest first
+/// (grid_dispatch_order); each task owns a private simd::Machine and writes
+/// its pre-assigned slot, so the returned points — simulated counts and
+/// clocks included — are bit-identical to the serial run for any thread
+/// count.
 [[nodiscard]] GridResult run_grid(
     const lb::SchemeConfig& config,
     std::span<const synthetic::SyntheticWorkload> workloads,

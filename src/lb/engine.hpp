@@ -492,6 +492,10 @@ class Engine {
     // Constant false for problems without a kernel, so their walk compiles
     // to the per-bit step alone.
     const bool batched = vec::kHasKernel<P> && batched_;
+    // Per-bit step on a machine wider than one flag word: prefetch a word's
+    // stack tops before popping any of them (see below).  A single word's
+    // stacks stay cache-resident, so small machines skip it.
+    const bool prefetch = !batched && nwords > 1;
     simd::ThreadPool* pool = machine_.pool();
     // SIMDLINT-SOURCE(partition) — lane index and word-range bounds vary
     auto body = [&, bound](unsigned lane, std::size_t wbegin,
@@ -540,6 +544,17 @@ class Engine {
           san_dead_.check_alive(base + b, "expand");
         }
 #endif
+        if constexpr (requires(const StackT& s) { s.prefetch_top(); }) {
+          // The stack tops of a word's lanes are scattered across the heap;
+          // issuing every fetch up front overlaps their misses, where the
+          // bit loop's pops would otherwise take them one after another.
+          if (prefetch) {
+            for (std::uint64_t m = active; m != 0; m &= m - 1) {
+              stacks_[base + static_cast<unsigned>(std::countr_zero(m))]
+                  .prefetch_top();
+            }
+          }
+        }
         std::uint64_t goal_bits = 0;
         if constexpr (vec::kHasKernel<P>) {
           if (batched) goal_bits = expand_word_batched(ls, base, active, bound);

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <exception>
 #include <mutex>
+#include <string_view>
+#include <system_error>
 #include <thread>
 
 #include "common/error.hpp"
@@ -15,11 +18,15 @@ namespace simdts::runtime {
 
 unsigned sweep_threads() {
   if (const char* v = std::getenv("SIMDTS_SWEEP_THREADS"); v != nullptr) {
-    char* end = nullptr;
-    const unsigned long parsed = std::strtoul(v, &end, 10);
-    if (end != v && parsed > 0) {
-      return static_cast<unsigned>(parsed);
-    }
+    // Strict: the whole string is digits, > 0 and within unsigned.
+    // from_chars takes no sign, space or prefix for an unsigned target, so a
+    // sign, trailing junk or an overflow falls back to the default rather
+    // than wrapping into a huge or truncated thread count.
+    const std::string_view s(v);
+    const char* const last = s.data() + s.size();
+    unsigned parsed = 0;
+    const auto [end, ec] = std::from_chars(s.data(), last, parsed);
+    if (ec == std::errc{} && end == last && parsed > 0) return parsed;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;

@@ -14,6 +14,10 @@
 //   - run(n, task) executes task(0..n-1), each exactly once, pulling indices
 //     from a shared atomic counter (dynamic scheduling — grid tasks vary by
 //     orders of magnitude in cost, so static chunking would straggle).
+//     Indices are handed out in ascending order, so a caller that knows its
+//     task costs maps index i to its i-th costliest task: the longest tasks
+//     then start first, and the sweep's tail is a short task rather than
+//     one long task running alone (analysis::run_grid does this).
 //   - Results go into pre-sized slots indexed by task id (see sweep_map), so
 //     output order — and therefore every CSV derived from it — is
 //     bit-identical to the serial run regardless of thread count or
@@ -42,8 +46,9 @@
 
 namespace simdts::runtime {
 
-/// Host threads a sweep uses by default: $SIMDTS_SWEEP_THREADS if set to a
-/// positive integer, otherwise the hardware concurrency (>= 1).
+/// Host threads a sweep uses by default: $SIMDTS_SWEEP_THREADS if it is a
+/// decimal integer in [1, UINT_MAX] (digits only: no sign, space or
+/// suffix), otherwise the hardware concurrency (>= 1).
 [[nodiscard]] unsigned sweep_threads();
 
 class SweepRunner {

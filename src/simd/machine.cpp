@@ -27,13 +27,24 @@ Machine::Machine(std::uint32_t p, CostModel cost, ThreadPool* pool)
   cost_.validate();
 }
 
+namespace {
+
+/// Out of line and cold so the per-cycle charge keeps only the range test.
+[[noreturn, gnu::cold, gnu::noinline]] void throw_lane_counts(
+    std::uint32_t working, std::uint32_t alive, std::uint32_t p,
+    std::uint64_t cycle) {
+  std::ostringstream os;
+  os << "Machine: working/alive lane counts out of range (working="
+     << working << " alive=" << alive << " P=" << p << ")";
+  throw EngineError(os.str(), "-", p, cycle);
+}
+
+}  // namespace
+
 void Machine::charge_expand_cycle(std::uint32_t working, std::uint32_t alive) {
   if (alive == 0) alive = p_;
-  if (working > alive || alive > p_) {
-    std::ostringstream os;
-    os << "working=" << working << " alive=" << alive << " P=" << p_;
-    throw EngineError("Machine: working/alive lane counts out of range", "-",
-                      p_, clock_.expand_cycles);
+  if (working > alive || alive > p_) [[unlikely]] {
+    throw_lane_counts(working, alive, p_, clock_.expand_cycles);
   }
   const double t = cost_.t_expand;
   clock_.elapsed += t;

@@ -56,28 +56,36 @@ class Tree {
   /// Exhaustive search: the bound is ignored and `next` never set (a single
   /// "iteration" visits the whole tree).
   ///
-  /// Child emission is branchless: every slot's candidate node is written to
-  /// the staging area unconditionally and the write cursor advances by the
-  /// existence predicate.  The per-slot coin flips are ~fertility-biased and
-  /// uncorrelated, so a conditional push would mispredict on a large
-  /// fraction of slots — in the engine's hot loop that misprediction chain
-  /// costs more than computing the occasional discarded node.
+  /// Child emission is branchless: every slot's candidate node is appended
+  /// unconditionally, copied down to the compaction cursor, and the cursor
+  /// advances by the existence predicate; one shrink drops the untaken tail.
+  /// The per-slot coin flips are ~fertility-biased and uncorrelated, so a
+  /// conditional push would mispredict on a large fraction of slots — in the
+  /// engine's hot loop that misprediction chain costs more than computing
+  /// the occasional discarded node.  Appending keeps the common call on
+  /// push_back's inline fast path: the staging buffer's capacity persists
+  /// across calls, so no call value-initialises slots or reaches the
+  /// out-of-line growth.
   void expand(const Node& n, search::Bound /*bound*/, std::vector<Node>& out,
               search::NextBound& /*next*/) const {
     if (n.depth >= params_.max_depth) return;
     const double p =
         params_.fertility * (0.5 + static_cast<double>(n.climate) * 0x1.0p-16);
     const auto depth = static_cast<std::uint16_t>(n.depth + 1);
-    const std::size_t base = out.size();
-    out.resize(base + params_.max_children);
-    Node* const dst = out.data() + base;
-    std::size_t k = 0;
-    for (std::uint32_t i = 0; i < params_.max_children; ++i) {
-      const std::uint64_t h = hash2(n.id, 0x4348494C44ULL + i);
-      dst[k] = Node{h, depth, drift_climate(n.climate, h)};
+    // Locals, so the node stores below cannot force reloads through `n` or
+    // params_, and `n` may even be an element of `out`.
+    const std::uint64_t id = n.id;
+    const std::uint16_t climate = n.climate;
+    const std::uint32_t max_children = params_.max_children;
+    std::size_t k = out.size();
+    for (std::uint32_t i = 0; i < max_children; ++i) {
+      const std::uint64_t h = hash2(id, 0x4348494C44ULL + i);
+      const Node c{h, depth, drift_climate(climate, h)};
+      out.push_back(c);
+      out[k] = c;  // from registers: re-reading out.back() would stall
       k += static_cast<std::size_t>(normalized(h) < p);
     }
-    out.resize(base + k);
+    out.resize(k);
   }
 
   [[nodiscard]] bool is_goal(const Node&) const { return false; }

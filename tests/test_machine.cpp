@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.hpp"
 
 namespace simdts::simd {
@@ -14,6 +16,36 @@ TEST(Machine, RejectsZeroPes) {
 TEST(Machine, RejectsMoreWorkingThanPes) {
   Machine m(8, cm2_cost_model());
   EXPECT_THROW(m.charge_expand_cycle(9), EngineError);
+}
+
+/// The what() of the EngineError a bad charge_expand_cycle throws.
+std::string lane_count_error(Machine& m, std::uint32_t working,
+                             std::uint32_t alive) {
+  try {
+    m.charge_expand_cycle(working, alive);
+  } catch (const EngineError& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "no EngineError for working=" << working
+                << " alive=" << alive;
+  return {};
+}
+
+TEST(Machine, LaneCountErrorNamesTheCounts) {
+  Machine m(10, cm2_cost_model());
+  m.charge_expand_cycle(3);
+  EXPECT_EQ(lane_count_error(m, 7, 6),
+            "Machine: working/alive lane counts out of range (working=7 "
+            "alive=6 P=10) [scheme=- P=10 cycle=1]");
+  EXPECT_EQ(lane_count_error(m, 4, 11),
+            "Machine: working/alive lane counts out of range (working=4 "
+            "alive=11 P=10) [scheme=- P=10 cycle=1]");
+  // alive == 0 means "all P lanes".
+  EXPECT_EQ(lane_count_error(m, 12, 0),
+            "Machine: working/alive lane counts out of range (working=12 "
+            "alive=10 P=10) [scheme=- P=10 cycle=1]");
+  // A rejected charge leaves the clock untouched.
+  EXPECT_EQ(m.clock().expand_cycles, 1u);
 }
 
 TEST(Machine, RejectsBadCostModel) {

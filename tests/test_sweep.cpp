@@ -2,12 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "analysis/isoefficiency.hpp"
+#include "runtime/journal.hpp"
 #include "synthetic/calibrate.hpp"
 
 namespace simdts::runtime {
@@ -52,6 +60,63 @@ TEST(SweepRunner, ZeroThreadsPicksDefault) {
   EXPECT_GE(runner.threads(), 1u);
 }
 
+/// Sets SIMDTS_SWEEP_THREADS for one scope and restores the old value.
+class ScopedSweepThreadsEnv {
+ public:
+  explicit ScopedSweepThreadsEnv(const char* value) {
+    if (const char* old = std::getenv(kName); old != nullptr) {
+      saved_ = old;
+      had_ = true;
+    }
+    ::setenv(kName, value, 1);
+  }
+  ~ScopedSweepThreadsEnv() {
+    if (had_) {
+      ::setenv(kName, saved_.c_str(), 1);
+    } else {
+      ::unsetenv(kName);
+    }
+  }
+  ScopedSweepThreadsEnv(const ScopedSweepThreadsEnv&) = delete;
+  ScopedSweepThreadsEnv& operator=(const ScopedSweepThreadsEnv&) = delete;
+
+ private:
+  static constexpr const char* kName = "SIMDTS_SWEEP_THREADS";
+  std::string saved_;
+  bool had_ = false;
+};
+
+TEST(SweepThreads, ParsesTheEnvironmentStrictly) {
+  const unsigned hw = std::max(std::thread::hardware_concurrency(), 1u);
+  struct Case {
+    const char* value;
+    unsigned expected;  ///< 0 = falls back to the hardware concurrency
+  };
+  const Case cases[] = {
+      {"1", 1},
+      {"4", 4},
+      {"007", 7},
+      {"4294967295", 4294967295u},
+      {"", 0},
+      {"0", 0},
+      {"-1", 0},
+      {"+4", 0},
+      {" 4", 0},
+      {"4 ", 0},
+      {"4abc", 0},
+      {"abc", 0},
+      {"0x10", 0},
+      {"4294967296", 0},
+      {"4294967297", 0},
+      {"99999999999999999999", 0},
+  };
+  for (const Case& c : cases) {
+    const ScopedSweepThreadsEnv env(c.value);
+    EXPECT_EQ(sweep_threads(), c.expected == 0 ? hw : c.expected)
+        << "SIMDTS_SWEEP_THREADS=\"" << c.value << "\"";
+  }
+}
+
 TEST(SweepMap, ResultsLandInIndexOrder) {
   for (const unsigned threads : {1u, 2u, 8u}) {
     const auto out = sweep_map<std::size_t>(
@@ -84,7 +149,7 @@ TEST(SweepDeterminism, RunGridIdenticalAcrossHostThreads) {
   for (const auto& cfg : {lb::gp_static(0.90), lb::gp_dk()}) {
     const analysis::GridResult serial =
         analysis::run_grid(cfg, ladder, sizes, simd::cm2_cost_model(), 1);
-    for (const unsigned threads : {2u, 8u}) {
+    for (const unsigned threads : {2u, 3u, 8u}) {
       const analysis::GridResult parallel = analysis::run_grid(
           cfg, ladder, sizes, simd::cm2_cost_model(), threads);
       ASSERT_EQ(parallel.points.size(), serial.points.size());
@@ -96,6 +161,84 @@ TEST(SweepDeterminism, RunGridIdenticalAcrossHostThreads) {
       }
     }
   }
+}
+
+TEST(GridDispatchOrder, LongestFirstPermutationOfTheSlots) {
+  const synthetic::Params shape{1, 4, 0.3, 10};
+  // Unsorted W with a tie, unsorted sizes: the order must not rely on the
+  // ladder being ascending.
+  const synthetic::SyntheticWorkload ladder[] = {
+      {"a", shape, 500},
+      {"b", shape, 9000},
+      {"c", shape, 500},
+      {"d", shape, 70},
+  };
+  const std::uint32_t sizes[] = {64, 512, 16};
+  const auto order = analysis::grid_dispatch_order(ladder, sizes);
+  const std::size_t per_size = std::size(ladder);
+  ASSERT_EQ(order.size(), std::size(sizes) * per_size);
+
+  std::vector<std::size_t> sorted = order;
+  std::sort(sorted.begin(), sorted.end());
+  for (std::size_t k = 0; k < sorted.size(); ++k) {
+    EXPECT_EQ(sorted[k], k) << "not a permutation of the slots";
+  }
+  for (std::size_t i = 1; i < order.size(); ++i) {
+    const auto key = [&](std::size_t k) {
+      return std::pair{ladder[k % per_size].w, sizes[k / per_size]};
+    };
+    EXPECT_GE(key(order[i - 1]), key(order[i])) << "position " << i;
+  }
+  // The largest cell (W = 9000 at P = 512, slot 1 * 4 + 1) goes first; the
+  // tie at W = 500 is broken by P, then by slot.
+  EXPECT_EQ(order.front(), 5u);
+  EXPECT_EQ(order[3], 4u);  // W = 500, P = 512, slot 4 before slot 6
+  EXPECT_EQ(order[4], 6u);
+  EXPECT_EQ(order.back(), 11u);  // W = 70 at P = 16
+}
+
+// A sweep killed after its first dispatched cells leaves exactly those in
+// the journal; the resumed grid replays them and runs only the rest.
+TEST(SweepDeterminism, ResumeAfterTheFirstDispatchedCells) {
+  const auto ladder = tiny_ladder();
+  const std::uint32_t sizes[] = {16, 64};
+  const lb::SchemeConfig cfg = lb::gp_static(0.90);
+  const simd::CostModel cost = simd::cm2_cost_model();
+  const analysis::GridResult serial =
+      analysis::run_grid(cfg, ladder, sizes, cost, 1);
+  const auto order = analysis::grid_dispatch_order(ladder, sizes);
+  const std::string path =
+      ::testing::TempDir() + "simdts_dispatch_resume.journal";
+  for (const std::size_t first : {std::size_t{1}, std::size_t{2}}) {
+    for (const unsigned threads : {1u, 3u}) {
+      std::remove(path.c_str());
+      {
+        SweepJournal journal(path);
+        for (std::size_t i = 0; i < first; ++i) {
+          journal.record(order[i], analysis::encode_grid_point(
+                                       serial.points[order[i]]));
+        }
+      }
+      analysis::GridOptions options;
+      options.threads = threads;
+      options.journal_path = path;
+      options.resume = true;
+      const analysis::GridResult resumed =
+          analysis::run_grid(cfg, ladder, sizes, cost, options);
+      ASSERT_EQ(resumed.points.size(), serial.points.size());
+      for (std::size_t k = 0; k < serial.points.size(); ++k) {
+        EXPECT_EQ(resumed.points[k], serial.points[k])
+            << "slot " << k << " after resuming " << first << " cells at "
+            << threads << " threads";
+      }
+      // One line per slot: the replayed cells were not run again.
+      std::ifstream in(path);
+      std::size_t lines = 0;
+      for (std::string line; std::getline(in, line);) ++lines;
+      EXPECT_EQ(lines, serial.points.size());
+    }
+  }
+  SweepJournal(path).remove();
 }
 
 // Golden values: pin the integer observables of one quick grid so *any*

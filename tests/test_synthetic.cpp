@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "search/serial.hpp"
 #include "synthetic/calibrate.hpp"
 #include "synthetic/workloads.hpp"
@@ -53,6 +57,64 @@ TEST(SyntheticTree, ChildrenDescendFromParentDepth) {
   t.expand(t.root(), search::kUnbounded, out, nb);
   for (const auto& c : out) {
     EXPECT_EQ(c.depth, 1);
+  }
+}
+
+/// Reference expansion: decode each slot's candidate and keep it when the
+/// existence coin says so, with a plain conditional push.
+std::vector<Tree::Node> reference_children(const Tree& t,
+                                           const Tree::Node& n) {
+  std::vector<Tree::Node> out;
+  const Params& pr = t.params();
+  if (n.depth >= pr.max_depth) return out;
+  const double p =
+      pr.fertility * (0.5 + static_cast<double>(n.climate) * 0x1.0p-16);
+  for (std::uint32_t i = 0; i < pr.max_children; ++i) {
+    const Tree::Node c = t.decode_delta(n, static_cast<std::uint8_t>(i));
+    if (Tree::normalized(c.id) < p) out.push_back(c);
+  }
+  return out;
+}
+
+TEST(SyntheticTree, ExpandEmitsExactlyTheReferenceChildrenInOrder) {
+  const Tree::Node sentinel{0xDEADBEEF, 7, 7};
+  for (std::uint32_t mc = 1; mc <= 12; ++mc) {
+    for (const double fertility : {0.05, 0.3, 0.9}) {
+      const Tree t(Params{100 + mc, mc, fertility, 4});
+      // Breadth-first over the first levels, depth-cutoff nodes included.
+      std::vector<Tree::Node> frontier{t.root()};
+      std::size_t checked = 0;
+      for (std::size_t i = 0; i < frontier.size() && checked < 300; ++i) {
+        const Tree::Node& n = frontier[i];
+        const std::vector<Tree::Node> want = reference_children(t, n);
+        search::NextBound nb;
+        // Into an empty buffer.
+        std::vector<Tree::Node> fresh;
+        t.expand(n, search::kUnbounded, fresh, nb);
+        EXPECT_EQ(fresh, want) << "max_children " << mc << " node " << i;
+        // After content already staged (as the engine stages a whole word),
+        // both with spare capacity and with none.
+        for (const bool tight : {false, true}) {
+          std::vector<Tree::Node> staged(3, sentinel);
+          if (tight) {
+            staged.shrink_to_fit();
+          } else {
+            staged.reserve(64);
+          }
+          t.expand(n, search::kUnbounded, staged, nb);
+          ASSERT_EQ(staged.size(), 3 + want.size());
+          for (std::size_t j = 0; j < 3; ++j) EXPECT_EQ(staged[j], sentinel);
+          EXPECT_TRUE(std::equal(want.begin(), want.end(), staged.begin() + 3))
+              << "max_children " << mc << " node " << i << " tight " << tight;
+        }
+        EXPECT_FALSE(nb.has_value());
+        if (n.depth >= t.params().max_depth) {
+          EXPECT_TRUE(want.empty());
+        }
+        frontier.insert(frontier.end(), want.begin(), want.end());
+        ++checked;
+      }
+    }
   }
 }
 
