@@ -18,11 +18,13 @@
 // lanes; a fully idle or dead block costs a single test) and accumulates
 // census *deltas*; work transfers reclassify exactly the donor and receiver
 // they move nodes between.  Matching enumerations are word-level
-// popcount/countr_zero walks over the same planes.  Children of a popped
-// node are staged in a flat per-lane buffer and appended to the stack in one
-// batch (one capacity check), with the staging buffer cleared once per
-// 64-lane word, not once per node.  When the Machine carries a thread pool,
-// a cycle is spread over host lanes at word granularity — no two host lanes
+// popcount/countr_zero walks over the same planes.  In the per-bit step the
+// children of a popped node are staged in a flat per-lane buffer and
+// appended to the stack in one batch (one capacity check), with the staging
+// buffer cleared once per 64-lane word, not once per node; the batched step
+// stages each node's children in a fixed row of four slots instead (see
+// expand_cycle).  When the Machine carries a thread pool, a cycle is
+// spread over host lanes at word granularity — no two host lanes
 // ever write the same flag word — with per-lane accumulators (counts, goals,
 // pruned bounds) that are reduced in lane order after the barrier, so no
 // mutex is taken inside the loop and the reduction order is fixed.
@@ -70,6 +72,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -141,6 +144,7 @@ class Engine {
       ls.goal_nodes.reserve(std::min<std::size_t>(machine.size(), 4096));
       if (batched_) {
         ls.batch_nodes.reserve(simd::BitPlane::kWordBits);
+        ls.batch_kids.resize(simd::BitPlane::kWordBits);
         ls.batch_counts.resize(simd::BitPlane::kWordBits);
       }
     }
@@ -432,10 +436,13 @@ class Engine {
     std::int64_t d_splittable = 0;  ///< splittable transitions, either way
     std::uint64_t goal_hits = 0;
     std::vector<Node> goal_nodes;
-    std::vector<Node> children;  ///< flat staging buffer, cleared per word
+    std::vector<Node> children;  ///< per-bit staging buffer, cleared per word
     search::NextBound next_bound;
-    std::vector<Node> batch_nodes;  ///< batched step: a word's non-goal pops
-    std::vector<std::uint32_t> batch_counts;  ///< batched step: child counts
+    // Batched step only (empty otherwise): a word's non-goal pops, each
+    // one's row of four child slots, and its child count.
+    std::vector<Node> batch_nodes;
+    std::vector<std::array<Node, 4>> batch_kids;
+    std::vector<std::uint32_t> batch_counts;
   };
 
   /// The step-selection rule: only a problem with a batch kernel can take
@@ -462,18 +469,19 @@ class Engine {
   /// exactly the lanes holding work), extracted with std::countr_zero — a
   /// fully idle or dead block costs one load and one test, and the dead-lane
   /// check is a word-level AND (zero-cost when no plan is armed: the plane
-  /// is all-zero).  Children are staged in the lane's flat buffer and
-  /// appended to the owning stack in one batch; the buffer is cleared once
-  /// per word, never per node.  Host lanes partition the *word* range, so no
+  /// is all-zero).  Host lanes partition the *word* range, so no
   /// two lanes write the same flag word; census deltas, goals and pruned
   /// bounds land in lane scratch and are reduced in lane order at the
   /// barrier.
   ///
   /// The per-word step is the only part that varies (batched_, fixed at
-  /// construction).  The per-bit step pops and expands inside the bit loop.
-  /// The batched step pops the whole word first (expand_word_batched) and
-  /// the bit loop then appends each lane's run of kernel children.  Either
-  /// way the bit loop runs the one flag/census transition in bit order.
+  /// construction).  The per-bit step pops and expands inside the bit loop,
+  /// staging children in the lane's flat buffer (cleared once per word) and
+  /// appending them in one batch.  The batched step pops the whole word
+  /// first (expand_word_batched); the bit loop then copies each lane's
+  /// fixed row of four child slots onto its stack and advances the size by
+  /// the lane's count.  Either way the bit loop runs the one flag/census
+  /// transition in bit order.
   // SIMDLINT-REGION(lockstep)
   void expand_cycle(search::Bound bound, IterationStats& stats) {
     for (auto& ls : lane_scratch_) {
@@ -559,8 +567,7 @@ class Engine {
         if constexpr (vec::kHasKernel<P>) {
           if (batched) goal_bits = expand_word_batched(ls, base, active, bound);
         }
-        std::size_t off = 0;     // batched: start of the next children run
-        std::uint32_t slot = 0;  // batched: index into ls.batch_counts
+        std::uint32_t slot = 0;  // batched: index into batch_kids/batch_counts
         std::uint64_t m = active;
         while (m != 0) {
           const auto b = static_cast<unsigned>(std::countr_zero(m));
@@ -578,9 +585,14 @@ class Engine {
               if (added != 0) st.append(ls.children.data() + staged, added);
             }
           } else if ((goal_bits & bit) == 0) {
-            const std::size_t added = ls.batch_counts[slot++];
-            if (added != 0) st.append(ls.children.data() + off, added);
-            off += added;
+            const std::uint32_t added = ls.batch_counts[slot];
+            std::array<Node, 4>& kids = ls.batch_kids[slot];
+            ++slot;
+            if constexpr (requires { st.append4(kids, added); }) {
+              st.append4(kids, added);
+            } else if (added != 0) {
+              st.append(kids.data(), added);
+            }
           }
           const bool was_split = (busy_w & bit) != 0;
           if (st.empty()) {
@@ -651,8 +663,8 @@ class Engine {
   /// The batched step's gather: pops every active lane of the word at
   /// `base` in bit order, recording goals as it goes (so goal order matches
   /// the per-bit step), then expands the other nodes with one kernel call.
-  /// Node j's children land as the j-th run of ls.children, its length in
-  /// ls.batch_counts[j].  Returns the word's goal bits.
+  /// Node j's children land in the first ls.batch_counts[j] slots of
+  /// ls.batch_kids[j].  Returns the word's goal bits.
   std::uint64_t expand_word_batched(LaneScratch& ls, std::size_t base,
                                     std::uint64_t active,
                                     search::Bound bound) {
@@ -671,7 +683,7 @@ class Engine {
     }
     vec::expand_fifteen(ls.batch_nodes.data(),
                         static_cast<std::uint32_t>(ls.batch_nodes.size()),
-                        bound, ls.children, ls.batch_counts.data(),
+                        bound, ls.batch_kids.data(), ls.batch_counts.data(),
                         ls.next_bound);
     return goal_bits;
   }
@@ -1031,8 +1043,8 @@ class Engine {
       }
       census_remove(donor);
       census_remove(receiver);
-      search::receive(stacks_[receiver],
-                      search::split(stacks_[donor], cfg_.split));
+      search::split(stacks_[donor], cfg_.split, split_buf_);
+      search::receive(stacks_[receiver], split_buf_);
       census_add(donor);
       census_add(receiver);
       ++done;
@@ -1103,6 +1115,7 @@ class Engine {
   std::vector<simd::Pair> pairs_;  ///< reused across lb rounds
   std::vector<simd::PeIndex> donors_buf_;     ///< reused per give-one round
   std::vector<simd::PeIndex> receivers_buf_;  ///< reused per give-one round
+  std::vector<Node> split_buf_;  ///< one transfer's donated nodes, reused
   std::vector<Node> goal_nodes_;
   search::NextBound next_bound_;
 

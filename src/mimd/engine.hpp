@@ -157,7 +157,7 @@ class MimdEngine {
           auto& victim = stacks[m.to];
           Message resp{m.from, m.to, false, {}};
           if (victim.splittable()) {
-            resp.payload = search::split(victim, cfg_.split);
+            search::split(victim, cfg_.split, resp.payload);
             pes[m.to].serving = true;  // the victim loses one step
             ++stats.service_steps;
             ++stats.steals;
@@ -168,7 +168,7 @@ class MimdEngine {
         } else {
           pes[m.to].waiting = false;
           if (!m.payload.empty()) {
-            search::receive(stacks[m.to], std::move(m.payload));
+            search::receive(stacks[m.to], m.payload);
           }
         }
       }

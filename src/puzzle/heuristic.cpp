@@ -6,22 +6,6 @@ namespace simdts::puzzle {
 
 namespace {
 
-struct DistanceTable {
-  // distance[t][pos]: Manhattan distance of tile t at position pos from its
-  // home (position t); zero row for the blank.
-  std::array<std::array<std::int8_t, kCells>, kCells> distance{};
-  constexpr DistanceTable() {
-    for (int t = 1; t < kCells; ++t) {
-      for (int pos = 0; pos < kCells; ++pos) {
-        distance[static_cast<std::size_t>(t)][static_cast<std::size_t>(pos)] =
-            static_cast<std::int8_t>(manhattan_between(pos, t));
-      }
-    }
-  }
-};
-
-constexpr DistanceTable kTable{};
-
 /// Conflicts within one line (row or column).  `tiles` are the tile values
 /// at the line's four cells in order; `goal_cell[t]` is tile t's goal cell
 /// within this line (-1: tile does not belong to this line).  Returns the
@@ -72,10 +56,6 @@ int line_conflicts(const std::array<std::uint8_t, kSide>& tiles,
 }
 
 }  // namespace
-
-int tile_distance(std::uint8_t t, int pos) {
-  return kTable.distance[t][static_cast<std::size_t>(pos)];
-}
 
 int manhattan(const Board& board) {
   int h = 0;

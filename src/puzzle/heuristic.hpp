@@ -7,6 +7,8 @@
 // recomputed from scratch, so it trades node count for per-node cost.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "puzzle/board.hpp"
@@ -18,9 +20,25 @@ enum class Heuristic : std::uint8_t {
   kLinearConflict,  ///< Manhattan + 2 per linear conflict
 };
 
+/// kTileDistance[t][pos]: Manhattan distance of tile t at position pos from
+/// its home (position t); a zero row for the blank.  Defined here, not out of
+/// line, so every expansion's incremental update inlines to two loads.
+inline constexpr auto kTileDistance = [] {
+  std::array<std::array<std::int8_t, kCells>, kCells> d{};
+  for (int t = 1; t < kCells; ++t) {
+    for (int pos = 0; pos < kCells; ++pos) {
+      d[static_cast<std::size_t>(t)][static_cast<std::size_t>(pos)] =
+          static_cast<std::int8_t>(manhattan_between(pos, t));
+    }
+  }
+  return d;
+}();
+
 /// Manhattan distance of tile `t` when sitting at position `pos` (0 for the
 /// blank: it does not count toward the heuristic).
-[[nodiscard]] int tile_distance(std::uint8_t t, int pos);
+[[nodiscard]] inline int tile_distance(std::uint8_t t, int pos) {
+  return kTileDistance[t][static_cast<std::size_t>(pos)];
+}
 
 /// Sum of tile distances for a whole board.
 [[nodiscard]] int manhattan(const Board& board);

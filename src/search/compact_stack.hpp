@@ -318,29 +318,28 @@ class CompactStack {
 };
 
 /// Split strategies over a CompactStack (same contract as the WorkStack
-/// overload in splitter.hpp).  kBottomNode / kTopNode move one materialized
-/// node; kHalf — used only by the split-quality ablation — materializes the
-/// whole stack and rebuilds the kept half as self-contained segments, giving
-/// up the delta encoding for those entries (documented memory trade-off in
-/// docs/performance.md).
+/// overload in splitter.hpp: the donated nodes are appended to `out`).
+/// kBottomNode / kTopNode move one materialized node; kHalf — used only by
+/// the split-quality ablation — materializes the whole stack and rebuilds
+/// the kept half as self-contained segments, giving up the delta encoding
+/// for those entries (documented memory trade-off in docs/performance.md).
 template <DeltaTreeProblem Pr>
-[[nodiscard]] std::vector<typename Pr::Node> split(CompactStack<Pr>& donor,
-                                                   SplitStrategy strategy) {
-  std::vector<typename Pr::Node> donated;
+void split(CompactStack<Pr>& donor, SplitStrategy strategy,
+           std::vector<typename Pr::Node>& out) {
   switch (strategy) {
     case SplitStrategy::kBottomNode:
-      donated.push_back(donor.take_bottom());
+      out.push_back(donor.take_bottom());
       break;
     case SplitStrategy::kTopNode:
-      donated.push_back(donor.pop());
+      out.push_back(donor.pop());
       break;
     case SplitStrategy::kHalf: {
       std::vector<typename Pr::Node> all;
       donor.drain_into(all);
-      donated.reserve((all.size() + 1) / 2);
+      out.reserve(out.size() + (all.size() + 1) / 2);
       for (std::size_t i = 0; i < all.size(); ++i) {
         if (i % 2 == 0) {
-          donated.push_back(all[i]);
+          out.push_back(all[i]);
         } else {
           donor.push(all[i]);
         }
@@ -348,14 +347,14 @@ template <DeltaTreeProblem Pr>
       break;
     }
   }
-  return donated;
 }
 
 /// Appends donated nodes in bottom-to-top order (each becomes a segment
-/// base, so received work is self-contained on the new owner).
+/// base, so received work is self-contained on the new owner) and leaves
+/// `donated` empty with its capacity kept.
 template <DeltaTreeProblem Pr>
 void receive(CompactStack<Pr>& receiver,
-             std::vector<typename Pr::Node>&& donated) {
+             std::vector<typename Pr::Node>& donated) {
   for (auto& n : donated) {
     receiver.push(std::move(n));
   }

@@ -34,30 +34,32 @@ enum class SplitStrategy : std::uint8_t {
 /// Name for reports.
 [[nodiscard]] const char* to_string(SplitStrategy s);
 
-/// Splits `donor` in place, returning the donated nodes in bottom-to-top
-/// order.  Preconditions: donor.splittable().  Postconditions: neither part
-/// is empty, the parts are disjoint, and their union is the original stack.
+/// Splits `donor` in place, appending the donated nodes to `out` in
+/// bottom-to-top order.  `out` is the caller's reusable buffer (receive()
+/// empties it again and keeps its capacity), so a steady stream of
+/// transfers allocates nothing.  Preconditions: donor.splittable().
+/// Postconditions: neither part is empty, the parts are disjoint, and their
+/// union is the original stack.
 template <typename Node>
-[[nodiscard]] std::vector<Node> split(WorkStack<Node>& donor,
-                                      SplitStrategy strategy) {
-  std::vector<Node> donated;
+void split(WorkStack<Node>& donor, SplitStrategy strategy,
+           std::vector<Node>& out) {
   switch (strategy) {
     case SplitStrategy::kBottomNode:
-      donated.push_back(donor.take_bottom());
+      out.push_back(donor.take_bottom());
       break;
     case SplitStrategy::kTopNode:
-      donated.push_back(donor.pop());
+      out.push_back(donor.pop());
       break;
     case SplitStrategy::kHalf: {
       // Keep indices 1, 3, 5, ...; donate 0, 2, 4, ...  Donating from every
       // depth keeps both halves representative of the whole stack.  The kept
       // nodes are compacted towards the bottom in place.
       const std::size_t n = donor.size();
-      donated.reserve((n + 1) / 2);
+      out.reserve(out.size() + (n + 1) / 2);
       std::size_t kept = 0;
       for (std::size_t i = 0; i < n; ++i) {
         if (i % 2 == 0) {
-          donated.push_back(std::move(donor[i]));
+          out.push_back(std::move(donor[i]));
         } else {
           if (kept != i) donor[kept] = std::move(donor[i]);
           ++kept;
@@ -67,13 +69,13 @@ template <typename Node>
       break;
     }
   }
-  return donated;
 }
 
-/// Appends donated nodes to `receiver`, preserving bottom-to-top order so
-/// that depth-first order is maintained on the receiving side.
+/// Moves the donated nodes onto `receiver`, preserving bottom-to-top order
+/// so that depth-first order is maintained on the receiving side, and
+/// leaves `donated` empty with its capacity kept.
 template <typename Node>
-void receive(WorkStack<Node>& receiver, std::vector<Node>&& donated) {
+void receive(WorkStack<Node>& receiver, std::vector<Node>& donated) {
   for (auto& n : donated) {
     receiver.push(std::move(n));
   }

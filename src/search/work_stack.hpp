@@ -20,6 +20,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstring>
 #include <memory>
@@ -102,6 +103,26 @@ class WorkStack {
       const std::size_t run = cap_ - pos;
       copy_run(slots_ + pos, src, run);
       copy_run(slots_, src + run, n - run);
+    }
+    size_ += n;
+  }
+
+  /// Pushes src[0..n) (n <= 4) with the contents and order of n successive
+  /// push() calls, with no branch on n: the batched 15-puzzle step's append
+  /// of one node's fixed child slots.  It reserves room for four (so the
+  /// buffer can grow a few pushes earlier), writes all four slots
+  /// through the ring mask and then advances the size by n; the slots past
+  /// the new top are dead storage that a later push or append overwrites.
+  /// n varies from call to call in that step, so a switch or loop on it
+  /// mispredicts, and a miss costs more than the spare slot copies.
+  void append4(const std::array<Node, 4>& src, std::size_t n)
+    requires std::is_trivially_copyable_v<Node>
+  {
+    if (size_ + 4 > cap_) [[unlikely]] reserve_pow2(size_ + 4);
+    const std::size_t top = head_ + size_;
+    const std::size_t mask = cap_ - 1;
+    for (std::size_t i = 0; i < 4; ++i) {
+      ::new (static_cast<void*>(slots_ + ((top + i) & mask))) Node(src[i]);
     }
     size_ += n;
   }

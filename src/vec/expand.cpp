@@ -4,11 +4,14 @@
 // Two phases.  The *candidate phase* is pure branch-free lane arithmetic
 // over struct-of-arrays copies of the batch: every potential child of every
 // node is computed unconditionally into move-major arrays (`cand[move][lane]`)
-// — the transpose of expand()'s predicated staging writes.  The *emission
-// phase* walks the candidates per node in move order and advances a write
-// cursor by the take predicate, exactly like expand()'s staging loop.  The
-// candidate phase carries all the work (board arithmetic, heuristic deltas,
-// bound tests) and vectorizes because no lane ever branches.
+// — the transpose of expand()'s predicated staging writes.  Each candidate
+// is two packed words, the board and the child's byte fields
+// (`blank | g<<8 | h<<16 | last<<24`, Node's layout past the board).  The
+// *emission phase* walks the candidates per node in move order, storing each
+// as one 16-byte Node into the node's fixed four-slot row and advancing a
+// write cursor by the take predicate, exactly like expand()'s staging loop.
+// The candidate phase carries all the work (board arithmetic, heuristic
+// deltas, bound tests) and vectorizes because no lane ever branches.
 //
 // Bit-exactness with FifteenPuzzle::expand():
 //  - Tile distances come from the coordinate formula
@@ -18,6 +21,10 @@
 //  - NextBound is a pure min, so observing the batch's minimum pruned f once
 //    equals observing every pruned f individually.
 #include "vec/expand.hpp"
+
+#include <bit>
+#include <cstddef>
+#include <cstring>
 
 #include "puzzle/board.hpp"
 
@@ -82,6 +89,17 @@ struct FifteenBatchSoA {
   }
 };
 
+using Node = puzzle::FifteenPuzzle::Node;
+
+// The emission phase stores a child as {board word, meta word}: the meta
+// word's low four bytes are blank, g, h, last in Node's byte order, and its
+// high four bytes land in Node's padding as zeros (as a value-initialized
+// Node has them).
+static_assert(std::endian::native == std::endian::little);
+static_assert(sizeof(Node) == 16 && offsetof(Node, board) == 0 &&
+              offsetof(Node, blank) == 8 && offsetof(Node, g) == 9 &&
+              offsetof(Node, h) == 10 && offsetof(Node, last) == 11);
+
 /// |x - y| for u64 lanes via the sign-propagation trick — pure bit ops, no
 /// compare/branch, so the vectorizer never bails on it.
 inline std::uint64_t absdiff(std::uint64_t x, std::uint64_t y) {
@@ -93,7 +111,9 @@ inline std::uint64_t absdiff(std::uint64_t x, std::uint64_t y) {
 /// Candidate phase for one move direction, all lanes at once.  kMove follows
 /// puzzle::Move: 0 up, 1 down, 2 left, 3 right (the blank moves).  Illegal
 /// lanes compute a self-move (shift amounts stay in range, no UB) whose
-/// candidate is discarded by take = 0.
+/// candidate is discarded by take = 0.  A candidate is its board word and
+/// its meta word (see the layout asserts above); g and h are cut to a byte
+/// as expand()'s uint8_t fields cut them.
 ///
 /// Every value in the loop is u64 — legality masks, coordinates, f-values —
 /// for the vectorizer's sake (see FifteenBatchSoA).  Selects are explicit
@@ -103,8 +123,8 @@ inline std::uint64_t absdiff(std::uint64_t x, std::uint64_t y) {
 template <int kMove>
 VEC_TARGET_AVX2 void fifteen_candidates(
     const FifteenBatchSoA& s, std::uint32_t padded, search::Bound bound,
-    std::uint64_t* cand_board, std::uint64_t* cand_blank,
-    std::uint64_t* cand_h, std::uint64_t* take, std::uint64_t* pruned_min) {
+    std::uint64_t* cand_board, std::uint64_t* cand_meta, std::uint64_t* take,
+    std::uint64_t* pruned_min) {
   const auto bound64 = static_cast<std::uint64_t>(bound);
   constexpr auto kUnb64 = static_cast<std::uint64_t>(search::kUnbounded);
   for (std::uint32_t j = 0; j < padded; ++j) {
@@ -153,8 +173,8 @@ VEC_TARGET_AVX2 void fifteen_candidates(
         std::uint64_t{0} - static_cast<std::uint64_t>(pf < pm);
     pruned_min[j] = (pf & lmask) | (pm & ~lmask);
     cand_board[j] = nb;
-    cand_blank[j] = tsafe;
-    cand_h[j] = hh;
+    cand_meta[j] = tsafe | (((s.g[j] + 1) & 0xFF) << 8) | ((hh & 0xFF) << 16) |
+                   (static_cast<std::uint64_t>(kMove) << 24);
   }
 }
 
@@ -179,32 +199,31 @@ bool batch_applies(const puzzle::FifteenPuzzle& p,
 }
 
 // SIMDLINT-REGION(lockstep)
-VEC_TARGET_AVX2 void expand_fifteen(
-    const puzzle::FifteenPuzzle::Node* nodes, std::uint32_t count,
-    search::Bound bound, std::vector<puzzle::FifteenPuzzle::Node>& out,
-    std::uint32_t* child_counts, search::NextBound& next) {
-  using Node = puzzle::FifteenPuzzle::Node;
+VEC_TARGET_AVX2 void expand_fifteen(const Node* nodes, std::uint32_t count,
+                                    search::Bound bound,
+                                    std::array<Node, 4>* kids,
+                                    std::uint32_t* child_counts,
+                                    search::NextBound& next) {
   FifteenBatchSoA soa;
   soa.load(nodes, count);
   const std::uint32_t padded = padded_count(count);
 
   alignas(32) std::uint64_t cand_board[4][kBatchLanes];
-  alignas(32) std::uint64_t cand_blank[4][kBatchLanes];
-  alignas(32) std::uint64_t cand_h[4][kBatchLanes];
+  alignas(32) std::uint64_t cand_meta[4][kBatchLanes];
   alignas(32) std::uint64_t take[4][kBatchLanes];
   alignas(32) std::uint64_t pruned_min[kBatchLanes];
   for (std::uint32_t j = 0; j < padded; ++j) {
     pruned_min[j] = static_cast<std::uint64_t>(search::kUnbounded);
   }
 
-  fifteen_candidates<0>(soa, padded, bound, cand_board[0], cand_blank[0],
-                        cand_h[0], take[0], pruned_min);
-  fifteen_candidates<1>(soa, padded, bound, cand_board[1], cand_blank[1],
-                        cand_h[1], take[1], pruned_min);
-  fifteen_candidates<2>(soa, padded, bound, cand_board[2], cand_blank[2],
-                        cand_h[2], take[2], pruned_min);
-  fifteen_candidates<3>(soa, padded, bound, cand_board[3], cand_blank[3],
-                        cand_h[3], take[3], pruned_min);
+  fifteen_candidates<0>(soa, padded, bound, cand_board[0], cand_meta[0],
+                        take[0], pruned_min);
+  fifteen_candidates<1>(soa, padded, bound, cand_board[1], cand_meta[1],
+                        take[1], pruned_min);
+  fifteen_candidates<2>(soa, padded, bound, cand_board[2], cand_meta[2],
+                        take[2], pruned_min);
+  fifteen_candidates<3>(soa, padded, bound, cand_board[3], cand_meta[3],
+                        take[3], pruned_min);
 
   // NextBound is a min: one observation of the batch minimum equals
   // expand()'s per-candidate observations.  Pad lanes are excluded.
@@ -214,28 +233,19 @@ VEC_TARGET_AVX2 void expand_fifteen(
   }
   next.observe(static_cast<search::Bound>(m));
 
-  const std::size_t base = out.size();
-  // SIMDLINT-EFFECT-OK(allocates) `out` is the caller's persistent-capacity
-  out.resize(base + static_cast<std::size_t>(count) * 4);
-  Node* const dst = out.data() + base;  // staging buffer; growth amortizes.
-  std::size_t k = 0;
+  // Emission: slot k <= mv, so every store stays inside the node's row; a
+  // rejected candidate is overwritten by the next one (or left as dead
+  // storage past the count).
   for (std::uint32_t j = 0; j < count; ++j) {
-    const std::size_t start = k;
-    const auto g1 = static_cast<std::uint8_t>(soa.g[j] + 1);
+    Node* const row = kids[j].data();
+    std::uint32_t k = 0;
     for (std::uint32_t mv = 0; mv < 4; ++mv) {
-      Node child{};
-      child.board = cand_board[mv][j];
-      child.blank = static_cast<std::uint8_t>(cand_blank[mv][j]);
-      child.g = g1;
-      child.h = static_cast<std::uint8_t>(cand_h[mv][j]);
-      child.last = static_cast<std::uint8_t>(mv);
-      dst[k] = child;
-      k += take[mv][j];
+      const std::uint64_t words[2] = {cand_board[mv][j], cand_meta[mv][j]};
+      std::memcpy(static_cast<void*>(row + k), words, sizeof words);
+      k += static_cast<std::uint32_t>(take[mv][j]);
     }
-    child_counts[j] = static_cast<std::uint32_t>(k - start);
+    child_counts[j] = k;
   }
-  // SIMDLINT-EFFECT-OK(allocates) shrinking resize: capacity is retained
-  out.resize(base + k);
 }
 
 }  // namespace simdts::vec

@@ -5,7 +5,8 @@
 // heuristic the engine can instead pop a whole flag word's active lanes (at
 // most 64 nodes) and expand them with one expand_fifteen() call: the kernel
 // computes all four moves of every node as branch-free u64 lane arithmetic
-// (AVX2-wide), then copies the taken children out per node in move order.
+// (AVX2-wide), then stores the taken children of node j, in move order, into
+// its fixed row of four child slots.
 //
 // The engine picks the step once, at construction (batch_applies):
 //  - the problem has a kernel (kHasKernel — only puzzle::FifteenPuzzle);
@@ -16,15 +17,16 @@
 //    function-level target attribute; the rest of the library keeps its
 //    default flags, so no floating-point code generation changes).
 //
-// Contract, pinned end to end by tests/test_vector_backend.cpp: identical
-// children, in identical per-node order, identical per-node child counts and
-// an identical NextBound outcome as `count` calls of FifteenPuzzle::expand().
+// Contract, pinned end to end by tests/test_vector_backend.cpp: node j's
+// child row holds, in its first child_counts[j] slots, exactly the children
+// that FifteenPuzzle::expand() emits for node j, in the same order, and the
+// NextBound outcome equals that of `count` calls of expand().
 // The kernel does the same integer arithmetic as expand() — only the
 // schedule changes — so the engine's results do not depend on the step.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <vector>
 
 #include "puzzle/fifteen.hpp"
 #include "search/problem.hpp"
@@ -49,13 +51,16 @@ inline constexpr std::uint32_t kMinBatchPes = 64;
 [[nodiscard]] bool batch_applies(const puzzle::FifteenPuzzle& p,
                                  std::uint32_t pes) noexcept;
 
-/// Expands `count` (at most 64) Manhattan-heuristic nodes with `bound`:
-/// appends their children to `out` grouped by input node, in input order,
-/// stores node j's child count in `child_counts[j]`, and observes the
-/// smallest pruned f-value in `next`.  Requires cpu_has_avx2().
+/// Expands `count` (at most 64) Manhattan-heuristic nodes with `bound`.
+/// Node j's children, compacted in move order, land in
+/// `kids[j][0..child_counts[j])`; the row's other slots hold no child (a
+/// rejected candidate or an earlier call's data: the caller copies whole
+/// rows and keeps only the count — see WorkStack::append4).  The smallest
+/// pruned f-value is observed in `next`.  `kids` and `child_counts` hold at
+/// least `count` entries.  Requires cpu_has_avx2().
 void expand_fifteen(const puzzle::FifteenPuzzle::Node* nodes,
                     std::uint32_t count, search::Bound bound,
-                    std::vector<puzzle::FifteenPuzzle::Node>& out,
+                    std::array<puzzle::FifteenPuzzle::Node, 4>* kids,
                     std::uint32_t* child_counts, search::NextBound& next);
 
 }  // namespace simdts::vec

@@ -150,8 +150,10 @@ class StackPair {
   }
 
   void split_both(SplitStrategy strategy) {
-    const std::vector<FifteenPuzzle::Node> a = split(full_, strategy);
-    const std::vector<FifteenPuzzle::Node> b = split(compact_, strategy);
+    std::vector<FifteenPuzzle::Node> a;
+    std::vector<FifteenPuzzle::Node> b;
+    split(full_, strategy, a);
+    split(compact_, strategy, b);
     EXPECT_EQ(a, b);
     check();
   }
@@ -216,16 +218,18 @@ TEST(CompactStack, SplitAndReceiveMatchWorkStackForEveryStrategy) {
     }
     ASSERT_GE(donor.size(), 2u);
 
-    std::vector<FifteenPuzzle::Node> donated_full =
-        split(donor.full(), strategy);
-    std::vector<FifteenPuzzle::Node> donated_compact =
-        split(donor.compact(), strategy);
+    std::vector<FifteenPuzzle::Node> donated_full;
+    std::vector<FifteenPuzzle::Node> donated_compact;
+    split(donor.full(), strategy, donated_full);
+    split(donor.compact(), strategy, donated_compact);
     EXPECT_EQ(donated_full, donated_compact);
     EXPECT_FALSE(donor.full().empty());
 
     StackPair rec(problem);
-    receive(rec.full(), std::move(donated_full));
-    receive(rec.compact(), std::move(donated_compact));
+    receive(rec.full(), donated_full);
+    receive(rec.compact(), donated_compact);
+    EXPECT_TRUE(donated_full.empty());
+    EXPECT_TRUE(donated_compact.empty());
     std::vector<FifteenPuzzle::Node> a;
     std::vector<FifteenPuzzle::Node> b;
     rec.full().drain_into(a);

@@ -15,6 +15,13 @@ WorkStack<int> make_stack(std::size_t n) {
   return s;
 }
 
+/// Splits into a fresh buffer: the donated part alone.
+std::vector<int> donate(WorkStack<int>& donor, SplitStrategy strategy) {
+  std::vector<int> out;
+  split(donor, strategy, out);
+  return out;
+}
+
 using Param = std::tuple<SplitStrategy, std::size_t>;
 
 class SplitInvariants : public ::testing::TestWithParam<Param> {};
@@ -22,7 +29,7 @@ class SplitInvariants : public ::testing::TestWithParam<Param> {};
 TEST_P(SplitInvariants, BothPartsNonEmptyAndUnionPreserved) {
   const auto [strategy, n] = GetParam();
   WorkStack<int> donor = make_stack(n);
-  const std::vector<int> donated = split(donor, strategy);
+  const std::vector<int> donated = donate(donor, strategy);
 
   EXPECT_FALSE(donated.empty());
   EXPECT_FALSE(donor.empty());
@@ -39,7 +46,7 @@ TEST_P(SplitInvariants, BothPartsNonEmptyAndUnionPreserved) {
 TEST_P(SplitInvariants, DonatedOrderIsBottomToTop) {
   const auto [strategy, n] = GetParam();
   WorkStack<int> donor = make_stack(n);
-  const std::vector<int> donated = split(donor, strategy);
+  const std::vector<int> donated = donate(donor, strategy);
   EXPECT_TRUE(std::is_sorted(donated.begin(), donated.end()));
 }
 
@@ -52,21 +59,21 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Splitter, BottomNodeTakesShallowest) {
   WorkStack<int> donor = make_stack(5);
-  const auto donated = split(donor, SplitStrategy::kBottomNode);
+  const auto donated = donate(donor, SplitStrategy::kBottomNode);
   EXPECT_EQ(donated, (std::vector<int>{0}));
   EXPECT_EQ(donor.bottom(), 1);
 }
 
 TEST(Splitter, TopNodeTakesDeepest) {
   WorkStack<int> donor = make_stack(5);
-  const auto donated = split(donor, SplitStrategy::kTopNode);
+  const auto donated = donate(donor, SplitStrategy::kTopNode);
   EXPECT_EQ(donated, (std::vector<int>{4}));
   EXPECT_EQ(donor.top(), 3);
 }
 
 TEST(Splitter, HalfTakesEveryOtherFromBottom) {
   WorkStack<int> donor = make_stack(6);
-  const auto donated = split(donor, SplitStrategy::kHalf);
+  const auto donated = donate(donor, SplitStrategy::kHalf);
   EXPECT_EQ(donated, (std::vector<int>{0, 2, 4}));
   EXPECT_EQ(donor.size(), 3u);
   EXPECT_EQ(donor.bottom(), 1);
@@ -75,7 +82,7 @@ TEST(Splitter, HalfTakesEveryOtherFromBottom) {
 
 TEST(Splitter, HalfOnOddSizeDonatesCeilHalf) {
   WorkStack<int> donor = make_stack(7);
-  const auto donated = split(donor, SplitStrategy::kHalf);
+  const auto donated = donate(donor, SplitStrategy::kHalf);
   EXPECT_EQ(donated.size(), 4u);
   EXPECT_EQ(donor.size(), 3u);
 }
@@ -84,7 +91,7 @@ TEST(Splitter, HalfAlphaIsBalanced) {
   // The alpha of the half split must stay near 0.5 across stack sizes.
   for (std::size_t n : {2u, 5u, 9u, 33u, 1000u}) {
     WorkStack<int> donor = make_stack(n);
-    const auto donated = split(donor, SplitStrategy::kHalf);
+    const auto donated = donate(donor, SplitStrategy::kHalf);
     const double alpha =
         static_cast<double>(donated.size()) / static_cast<double>(n);
     EXPECT_GE(alpha, 0.45) << n;
@@ -95,7 +102,10 @@ TEST(Splitter, HalfAlphaIsBalanced) {
 TEST(Splitter, ReceivePreservesDepthOrder) {
   WorkStack<int> donor = make_stack(6);
   WorkStack<int> receiver;
-  receive(receiver, split(donor, SplitStrategy::kHalf));
+  std::vector<int> buf;
+  split(donor, SplitStrategy::kHalf, buf);
+  receive(receiver, buf);
+  EXPECT_TRUE(buf.empty());
   // Received 0, 2, 4 bottom-to-top: popping gives deepest first.
   EXPECT_EQ(receiver.pop(), 4);
   EXPECT_EQ(receiver.pop(), 2);
@@ -106,10 +116,38 @@ TEST(Splitter, ReceiveAppendsAboveExistingWork) {
   WorkStack<int> receiver;
   receiver.push(100);
   std::vector<int> donated{1, 2};
-  receive(receiver, std::move(donated));
+  receive(receiver, donated);
+  EXPECT_TRUE(donated.empty());
   EXPECT_EQ(receiver.size(), 3u);
   EXPECT_EQ(receiver.bottom(), 100);
   EXPECT_EQ(receiver.pop(), 2);
+}
+
+TEST_P(SplitInvariants, AppendsAfterTheCallersContent) {
+  const auto [strategy, n] = GetParam();
+  WorkStack<int> fresh_donor = make_stack(n);
+  const std::vector<int> alone = donate(fresh_donor, strategy);
+  WorkStack<int> donor = make_stack(n);
+  std::vector<int> buf{-1, -2};
+  split(donor, strategy, buf);
+  ASSERT_EQ(buf.size(), alone.size() + 2);
+  EXPECT_EQ(buf[0], -1);
+  EXPECT_EQ(buf[1], -2);
+  EXPECT_TRUE(std::equal(alone.begin(), alone.end(), buf.begin() + 2));
+}
+
+TEST(Splitter, ReusedBufferKeepsItsCapacityAcrossTransfers) {
+  std::vector<int> buf;
+  WorkStack<int> receiver;
+  for (int round = 0; round < 3; ++round) {
+    WorkStack<int> donor = make_stack(9);
+    split(donor, SplitStrategy::kHalf, buf);
+    const std::size_t cap = buf.capacity();
+    receive(receiver, buf);
+    EXPECT_TRUE(buf.empty());
+    EXPECT_EQ(buf.capacity(), cap);
+  }
+  EXPECT_EQ(receiver.size(), 15u);
 }
 
 TEST(Splitter, StrategyNames) {

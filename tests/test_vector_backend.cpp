@@ -13,7 +13,9 @@
 // only when the host CPU lacks AVX2.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "fault/fault.hpp"
@@ -78,40 +80,128 @@ std::vector<FifteenPuzzle::Node> node_pool(const FifteenPuzzle& p,
   return pool;
 }
 
+/// One expand_fifteen() call on nodes[0..count), its rows pre-filled with a
+/// poison node so a test cannot pass on zeroed slots.
+struct KernelRun {
+  std::vector<std::array<FifteenPuzzle::Node, 4>> kids;
+  std::vector<std::uint32_t> counts;
+  search::NextBound next;
+};
+
+KernelRun run_kernel(const FifteenPuzzle::Node* nodes, std::uint32_t count,
+                     search::Bound bound) {
+  const FifteenPuzzle::Node poison{~std::uint64_t{0}, 0xEE, 0xEE, 0xEE, 0xEE};
+  KernelRun r;
+  r.kids.assign(count, {poison, poison, poison, poison});
+  r.counts.assign(count, 99);
+  vec::expand_fifteen(nodes, count, bound, r.kids.data(), r.counts.data(),
+                      r.next);
+  return r;
+}
+
+/// The fixed-slot contract: row j's first counts[j] slots are exactly the
+/// children expand() emits for node j, in order, and NextBound agrees with
+/// `count` expand() calls (set or unset alike).  Returns expand()'s
+/// NextBound.
+search::NextBound expect_rows_match_expand(const FifteenPuzzle& p,
+                                           const FifteenPuzzle::Node* nodes,
+                                           std::uint32_t count,
+                                           search::Bound bound,
+                                           const KernelRun& r) {
+  search::NextBound ref_nb;
+  for (std::uint32_t j = 0; j < count; ++j) {
+    std::vector<FifteenPuzzle::Node> ref;
+    p.expand(nodes[j], bound, ref, ref_nb);
+    EXPECT_EQ(r.counts[j], ref.size())
+        << "bound " << bound << " count " << count << " node " << j;
+    for (std::size_t k = 0; k < ref.size() && k < 4; ++k) {
+      EXPECT_EQ(r.kids[j][k], ref[k]) << "bound " << bound << " count "
+                                      << count << " node " << j << " slot "
+                                      << k;
+    }
+  }
+  EXPECT_EQ(r.next.has_value(), ref_nb.has_value())
+      << "bound " << bound << " count " << count;
+  EXPECT_EQ(r.next.value(), ref_nb.value())
+      << "bound " << bound << " count " << count;
+  return ref_nb;
+}
+
 TEST(FifteenKernel, MatchesPerNodeExpandAcrossBounds) {
   SKIP_WITHOUT_AVX2();
   const auto& workloads = puzzle::test_workloads();
   for (std::size_t w = 0; w < 2; ++w) {
     const FifteenPuzzle p(workloads[w].board());
     const search::Bound f0 = p.f_value(p.root());
+    const auto pool = node_pool(p, 64, f0 + 8);
+    ASSERT_EQ(pool.size(), 64u);
     // A tight bound forces pruning (NextBound must match); looser bounds
     // take more children.
     for (const search::Bound bound : {f0, static_cast<search::Bound>(f0 + 2),
                                       static_cast<search::Bound>(f0 + 8)}) {
-      const auto pool = node_pool(p, 64, bound);
-      // Lone nodes, pad-lane remainders and a full 64-lane word.
-      for (const std::uint32_t count : {1u, 2u, 3u, 17u, 33u, 64u}) {
-        if (pool.size() < count) break;
-        std::vector<FifteenPuzzle::Node> fast;
-        std::vector<std::uint32_t> fast_counts(count);
-        search::NextBound fast_nb;
-        vec::expand_fifteen(pool.data(), count, bound, fast,
-                            fast_counts.data(), fast_nb);
-
-        std::vector<FifteenPuzzle::Node> ref;
-        std::vector<std::uint32_t> ref_counts(count);
-        search::NextBound ref_nb;
-        for (std::uint32_t j = 0; j < count; ++j) {
-          const std::size_t before = ref.size();
-          p.expand(pool[j], bound, ref, ref_nb);
-          ref_counts[j] = static_cast<std::uint32_t>(ref.size() - before);
-        }
-        EXPECT_EQ(fast, ref) << "bound " << bound << " count " << count;
-        EXPECT_EQ(fast_counts, ref_counts)
-            << "bound " << bound << " count " << count;
-        EXPECT_EQ(fast_nb.value(), ref_nb.value())
-            << "bound " << bound << " count " << count;
+      // Every batch size a flag word can produce: lone nodes, each
+      // pad-lane remainder and a full 64-lane word.
+      for (std::uint32_t count = 1; count <= 64; ++count) {
+        const KernelRun r = run_kernel(pool.data(), count, bound);
+        expect_rows_match_expand(p, pool.data(), count, bound, r);
       }
+    }
+  }
+}
+
+TEST(FifteenKernel, RootsWithAnInteriorBlankTakeAllFourMoves) {
+  SKIP_WITHOUT_AVX2();
+  // Roots (last = kNoMove) with the blank on each interior cell: all four
+  // moves are legal and none is the inverse of a previous one.
+  std::vector<FifteenPuzzle> problems;
+  std::vector<FifteenPuzzle::Node> roots;
+  for (const int cell : {5, 6, 9, 10}) {
+    std::array<std::uint8_t, puzzle::kCells> tiles{};
+    for (int pos = 0; pos < puzzle::kCells; ++pos) {
+      tiles[static_cast<std::size_t>(pos)] = static_cast<std::uint8_t>(pos);
+    }
+    std::swap(tiles[0], tiles[static_cast<std::size_t>(cell)]);
+    problems.emplace_back(puzzle::Board::from_tiles(tiles));
+    roots.push_back(problems.back().root());
+    ASSERT_EQ(roots.back().last, puzzle::kNoMove);
+    ASSERT_EQ(roots.back().blank, cell);
+  }
+  const search::Bound open = 100;  // prunes nothing at g = 1
+  const auto count = static_cast<std::uint32_t>(roots.size());
+  const KernelRun r = run_kernel(roots.data(), count, open);
+  for (std::uint32_t j = 0; j < count; ++j) {
+    EXPECT_EQ(r.counts[j], 4u) << "root " << j;
+    for (std::uint32_t mv = 0; mv < 4; ++mv) {
+      EXPECT_EQ(r.kids[j][mv].last, mv) << "root " << j;
+    }
+  }
+  // Each root is its own problem's root, but expand() only reads the node.
+  expect_rows_match_expand(problems[0], roots.data(), count, open, r);
+  EXPECT_FALSE(r.next.has_value());
+}
+
+TEST(FifteenKernel, BoundsThatPruneEverythingOrNothing) {
+  SKIP_WITHOUT_AVX2();
+  const FifteenPuzzle p(puzzle::test_workloads()[1].board());
+  const search::Bound f0 = p.f_value(p.root());
+  const auto pool = node_pool(p, 64, f0 + 8);
+  ASSERT_EQ(pool.size(), 64u);
+  for (const std::uint32_t count : {1u, 5u, 64u}) {
+    // Bound 0: every child has f >= 1, so every candidate is pruned and
+    // NextBound carries the smallest of them.
+    const KernelRun none = run_kernel(pool.data(), count, 0);
+    const search::NextBound ref =
+        expect_rows_match_expand(p, pool.data(), count, 0, none);
+    for (std::uint32_t j = 0; j < count; ++j) EXPECT_EQ(none.counts[j], 0u);
+    EXPECT_TRUE(ref.has_value());
+    // A bound above every child's f: nothing is pruned, NextBound stays
+    // unset.
+    const search::Bound open = 255;
+    const KernelRun all = run_kernel(pool.data(), count, open);
+    expect_rows_match_expand(p, pool.data(), count, open, all);
+    EXPECT_FALSE(all.next.has_value()) << "count " << count;
+    for (std::uint32_t j = 0; j < count; ++j) {
+      EXPECT_GE(all.counts[j], 1u);
     }
   }
 }

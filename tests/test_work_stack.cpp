@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstddef>
+#include <vector>
+
 namespace simdts::search {
 namespace {
 
@@ -113,6 +117,98 @@ TEST(WorkStack, MoveOnlyPayload) {
   EXPECT_EQ(*p, 6);
   auto q = s.take_bottom();
   EXPECT_EQ(*q, 5);
+}
+
+/// A stack after `pushes` push() calls (values 0, 1, ...) and `takes`
+/// take_bottom() calls: `takes` moves the ring's head, so the next top slot
+/// can sit anywhere in the buffer, including within 4 of its physical end.
+WorkStack<int> ring_state(int pushes, int takes) {
+  WorkStack<int> s;
+  for (int i = 0; i < pushes; ++i) s.push(i);
+  for (int i = 0; i < takes; ++i) s.take_bottom();
+  return s;
+}
+
+/// Checks `got` against `want` element by element, then drains both with
+/// the same mix of pop() and take_bottom() and compares what comes out.
+void expect_same_stack(WorkStack<int>& got, WorkStack<int>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i], want[i]) << "slot " << i;
+  }
+  // Later pushes land right above the new top, over the dead slots.
+  got.push(1000);
+  want.push(1000);
+  for (int step = 0; !want.empty(); ++step) {
+    ASSERT_FALSE(got.empty());
+    if (step % 3 == 2) {
+      EXPECT_EQ(got.take_bottom(), want.take_bottom());
+    } else {
+      EXPECT_EQ(got.pop(), want.pop());
+    }
+  }
+  EXPECT_TRUE(got.empty());
+}
+
+TEST(WorkStack, Append4MatchesSuccessivePushesInEveryRingState) {
+  const std::array<int, 4> src{100, 101, 102, 103};
+  // Up to 12 pushes covers capacities 8 and 16, every head offset in the
+  // 8-slot ring (wrapping writes) and appends that must grow the buffer.
+  for (int pushes = 0; pushes <= 12; ++pushes) {
+    for (int takes = 0; takes <= pushes; ++takes) {
+      for (std::size_t n = 0; n <= 4; ++n) {
+        SCOPED_TRACE(testing::Message() << "pushes " << pushes << " takes "
+                                        << takes << " n " << n);
+        WorkStack<int> got = ring_state(pushes, takes);
+        WorkStack<int> want = ring_state(pushes, takes);
+        const std::size_t before = got.size();
+        got.append4(src, n);
+        for (std::size_t i = 0; i < n; ++i) want.push(src[i]);
+        EXPECT_EQ(got.size(), before + n);
+        EXPECT_GE(got.capacity(), before + 4);
+        expect_same_stack(got, want);
+      }
+    }
+  }
+}
+
+TEST(WorkStack, Append4WrapsAroundThePhysicalEnd) {
+  // Seven pushes and five takes: capacity 8, head at slot 5, two live nodes,
+  // so the four slot writes land on physical slots 7, 0, 1 and 2.
+  const std::array<int, 4> src{100, 101, 102, 103};
+  for (std::size_t n = 0; n <= 4; ++n) {
+    WorkStack<int> got = ring_state(7, 5);
+    ASSERT_EQ(got.capacity(), 8u);
+    got.append4(src, n);
+    EXPECT_EQ(got.capacity(), 8u) << "no regrowth: the writes wrapped";
+    WorkStack<int> want = ring_state(7, 5);
+    for (std::size_t i = 0; i < n; ++i) want.push(src[i]);
+    expect_same_stack(got, want);
+  }
+}
+
+TEST(WorkStack, Append4GrowsWhenFourSlotsDoNotFit) {
+  // Five of eight slots live: size + 4 > capacity, so even an append of
+  // zero nodes reserves room for four, keeping the bottom-to-top order of
+  // a wrapped ring.
+  const std::array<int, 4> src{100, 101, 102, 103};
+  for (std::size_t n = 0; n <= 4; ++n) {
+    WorkStack<int> got = ring_state(8, 3);
+    got.push(8);
+    got.push(9);
+    got.push(10);
+    ASSERT_EQ(got.size(), 8u);
+    got.take_bottom();
+    got.take_bottom();
+    got.take_bottom();
+    ASSERT_EQ(got.capacity(), 8u);
+    got.append4(src, n);
+    EXPECT_EQ(got.capacity(), 16u);
+    WorkStack<int> want;
+    for (int v = 6; v <= 10; ++v) want.push(v);
+    for (std::size_t i = 0; i < n; ++i) want.push(src[i]);
+    expect_same_stack(got, want);
+  }
 }
 
 }  // namespace
