@@ -18,12 +18,12 @@
 // lanes; a fully idle or dead block costs a single test) and accumulates
 // census *deltas*; work transfers reclassify exactly the donor and receiver
 // they move nodes between.  Matching enumerations are word-level
-// popcount/countr_zero walks over the same planes.  In the per-bit step the
-// children of a popped node are staged in a flat per-lane buffer and
-// appended to the stack in one batch (one capacity check), with the staging
-// buffer cleared once per 64-lane word, not once per node; the batched step
-// stages each node's children in a fixed row of four slots instead (see
-// expand_cycle).  When the Machine carries a thread pool, a cycle is
+// popcount/countr_zero walks over the same planes.  Wherever a node has at
+// most four children (every shipped workload but TSP and queens), they are
+// staged in a fixed row of four slots and the whole row is copied onto the
+// stack with the size advanced by the child count, so no step branches on
+// how many children a node had (see expand_cycle).  When the Machine
+// carries a thread pool, a cycle is
 // spread over host lanes at word granularity — no two host lanes
 // ever write the same flag word — with per-lane accumulators (counts, goals,
 // pruned bounds) that are reduced in lane order after the barrier, so no
@@ -48,14 +48,16 @@
 // (the plane all-zero) the fault machinery costs one AND per 64 lanes and
 // the run is bit-identical to the pre-fault engine.
 //
-// Expansion step: the word walk expands each word's active lanes with one of
-// two steps, chosen once at construction.  The per-bit step pops and expands
-// lane by lane through the problem's expand(); every domain uses it, and it
-// is the reference.  The batched step pops a word's lanes first and expands
-// them with one call of the 15-puzzle kernel (vec/expand.hpp, which also
-// states the selection rule).  Both steps feed the same flag/census
-// transition in the same bit order, so the choice never moves a simulated
-// result; tests/test_vector_backend.cpp pins that.
+// Expansion step (ExpandStep): the word walk expands each word's active
+// lanes with one of three steps, chosen once at construction.  The per-bit
+// steps pop and expand lane by lane: the vector step through the problem's
+// expand() (every domain has it, and it is the reference), the row step
+// through expand_row() into a fixed row of four (search::RowTreeProblem,
+// when the instance's row_fits()).  The batched step pops a word's lanes
+// first and expands them with one call of the 15-puzzle kernel
+// (vec/expand.hpp, which also states its selection rule).  Every step feeds
+// the same flag/census transition in the same bit order, so the choice never
+// moves a simulated result; tests/test_vector_backend.cpp pins that.
 //
 // Mega-P (P up to 2^20 and beyond): three coordinated mechanisms keep such
 // machines practical.  Per-lane state lives in a common::ShardedArray
@@ -97,6 +99,13 @@
 
 namespace simdts::lb {
 
+/// How an Engine expands a flag word's active lanes; see the header comment.
+enum class ExpandStep {
+  kVector,   ///< per lane: pop, expand() into the lane's vector, append
+  kRow,      ///< per lane: pop, expand_row() into a row of four, append4
+  kBatched,  ///< per word: pop every lane, one 15-puzzle kernel call
+};
+
 /// `StackT` selects the per-lane stack representation: WorkStack<Node> (the
 /// default — full nodes, every TreeProblem) or search::CompactStack<P> (delta
 /// records, DeltaTreeProblem only; ~4x fewer bytes per lane on the
@@ -117,7 +126,7 @@ class Engine {
       : problem_(problem),
         machine_(machine),
         cfg_(cfg),
-        batched_(select_batched(problem, machine.size())),
+        step_(select_step(problem, machine.size())),
         matcher_(cfg.match),
         stacks_(machine.size()),
         busy_flags_(machine.size()),
@@ -142,7 +151,7 @@ class Engine {
     // goals at once is a terminal burst whose growth the markers cover.
     for (LaneScratch& ls : lane_scratch_) {
       ls.goal_nodes.reserve(std::min<std::size_t>(machine.size(), 4096));
-      if (batched_) {
+      if (step_ == ExpandStep::kBatched) {
         ls.batch_nodes.reserve(simd::BitPlane::kWordBits);
         ls.batch_kids.resize(simd::BitPlane::kWordBits);
         ls.batch_counts.resize(simd::BitPlane::kWordBits);
@@ -174,10 +183,9 @@ class Engine {
 #endif
   }
 
-  /// True when this engine expands through the batched 15-puzzle kernel
-  /// instead of per-node expand() (see the selection rule in
-  /// vec/expand.hpp).  Results are identical either way.
-  [[nodiscard]] bool batched() const noexcept { return batched_; }
+  /// The expansion step this engine chose at construction (select_step).
+  /// Results are identical whichever it is.
+  [[nodiscard]] ExpandStep step() const noexcept { return step_; }
 
   /// Watchdog: a nonzero budget bounds the expand cycles of each bounded DFS
   /// (each run_iteration / IDA* iteration); exceeding it throws
@@ -436,7 +444,7 @@ class Engine {
     std::int64_t d_splittable = 0;  ///< splittable transitions, either way
     std::uint64_t goal_hits = 0;
     std::vector<Node> goal_nodes;
-    std::vector<Node> children;  ///< per-bit staging buffer, cleared per word
+    std::vector<Node> children;  ///< vector step's staging, cleared per word
     search::NextBound next_bound;
     // Batched step only (empty otherwise): a word's non-goal pops, each
     // one's row of four child slots, and its child count.
@@ -445,13 +453,28 @@ class Engine {
     std::vector<std::uint32_t> batch_counts;
   };
 
-  /// The step-selection rule: only a problem with a batch kernel can take
-  /// the batched step, and vec::batch_applies decides whether it does.
-  static bool select_batched(const P& problem, std::uint32_t pes) {
+  /// The step-selection rule: the batched step where the problem has a
+  /// batch kernel and vec::batch_applies says it pays, else the row step
+  /// where every child fits a row of four, else the vector step.
+  static ExpandStep select_step(const P& problem, std::uint32_t pes) {
     if constexpr (vec::kHasKernel<P>) {
-      return vec::batch_applies(problem, pes);
-    } else {
-      return false;
+      if (vec::batch_applies(problem, pes)) return ExpandStep::kBatched;
+    }
+    if constexpr (search::RowTreeProblem<P>) {
+      if (problem.row_fits()) return ExpandStep::kRow;
+    }
+    return ExpandStep::kVector;
+  }
+
+  /// Pushes row[0..n) onto `st` in order.  WorkStack copies the whole row
+  /// and advances its size by n (append4, no branch on n); CompactStack
+  /// encodes just the n children.
+  static void append_row(StackT& st, std::array<Node, 4>& row,
+                         std::uint32_t n) {
+    if constexpr (requires { st.append4(row, n); }) {
+      st.append4(row, n);
+    } else if (n != 0) {
+      st.append(row.data(), n);
     }
   }
 
@@ -474,14 +497,19 @@ class Engine {
   /// bounds land in lane scratch and are reduced in lane order at the
   /// barrier.
   ///
-  /// The per-word step is the only part that varies (batched_, fixed at
-  /// construction).  The per-bit step pops and expands inside the bit loop,
-  /// staging children in the lane's flat buffer (cleared once per word) and
-  /// appending them in one batch.  The batched step pops the whole word
-  /// first (expand_word_batched); the bit loop then copies each lane's
-  /// fixed row of four child slots onto its stack and advances the size by
-  /// the lane's count.  Either way the bit loop runs the one flag/census
-  /// transition in bit order.
+  /// The per-word step is the only part that varies (step_, fixed at
+  /// construction).  The per-bit steps pop and expand inside the bit loop:
+  /// the row step writes a node's children into the host lane's row of four
+  /// and appends the row (append_row); the vector step stages them in the
+  /// lane's vector (cleared once per word) and appends them in one batch.
+  /// The batched step pops the whole word first (expand_word_batched); the
+  /// bit loop then appends each lane's row of four from the kernel.  Every
+  /// step runs the one flag/census transition of the bit loop, in bit order.
+  ///
+  ///   per-bit:  for each active bit:  pop -> goal? -> expand_row -> row
+  ///                                   -> append_row -> flag/census
+  ///   batched:  pop all active bits -> expand_fifteen -> rows[j]
+  ///             for each active bit:  append_row(rows[j]) -> flag/census
   // SIMDLINT-REGION(lockstep)
   void expand_cycle(search::Bound bound, IterationStats& stats) {
     for (auto& ls : lane_scratch_) {
@@ -497,9 +525,10 @@ class Engine {
     const std::uint64_t* const dead_words = dead_.words().data();
     const std::size_t nwords = idle_flags_.word_count();
     const std::uint64_t last_mask = idle_flags_.word_mask(nwords - 1);
-    // Constant false for problems without a kernel, so their walk compiles
-    // to the per-bit step alone.
-    const bool batched = vec::kHasKernel<P> && batched_;
+    // Constant false for problems without a kernel (rows: without
+    // expand_row), so their walk compiles without that step.
+    const bool batched = vec::kHasKernel<P> && step_ == ExpandStep::kBatched;
+    const bool rows = search::RowTreeProblem<P> && step_ == ExpandStep::kRow;
     // Per-bit step on a machine wider than one flag word: prefetch a word's
     // stack tops before popping any of them (see below).  A single word's
     // stacks stay cache-resident, so small machines skip it.
@@ -509,6 +538,7 @@ class Engine {
     auto body = [&, bound](unsigned lane, std::size_t wbegin,
                            std::size_t wend) {
       LaneScratch& ls = lane_scratch_[lane];
+      std::array<Node, 4> row{};  // the row step's staging
 #ifdef SIMDTS_SANITIZE
       // Register this worker's word-ownership claim for the dispatch; every
       // flag-word write below is checked against it.  The shrink mutation
@@ -574,24 +604,28 @@ class Engine {
           m &= m - 1;
           auto& st = stacks_[base + b];
           const std::uint64_t bit = std::uint64_t{1} << b;
-          if (!batched) {
+          if (batched) {
+            if ((goal_bits & bit) == 0) {
+              append_row(st, ls.batch_kids[slot], ls.batch_counts[slot]);
+              ++slot;
+            }
+          } else {
             Node n = st.pop();
             if (!record_goal(ls, n)) {
-              const std::size_t staged = ls.children.size();
-              // SIMDLINT-EFFECT-OK(allocates) children is persistent-capacity
-              problem_.expand(n, bound, ls.children, ls.next_bound);  // lane
-              // scratch: growth is amortized across the whole run.
-              const std::size_t added = ls.children.size() - staged;
-              if (added != 0) st.append(ls.children.data() + staged, added);
-            }
-          } else if ((goal_bits & bit) == 0) {
-            const std::uint32_t added = ls.batch_counts[slot];
-            std::array<Node, 4>& kids = ls.batch_kids[slot];
-            ++slot;
-            if constexpr (requires { st.append4(kids, added); }) {
-              st.append4(kids, added);
-            } else if (added != 0) {
-              st.append(kids.data(), added);
+              if (rows) {
+                std::uint32_t added = 0;
+                if constexpr (search::RowTreeProblem<P>) {
+                  added = problem_.expand_row(n, bound, row, ls.next_bound);
+                }
+                append_row(st, row, added);
+              } else {
+                const std::size_t staged = ls.children.size();
+                // SIMDLINT-EFFECT-OK(allocates) children is persistent-
+                problem_.expand(n, bound, ls.children, ls.next_bound);
+                // capacity lane scratch: growth is amortized over the run.
+                const std::size_t added = ls.children.size() - staged;
+                if (added != 0) st.append(ls.children.data() + staged, added);
+              }
             }
           }
           const bool was_split = (busy_w & bit) != 0;
@@ -1096,7 +1130,7 @@ class Engine {
   const P& problem_;
   simd::Machine& machine_;
   SchemeConfig cfg_;
-  const bool batched_;  ///< expansion step, fixed at construction
+  const ExpandStep step_;  ///< fixed at construction (select_step)
   Matcher matcher_;
   common::ShardedArray<StackT> stacks_;
   simd::BitPlane busy_flags_;   ///< splittable, maintained in place

@@ -7,7 +7,7 @@
 // incrementally in O(1) per move.
 #pragma once
 
-#include <cstddef>
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -44,27 +44,36 @@ class FifteenPuzzle {
   }
 
   /// Generates children with f = g + h <= bound; prunes the inverse of the
-  /// last move; records the minimum pruned f in `next`.  This is the hot
-  /// path of every experiment, so moves are applied with direct nibble
-  /// arithmetic on the packed board, and children are staged batched: every
-  /// move writes through a flat cursor into `out`'s tail (sized once for the
-  /// four-move worst case) and the cursor advances by the bound predicate —
-  /// one size adjustment per expansion instead of a push_back per child, and
-  /// no data-dependent branch on the bound test.
+  /// last move; records the minimum pruned f in `next`.  A thin wrapper
+  /// over expand_row(), which holds the move arithmetic.
   void expand(const Node& n, search::Bound bound, std::vector<Node>& out,
               search::NextBound& next) const {
+    std::array<Node, 4> row{};
+    const std::uint32_t k = expand_row(n, bound, row, next);
+    out.insert(out.end(), row.begin(), row.begin() + k);
+  }
+
+  /// A node has at most four moves, so every expansion fits one row
+  /// (search::RowTreeProblem).
+  [[nodiscard]] static constexpr bool row_fits() { return true; }
+
+  /// expand()'s children of `n` in row[0..k), k returned.  This is the hot
+  /// path of every experiment, so moves are applied with direct nibble
+  /// arithmetic on the packed board, and every legal move writes its child
+  /// at a cursor that advances by the bound predicate: no data-dependent
+  /// branch on the bound test.
+  // SIMDLINT-REGION(lockstep)
+  std::uint32_t expand_row(const Node& n, search::Bound bound,
+                           std::array<Node, 4>& row,
+                           search::NextBound& next) const {
     const int blank = n.blank;
-    const int row = row_of(blank);
-    const int col = col_of(blank);
+    const int blank_row = row_of(blank);
+    const int blank_col = col_of(blank);
     const std::uint8_t skip =
         n.last == kNoMove
             ? kNoMove
             : static_cast<std::uint8_t>(inverse(static_cast<Move>(n.last)));
-
-    const std::size_t base = out.size();
-    out.resize(base + 4);  // at most four moves
-    Node* const dst = out.data() + base;
-    std::size_t k = 0;
+    std::uint32_t k = 0;
 
     auto try_move = [&](Move m, bool legal, int target) {
       if (!legal || static_cast<std::uint8_t>(m) == skip) return;
@@ -85,16 +94,16 @@ class FifteenPuzzle {
       child.last = static_cast<std::uint8_t>(m);
       const auto f = static_cast<search::Bound>(child.g) + child.h;
       const bool take = f <= bound;
-      dst[k] = child;
-      k += static_cast<std::size_t>(take);
+      row[k] = child;
+      k += static_cast<std::uint32_t>(take);
       if (!take) next.observe(f);
     };
 
-    try_move(Move::kUp, row > 0, blank - kSide);
-    try_move(Move::kDown, row < kSide - 1, blank + kSide);
-    try_move(Move::kLeft, col > 0, blank - 1);
-    try_move(Move::kRight, col < kSide - 1, blank + 1);
-    out.resize(base + k);
+    try_move(Move::kUp, blank_row > 0, blank - kSide);
+    try_move(Move::kDown, blank_row < kSide - 1, blank + kSide);
+    try_move(Move::kLeft, blank_col > 0, blank - 1);
+    try_move(Move::kRight, blank_col < kSide - 1, blank + 1);
+    return k;
   }
 
   [[nodiscard]] bool is_goal(const Node& n) const { return n.h == 0; }
@@ -110,9 +119,9 @@ class FifteenPuzzle {
     return child.last;
   }
 
-  /// Re-applies move `delta` to `n` with exactly the arithmetic of expand()'s
-  /// try_move, so the decoded child is bit-identical to the one expand()
-  /// emitted (the CompactStack correctness contract).
+  /// Re-applies move `delta` to `n` with exactly the arithmetic of
+  /// expand_row()'s try_move, so the decoded child is bit-identical to the
+  /// one expand() emitted (the CompactStack correctness contract).
   [[nodiscard]] Node decode_delta(const Node& n, std::uint8_t delta) const {
     const auto m = static_cast<Move>(delta);
     const int blank = n.blank;
@@ -169,7 +178,8 @@ class FifteenPuzzle {
   }
 
  private:
-  /// Displacement of the blank for each move, matching expand()'s targets.
+  /// Displacement of the blank for each move, matching expand_row()'s
+  /// targets.
   [[nodiscard]] static constexpr int move_offset(Move m) {
     switch (m) {
       case Move::kUp:
@@ -193,5 +203,6 @@ static_assert(sizeof(FifteenPuzzle::Node) == 16,
 static_assert(search::TreeProblem<FifteenPuzzle>);
 static_assert(search::DeltaTreeProblem<FifteenPuzzle>);
 static_assert(search::UndoDeltaProblem<FifteenPuzzle>);
+static_assert(search::RowTreeProblem<FifteenPuzzle>);
 
 }  // namespace simdts::puzzle

@@ -11,6 +11,7 @@
 // for the entire unexplored subtree below it).
 #pragma once
 
+#include <array>
 #include <concepts>
 #include <cstdint>
 #include <limits>
@@ -47,6 +48,31 @@ concept TreeProblem = requires(const P& p, const typename P::Node& n,
   { p.is_goal(n) } -> std::convertible_to<bool>;
   { p.f_value(n) } -> std::convertible_to<Bound>;
 };
+
+/// Optional fixed-row extension of TreeProblem: a domain whose nodes have
+/// at most four children can write them into a caller-owned row of four
+/// slots instead of appending to a vector.  The engine's per-bit step then
+/// copies the whole row onto the lane's stack and advances the size by the
+/// returned count (WorkStack::append4), with no branch on how many children
+/// a node had.
+///
+/// Contract:
+///  - expand_row(n, bound, row, next) returns k <= 4 and writes into
+///    row[0..k) exactly the children — bit for bit, in the same order — that
+///    expand(n, bound, ...) appends, with the same effect on `next`.  Slots
+///    row[k..4) hold no child (a rejected candidate or older data).
+///  - row_fits() says whether that holds for every node of this instance; a
+///    domain whose branching depends on its parameters (synthetic::Tree with
+///    more than four child slots) returns false and is expanded through
+///    expand() alone.
+template <typename P>
+concept RowTreeProblem =
+    TreeProblem<P> &&
+    requires(const P& p, const typename P::Node& n, Bound bound,
+             std::array<typename P::Node, 4>& row, NextBound& next) {
+      { p.row_fits() } -> std::convertible_to<bool>;
+      { p.expand_row(n, bound, row, next) } -> std::same_as<std::uint32_t>;
+    };
 
 /// Optional delta-codec extension of TreeProblem: a child node is
 /// representable as its parent plus a one-byte delta (a move index / child

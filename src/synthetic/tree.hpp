@@ -18,6 +18,8 @@
 // synthetic/calibrate.hpp.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -54,38 +56,32 @@ class Tree {
   }
 
   /// Exhaustive search: the bound is ignored and `next` never set (a single
-  /// "iteration" visits the whole tree).
-  ///
-  /// Child emission is branchless: every slot's candidate node is appended
-  /// unconditionally, copied down to the compaction cursor, and the cursor
-  /// advances by the existence predicate; one shrink drops the untaken tail.
-  /// The per-slot coin flips are ~fertility-biased and uncorrelated, so a
-  /// conditional push would mispredict on a large fraction of slots — in the
-  /// engine's hot loop that misprediction chain costs more than computing
-  /// the occasional discarded node.  Appending keeps the common call on
-  /// push_back's inline fast path: the staging buffer's capacity persists
-  /// across calls, so no call value-initialises slots or reaches the
-  /// out-of-line growth.
+  /// "iteration" visits the whole tree).  Children come in slot order, from
+  /// emit_slots() four slots at a time, so this and expand_row() share one
+  /// copy of the child arithmetic.
   void expand(const Node& n, search::Bound /*bound*/, std::vector<Node>& out,
               search::NextBound& /*next*/) const {
-    if (n.depth >= params_.max_depth) return;
-    const double p =
-        params_.fertility * (0.5 + static_cast<double>(n.climate) * 0x1.0p-16);
-    const auto depth = static_cast<std::uint16_t>(n.depth + 1);
-    // Locals, so the node stores below cannot force reloads through `n` or
-    // params_, and `n` may even be an element of `out`.
-    const std::uint64_t id = n.id;
-    const std::uint16_t climate = n.climate;
-    const std::uint32_t max_children = params_.max_children;
-    std::size_t k = out.size();
-    for (std::uint32_t i = 0; i < max_children; ++i) {
-      const std::uint64_t h = hash2(id, 0x4348494C44ULL + i);
-      const Node c{h, depth, drift_climate(climate, h)};
-      out.push_back(c);
-      out[k] = c;  // from registers: re-reading out.back() would stall
-      k += static_cast<std::size_t>(normalized(h) < p);
+    const Node parent = n;  // `n` may be an element of `out`
+    std::array<Node, 4> row{};
+    for (std::uint32_t first = 0; first < params_.max_children; first += 4) {
+      const std::uint32_t k = emit_slots(
+          parent, first, std::min(first + 4, params_.max_children), row);
+      out.insert(out.end(), row.begin(), row.begin() + k);
     }
-    out.resize(k);
+  }
+
+  /// Fixed-row expansion (search::RowTreeProblem): every child fits one row
+  /// of four exactly when a node has at most four child slots, which holds
+  /// for every shipped workload.
+  [[nodiscard]] bool row_fits() const { return params_.max_children <= 4; }
+
+  /// expand()'s children of `n` in row[0..k), k returned.  Requires
+  /// row_fits(); past four slots only the first four would be considered.
+  // SIMDLINT-REGION(lockstep)
+  std::uint32_t expand_row(const Node& n, search::Bound /*bound*/,
+                           std::array<Node, 4>& row,
+                           search::NextBound& /*next*/) const {
+    return emit_slots(n, 0, std::min(params_.max_children, 4u), row);
   }
 
   [[nodiscard]] bool is_goal(const Node&) const { return false; }
@@ -133,8 +129,34 @@ class Tree {
   }
 
  private:
+  /// The existing children among slots [first, last) (last - first <= 4),
+  /// compacted in slot order into row[0..k); returns k.  Emission is
+  /// branchless: every slot's candidate is written at the cursor, which
+  /// advances by the existence predicate.  The per-slot coin flips are
+  /// ~fertility-biased and uncorrelated, so a conditional store would
+  /// mispredict on a large fraction of slots; in the engine's hot loop that
+  /// misprediction chain costs more than the occasional discarded node.
+  std::uint32_t emit_slots(const Node& n, std::uint32_t first,
+                           std::uint32_t last,
+                           std::array<Node, 4>& row) const {
+    if (n.depth >= params_.max_depth) return 0;
+    const double p =
+        params_.fertility * (0.5 + static_cast<double>(n.climate) * 0x1.0p-16);
+    const auto depth = static_cast<std::uint16_t>(n.depth + 1);
+    // Locals, so the row stores cannot force reloads through `n`.
+    const std::uint64_t id = n.id;
+    const std::uint16_t climate = n.climate;
+    std::uint32_t k = 0;
+    for (std::uint32_t i = first; i < last; ++i) {
+      const std::uint64_t h = hash2(id, 0x4348494C44ULL + i);
+      row[k] = Node{h, depth, drift_climate(climate, h)};
+      k += static_cast<std::uint32_t>(normalized(h) < p);
+    }
+    return k;
+  }
+
   /// Random-walk step of the climate, clamped to the uint16 range.  Shared
-  /// by expand() and decode_delta(), which must agree bit for bit.
+  /// by emit_slots() and decode_delta(), which must agree bit for bit.
   [[nodiscard]] static std::uint16_t drift_climate(std::uint16_t climate,
                                                    std::uint64_t h) {
     const auto delta = static_cast<std::int32_t>((h >> 40) % 8192) - 4096;
@@ -149,5 +171,6 @@ class Tree {
 
 static_assert(search::TreeProblem<Tree>);
 static_assert(search::DeltaTreeProblem<Tree>);
+static_assert(search::RowTreeProblem<Tree>);
 
 }  // namespace simdts::synthetic

@@ -4,18 +4,18 @@
 // Two phases.  The *candidate phase* is pure branch-free lane arithmetic
 // over struct-of-arrays copies of the batch: every potential child of every
 // node is computed unconditionally into move-major arrays (`cand[move][lane]`)
-// — the transpose of expand()'s predicated staging writes.  Each candidate
+// — the transpose of expand_row()'s predicated row writes.  Each candidate
 // is two packed words, the board and the child's byte fields
 // (`blank | g<<8 | h<<16 | last<<24`, Node's layout past the board).  The
 // *emission phase* walks the candidates per node in move order, storing each
 // as one 16-byte Node into the node's fixed four-slot row and advancing a
-// write cursor by the take predicate, exactly like expand()'s staging loop.
+// write cursor by the take predicate, exactly like expand_row()'s row loop.
 // The candidate phase carries all the work (board arithmetic, heuristic
 // deltas, bound tests) and vectorizes because no lane ever branches.
 //
-// Bit-exactness with FifteenPuzzle::expand():
+// Bit-exactness with FifteenPuzzle::expand_row():
 //  - Tile distances come from the coordinate formula
-//    |row(pos) - row(t)| + |col(pos) - col(t)|, which equals expand()'s
+//    |row(pos) - row(t)| + |col(pos) - col(t)|, which equals expand_row()'s
 //    table lookup for every real tile (the goal cell of tile t is cell t;
 //    the moved tile is never the blank on a legal move).
 //  - NextBound is a pure min, so observing the batch's minimum pruned f once

@@ -1,12 +1,13 @@
-// Batched 15-puzzle expansion: the engine's second per-word step.
+// Batched 15-puzzle expansion: the engine's per-word step.
 //
-// The engine's reference step pops one node per active lane and calls the
-// problem's expand() on it.  For puzzle::FifteenPuzzle under the Manhattan
+// The engine's per-bit steps pop one node per active lane and expand it
+// alone; for the 15-puzzle that is FifteenPuzzle::expand_row(), which writes
+// the node's children into a row of four slots.  Under the Manhattan
 // heuristic the engine can instead pop a whole flag word's active lanes (at
 // most 64 nodes) and expand them with one expand_fifteen() call: the kernel
 // computes all four moves of every node as branch-free u64 lane arithmetic
-// (AVX2-wide), then stores the taken children of node j, in move order, into
-// its fixed row of four child slots.
+// (AVX2-wide), then fills node j's row with the same row contract as
+// expand_row() (search::RowTreeProblem).
 //
 // The engine picks the step once, at construction (batch_applies):
 //  - the problem has a kernel (kHasKernel — only puzzle::FifteenPuzzle);
@@ -19,9 +20,10 @@
 //
 // Contract, pinned end to end by tests/test_vector_backend.cpp: node j's
 // child row holds, in its first child_counts[j] slots, exactly the children
-// that FifteenPuzzle::expand() emits for node j, in the same order, and the
-// NextBound outcome equals that of `count` calls of expand().
-// The kernel does the same integer arithmetic as expand() — only the
+// that FifteenPuzzle::expand_row() writes for node j (and expand() emits),
+// in the same order, and the NextBound outcome equals that of `count` calls
+// of expand_row().
+// The kernel does the same integer arithmetic as expand_row() — only the
 // schedule changes — so the engine's results do not depend on the step.
 #pragma once
 
@@ -47,7 +49,7 @@ inline constexpr std::uint32_t kMinBatchPes = 64;
 [[nodiscard]] bool cpu_has_avx2() noexcept;
 
 /// The selection rule: true when an engine of `pes` lanes over `p` should
-/// expand through expand_fifteen() instead of per-node expand().
+/// expand through expand_fifteen() instead of per-node expand_row().
 [[nodiscard]] bool batch_applies(const puzzle::FifteenPuzzle& p,
                                  std::uint32_t pes) noexcept;
 

@@ -328,6 +328,54 @@ TEST(CompactStack, DeepDfsLifecycleMemory) {
   EXPECT_GE(full.memory_bytes(), 4 * (compact.memory_bytes() + 1));
 }
 
+// The time-averaged figure P multiplies at mega-P: one lane driven through
+// the engine's op discipline down the t-4k instance's 4000-step unbounded
+// descent and then drained, heap bytes sampled after every operation.  Every
+// sample is a pure count, so the 4x claim is gated exactly: summed WorkStack
+// bytes >= 4 * summed CompactStack bytes over the same samples.
+TEST(CompactStack, TimeAveragedBytesPerLaneOverT4kDescentAndDrain) {
+  const auto& wl = puzzle::test_workloads()[1];
+  ASSERT_STREQ(wl.name, "t-4k");
+  const FifteenPuzzle problem(wl.board());
+
+  WorkStack<FifteenPuzzle::Node> full;
+  CompactStack<FifteenPuzzle> compact;
+  compact.bind(problem);
+  full.push(problem.root());
+  compact.push(problem.root());
+  std::vector<FifteenPuzzle::Node> kids;
+  search::NextBound nb;
+  std::uint64_t sum_full = 0;
+  std::uint64_t sum_compact = 0;
+  std::uint64_t samples = 0;
+  const auto sample = [&] {
+    sum_full += full.memory_bytes();
+    sum_compact += compact.memory_bytes();
+    ++samples;
+  };
+  for (int step = 0; step < 4000; ++step) {
+    const FifteenPuzzle::Node a = full.pop();
+    ASSERT_EQ(a, compact.pop()) << "descent step " << step;
+    kids.clear();
+    problem.expand(a, search::kUnbounded, kids, nb);
+    std::vector<FifteenPuzzle::Node> copy = kids;
+    full.append(copy.data(), copy.size());
+    compact.append(kids.data(), kids.size());
+    sample();
+  }
+  while (!full.empty()) {
+    ASSERT_EQ(full.pop(), compact.pop());
+    compact.release_if_drained();
+    sample();
+  }
+  ASSERT_GT(sum_compact, 0u);
+  EXPECT_GE(sum_full, 4 * sum_compact)
+      << "time-averaged bytes/lane: WorkStack "
+      << static_cast<double>(sum_full) / static_cast<double>(samples)
+      << " vs CompactStack "
+      << static_cast<double>(sum_compact) / static_cast<double>(samples);
+}
+
 // ---------------------------------------------------------------------------
 // Engine equivalence: an Engine on CompactStack is bit-identical to the
 // WorkStack engine — stats, goal order, simulated clock.

@@ -1,6 +1,7 @@
 // Randomized property sweep: arbitrary scheme configurations on arbitrary
-// small trees must always conserve work, terminate, and keep the metric
-// identities.  The "random" draws are deterministic (seed-indexed), so a
+// small trees must always conserve work, terminate, keep the metric
+// identities, and give identical results on the row and vector expansion
+// steps.  The "random" draws are deterministic (seed-indexed), so a
 // failure reproduces exactly.
 #include <gtest/gtest.h>
 
@@ -8,6 +9,7 @@
 #include "mimd/engine.hpp"
 #include "search/serial.hpp"
 #include "simd/cost_model.hpp"
+#include "step_wrappers.hpp"
 #include "synthetic/tree.hpp"
 
 namespace simdts {
@@ -64,9 +66,19 @@ TEST_P(FuzzSweep, EngineConservesAndTerminates) {
     const std::uint32_t p = 1u << (mix(seed + variant) % 9);  // 1..256
     simd::Machine machine(p, simd::cm2_cost_model());
     lb::Engine<synthetic::Tree> engine(tree, machine, cfg);
+    ASSERT_EQ(engine.step(), lb::ExpandStep::kRow);
     const lb::IterationStats it = engine.run_iteration(search::kUnbounded);
 
     ASSERT_EQ(it.nodes_expanded, serial.nodes_expanded)
+        << "seed=" << seed << " cfg=" << cfg.name() << " P=" << p;
+    // The expansion-step axis: the same config on the vector step (a
+    // wrapper without expand_row) must reproduce every result.
+    simd::Machine vector_machine(p, simd::cm2_cost_model());
+    const oracle::VectorStep<synthetic::Tree> vector_tree(tree_params);
+    lb::Engine<oracle::VectorStep<synthetic::Tree>> vector_engine(
+        vector_tree, vector_machine, cfg);
+    ASSERT_EQ(vector_engine.step(), lb::ExpandStep::kVector);
+    EXPECT_EQ(vector_engine.run_iteration(search::kUnbounded), it)
         << "seed=" << seed << " cfg=" << cfg.name() << " P=" << p;
     EXPECT_GE(it.lb_rounds, it.lb_phases);
     EXPECT_GE(it.transfers, it.lb_rounds > 0 ? 1u : 0u);

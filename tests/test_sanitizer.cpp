@@ -28,6 +28,7 @@
 #include "simd/bitplane.hpp"
 #include "simd/cost_model.hpp"
 #include "simd/machine.hpp"
+#include "step_wrappers.hpp"
 #include "synthetic/tree.hpp"
 #include "vec/expand.hpp"
 #endif
@@ -75,14 +76,24 @@ void expect_fires(const char* invariant, Fn&& fn) {
   }
 }
 
+/// synthetic::Tree behind a wrapper without expand_row(): the same tree on
+/// the vector step.
+using VectorTree = oracle::VectorStep<synthetic::Tree>;
+
 /// A moderate synthetic-tree run that exercises expansion, lb phases and
 /// (with a plan) the kill/recovery path — the scenario every engine-level
-/// mutation test perturbs.
+/// mutation test perturbs.  `Problem` picks the expansion step: the Tree
+/// itself takes the row step, VectorTree the vector step, and each
+/// mutation test runs both.
+template <typename Problem = synthetic::Tree>
 lb::RunStats run_synthetic(std::uint32_t p,
                            const fault::FaultPlan* plan = nullptr) {
-  const synthetic::Tree tree(synthetic::Params{9013, 4, 0.395, 14});
+  const Problem tree(synthetic::Params{9013, 4, 0.395, 14});
   simd::Machine machine(p, simd::cm2_cost_model());
-  lb::Engine<synthetic::Tree> engine(tree, machine, lb::gp_static(0.9));
+  lb::Engine<Problem> engine(tree, machine, lb::gp_static(0.9));
+  EXPECT_EQ(engine.step(), search::RowTreeProblem<Problem>
+                               ? lb::ExpandStep::kRow
+                               : lb::ExpandStep::kVector);
   if (plan != nullptr) engine.arm_faults(plan);
   return engine.run();
 }
@@ -95,7 +106,7 @@ lb::RunStats run_batched_puzzle(std::uint32_t p,
   simd::Machine machine(p, simd::cm2_cost_model());
   lb::Engine<puzzle::FifteenPuzzle> engine(problem, machine,
                                            lb::gp_static(0.9));
-  EXPECT_TRUE(engine.batched());
+  EXPECT_EQ(engine.step(), lb::ExpandStep::kBatched);
   if (plan != nullptr) engine.arm_faults(plan);
   return engine.run();
 }
@@ -114,11 +125,13 @@ TEST(Sanitizer, CleanRunPassesAllChecksArmedAndDisarmed) {
   MutationGuard guard;
   san::set_armed(true);
   const lb::RunStats armed = run_synthetic(64);
+  const lb::RunStats armed_vector = run_synthetic<VectorTree>(64);
   san::set_armed(false);
   const lb::RunStats disarmed = run_synthetic(64);
   EXPECT_EQ(armed.total.nodes_expanded, disarmed.total.nodes_expanded);
   EXPECT_EQ(armed.total.lb_phases, disarmed.total.lb_phases);
   EXPECT_EQ(armed.goals_found, disarmed.goals_found);
+  EXPECT_EQ(armed_vector, armed);
 }
 
 TEST(Sanitizer, CleanBatchedPuzzleRunPassesAllChecks) {
@@ -134,6 +147,7 @@ TEST(Sanitizer, CleanFaultRunPassesAllChecks) {
   const fault::FaultPlan plan =
       fault::FaultPlan::random_kills(77, 64, 9, 5, 60);
   EXPECT_NO_THROW(run_synthetic(64, &plan));
+  EXPECT_NO_THROW(run_synthetic<VectorTree>(64, &plan));
 }
 
 // ---------------------------------------------------------------------------
@@ -146,6 +160,7 @@ TEST(SanitizerMutation, ShrunkWordClaimTripsWordOwnership) {
   // P=64 is a single flag word: the shrunk claim is empty, so the very
   // first write-back is outside it.
   expect_fires("word-ownership", [] { run_synthetic(64); });
+  expect_fires("word-ownership", [] { run_synthetic<VectorTree>(64); });
 }
 
 TEST(SanitizerMutation, ExpandingADeadLaneTripsDeadLane) {
@@ -155,6 +170,7 @@ TEST(SanitizerMutation, ExpandingADeadLaneTripsDeadLane) {
   // With the dead mask ignored, lane 0 re-enters the active set the cycle
   // after its kill; the shadow plane catches the expansion read.
   expect_fires("dead-lane", [&] { run_synthetic(64, &plan); });
+  expect_fires("dead-lane", [&] { run_synthetic<VectorTree>(64, &plan); });
 }
 
 TEST(SanitizerMutation, DonationFromADeadLaneTripsDeadLane) {
@@ -162,6 +178,7 @@ TEST(SanitizerMutation, DonationFromADeadLaneTripsDeadLane) {
   san::mutation().donate_from_dead = true;
   const fault::FaultPlan plan({{2, fault::FaultKind::kKillPe, 0, 0}});
   expect_fires("dead-lane", [&] { run_synthetic(64, &plan); });
+  expect_fires("dead-lane", [&] { run_synthetic<VectorTree>(64, &plan); });
 }
 
 TEST(SanitizerMutation, DuplicateMatchPairTripsDoubleDonation) {
@@ -169,6 +186,7 @@ TEST(SanitizerMutation, DuplicateMatchPairTripsDoubleDonation) {
   san::mutation().duplicate_match_pair = true;
   // Fires at the first rendezvous round that matches two or more pairs.
   expect_fires("double-donation", [] { run_synthetic(64); });
+  expect_fires("double-donation", [] { run_synthetic<VectorTree>(64); });
 }
 
 TEST(SanitizerMutation, CorruptedTailTripsTailBits) {
@@ -177,12 +195,14 @@ TEST(SanitizerMutation, CorruptedTailTripsTailBits) {
   // P=100 leaves 28 invalid tail bits in the last word for the mutation to
   // flip (at P%64==0 there is no tail and the mutation is a no-op).
   expect_fires("tail-bits", [] { run_synthetic(100); });
+  expect_fires("tail-bits", [] { run_synthetic<VectorTree>(100); });
 }
 
 TEST(SanitizerMutation, DroppedCensusDeltaTripsCensusDivergence) {
   MutationGuard guard;
   san::mutation().drop_census_delta = true;
   expect_fires("census-divergence", [] { run_synthetic(64); });
+  expect_fires("census-divergence", [] { run_synthetic<VectorTree>(64); });
 }
 
 // The four engine mutations again, on the batched step.

@@ -1,16 +1,17 @@
-// The batched 15-puzzle step against the per-bit reference.
+// The batched 15-puzzle step against the vector-step reference.
 //
 // The contract under test (vec/expand.hpp): an engine that expands through
 // the 15-puzzle kernel produces *identical* RunStats (nodes expanded, goals,
 // every lb metric, the simulated clock) and an identical goal-node sequence
-// as the per-bit step — across bounds, run modes, host thread counts, both
+// as the vector step — across bounds, run modes, host thread counts, both
 // stack representations, and with a FaultPlan armed (dead lanes must never
 // enter a batch).
 //
 // The reference is NoBatchPuzzle: a forwarding wrapper around FifteenPuzzle
-// whose type has no kernel, so the engine always gives it the per-bit step
-// while it searches exactly the same tree.  Tests that need the kernel skip
-// only when the host CPU lacks AVX2.
+// (tests/step_wrappers.hpp) whose type has no kernel and no expand_row(), so
+// the engine always gives it the vector step while it searches exactly the
+// same tree.  Tests that need the kernel skip only when the host CPU lacks
+// AVX2.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -27,6 +28,7 @@
 #include "search/problem.hpp"
 #include "simd/machine.hpp"
 #include "simd/thread_pool.hpp"
+#include "step_wrappers.hpp"
 #include "synthetic/tree.hpp"
 #include "vec/expand.hpp"
 
@@ -35,21 +37,9 @@ namespace {
 
 using puzzle::FifteenPuzzle;
 
-/// FifteenPuzzle behind a type with no kernel: the per-bit reference.
-struct NoBatchPuzzle {
-  using Node = FifteenPuzzle::Node;
-  explicit NoBatchPuzzle(puzzle::Board b) : inner(b) {}
-  [[nodiscard]] Node root() const { return inner.root(); }
-  void expand(const Node& n, search::Bound b, std::vector<Node>& out,
-              search::NextBound& nb) const {
-    inner.expand(n, b, out, nb);
-  }
-  [[nodiscard]] bool is_goal(const Node& n) const { return inner.is_goal(n); }
-  [[nodiscard]] search::Bound f_value(const Node& n) const {
-    return inner.f_value(n);
-  }
-  FifteenPuzzle inner;
-};
+/// FifteenPuzzle behind a type with neither a kernel nor expand_row(): the
+/// vector-step reference.
+using NoBatchPuzzle = oracle::VectorStep<FifteenPuzzle>;
 
 static_assert(search::TreeProblem<NoBatchPuzzle>);
 static_assert(vec::kHasKernel<FifteenPuzzle>);
@@ -214,20 +204,26 @@ TEST(FifteenKernel, SelectionRulePinsEachBranch) {
   simd::Machine m64(64, simd::cm2_cost_model());
   simd::Machine m63(63, simd::cm2_cost_model());
 
-  // Every other condition holds; each of these fails exactly one.
-  EXPECT_FALSE(Engine<FifteenPuzzle>(conflict, m64, gp_dk()).batched());
-  EXPECT_FALSE(Engine<FifteenPuzzle>(manhattan, m63, gp_dk()).batched());
-  EXPECT_FALSE(Engine<NoBatchPuzzle>(no_kernel, m64, gp_dk()).batched());
+  // Every other condition holds; each of these fails exactly one.  A
+  // FifteenPuzzle that misses the batched step takes the row step; the
+  // wrapper without a kernel or expand_row takes the vector step.
+  EXPECT_EQ(Engine<FifteenPuzzle>(conflict, m64, gp_dk()).step(),
+            ExpandStep::kRow);
+  EXPECT_EQ(Engine<FifteenPuzzle>(manhattan, m63, gp_dk()).step(),
+            ExpandStep::kRow);
+  EXPECT_EQ(Engine<NoBatchPuzzle>(no_kernel, m64, gp_dk()).step(),
+            ExpandStep::kVector);
   EXPECT_FALSE(vec::batch_applies(manhattan, vec::kMinBatchPes - 1));
 
   // All four hold (the CPU condition only on an AVX2 host).
-  const bool avx2 = vec::cpu_has_avx2();
-  EXPECT_EQ(Engine<FifteenPuzzle>(manhattan, m64, gp_dk()).batched(), avx2);
-  EXPECT_EQ(CompactEngine<FifteenPuzzle>(manhattan, m64, gp_dk()).batched(),
-            avx2);
+  const ExpandStep want =
+      vec::cpu_has_avx2() ? ExpandStep::kBatched : ExpandStep::kRow;
+  EXPECT_EQ(Engine<FifteenPuzzle>(manhattan, m64, gp_dk()).step(), want);
+  EXPECT_EQ(CompactEngine<FifteenPuzzle>(manhattan, m64, gp_dk()).step(),
+            want);
 }
 
-/// Full IDA* on the kernel step (stack `StackT`) against the per-bit
+/// Full IDA* on the kernel step (stack `StackT`) against the vector-step
 /// reference, at 1, 2 and 8 host threads.
 template <typename StackT>
 void expect_kernel_runs_match(const puzzle::PuzzleWorkload& wl,
@@ -243,7 +239,7 @@ void expect_kernel_runs_match(const puzzle::PuzzleWorkload& wl,
     simd::ThreadPool pool(threads);
     simd::Machine m(p, simd::cm2_cost_model(), threads > 1 ? &pool : nullptr);
     Engine<FifteenPuzzle, StackT> batched(problem, m, gp_dk());
-    ASSERT_TRUE(batched.batched());
+    ASSERT_EQ(batched.step(), ExpandStep::kBatched);
     EXPECT_EQ(batched.run(), ref)
         << wl.name << " P=" << p << " threads=" << threads;
     EXPECT_EQ(batched.goal_nodes(), per_bit.goal_nodes())
@@ -286,7 +282,7 @@ TEST(FifteenOracle, FirstSolutionIdentical) {
     Engine<NoBatchPuzzle> per_bit(reference, m_ref, gp_dk());
     simd::Machine m(p, simd::cm2_cost_model());
     Engine<FifteenPuzzle> batched(problem, m, gp_dk());
-    ASSERT_TRUE(batched.batched());
+    ASSERT_EQ(batched.step(), ExpandStep::kBatched);
     EXPECT_EQ(batched.run_first_solution(wl.solution_length),
               per_bit.run_first_solution(wl.solution_length))
         << "P=" << p;
@@ -317,7 +313,7 @@ TEST(FifteenOracle, ArmedFaultPlanIdenticalAndDeadLanesExcluded) {
     simd::ThreadPool pool(threads);
     simd::Machine m(p, simd::cm2_cost_model(), threads > 1 ? &pool : nullptr);
     Engine<FifteenPuzzle> batched(problem, m, gp_dk());
-    ASSERT_TRUE(batched.batched());
+    ASSERT_EQ(batched.step(), ExpandStep::kBatched);
     batched.arm_faults(&plan);
     // run_iteration's conservation check plus degraded-mode accounting make
     // a dead lane slipping into a batch surface as a stats divergence or a
