@@ -3,10 +3,10 @@
 // CompactStack lanes + hierarchical census/rendezvous).
 //
 // Three hard gates, each a non-zero exit:
-//  1. Determinism: the same 2^20-lane iteration run at 1, 2 and 8 host
-//     threads — with a FaultPlan armed (kills across the whole lane range,
-//     one revival) and without — produces bit-identical IterationStats on
-//     both stack representations.
+//  1. Determinism: the same 2^20-lane iteration run again — with a
+//     FaultPlan armed (kills across the whole lane range, one revival) and
+//     without — produces bit-identical IterationStats on both stack
+//     representations.
 //  2. Representation transparency: CompactStack results equal WorkStack
 //     results (the delta encoding may never change a simulated count).
 //  3. Memory: peak RSS of the whole process stays under a fixed ceiling.
@@ -26,7 +26,6 @@
 #include "analysis/report.hpp"
 #include "fault/fault.hpp"
 #include "lb/engine.hpp"
-#include "simd/thread_pool.hpp"
 #include "synthetic/tree.hpp"
 
 namespace {
@@ -46,9 +45,8 @@ long peak_rss_mb() {
 
 template <typename EngineT>
 lb::IterationStats run_once(const synthetic::Tree& tree, std::uint32_t p,
-                            unsigned threads, const fault::FaultPlan* plan) {
-  simd::ThreadPool pool(threads);
-  simd::Machine machine(p, simd::cm2_cost_model(), &pool);
+                            const fault::FaultPlan* plan) {
+  simd::Machine machine(p, simd::cm2_cost_model());
   EngineT engine(tree, machine, lb::gp_static(0.9));
   if (plan != nullptr) engine.arm_faults(plan);
   return engine.run_iteration(search::kUnbounded);
@@ -60,8 +58,8 @@ int main() {
   analysis::print_banner(
       "Mega-P smoke — P = 2^20 lanes, quick and deterministic",
       "repo infrastructure (no paper counterpart)",
-      "bit-identical across 1/2/8 host threads and both stack "
-      "representations, faults armed and unarmed, under a fixed RSS ceiling");
+      "bit-identical across reruns and both stack representations, faults "
+      "armed and unarmed, under a fixed RSS ceiling");
 
   const std::uint32_t p = 1u << 20;
   const synthetic::Tree tree(tree_params());
@@ -75,9 +73,9 @@ int main() {
   });
 
   const lb::IterationStats base =
-      run_once<lb::Engine<synthetic::Tree>>(tree, p, 1, nullptr);
+      run_once<lb::Engine<synthetic::Tree>>(tree, p, nullptr);
   const lb::IterationStats base_faulted =
-      run_once<lb::Engine<synthetic::Tree>>(tree, p, 1, &plan);
+      run_once<lb::Engine<synthetic::Tree>>(tree, p, &plan);
   if (base.nodes_expanded == 0 || base_faulted.pes_killed != 3 ||
       base_faulted.pes_revived != 1) {
     std::cout << "FATAL: the smoke scenario degenerated (nodes="
@@ -95,26 +93,18 @@ int main() {
               << (ok ? "bit-identical" : "DIVERGED") << '\n';
     identical = identical && ok;
   };
-  for (const unsigned threads : {1u, 2u, 8u}) {
-    const std::string t = "t=" + std::to_string(threads);
-    check(("full    " + t + " unarmed").c_str(),
-          run_once<lb::Engine<synthetic::Tree>>(tree, p, threads, nullptr),
-          base);
-    check(("full    " + t + " faults ").c_str(),
-          run_once<lb::Engine<synthetic::Tree>>(tree, p, threads, &plan),
-          base_faulted);
-    check(("compact " + t + " unarmed").c_str(),
-          run_once<lb::CompactEngine<synthetic::Tree>>(tree, p, threads,
-                                                       nullptr),
-          base);
-    check(("compact " + t + " faults ").c_str(),
-          run_once<lb::CompactEngine<synthetic::Tree>>(tree, p, threads,
-                                                       &plan),
-          base_faulted);
-  }
+  check("full    unarmed",
+        run_once<lb::Engine<synthetic::Tree>>(tree, p, nullptr), base);
+  check("full    faults ",
+        run_once<lb::Engine<synthetic::Tree>>(tree, p, &plan), base_faulted);
+  check("compact unarmed",
+        run_once<lb::CompactEngine<synthetic::Tree>>(tree, p, nullptr), base);
+  check("compact faults ",
+        run_once<lb::CompactEngine<synthetic::Tree>>(tree, p, &plan),
+        base_faulted);
   if (!identical) {
-    std::cout << "\nFATAL: a P = 2^20 run diverged across host threads, "
-                 "fault arming, or stack representation.\n";
+    std::cout << "\nFATAL: a P = 2^20 run diverged across reruns, fault "
+                 "arming, or stack representation.\n";
     return 1;
   }
 
@@ -130,6 +120,6 @@ int main() {
     return 1;
   }
   std::cout << "mega-P smoke: PASS (" << base.nodes_expanded
-            << " nodes, 12 runs bit-identical, RSS within ceiling)\n";
+            << " nodes, 4 runs bit-identical, RSS within ceiling)\n";
   return 0;
 }

@@ -6,13 +6,13 @@
 // huge arena that can neither grow incrementally nor return partial pages)
 // and resizing it ever would move every element.  A ShardedArray stores the
 // elements in fixed-size shards — 4096 elements each, i.e. 64 flag-plane
-// words of lanes, matching the engine's host-thread partition alignment — so
-// allocation is incremental, element addresses are stable for the array's
-// lifetime, and indexing stays two shifts and a mask.
+// words of lanes — so allocation is incremental, element addresses are
+// stable for the array's lifetime, and indexing stays two shifts and a mask.
 //
-// The shard size being a multiple of 64 lanes preserves the engine's
-// bit-exact word-granularity ownership discipline: no flag-plane word ever
-// maps to elements of two different shards.
+// The shard size being a multiple of 64 lanes means no flag-plane word ever
+// maps to elements of two different shards: the 64 elements of word w are
+// contiguous from &a[w * 64], so the engine's expansion walk indexes a
+// word's stacks from one base pointer (it static_asserts this rule).
 #pragma once
 
 #include <cstddef>

@@ -22,18 +22,15 @@
 // most four children (every shipped workload but TSP and queens), they are
 // staged in a fixed row of four slots and the whole row is copied onto the
 // stack with the size advanced by the child count, so no step branches on
-// how many children a node had (see expand_cycle).  When the Machine
-// carries a thread pool, a cycle is
-// spread over host lanes at word granularity — no two host lanes
-// ever write the same flag word — with per-lane accumulators (counts, goals,
-// pruned bounds) that are reduced in lane order after the barrier, so no
-// mutex is taken inside the loop and the reduction order is fixed.
+// how many children a node had (see expand_cycle).
 //
 // Determinism: the run is a pure function of (problem, P, config, cost
-// model, fault plan).  Host threads, if provided via the Machine's pool, only
-// spread one lock-step cycle over cores; every PE's state is private and the
-// per-lane partials are combined in lane order, so the result — including the
-// order of recorded goal nodes — is identical for any thread count.
+// model, fault plan).  An engine runs on one host thread: each lock-step
+// cycle is a single walk in PE order, so the result — including the order
+// of recorded goal nodes — is fixed.  Host parallelism lives one level up,
+// where whole runs are independent (runtime::SweepRunner, the service's
+// run_tasks); engines share no mutable state, so a sweep's results are
+// identical for any sweep thread count.
 //
 // Fault injection (docs/robustness.md): arm_faults() attaches a
 // fault::FaultPlan whose events fire on the simulated expand-cycle clock.
@@ -61,16 +58,13 @@
 //
 // Mega-P (P up to 2^20 and beyond): three coordinated mechanisms keep such
 // machines practical.  Per-lane state lives in a common::ShardedArray
-// (64-word-aligned chunks, stable addresses, incremental allocation); each
+// (4096-lane shards, stable addresses, incremental allocation); each
 // flag plane carries a simd::SummaryPlane (one bit per 64-lane word,
 // maintained at the same write-back that stores the word) so the expansion
 // walk and every load-balancing enumeration skip empty regions and scale
 // with *occupied* words, not P; and the per-lane stack is a template
 // parameter, so a DeltaTreeProblem can swap WorkStack's full-Node entries
-// for CompactStack's 2-byte delta records (see CompactEngine below).  Host
-// partitions are aligned to 64 plane words so every summary word keeps a
-// single writer per cycle; alignment only moves chunk boundaries, which by
-// the determinism guarantee above cannot move a single simulated result.
+// for CompactStack's 2-byte delta records (see CompactEngine below).
 #pragma once
 
 #include <algorithm>
@@ -132,8 +126,7 @@ class Engine {
         busy_flags_(machine.size()),
         idle_flags_(machine.size()),
         dead_(machine.size()),
-        alive_(machine.size()),
-        lane_scratch_(machine.pool() != nullptr ? machine.pool()->size() : 1) {
+        alive_(machine.size()) {
     cfg_.validate();
     busy_summary_.assign_for_lanes(machine.size());
     idle_summary_.assign_for_lanes(machine.size());
@@ -141,21 +134,19 @@ class Engine {
     if constexpr (requires(StackT& s) { s.bind(problem); }) {
       stacks_.for_each([&problem](StackT& s) { s.bind(problem); });
     }
-    // Size the lane scratch once, outside the lockstep region: a cycle
+    // Size the walk's buffers once, outside the lockstep region: a cycle
     // records at most one goal per PE and a batch never crosses one flag
     // word, so with these capacities a steady-state cycle touches no
     // allocator at all (the effect analysis pins the remaining growth
     // sites, see the markers in expand_cycle and its step helpers).  The
-    // goal reserve is capped: at mega-P a per-host-lane reserve of P nodes
-    // would itself dominate memory, and a cycle landing more than the cap in
-    // goals at once is a terminal burst whose growth the markers cover.
-    for (LaneScratch& ls : lane_scratch_) {
-      ls.goal_nodes.reserve(std::min<std::size_t>(machine.size(), 4096));
-      if (step_ == ExpandStep::kBatched) {
-        ls.batch_nodes.reserve(simd::BitPlane::kWordBits);
-        ls.batch_kids.resize(simd::BitPlane::kWordBits);
-        ls.batch_counts.resize(simd::BitPlane::kWordBits);
-      }
+    // goal reserve is capped: at mega-P a reserve of P nodes would itself
+    // dominate memory, and a cycle landing more than the cap in goals at
+    // once is a terminal burst whose growth the markers cover.
+    goal_nodes_.reserve(std::min<std::size_t>(machine.size(), 4096));
+    if (step_ == ExpandStep::kBatched) {
+      scratch_.batch_nodes.reserve(simd::BitPlane::kWordBits);
+      scratch_.batch_kids.resize(simd::BitPlane::kWordBits);
+      scratch_.batch_counts.resize(simd::BitPlane::kWordBits);
     }
 #ifdef SIMDTS_SANITIZE
     san_dead_.resize(machine.size());
@@ -407,7 +398,9 @@ class Engine {
   /// stack_memory_bytes() integrated over every sampled cycle, divided by
   /// (cycles * P).  This is the number that sizes a mega-P deployment —
   /// P * avg-bytes-per-lane is the expected resident footprint — and the
-  /// `bytes_per_lane` figure of BENCH_engine.json's mega_p section.
+  /// `search.stack_avg_bytes_per_lane` layer metric of perfbench.  (It is
+  /// not the single-lane descent figure that tests/test_compact_stack.cpp
+  /// gates; this one averages over every lane, idle lanes included.)
   /// Requires SchemeConfig::track_stack_memory; zero otherwise.
   [[nodiscard]] double stack_memory_avg_per_lane() const noexcept {
     if (stack_bytes_cycles_ == 0) return 0.0;
@@ -434,18 +427,10 @@ class Engine {
     std::uint32_t empty = 0;
   };
 
-  /// Lane-private partial results of one expansion cycle; merged in lane
-  /// order at the barrier.  Census changes are tracked as *deltas* against
-  /// the incrementally-maintained counts_ (an untouched lane contributes
-  /// nothing, so idle blocks cost no accounting).  The node buffers keep
-  /// their capacity across cycles, so steady-state cycles allocate nothing.
-  struct LaneScratch {
-    std::int64_t d_nonempty = 0;    ///< minus the lanes that ran dry
-    std::int64_t d_splittable = 0;  ///< splittable transitions, either way
-    std::uint64_t goal_hits = 0;
-    std::vector<Node> goal_nodes;
+  /// The walk's reusable buffers, sized at construction so a steady-state
+  /// cycle allocates nothing.
+  struct WalkScratch {
     std::vector<Node> children;  ///< vector step's staging, cleared per word
-    search::NextBound next_bound;
     // Batched step only (empty otherwise): a word's non-goal pops, each
     // one's row of four child slots, and its child count.
     std::vector<Node> batch_nodes;
@@ -492,19 +477,18 @@ class Engine {
   /// exactly the lanes holding work), extracted with std::countr_zero — a
   /// fully idle or dead block costs one load and one test, and the dead-lane
   /// check is a word-level AND (zero-cost when no plan is armed: the plane
-  /// is all-zero).  Host lanes partition the *word* range, so no
-  /// two lanes write the same flag word; census deltas, goals and pruned
-  /// bounds land in lane scratch and are reduced in lane order at the
-  /// barrier.
+  /// is all-zero).  The walk is one host thread in PE order; its census
+  /// deltas and pruned bound are locals, folded into the run state once at
+  /// the end of the cycle.
   ///
   /// The per-word step is the only part that varies (step_, fixed at
   /// construction).  The per-bit steps pop and expand inside the bit loop:
-  /// the row step writes a node's children into the host lane's row of four
-  /// and appends the row (append_row); the vector step stages them in the
-  /// lane's vector (cleared once per word) and appends them in one batch.
-  /// The batched step pops the whole word first (expand_word_batched); the
-  /// bit loop then appends each lane's row of four from the kernel.  Every
-  /// step runs the one flag/census transition of the bit loop, in bit order.
+  /// the row step writes a node's children into a row of four and appends
+  /// the row (append_row); the vector step stages them in the scratch vector
+  /// (cleared once per word) and appends them in one batch.  The batched
+  /// step pops the whole word first (expand_word_batched); the bit loop then
+  /// appends each lane's row of four from the kernel.  Every step runs the
+  /// one flag/census transition of the bit loop, in bit order.
   ///
   ///   per-bit:  for each active bit:  pop -> goal? -> expand_row -> row
   ///                                   -> append_row -> flag/census
@@ -512,14 +496,10 @@ class Engine {
   ///             for each active bit:  append_row(rows[j]) -> flag/census
   // SIMDLINT-REGION(lockstep)
   void expand_cycle(search::Bound bound, IterationStats& stats) {
-    for (auto& ls : lane_scratch_) {
-      ls.d_nonempty = 0;
-      ls.d_splittable = 0;
-      ls.goal_hits = 0;
-      ls.goal_nodes.clear();
-      ls.next_bound = search::NextBound{};
-    }
     constexpr std::size_t kWordBits = simd::BitPlane::kWordBits;
+    // A flag word's lanes never span two stack shards, so each word's
+    // stacks are one contiguous run from &stacks_[w * kWordBits].
+    static_assert(common::ShardedArray<StackT>::kShardElems % kWordBits == 0);
     std::uint64_t* const idle_words = idle_flags_.words().data();
     std::uint64_t* const busy_words = busy_flags_.words().data();
     const std::uint64_t* const dead_words = dead_.words().data();
@@ -533,137 +513,116 @@ class Engine {
     // stack tops before popping any of them (see below).  A single word's
     // stacks stay cache-resident, so small machines skip it.
     const bool prefetch = !batched && nwords > 1;
-    simd::ThreadPool* pool = machine_.pool();
-    // SIMDLINT-SOURCE(partition) — lane index and word-range bounds vary
-    auto body = [&, bound](unsigned lane, std::size_t wbegin,
-                           std::size_t wend) {
-      LaneScratch& ls = lane_scratch_[lane];
-      std::array<Node, 4> row{};  // the row step's staging
+    std::array<Node, 4> row{};      // the row step's staging
+    std::int64_t d_nonempty = 0;    // minus the lanes that ran dry
+    std::int64_t d_splittable = 0;  // splittable transitions, either way
+    search::NextBound next_bound;   // least f-value pruned this cycle
+    const std::size_t goals_before = goal_nodes_.size();
 #ifdef SIMDTS_SANITIZE
-      // Register this worker's word-ownership claim for the dispatch; every
-      // flag-word write below is checked against it.  The shrink mutation
-      // under-claims by one word so the mutation test can prove an
-      // out-of-claim write is caught.
-      const std::size_t claim_end =
-          san::mutation().shrink_word_claim && wend > wbegin ? wend - 1 : wend;
-      san::WordClaim claim(san_claims_, lane, wbegin, claim_end);
-      // The dead-lane-expansion mutation needs the flat walk: it fakes every
-      // lane alive, which the work summary would mask back out by skipping
-      // all-dead words entirely.
-      const bool san_flat = san::mutation().expand_dead_lane;
+    // The dead-lane-expansion mutation needs the flat walk: it fakes every
+    // lane alive, which the work summary would mask back out by skipping
+    // all-dead words entirely.
+    const bool san_flat = san::mutation().expand_dead_lane;
 #else
-      constexpr bool san_flat = false;
+    constexpr bool san_flat = false;
 #endif
-      // Walk only work-summary-occupied words: a clear summary bit
-      // guarantees `active == 0` below, so skipping it is exactly the flat
-      // walk's `continue`.  The bounded scan stays inside this host lane's
-      // 64-word-aligned chunk, whose summary words no other lane writes.
-      for (std::size_t w =
-               san_flat ? wbegin
-                        : work_summary_.next_occupied_below(wbegin, wend);
-           w < wend;
-           w = san_flat ? w + 1
-                        : work_summary_.next_occupied_below(w + 1, wend)) {
-        const std::uint64_t valid =
-            (w + 1 == nwords) ? last_mask : ~std::uint64_t{0};
-        std::uint64_t idle_w = idle_words[w];
-        std::uint64_t busy_w = busy_words[w];
-        std::uint64_t not_dead = ~dead_words[w];
+    // Walk only work-summary-occupied words: a clear summary bit guarantees
+    // `active == 0` below, so skipping it is exactly the flat walk's
+    // `continue`.
+    for (std::size_t w = san_flat ? 0 : work_summary_.next_occupied(0);
+         w < nwords;
+         w = san_flat ? w + 1 : work_summary_.next_occupied(w + 1)) {
+      const std::uint64_t valid =
+          (w + 1 == nwords) ? last_mask : ~std::uint64_t{0};
+      std::uint64_t idle_w = idle_words[w];
+      std::uint64_t busy_w = busy_words[w];
+      std::uint64_t not_dead = ~dead_words[w];
 #ifdef SIMDTS_SANITIZE
-        if (san::mutation().expand_dead_lane) not_dead = ~std::uint64_t{0};
+      if (san::mutation().expand_dead_lane) not_dead = ~std::uint64_t{0};
 #endif
-        const std::uint64_t active = ~idle_w & not_dead & valid;
-        if (active == 0) continue;
-        ls.children.clear();
-        const std::size_t base = w * kWordBits;
+      const std::uint64_t active = ~idle_w & not_dead & valid;
+      if (active == 0) continue;
+      scratch_.children.clear();
+      const std::size_t base = w * kWordBits;
+      StackT* const lanes = &stacks_[base];
 #ifdef SIMDTS_SANITIZE
-        for (std::uint64_t m = active; m != 0; m &= m - 1) {
-          const auto b = static_cast<unsigned>(std::countr_zero(m));
-          san_dead_.check_alive(base + b, "expand");
-        }
-#endif
-        if constexpr (requires(const StackT& s) { s.prefetch_top(); }) {
-          // The stack tops of a word's lanes are scattered across the heap;
-          // issuing every fetch up front overlaps their misses, where the
-          // bit loop's pops would otherwise take them one after another.
-          if (prefetch) {
-            for (std::uint64_t m = active; m != 0; m &= m - 1) {
-              stacks_[base + static_cast<unsigned>(std::countr_zero(m))]
-                  .prefetch_top();
-            }
-          }
-        }
-        std::uint64_t goal_bits = 0;
-        if constexpr (vec::kHasKernel<P>) {
-          if (batched) goal_bits = expand_word_batched(ls, base, active, bound);
-        }
-        std::uint32_t slot = 0;  // batched: index into batch_kids/batch_counts
-        std::uint64_t m = active;
-        while (m != 0) {
-          const auto b = static_cast<unsigned>(std::countr_zero(m));
-          m &= m - 1;
-          auto& st = stacks_[base + b];
-          const std::uint64_t bit = std::uint64_t{1} << b;
-          if (batched) {
-            if ((goal_bits & bit) == 0) {
-              append_row(st, ls.batch_kids[slot], ls.batch_counts[slot]);
-              ++slot;
-            }
-          } else {
-            Node n = st.pop();
-            if (!record_goal(ls, n)) {
-              if (rows) {
-                std::uint32_t added = 0;
-                if constexpr (search::RowTreeProblem<P>) {
-                  added = problem_.expand_row(n, bound, row, ls.next_bound);
-                }
-                append_row(st, row, added);
-              } else {
-                const std::size_t staged = ls.children.size();
-                // SIMDLINT-EFFECT-OK(allocates) children is persistent-
-                problem_.expand(n, bound, ls.children, ls.next_bound);
-                // capacity lane scratch: growth is amortized over the run.
-                const std::size_t added = ls.children.size() - staged;
-                if (added != 0) st.append(ls.children.data() + staged, added);
-              }
-            }
-          }
-          const bool was_split = (busy_w & bit) != 0;
-          if (st.empty()) {
-            idle_w |= bit;
-            busy_w &= ~bit;
-            --ls.d_nonempty;
-            if (was_split) --ls.d_splittable;
-            if constexpr (requires { st.release_if_drained(); }) {
-              // Pooled release: a drained lane's heap goes back to the
-              // allocator the cycle it goes idle, so resident stack memory
-              // tracks *live* work — the memory bound that makes P = 2^20
-              // practical.  Memory-only: simulated results are unchanged.
-              st.release_if_drained();
-            }
-          } else if (st.splittable() != was_split) {
-            ls.d_splittable += was_split ? -1 : 1;
-            busy_w ^= bit;
-          }
-        }
-#ifdef SIMDTS_SANITIZE
-        san::check_word_write(san_claims_, w);
-#endif
-        idle_words[w] = idle_w;
-        busy_words[w] = busy_w;
-        busy_summary_.update_word(w, busy_w);
-        idle_summary_.update_word(w, idle_w);
-        work_summary_.update_word(w, ~idle_w & ~dead_words[w] & valid);
+      for (std::uint64_t m = active; m != 0; m &= m - 1) {
+        const auto b = static_cast<unsigned>(std::countr_zero(m));
+        san_dead_.check_alive(base + b, "expand");
       }
-    };
-    if (pool != nullptr && pool->size() > 1) {
-      // 64-word alignment gives every summary word a single writer; chunk
-      // boundaries never affect simulated results (see the determinism note
-      // in the header comment).
-      pool->parallel_for_lanes_aligned(nwords, simd::BitPlane::kWordBits,
-                                       body);
-    } else {
-      body(0, 0, nwords);
+#endif
+      if constexpr (requires(const StackT& s) { s.prefetch_top(); }) {
+        // The stack tops of a word's lanes are scattered across the heap;
+        // issuing every fetch up front overlaps their misses, where the bit
+        // loop's pops would otherwise take them one after another.
+        if (prefetch) {
+          for (std::uint64_t m = active; m != 0; m &= m - 1) {
+            lanes[std::countr_zero(m)].prefetch_top();
+          }
+        }
+      }
+      std::uint64_t goal_bits = 0;
+      if constexpr (vec::kHasKernel<P>) {
+        if (batched) {
+          goal_bits = expand_word_batched(lanes, active, bound, next_bound);
+        }
+      }
+      std::uint32_t slot = 0;  // batched: index into batch_kids/batch_counts
+      std::uint64_t m = active;
+      while (m != 0) {
+        const auto b = static_cast<unsigned>(std::countr_zero(m));
+        m &= m - 1;
+        StackT& st = lanes[b];
+        const std::uint64_t bit = std::uint64_t{1} << b;
+        if (batched) {
+          if ((goal_bits & bit) == 0) {
+            append_row(st, scratch_.batch_kids[slot],
+                       scratch_.batch_counts[slot]);
+            ++slot;
+          }
+        } else {
+          Node n = st.pop();
+          if (!record_goal(n)) {
+            if (rows) {
+              std::uint32_t added = 0;
+              if constexpr (search::RowTreeProblem<P>) {
+                added = problem_.expand_row(n, bound, row, next_bound);
+              }
+              append_row(st, row, added);
+            } else {
+              std::vector<Node>& children = scratch_.children;
+              const std::size_t staged = children.size();
+              // SIMDLINT-EFFECT-OK(allocates) children is persistent-
+              problem_.expand(n, bound, children, next_bound);
+              // capacity scratch: growth is amortized over the run.
+              const std::size_t added = children.size() - staged;
+              if (added != 0) st.append(children.data() + staged, added);
+            }
+          }
+        }
+        const bool was_split = (busy_w & bit) != 0;
+        if (st.empty()) {
+          idle_w |= bit;
+          busy_w &= ~bit;
+          --d_nonempty;
+          if (was_split) --d_splittable;
+          if constexpr (requires { st.release_if_drained(); }) {
+            // Pooled release: a drained lane's heap goes back to the
+            // allocator the cycle it goes idle, so resident stack memory
+            // tracks *live* work — the memory bound that makes P = 2^20
+            // practical.  Memory-only: simulated results are unchanged.
+            st.release_if_drained();
+          }
+        } else if (st.splittable() != was_split) {
+          d_splittable += was_split ? -1 : 1;
+          busy_w ^= bit;
+        }
+      }
+      idle_words[w] = idle_w;
+      busy_words[w] = busy_w;
+      busy_summary_.update_word(w, busy_w);
+      idle_summary_.update_word(w, idle_w);
+      work_summary_.update_word(w, ~idle_w & ~dead_words[w] & valid);
     }
 #ifdef SIMDTS_SANITIZE
     if (san::mutation().corrupt_tail && last_mask != ~std::uint64_t{0}) {
@@ -671,80 +630,60 @@ class Engine {
       // the per-cycle tail sweep below can prove it fires.
       idle_words[nwords - 1] |= ~last_mask & (last_mask + 1);
     }
-    if (san::mutation().drop_census_delta && !lane_scratch_.empty()) {
-      // Mutation: lose lane 0's splittable delta, desynchronizing the
-      // incremental census from the stacks.
-      lane_scratch_[0].d_splittable = 0;
-    }
+    // Mutation: lose the cycle's splittable delta before the fold,
+    // desynchronizing the incremental census from the stacks.
+    if (san::mutation().drop_census_delta) d_splittable = 0;
 #endif
-    reduce_cycle_scratch(stats);
-#ifdef SIMDTS_SANITIZE
-    san_verify_cycle();
-#endif
-  }
-
-  /// Records `n` in the lane scratch if it is a goal (goals are never
-  /// expanded) and says whether it was.
-  bool record_goal(LaneScratch& ls, Node& n) {
-    if (!problem_.is_goal(n)) return false;
-    ++ls.goal_hits;
-    // SIMDLINT-EFFECT-OK(allocates) capacity min(P, 4096) reserved at
-    ls.goal_nodes.push_back(std::move(n));  // construction; only a terminal
-    // goal burst past the cap grows it, amortized.
-    return true;
-  }
-
-  /// The batched step's gather: pops every active lane of the word at
-  /// `base` in bit order, recording goals as it goes (so goal order matches
-  /// the per-bit step), then expands the other nodes with one kernel call.
-  /// Node j's children land in the first ls.batch_counts[j] slots of
-  /// ls.batch_kids[j].  Returns the word's goal bits.
-  std::uint64_t expand_word_batched(LaneScratch& ls, std::size_t base,
-                                    std::uint64_t active,
-                                    search::Bound bound) {
-    ls.batch_nodes.clear();
-    std::uint64_t goal_bits = 0;
-    for (std::uint64_t m = active; m != 0; m &= m - 1) {
-      const auto b = static_cast<unsigned>(std::countr_zero(m));
-      Node n = stacks_[base + b].pop();
-      if (record_goal(ls, n)) {
-        goal_bits |= std::uint64_t{1} << b;
-      } else {
-        // SIMDLINT-EFFECT-OK(allocates) capacity kWordBits reserved at
-        ls.batch_nodes.push_back(n);  // construction; a batch never crosses
-        // one flag word, so this never reallocates.
-      }
-    }
-    vec::expand_fifteen(ls.batch_nodes.data(),
-                        static_cast<std::uint32_t>(ls.batch_nodes.size()),
-                        bound, ls.batch_kids.data(), ls.batch_counts.data(),
-                        ls.next_bound);
-    return goal_bits;
-  }
-
-  /// Ordered reduction of the per-lane scratch at the cycle barrier: lane 0
-  /// first, then lane 1, ... — bit-identical for any lane count (the
-  /// reduction is where the determinism guarantee lives, so there is
-  /// exactly one copy of it).
-  // SIMDLINT-MERGE(commutative) — fixed lane order, thread-count-invariant
-  void reduce_cycle_scratch(IterationStats& stats) {
-    std::int64_t d_nonempty = 0;
-    std::int64_t d_splittable = 0;
-    for (auto& ls : lane_scratch_) {
-      d_nonempty += ls.d_nonempty;
-      d_splittable += ls.d_splittable;
-      stats.goals_found += ls.goal_hits;
-      next_bound_.merge(ls.next_bound);
-      // SIMDLINT-EFFECT-OK(allocates) goal recording is the run's output
-      for (auto& g : ls.goal_nodes) goal_nodes_.push_back(std::move(g));
-      // channel: it only ever grows on the cycle a solution lands.
-    }
     counts_.nonempty = static_cast<std::uint32_t>(
         static_cast<std::int64_t>(counts_.nonempty) + d_nonempty);
     counts_.splittable = static_cast<std::uint32_t>(
         static_cast<std::int64_t>(counts_.splittable) + d_splittable);
     counts_.empty = static_cast<std::uint32_t>(
         static_cast<std::int64_t>(counts_.empty) - d_nonempty);
+    stats.goals_found += goal_nodes_.size() - goals_before;
+    next_bound_.merge(next_bound);
+#ifdef SIMDTS_SANITIZE
+    san_verify_cycle();
+#endif
+  }
+
+  /// Records `n` as a goal if it is one (goals are never expanded) and says
+  /// whether it was.
+  bool record_goal(Node& n) {
+    if (!problem_.is_goal(n)) return false;
+    // SIMDLINT-EFFECT-OK(allocates) capacity min(P, 4096) reserved at
+    goal_nodes_.push_back(std::move(n));  // construction; only a terminal
+    // goal burst past the cap grows it, amortized.
+    return true;
+  }
+
+  /// The batched step's gather: pops every active lane of the word whose
+  /// stacks start at `lanes`, in bit order, recording goals as it goes (so
+  /// goal order matches the per-bit step), then expands the other nodes with
+  /// one kernel call.  Node j's children land in the first
+  /// scratch_.batch_counts[j] slots of scratch_.batch_kids[j].  Returns the
+  /// word's goal bits.
+  std::uint64_t expand_word_batched(StackT* lanes, std::uint64_t active,
+                                    search::Bound bound,
+                                    search::NextBound& next_bound) {
+    std::vector<Node>& nodes = scratch_.batch_nodes;
+    nodes.clear();
+    std::uint64_t goal_bits = 0;
+    for (std::uint64_t m = active; m != 0; m &= m - 1) {
+      const auto b = static_cast<unsigned>(std::countr_zero(m));
+      Node n = lanes[b].pop();
+      if (record_goal(n)) {
+        goal_bits |= std::uint64_t{1} << b;
+      } else {
+        // SIMDLINT-EFFECT-OK(allocates) capacity kWordBits reserved at
+        nodes.push_back(n);  // construction; a batch never crosses one flag
+        // word, so this never reallocates.
+      }
+    }
+    vec::expand_fifteen(nodes.data(), static_cast<std::uint32_t>(nodes.size()),
+                        bound, scratch_.batch_kids.data(),
+                        scratch_.batch_counts.data(), next_bound);
+    return goal_bits;
   }
 
 #ifdef SIMDTS_SANITIZE
@@ -1145,7 +1084,7 @@ class Engine {
   fault::DeadLanePlane dead_;   ///< killed lanes (degraded mode)
   std::uint32_t alive_;         ///< surviving lane count
   Counts counts_;               ///< incrementally maintained census
-  std::vector<LaneScratch> lane_scratch_;
+  WalkScratch scratch_;         ///< expand_cycle's buffers
   std::vector<simd::Pair> pairs_;  ///< reused across lb rounds
   std::vector<simd::PeIndex> donors_buf_;     ///< reused per give-one round
   std::vector<simd::PeIndex> receivers_buf_;  ///< reused per give-one round
@@ -1167,7 +1106,6 @@ class Engine {
 
 #ifdef SIMDTS_SANITIZE
   san::DeadLaneShadow san_dead_;  ///< SimdSan's copy of the dead plane
-  san::ClaimDomain san_claims_;   ///< this engine's word-ownership claims
 #endif
 };
 

@@ -6,9 +6,9 @@
 // that share nothing.  The simulated machine is lock-step and its clock is
 // simulated time, so nothing about a run depends on when or where the host
 // executes it.  That makes the whole bench suite embarrassingly parallel at
-// the *sweep* level, which is where the wall-clock win is (the per-cycle
-// thread pool inside one Machine parallelizes a single run, but a sweep of
-// hundreds of runs scales trivially with host cores).
+// the *sweep* level, which is where the wall-clock win is: one engine runs
+// on one host thread, and a sweep of hundreds of runs scales trivially with
+// host cores.
 //
 // Design:
 //   - run(n, task) executes task(0..n-1), each exactly once, pulling indices

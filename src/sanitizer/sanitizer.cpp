@@ -7,9 +7,7 @@
 #include "sanitizer/sanitizer.hpp"
 
 #include <atomic>
-#include <mutex>
 #include <sstream>
-#include <vector>
 
 #include "common/error.hpp"
 
@@ -25,35 +23,7 @@ MutationHooks g_mutation{};
   throw SanitizerError(invariant, what);
 }
 
-// Live word claims.  Claims are rare (one per worker per dispatch) and the
-// per-write check only consults the calling thread's own claim through a
-// thread_local, so the per-domain mutex is off the hot path.
-struct ClaimRecord {
-  std::size_t id;
-  std::size_t lane;
-  std::size_t begin;
-  std::size_t end;
-};
-
-struct LocalClaim {
-  std::size_t id = 0;        // 0 = none
-  const void* domain = nullptr;  // the ClaimDomain::State the claim lives in
-  std::size_t begin = 0;
-  std::size_t end = 0;
-};
-thread_local LocalClaim t_claim;
-
 }  // namespace
-
-struct ClaimDomain::State {
-  std::mutex mutex;
-  std::vector<ClaimRecord> claims;
-  std::size_t next_id = 1;
-  std::atomic<std::size_t> live{0};
-};
-
-ClaimDomain::ClaimDomain() : state_(std::make_unique<State>()) {}
-ClaimDomain::~ClaimDomain() = default;
 
 bool armed() noexcept { return g_armed.load(std::memory_order_relaxed); }
 void set_armed(bool value) noexcept {
@@ -61,68 +31,6 @@ void set_armed(bool value) noexcept {
 }
 
 MutationHooks& mutation() noexcept { return g_mutation; }
-
-WordClaim::WordClaim(ClaimDomain& domain, std::size_t lane,
-                     std::size_t word_begin, std::size_t word_end)
-    : state_(domain.state_.get()), id_(0) {
-  if (!armed()) return;
-  std::lock_guard<std::mutex> lock(state_->mutex);
-  if (t_claim.id != 0) {
-    std::ostringstream os;
-    os << "worker for lane " << lane << " opened a word claim while one is "
-       << "already live on this thread";
-    fail("word-ownership", os.str());
-  }
-  for (const ClaimRecord& c : state_->claims) {
-    if (word_begin < c.end && c.begin < word_end) {
-      std::ostringstream os;
-      os << "claim [" << word_begin << ", " << word_end << ") for lane "
-         << lane << " overlaps live claim [" << c.begin << ", " << c.end
-         << ") held for lane " << c.lane;
-      fail("word-ownership", os.str());
-    }
-  }
-  id_ = state_->next_id++;
-  state_->claims.push_back(ClaimRecord{id_, lane, word_begin, word_end});
-  t_claim = LocalClaim{id_, state_, word_begin, word_end};
-  state_->live.fetch_add(1, std::memory_order_relaxed);
-}
-
-WordClaim::~WordClaim() {
-  if (id_ == 0) return;
-  std::lock_guard<std::mutex> lock(state_->mutex);
-  for (std::size_t i = 0; i < state_->claims.size(); ++i) {
-    if (state_->claims[i].id == id_) {
-      state_->claims.erase(state_->claims.begin() +
-                           static_cast<std::ptrdiff_t>(i));
-      break;
-    }
-  }
-  t_claim = LocalClaim{};
-  state_->live.fetch_sub(1, std::memory_order_relaxed);
-}
-
-void check_word_write(const ClaimDomain& domain, std::size_t w) {
-  if (!armed()) return;
-  const ClaimDomain::State* state = domain.state_.get();
-  // Single-threaded phases (no live claims in this domain) write freely;
-  // the ownership discipline only binds while a partitioned dispatch is
-  // running.
-  if (state->live.load(std::memory_order_relaxed) == 0) return;
-  if (t_claim.id == 0 || t_claim.domain != state) {
-    std::ostringstream os;
-    os << "write to flag-plane word " << w
-       << " from a thread holding no word claim while a partitioned "
-       << "dispatch is live";
-    fail("word-ownership", os.str());
-  }
-  if (w < t_claim.begin || w >= t_claim.end) {
-    std::ostringstream os;
-    os << "write to flag-plane word " << w << " outside this thread's claim ["
-       << t_claim.begin << ", " << t_claim.end << ")";
-    fail("word-ownership", os.str());
-  }
-}
 
 void check_lane_index(std::size_t i, std::size_t lanes, const char* where) {
   if (!armed()) return;

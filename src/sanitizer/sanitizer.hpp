@@ -2,10 +2,10 @@
 //
 // Every number the reproduction reports is a function of simulated cycle
 // counts that must stay bit-identical across host thread counts.  The
-// invariants that guarantee this — word-granularity host-thread partitioning,
-// tail-bits-zero flag planes, dead-lane stack hygiene, single-donor
-// rendezvous matching, incremental-census/flag-plane agreement, sorted fault
-// plans — were previously enforced only by golden-CSV diffs after the fact.
+// invariants that guarantee this — tail-bits-zero flag planes, dead-lane
+// stack hygiene, single-donor rendezvous matching, incremental-census/
+// flag-plane agreement, sorted fault plans — were previously enforced only
+// by golden-CSV diffs after the fact.
 // SimdSan checks them at the access: instrumented call sites in
 // simd/bitplane, search/work_stack, lb/engine, lb/matching, and fault/
 // consult a shadow state and throw a typed simdts::SanitizerError (naming the
@@ -29,7 +29,6 @@
 #include <cstdint>
 
 #ifdef SIMDTS_SANITIZE
-#include <memory>
 #include <string>
 #endif
 
@@ -55,7 +54,6 @@ void set_armed(bool value) noexcept;
 /// the sanitizer catches it (and names the right invariant).  All false in
 /// normal operation, including under ctest's positive tests.
 struct MutationHooks {
-  bool shrink_word_claim = false;    // claim one word fewer than written
   bool expand_dead_lane = false;     // expansion ignores the dead plane
   bool donate_from_dead = false;     // rendezvous pairs a dead donor
   bool duplicate_match_pair = false; // same donor matched twice in one round
@@ -66,58 +64,6 @@ struct MutationHooks {
   void reset() noexcept { *this = MutationHooks{}; }
 };
 [[nodiscard]] MutationHooks& mutation() noexcept;
-
-// ---------------------------------------------------------------------------
-// Word ownership ("word-ownership")
-//
-// The engine partitions flag-plane words across host worker threads; a
-// thread may only write words inside its claimed range.  Each worker
-// registers its claim for the duration of one dispatch via an RAII WordClaim;
-// check_word_write verifies the writing thread's claim covers the word and
-// that no two live claims overlap.
-//
-// Word indices only mean something relative to one engine's flag-plane
-// arrays, and independent engines legitimately run at the same time (the
-// sweep runner fans whole grid points across host threads), so claims live
-// in a per-engine ClaimDomain rather than a process-wide registry —
-// otherwise two concurrent engines' word 0 would look like a race.
-
-class ClaimDomain {
- public:
-  ClaimDomain();
-  ~ClaimDomain();
-
-  ClaimDomain(const ClaimDomain&) = delete;
-  ClaimDomain& operator=(const ClaimDomain&) = delete;
-
- private:
-  friend class WordClaim;
-  friend void check_word_write(const ClaimDomain& domain, std::size_t w);
-  struct State;
-  std::unique_ptr<State> state_;
-};
-
-class WordClaim {
- public:
-  /// Claims words [begin, end) of `domain` for the calling thread.  Throws
-  /// SanitizerError("word-ownership") if the range overlaps another live
-  /// claim in the same domain, or this thread already holds a claim.
-  WordClaim(ClaimDomain& domain, std::size_t lane, std::size_t word_begin,
-            std::size_t word_end);
-  ~WordClaim();
-
-  WordClaim(const WordClaim&) = delete;
-  WordClaim& operator=(const WordClaim&) = delete;
-
- private:
-  ClaimDomain::State* state_;
-  std::size_t id_;
-};
-
-/// Verifies the calling thread holds a claim in `domain` covering word `w`.
-/// Throws SanitizerError("word-ownership") on a write outside the claim (or
-/// with no claim at all while any claim is live in the domain).
-void check_word_write(const ClaimDomain& domain, std::size_t w);
 
 // ---------------------------------------------------------------------------
 // Lane bounds ("lane-bounds") and stack reads ("stack-underflow")

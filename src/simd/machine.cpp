@@ -19,8 +19,7 @@ MachineClock& MachineClock::operator+=(const MachineClock& o) {
   return *this;
 }
 
-Machine::Machine(std::uint32_t p, CostModel cost, ThreadPool* pool)
-    : p_(p), cost_(cost), pool_(pool) {
+Machine::Machine(std::uint32_t p, CostModel cost) : p_(p), cost_(cost) {
   if (p_ == 0) {
     throw ConfigError("Machine: need at least one PE", "P=0");
   }

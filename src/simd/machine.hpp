@@ -25,7 +25,6 @@
 #include <cstdint>
 
 #include "simd/cost_model.hpp"
-#include "simd/thread_pool.hpp"
 
 namespace simdts::simd {
 
@@ -73,15 +72,13 @@ struct MachineClock {
 
 class Machine {
  public:
-  /// A machine of `p` PEs with the given cost model.  `pool`, if non-null,
-  /// is used by callers to spread a PE cycle across host threads; it is not
-  /// owned.  Throws simdts::ConfigError on a zero-size machine or a cost
-  /// model with non-positive expansion cost / negative transfer costs.
-  Machine(std::uint32_t p, CostModel cost, ThreadPool* pool = nullptr);
+  /// A machine of `p` PEs with the given cost model.  Throws
+  /// simdts::ConfigError on a zero-size machine or a cost model with
+  /// non-positive expansion cost / negative transfer costs.
+  Machine(std::uint32_t p, CostModel cost);
 
   [[nodiscard]] std::uint32_t size() const noexcept { return p_; }
   [[nodiscard]] const CostModel& cost() const noexcept { return cost_; }
-  [[nodiscard]] ThreadPool* pool() const noexcept { return pool_; }
 
   /// Charges one lock-step node-expansion cycle in which `working` PEs popped
   /// and expanded a node and the other alive - working surviving PEs idled
@@ -116,7 +113,6 @@ class Machine {
  private:
   std::uint32_t p_;
   CostModel cost_;
-  ThreadPool* pool_;
   MachineClock clock_;
 };
 

@@ -3,19 +3,15 @@
 // The CM-2 exposed scans as hardware primitives (Blelloch, "Scans as
 // Primitive Parallel Operations"); the paper's matching schemes are built
 // entirely out of sum-scans over per-PE flags (Section 3.3).  This module
-// provides serial scans plus a blocked two-pass parallel formulation that
-// runs on the host ThreadPool — the classic upsweep/downsweep structure
-// collapsed to per-chunk partial sums, which is work-efficient on CPUs.
+// provides them as serial host loops (an engine runs on one host thread).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <numeric>
 #include <span>
-#include <vector>
 
 #include "simd/bitplane.hpp"
-#include "simd/thread_pool.hpp"
 
 namespace simdts::simd {
 
@@ -44,38 +40,6 @@ void exclusive_scan(std::span<const T> in, std::span<T> out) {
 template <typename T>
 [[nodiscard]] T reduce(std::span<const T> in) {
   return std::accumulate(in.begin(), in.end(), T{});
-}
-
-/// Blocked parallel inclusive scan: each lane scans its chunk, a serial pass
-/// computes chunk offsets, each lane then adds its offset.  Falls back to the
-/// serial scan for small inputs or a single-lane pool.  `out` must not alias
-/// `in` partially (full aliasing, out.data() == in.data(), is allowed).
-template <typename T>
-void inclusive_scan(std::span<const T> in, std::span<T> out, ThreadPool& pool) {
-  constexpr std::size_t kMinParallel = 1 << 14;
-  if (pool.size() <= 1 || in.size() < kMinParallel) {
-    inclusive_scan(in, out);
-    return;
-  }
-  const unsigned lanes = pool.size();
-  const std::size_t chunk = (in.size() + lanes - 1) / lanes;
-  std::vector<T> partial(lanes, T{});
-  pool.parallel_for(in.size(), [&](std::size_t begin, std::size_t end) {
-    T acc{};
-    for (std::size_t i = begin; i < end; ++i) {
-      acc = static_cast<T>(acc + in[i]);
-      out[i] = acc;
-    }
-    partial[begin / chunk] = acc;
-  });
-  std::vector<T> offset(lanes, T{});
-  exclusive_scan<T>(partial, offset);
-  pool.parallel_for(in.size(), [&](std::size_t begin, std::size_t end) {
-    const T off = offset[begin / chunk];
-    for (std::size_t i = begin; i < end; ++i) {
-      out[i] = static_cast<T>(out[i] + off);
-    }
-  });
 }
 
 /// Enumerates the set positions of `flags`: ranks[i] = number of set flags in

@@ -21,9 +21,6 @@
 //    SIMDTS_SANITIZE the engine's per-cycle sweep re-verifies every summary
 //    against a recomputation (the census-divergence check extended to the
 //    summary level).
-//  - Under host threading the engine aligns its word partition to 64-word
-//    blocks (ThreadPool::parallel_for_lanes_aligned), so a summary word has
-//    exactly one writer per cycle.
 #pragma once
 
 #include <bit>
@@ -81,34 +78,20 @@ class SummaryPlane {
   /// First summary-set plane word >= `from`, or size() when none: the
   /// word-skipping step of every summary-aware enumeration.
   [[nodiscard]] std::size_t next_occupied(std::size_t from) const noexcept {
-    return next_occupied_below(from, bits_.size());
-  }
-
-  /// As next_occupied(from), but never returns (or scans) past `limit`:
-  /// returns `limit` when no occupied word lies in [from, limit).  When both
-  /// `from` and `limit` are multiples of kWordBits, only summary words
-  /// [from/64, limit/64) are read — the engine's host-lane bodies rely on
-  /// this so a lane's scan never touches a summary word another lane is
-  /// concurrently rewriting (chunks are 64-word aligned, so summary words
-  /// partition exactly along chunk boundaries).
-  [[nodiscard]] std::size_t next_occupied_below(
-      std::size_t from, std::size_t limit) const noexcept {
-    if (from >= limit) return limit;
+    const std::size_t n = bits_.size();
+    if (from >= n) return n;
     const std::span<const std::uint64_t> ws = bits_.words();
     std::size_t sw = from / BitPlane::kWordBits;
-    const std::size_t sw_end =
-        (limit + BitPlane::kWordBits - 1) / BitPlane::kWordBits;
     std::uint64_t m =
         ws[sw] & (~std::uint64_t{0} << (from % BitPlane::kWordBits));
-    for (;;) {
-      if (m != 0) {
-        const std::size_t i = sw * BitPlane::kWordBits +
-                              static_cast<std::size_t>(std::countr_zero(m));
-        return i < limit ? i : limit;
-      }
-      if (++sw == sw_end) return limit;
+    // The zero-tail invariant keeps bits past size() clear, so the first
+    // set bit found is always a valid plane word.
+    while (m == 0) {
+      if (++sw == ws.size()) return n;
       m = ws[sw];
     }
+    return sw * BitPlane::kWordBits +
+           static_cast<std::size_t>(std::countr_zero(m));
   }
 
 #ifdef SIMDTS_SANITIZE

@@ -18,9 +18,9 @@
 
 #include "fault/fault.hpp"
 #include "lb/engine.hpp"
-#include "simd/thread_pool.hpp"
 #include "puzzle/fifteen.hpp"
 #include "puzzle/workloads.hpp"
+#include "runtime/sweep.hpp"
 #include "search/work_stack.hpp"
 #include "synthetic/tree.hpp"
 
@@ -457,20 +457,34 @@ TEST(CompactEngine, BitIdenticalUnderFaultsAndThreads) {
   full.arm_faults(&plan);
   const lb::RunStats a = full.run();
 
-  simd::ThreadPool pool(4);
-  simd::Machine m_compact(64, simd::cm2_cost_model(), &pool);
-  lb::CompactEngine<FifteenPuzzle> compact(problem, m_compact,
-                                           lb::gp_static(0.9));
-  compact.arm_faults(&plan);
-  const lb::RunStats b = compact.run();
-
-  EXPECT_EQ(a.total.nodes_expanded, b.total.nodes_expanded);
-  EXPECT_EQ(a.total.expand_cycles, b.total.expand_cycles);
-  EXPECT_EQ(a.total.recovery_phases, b.total.recovery_phases);
-  EXPECT_EQ(a.total.nodes_recovered, b.total.nodes_recovered);
-  EXPECT_EQ(a.goals_found, b.goals_found);
-  EXPECT_EQ(full.goal_nodes(), compact.goal_nodes());
-  EXPECT_DOUBLE_EQ(m_full.clock().elapsed, m_compact.clock().elapsed);
+  // The compact runs go through the sweep runner, several side by side.
+  struct CompactRun {
+    lb::RunStats stats;
+    std::vector<FifteenPuzzle::Node> goals;
+    double elapsed = 0.0;
+  };
+  auto compact_run = [&](std::size_t) {
+    simd::Machine m_compact(64, simd::cm2_cost_model());
+    lb::CompactEngine<FifteenPuzzle> compact(problem, m_compact,
+                                             lb::gp_static(0.9));
+    compact.arm_faults(&plan);
+    lb::RunStats stats = compact.run();
+    return CompactRun{std::move(stats), compact.goal_nodes(),
+                      m_compact.clock().elapsed};
+  };
+  for (const unsigned threads : {1u, 4u}) {
+    for (const CompactRun& b :
+         runtime::sweep_map<CompactRun>(3, compact_run, threads)) {
+      EXPECT_EQ(a.total.nodes_expanded, b.stats.total.nodes_expanded);
+      EXPECT_EQ(a.total.expand_cycles, b.stats.total.expand_cycles);
+      EXPECT_EQ(a.total.recovery_phases, b.stats.total.recovery_phases);
+      EXPECT_EQ(a.total.nodes_recovered, b.stats.total.nodes_recovered);
+      EXPECT_EQ(a.goals_found, b.stats.goals_found);
+      EXPECT_EQ(full.goal_nodes(), b.goals);
+      EXPECT_DOUBLE_EQ(m_full.clock().elapsed, b.elapsed);
+      EXPECT_EQ(a, b.stats) << "threads=" << threads;
+    }
+  }
 }
 
 }  // namespace

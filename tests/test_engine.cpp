@@ -129,23 +129,6 @@ TEST(Engine, DeterministicAcrossRuns) {
   }
 }
 
-TEST(Engine, ThreadPoolDoesNotChangeResults) {
-  const auto& wl = puzzle::test_workloads()[1];
-  const FifteenPuzzle problem(wl.board());
-  simd::ThreadPool pool(4);
-
-  simd::Machine serial_machine(64, simd::cm2_cost_model());
-  simd::Machine pooled_machine(64, simd::cm2_cost_model(), &pool);
-  Engine<FifteenPuzzle> e1(problem, serial_machine, gp_dk());
-  Engine<FifteenPuzzle> e2(problem, pooled_machine, gp_dk());
-  const RunStats r1 = e1.run();
-  const RunStats r2 = e2.run();
-  EXPECT_EQ(r1.total.nodes_expanded, r2.total.nodes_expanded);
-  EXPECT_EQ(r1.total.expand_cycles, r2.total.expand_cycles);
-  EXPECT_EQ(r1.total.lb_phases, r2.total.lb_phases);
-  EXPECT_EQ(r1.total.transfers, r2.total.transfers);
-}
-
 TEST(Engine, MoreProcessorsThanNodesStillTerminates) {
   // A tiny tree on a big machine: most PEs never get work.
   const queens::Queens q(4);

@@ -179,30 +179,8 @@ TEST(FaultRecovery, RecoveryIsCostedOnTheMachineClock) {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism: fault runs are bit-identical across host thread counts, both
-// for the engine's per-cycle thread pool and for the sweep runner.
+// Determinism: fault runs are bit-identical across sweep thread counts.
 // ---------------------------------------------------------------------------
-
-TEST(FaultDeterminism, IdenticalAcrossEngineThreadPools) {
-  const synthetic::Tree tree(synthetic::Params{9011, 4, 0.400, 18});
-  const FaultPlan plan = FaultPlan::random_kills(11, 64, 10, 3, 40);
-
-  auto run_with_pool = [&](unsigned lanes) {
-    simd::ThreadPool pool(lanes);
-    simd::Machine machine(64, simd::cm2_cost_model(),
-                          lanes > 1 ? &pool : nullptr);
-    lb::Engine<synthetic::Tree> engine(tree, machine, lb::gp_dk());
-    engine.arm_faults(&plan);
-    return engine.run_iteration(kUnbounded);
-  };
-
-  const lb::IterationStats serial = run_with_pool(1);
-  for (const unsigned lanes : {2u, 8u}) {
-    const lb::IterationStats parallel = run_with_pool(lanes);
-    // operator== covers every counter and the bitwise clock.
-    EXPECT_EQ(parallel, serial) << lanes << " lanes";
-  }
-}
 
 TEST(FaultDeterminism, IdenticalAcrossSweepThreads) {
   // A small sweep of fault runs (distinct seeds per slot) must produce the

@@ -5,9 +5,9 @@
 //    non-power-of-64 P > 2^16, where word counts, tail masks, and rank
 //    arithmetic all take their ugly branches; and
 //  - result drift at P = 2^20: the mega-P configuration must stay a pure
-//    function of (problem, P, config, fault plan) — bit-identical across
-//    1/2/8 host threads, with and without faults armed, on both stack
-//    representations.
+//    function of (problem, P, config, fault plan) — bit-identical on both
+//    stack representations, with and without faults armed, and across sweep
+//    thread counts (mega-P engines running side by side).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,8 +15,8 @@
 
 #include "fault/fault.hpp"
 #include "lb/engine.hpp"
+#include "runtime/sweep.hpp"
 #include "search/serial.hpp"
-#include "simd/thread_pool.hpp"
 #include "synthetic/tree.hpp"
 
 namespace simdts::lb {
@@ -30,45 +30,52 @@ using synthetic::Tree;
 Tree small_tree() { return Tree(synthetic::Params{42, 4, 0.6, 16}); }
 
 template <typename EngineT>
-IterationStats run_once(const Tree& tree, std::uint32_t p, unsigned threads,
+IterationStats run_once(const Tree& tree, std::uint32_t p,
                         const fault::FaultPlan* plan) {
-  simd::ThreadPool pool(threads);
-  simd::Machine machine(p, simd::cm2_cost_model(), &pool);
+  simd::Machine machine(p, simd::cm2_cost_model());
   EngineT engine(tree, machine, gp_static(0.9));
   if (plan != nullptr) engine.arm_faults(plan);
   return engine.run_iteration(search::kUnbounded);
 }
 
+/// Task 0 runs the WorkStack engine, task 1 the CompactStack engine, both
+/// through the sweep runner at `threads` threads.
+std::vector<IterationStats> both_stacks(const Tree& tree, std::uint32_t p,
+                                        unsigned threads) {
+  return runtime::sweep_map<IterationStats>(
+      2,
+      [&](std::size_t i) {
+        return i == 0 ? run_once<Engine<Tree>>(tree, p, nullptr)
+                      : run_once<CompactEngine<Tree>>(tree, p, nullptr);
+      },
+      threads);
+}
+
 TEST(MegaP, NonPowerOf64AbovePow16IsThreadCountInvariant) {
   const Tree tree = small_tree();
   const std::uint32_t p = 70001;  // > 2^16, not a multiple of 64
-  const IterationStats base =
-      run_once<Engine<Tree>>(tree, p, 1, nullptr);
+  const IterationStats base = run_once<Engine<Tree>>(tree, p, nullptr);
   // The full tree fits one iteration; expansion count must match serial DFS.
   const search::SerialIterationResult serial =
       search::serial_dfs(tree, tree.root(), search::kUnbounded);
   EXPECT_EQ(base.nodes_expanded, serial.nodes_expanded);
-  for (const unsigned threads : {2u, 8u}) {
-    EXPECT_EQ(base, (run_once<Engine<Tree>>(tree, p, threads, nullptr)))
-        << "threads=" << threads;
-  }
-  // CompactStack changes the representation, never the results.
-  for (const unsigned threads : {1u, 8u}) {
-    EXPECT_EQ(base, (run_once<CompactEngine<Tree>>(tree, p, threads, nullptr)))
-        << "compact threads=" << threads;
+  // CompactStack changes the representation, never the results, and
+  // neither does running the two side by side.
+  for (const unsigned threads : {1u, 2u}) {
+    for (const IterationStats& other : both_stacks(tree, p, threads)) {
+      EXPECT_EQ(base, other) << "threads=" << threads;
+    }
   }
 }
 
 TEST(MegaP, TwoToTheTwentyLanesBitIdenticalAcrossThreads) {
   const Tree tree = small_tree();
   const std::uint32_t p = 1u << 20;
-  const IterationStats base =
-      run_once<CompactEngine<Tree>>(tree, p, 1, nullptr);
-  EXPECT_GT(base.nodes_expanded, 0u);
-  for (const unsigned threads : {2u, 8u}) {
-    EXPECT_EQ(base, (run_once<CompactEngine<Tree>>(tree, p, threads, nullptr)))
-        << "threads=" << threads;
-  }
+  const std::vector<IterationStats> serial = both_stacks(tree, p, 1);
+  EXPECT_GT(serial[0].nodes_expanded, 0u);
+  EXPECT_EQ(serial[0], serial[1]);
+  const std::vector<IterationStats> side_by_side = both_stacks(tree, p, 2);
+  EXPECT_EQ(serial, side_by_side);
 }
 
 TEST(MegaP, TwoToTheTwentyLanesWithFaultPlanArmed) {
@@ -82,13 +89,10 @@ TEST(MegaP, TwoToTheTwentyLanesWithFaultPlanArmed) {
       {5, fault::FaultKind::kKillPe, 70001, 0},
       {7, fault::FaultKind::kRevivePe, 70001, 0},
   });
-  const IterationStats base = run_once<CompactEngine<Tree>>(tree, p, 1, &plan);
+  const IterationStats base = run_once<CompactEngine<Tree>>(tree, p, &plan);
   EXPECT_EQ(base.pes_killed, 3u);
   EXPECT_EQ(base.pes_revived, 1u);
-  for (const unsigned threads : {2u, 8u}) {
-    EXPECT_EQ(base, (run_once<CompactEngine<Tree>>(tree, p, threads, &plan)))
-        << "threads=" << threads;
-  }
+  EXPECT_EQ(base, (run_once<Engine<Tree>>(tree, p, &plan)));
 }
 
 TEST(MegaP, TrimMemoryReleasesDrainedLanesAfterRun) {

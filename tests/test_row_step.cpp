@@ -8,7 +8,7 @@
 //  - per run: an engine on the row step produces identical RunStats, goal
 //    sequences and recovery journals as one on the vector step, across the
 //    six Table-1 schemes, machine sizes around one flag word, both stack
-//    representations, an armed FaultPlan and 1/2/8 host threads.
+//    representations and an armed FaultPlan.
 // The vector-step reference is oracle::VectorStep (tests/step_wrappers.hpp),
 // a forwarding wrapper without expand_row().  Both domains' expand() wraps
 // expand_row(), so the per-node tests pin that wrapper; the child
@@ -34,7 +34,6 @@
 #include "search/problem.hpp"
 #include "search/work_stack.hpp"
 #include "simd/machine.hpp"
-#include "simd/thread_pool.hpp"
 #include "step_wrappers.hpp"
 #include "synthetic/tree.hpp"
 #include "vec/expand.hpp"
@@ -295,10 +294,9 @@ TEST(FifteenRow, StepSelection) {
 
 template <typename P, typename StackT>
 RunStats run_engine(const P& problem, std::uint32_t p, SchemeConfig cfg,
-                    const fault::FaultPlan* plan, simd::ThreadPool* pool,
-                    ExpandStep want_step, std::vector<typename P::Node>& goals,
+                    const fault::FaultPlan* plan, ExpandStep want_step, std::vector<typename P::Node>& goals,
                     std::vector<fault::RecoveryRecord>& journal) {
-  simd::Machine m(p, simd::cm2_cost_model(), pool);
+  simd::Machine m(p, simd::cm2_cost_model());
   Engine<P, StackT> engine(problem, m, cfg);
   EXPECT_EQ(engine.step(), want_step);
   engine.arm_faults(plan);
@@ -327,15 +325,12 @@ SchemeConfig table1_scheme(int i) {
 }
 
 /// For every P x {unarmed, armed} under `cfg`: the vector step on WorkStack
-/// at one host thread is the reference; the row step on WorkStack and on
-/// CompactStack at 1, 2 and 8 host threads must reproduce it exactly.
+/// is the reference; the row step on WorkStack and on CompactStack must
+/// reproduce it exactly.
 template <typename RowP, typename VecP>
 void expect_steps_identical(const RowP& row_problem, const VecP& vec_problem,
                             const SchemeConfig& cfg, std::uint64_t plan_seed) {
   using Node = typename RowP::Node;
-  simd::ThreadPool pool2(2);
-  simd::ThreadPool pool8(8);
-  const std::array<simd::ThreadPool*, 3> pools{nullptr, &pool2, &pool8};
   for (const std::uint32_t p : {1u, 5u, 63u, 64u, 65u, 1000u}) {
     const fault::FaultPlan plan = fault::FaultPlan::random_kills(
         plan_seed + p, p, std::min(p - 1, 3u), 2, 40);
@@ -344,32 +339,29 @@ void expect_steps_identical(const RowP& row_problem, const VecP& vec_problem,
       std::vector<Node> ref_goals;
       std::vector<fault::RecoveryRecord> ref_journal;
       const RunStats ref = run_engine<VecP, search::WorkStack<Node>>(
-          vec_problem, p, cfg, armed, nullptr, ExpandStep::kVector, ref_goals,
+          vec_problem, p, cfg, armed, ExpandStep::kVector, ref_goals,
           ref_journal);
       if (armed != nullptr && p > 1) {
         EXPECT_GT(ref.total.pes_killed, 0u) << cfg.name() << " P=" << p;
       }
-      for (simd::ThreadPool* pool : pools) {
-        const unsigned threads = pool != nullptr ? pool->size() : 1;
-        std::vector<Node> goals;
-        std::vector<fault::RecoveryRecord> journal;
-        EXPECT_EQ((run_engine<RowP, search::WorkStack<Node>>(
-                      row_problem, p, cfg, armed, pool, ExpandStep::kRow,
-                      goals, journal)),
-                  ref)
-            << cfg.name() << " P=" << p << " threads=" << threads
-            << " armed=" << (armed != nullptr) << " WorkStack";
-        EXPECT_EQ(goals, ref_goals) << cfg.name() << " P=" << p;
-        EXPECT_EQ(journal, ref_journal) << cfg.name() << " P=" << p;
-        EXPECT_EQ((run_engine<RowP, search::CompactStack<RowP>>(
-                      row_problem, p, cfg, armed, pool, ExpandStep::kRow,
-                      goals, journal)),
-                  ref)
-            << cfg.name() << " P=" << p << " threads=" << threads
-            << " armed=" << (armed != nullptr) << " CompactStack";
-        EXPECT_EQ(goals, ref_goals) << cfg.name() << " P=" << p;
-        EXPECT_EQ(journal, ref_journal) << cfg.name() << " P=" << p;
-      }
+      std::vector<Node> goals;
+      std::vector<fault::RecoveryRecord> journal;
+      EXPECT_EQ((run_engine<RowP, search::WorkStack<Node>>(
+                    row_problem, p, cfg, armed, ExpandStep::kRow, goals,
+                    journal)),
+                ref)
+          << cfg.name() << " P=" << p << " armed=" << (armed != nullptr)
+          << " WorkStack";
+      EXPECT_EQ(goals, ref_goals) << cfg.name() << " P=" << p;
+      EXPECT_EQ(journal, ref_journal) << cfg.name() << " P=" << p;
+      EXPECT_EQ((run_engine<RowP, search::CompactStack<RowP>>(
+                    row_problem, p, cfg, armed, ExpandStep::kRow, goals,
+                    journal)),
+                ref)
+          << cfg.name() << " P=" << p << " armed=" << (armed != nullptr)
+          << " CompactStack";
+      EXPECT_EQ(goals, ref_goals) << cfg.name() << " P=" << p;
+      EXPECT_EQ(journal, ref_journal) << cfg.name() << " P=" << p;
     }
   }
 }

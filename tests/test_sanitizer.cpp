@@ -16,7 +16,6 @@
 
 #ifdef SIMDTS_SANITIZE
 #include <cstdint>
-#include <thread>
 #include <utility>
 
 #include "fault/fault.hpp"
@@ -154,15 +153,6 @@ TEST(Sanitizer, CleanFaultRunPassesAllChecks) {
 // Mutation tests: one per invariant.
 // ---------------------------------------------------------------------------
 
-TEST(SanitizerMutation, ShrunkWordClaimTripsWordOwnership) {
-  MutationGuard guard;
-  san::mutation().shrink_word_claim = true;
-  // P=64 is a single flag word: the shrunk claim is empty, so the very
-  // first write-back is outside it.
-  expect_fires("word-ownership", [] { run_synthetic(64); });
-  expect_fires("word-ownership", [] { run_synthetic<VectorTree>(64); });
-}
-
 TEST(SanitizerMutation, ExpandingADeadLaneTripsDeadLane) {
   MutationGuard guard;
   san::mutation().expand_dead_lane = true;
@@ -200,19 +190,13 @@ TEST(SanitizerMutation, CorruptedTailTripsTailBits) {
 
 TEST(SanitizerMutation, DroppedCensusDeltaTripsCensusDivergence) {
   MutationGuard guard;
+  // Zeroes the walk's splittable delta before the cycle's fold.
   san::mutation().drop_census_delta = true;
   expect_fires("census-divergence", [] { run_synthetic(64); });
   expect_fires("census-divergence", [] { run_synthetic<VectorTree>(64); });
 }
 
-// The four engine mutations again, on the batched step.
-
-TEST(SanitizerMutation, ShrunkWordClaimTripsWordOwnershipBatched) {
-  SKIP_WITHOUT_AVX2();
-  MutationGuard guard;
-  san::mutation().shrink_word_claim = true;
-  expect_fires("word-ownership", [] { run_batched_puzzle(64); });
-}
+// The engine mutations again, on the batched step.
 
 TEST(SanitizerMutation, ExpandingADeadLaneTripsDeadLaneBatched) {
   SKIP_WITHOUT_AVX2();
@@ -266,41 +250,6 @@ TEST(SanitizerPrimitives, LaneBoundsAreCaught) {
   expect_fires("lane-bounds", [&] { (void)plane.test(10); });
   expect_fires("lane-bounds", [&] { plane.set(10); });
   EXPECT_NO_THROW(plane.set(9));
-}
-
-TEST(SanitizerPrimitives, NestedWordClaimOnOneThreadIsCaught) {
-  MutationGuard guard;
-  san::ClaimDomain domain;
-  san::WordClaim outer(domain, 0, 0, 4);
-  expect_fires("word-ownership",
-               [&] { san::WordClaim inner(domain, 1, 8, 12); });
-  // Writes inside the claim pass; outside it they fail.
-  EXPECT_NO_THROW(san::check_word_write(domain, 2));
-  expect_fires("word-ownership", [&] { san::check_word_write(domain, 4); });
-}
-
-TEST(SanitizerPrimitives, ClaimsInSeparateDomainsDoNotCollide) {
-  MutationGuard guard;
-  // Independent engines (one per sweep grid point) legitimately run the
-  // same word ranges at the same time; only claims within one domain race.
-  san::ClaimDomain a;
-  san::ClaimDomain b;
-  san::WordClaim claim_a(a, 0, 0, 4);
-  EXPECT_NO_THROW(san::check_word_write(a, 2));
-  // A second thread claiming the same words of a *different* domain is fine.
-  std::thread other([&] {
-    san::WordClaim claim_b(b, 0, 0, 4);
-    EXPECT_NO_THROW(san::check_word_write(b, 2));
-  });
-  other.join();
-}
-
-TEST(SanitizerPrimitives, WritesWithNoLiveClaimsAreFree) {
-  MutationGuard guard;
-  // Serial sections (census updates, transfers) hold no claims; the
-  // ownership discipline binds only during a partitioned dispatch.
-  san::ClaimDomain domain;
-  EXPECT_NO_THROW(san::check_word_write(domain, 123456));
 }
 
 TEST(SanitizerPrimitives, DisarmedChecksNeverFire) {

@@ -73,18 +73,6 @@ TEST(Scan, InclusiveLastElementEqualsReduce) {
 
 class ScanSizes : public ::testing::TestWithParam<std::size_t> {};
 
-TEST_P(ScanSizes, ParallelMatchesSerial) {
-  const std::size_t n = GetParam();
-  const auto v = random_values(n, static_cast<std::uint32_t>(n));
-  std::vector<std::uint32_t> serial(n);
-  inclusive_scan<std::uint32_t>(v, serial);
-
-  ThreadPool pool(4);
-  std::vector<std::uint32_t> parallel(n);
-  inclusive_scan<std::uint32_t>(v, parallel, pool);
-  EXPECT_EQ(parallel, serial);
-}
-
 TEST_P(ScanSizes, ExclusiveConsistentWithInclusive) {
   const std::size_t n = GetParam();
   if (n == 0) return;

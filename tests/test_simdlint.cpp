@@ -709,6 +709,47 @@ TEST(SimdlintEffects, AllocationThreeCallsDeepAcrossTusNamesEveryFrame) {
                   .empty());
 }
 
+TEST(SimdlintEffects, SizedContainerConstructionInALockstepRootAllocates) {
+  const std::string conf =
+      "region lockstep simdts::synthetic::Tree::expand_row\n";
+  auto in_expand_row = [&conf](const std::string& stmt) {
+    return effects({{"src/synthetic/tree.cpp",
+                     "namespace simdts::synthetic {\n"
+                     "std::uint32_t Tree::expand_row() const {\n"
+                     "  " + stmt + "\n"
+                     "  return 0;\n"
+                     "}\n"
+                     "}\n"}},
+                   conf);
+  };
+  // The repro: a sized constructor allocates exactly like a push_back.
+  const auto fs = in_expand_row("std::vector<int> v(4);");
+  const Finding* f = only_rule(fs, "region-allocates");
+  ASSERT_NE(f, nullptr);
+  EXPECT_EQ(f->line, 2u);  // findings point at the root's definition
+  EXPECT_NE(f->message.find("expand_row -> std::vector constructor "
+                            "[allocates]"),
+            std::string::npos)
+      << f->message;
+  // Every construction with arguments allocates: braces, other owning
+  // containers, and temporaries.
+  for (const char* stmt :
+       {"std::vector<int> v{1, 2};", "auto v = std::vector<int>(4);",
+        "std::string s(8, 'x');", "std::deque<int> d(3);",
+        "using std::vector; vector<int> v(4);"}) {
+    EXPECT_NE(only_rule(in_expand_row(stmt), "region-allocates"), nullptr)
+        << stmt;
+  }
+  // Empty constructions, references, non-owning types and plain calls of a
+  // function that merely shares a container's name stay clean.
+  for (const char* stmt :
+       {"std::vector<int> v;", "std::vector<int> v{};", "std::vector<int> v();",
+        "std::vector<int>& r = g();", "std::array<int, 4> a{1, 2, 3, 4};",
+        "set(3);", "std::span<const int> s(p, 4);"}) {
+    EXPECT_TRUE(in_expand_row(stmt).empty()) << stmt;
+  }
+}
+
 TEST(SimdlintEffects, LockTwoCallsDeepNamesEveryFrame) {
   const auto fs = effects(
       {{"src/simd/a.cpp",

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -16,10 +17,10 @@
 #include "lb/matching.hpp"
 #include "puzzle/fifteen.hpp"
 #include "puzzle/workloads.hpp"
+#include "runtime/sweep.hpp"
 #include "simd/bitplane.hpp"
 #include "simd/rendezvous.hpp"
 #include "simd/scan.hpp"
-#include "simd/thread_pool.hpp"
 
 namespace simdts::simd {
 namespace {
@@ -112,24 +113,27 @@ TEST(SummaryPlane, NextOccupiedFindsExactlyTheOccupiedWords) {
   }
 }
 
-TEST(SummaryPlane, NextOccupiedBelowRespectsLimit) {
+TEST(SummaryPlane, NextOccupiedFromEveryStartIsTheFirstOccupiedWord) {
   std::uint64_t seed = 4;
-  const BitPlane plane = random_plane(70001, 10, seed);
-  const SummaryPlane sum = summary_of(plane);
-  const std::size_t nwords = sum.size();
-  for (int trial = 0; trial < 500; ++trial) {
-    const std::size_t from = splitmix(seed) % (nwords + 2);
-    const std::size_t limit = splitmix(seed) % (nwords + 2);
-    const std::size_t got = sum.next_occupied_below(from, limit);
-    std::size_t want = limit;
-    for (std::size_t w = from; w < limit && w < nwords; ++w) {
-      if (plane.words()[w] != 0) {
-        want = w;
-        break;
+  for (const std::size_t p : kSizes) {
+    // 1% leaves about half the words empty; 10% almost none; 0% all.
+    for (const unsigned density : {0u, 1u, 10u}) {
+      const BitPlane plane = random_plane(p, density, seed);
+      const SummaryPlane sum = summary_of(plane);
+      const std::size_t nwords = sum.size();
+      // want[w]: first occupied word >= w, or nwords (built back to front).
+      std::vector<std::size_t> want(nwords + 1, nwords);
+      for (std::size_t w = nwords; w-- > 0;) {
+        want[w] = plane.words()[w] != 0 ? w : want[w + 1];
+      }
+      // Every start, including past the end.
+      for (std::size_t from = 0; from < nwords + 3; ++from) {
+        const std::size_t got = sum.next_occupied(from);
+        EXPECT_EQ(got, want[std::min(from, nwords)])
+            << "p=" << p << " density=" << density << " from=" << from;
+        EXPECT_TRUE(got == nwords || sum.test(got));
       }
     }
-    EXPECT_EQ(got, want) << "from=" << from << " limit=" << limit;
-    EXPECT_TRUE(got == limit || sum.test(got));
   }
 }
 
@@ -263,22 +267,6 @@ TEST(SummaryKernels, NeighborPairsMatchFlatIncludingWraparound) {
 // simd/scan at large N (the prefix sums under mega-P enumerations)
 // ---------------------------------------------------------------------------
 
-TEST(ScanLargeN, ParallelInclusiveScanMatchesSerialAboveThreshold) {
-  // (1 << 17) + 3 lanes: above kMinParallel, not a multiple of any block.
-  const std::size_t n = (std::size_t{1} << 17) + 3;
-  std::vector<std::uint32_t> in(n);
-  std::uint64_t seed = 9;
-  for (auto& v : in) v = static_cast<std::uint32_t>(splitmix(seed) % 5);
-  std::vector<std::uint32_t> serial(n);
-  std::vector<std::uint32_t> parallel(n);
-  inclusive_scan<std::uint32_t>(in, serial);
-  for (const unsigned threads : {2u, 8u}) {
-    ThreadPool pool(threads);
-    inclusive_scan<std::uint32_t>(in, parallel, pool);
-    EXPECT_EQ(serial, parallel) << "threads=" << threads;
-  }
-}
-
 TEST(ScanLargeN, EnumerateRanksLargeNonX64Plane) {
   const std::size_t p = 70001;
   std::uint64_t seed = 10;
@@ -295,9 +283,10 @@ TEST(ScanLargeN, EnumerateRanksLargeNonX64Plane) {
 
 // ---------------------------------------------------------------------------
 // Engine property: summary maintenance survives random kill/revive plans at
-// non-x64 P, bit-identically across host thread counts.  (In sanitize
-// builds the per-cycle sweep additionally re-verifies every summary word;
-// here we pin the result contract.)
+// non-x64 P, bit-identically across sweep thread counts (engines running
+// side by side share no summary state).  (In sanitize builds the per-cycle
+// sweep additionally re-verifies every summary word; here we pin the result
+// contract.)
 // ---------------------------------------------------------------------------
 
 TEST(SummaryEngine, KillRevivePlanDeterministicAcrossThreadsAtNonX64P) {
@@ -315,19 +304,21 @@ TEST(SummaryEngine, KillRevivePlanDeterministicAcrossThreadsAtNonX64P) {
   }
   const fault::FaultPlan plan(events);
 
-  auto run = [&](unsigned threads) {
-    ThreadPool pool(threads);
-    Machine machine(p, cm2_cost_model(), &pool);
+  auto run = [&](std::size_t) {
+    Machine machine(p, cm2_cost_model());
     lb::Engine<puzzle::FifteenPuzzle> engine(problem, machine,
                                              lb::gp_static(0.9));
     engine.arm_faults(&plan);
     return engine.run();
   };
-  const lb::RunStats base = run(1);
+  const lb::RunStats base = run(0);
   EXPECT_GT(base.total.pes_killed, 0u);
-  for (const unsigned threads : {2u, 8u}) {
-    const lb::RunStats other = run(threads);
-    EXPECT_EQ(base, other) << "threads=" << threads;
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    const std::vector<lb::RunStats> runs =
+        runtime::sweep_map<lb::RunStats>(4, run, threads);
+    for (const lb::RunStats& other : runs) {
+      EXPECT_EQ(base, other) << "threads=" << threads;
+    }
   }
 }
 

@@ -3,9 +3,9 @@
 // The contract under test (vec/expand.hpp): an engine that expands through
 // the 15-puzzle kernel produces *identical* RunStats (nodes expanded, goals,
 // every lb metric, the simulated clock) and an identical goal-node sequence
-// as the vector step — across bounds, run modes, host thread counts, both
-// stack representations, and with a FaultPlan armed (dead lanes must never
-// enter a batch).
+// as the vector step — across bounds, run modes, both stack
+// representations, engines running side by side on sweep threads, and with
+// a FaultPlan armed (dead lanes must never enter a batch).
 //
 // The reference is NoBatchPuzzle: a forwarding wrapper around FifteenPuzzle
 // (tests/step_wrappers.hpp) whose type has no kernel and no expand_row(), so
@@ -24,10 +24,10 @@
 #include "puzzle/fifteen.hpp"
 #include "puzzle/heuristic.hpp"
 #include "puzzle/workloads.hpp"
+#include "runtime/sweep.hpp"
 #include "search/compact_stack.hpp"
 #include "search/problem.hpp"
 #include "simd/machine.hpp"
-#include "simd/thread_pool.hpp"
 #include "step_wrappers.hpp"
 #include "synthetic/tree.hpp"
 #include "vec/expand.hpp"
@@ -223,53 +223,78 @@ TEST(FifteenKernel, SelectionRulePinsEachBranch) {
             want);
 }
 
-/// Full IDA* on the kernel step (stack `StackT`) against the vector-step
-/// reference, at 1, 2 and 8 host threads.
-template <typename StackT>
-void expect_kernel_runs_match(const puzzle::PuzzleWorkload& wl,
-                              std::uint32_t p) {
-  const NoBatchPuzzle reference(wl.board());
-  simd::Machine m_ref(p, simd::cm2_cost_model());
-  Engine<NoBatchPuzzle> per_bit(reference, m_ref, gp_dk());
-  const RunStats ref = per_bit.run();
-  ASSERT_EQ(ref.solution_bound, wl.solution_length);
+/// One full-IDA* case of the kernel oracle.
+struct PuzzleCase {
+  const puzzle::PuzzleWorkload* wl;
+  std::uint32_t p;
+};
 
-  const FifteenPuzzle problem(wl.board());
-  for (const unsigned threads : {1u, 2u, 8u}) {
-    simd::ThreadPool pool(threads);
-    simd::Machine m(p, simd::cm2_cost_model(), threads > 1 ? &pool : nullptr);
-    Engine<FifteenPuzzle, StackT> batched(problem, m, gp_dk());
-    ASSERT_EQ(batched.step(), ExpandStep::kBatched);
-    EXPECT_EQ(batched.run(), ref)
-        << wl.name << " P=" << p << " threads=" << threads;
-    EXPECT_EQ(batched.goal_nodes(), per_bit.goal_nodes())
-        << wl.name << " P=" << p << " threads=" << threads;
+struct PuzzleRun {
+  ExpandStep step = ExpandStep::kVector;
+  RunStats stats;
+  std::vector<FifteenPuzzle::Node> goals;
+};
+
+/// Full IDA* on the kernel step (stack `StackT`) against the vector-step
+/// reference, for every case.  The batched engines run two per case, side
+/// by side through runtime::SweepRunner at 1 and 8 threads: engines share
+/// no state, so each must match its reference whatever runs next to it.
+/// These are the kernel's concurrent callers (the TSan job runs them).
+template <typename StackT>
+void expect_kernel_runs_match(const std::vector<PuzzleCase>& cases) {
+  std::vector<PuzzleRun> refs;
+  for (const PuzzleCase& c : cases) {
+    const NoBatchPuzzle reference(c.wl->board());
+    simd::Machine m_ref(c.p, simd::cm2_cost_model());
+    Engine<NoBatchPuzzle> per_bit(reference, m_ref, gp_dk());
+    PuzzleRun& ref = refs.emplace_back();
+    ref.stats = per_bit.run();
+    ref.goals = per_bit.goal_nodes();
+    ASSERT_EQ(ref.stats.solution_bound, c.wl->solution_length);
+  }
+  const std::size_t n = 2 * cases.size();
+  for (const unsigned threads : {1u, 8u}) {
+    std::vector<PuzzleRun> runs(n);
+    runtime::SweepRunner runner(threads);
+    runner.run(n, [&](std::size_t i) {
+      const PuzzleCase& c = cases[i % cases.size()];
+      const FifteenPuzzle problem(c.wl->board());
+      simd::Machine m(c.p, simd::cm2_cost_model());
+      Engine<FifteenPuzzle, StackT> batched(problem, m, gp_dk());
+      runs[i].step = batched.step();
+      runs[i].stats = batched.run();
+      runs[i].goals = batched.goal_nodes();
+    });
+    for (std::size_t i = 0; i < n; ++i) {
+      const PuzzleCase& c = cases[i % cases.size()];
+      const PuzzleRun& ref = refs[i % cases.size()];
+      EXPECT_EQ(runs[i].step, ExpandStep::kBatched);
+      EXPECT_EQ(runs[i].stats, ref.stats)
+          << c.wl->name << " P=" << c.p << " threads=" << threads;
+      EXPECT_EQ(runs[i].goals, ref.goals)
+          << c.wl->name << " P=" << c.p << " threads=" << threads;
+    }
   }
 }
 
 TEST(FifteenOracle, FullIdaIdenticalAcrossThreadsWorkStack) {
   SKIP_WITHOUT_AVX2();
   const auto& workloads = puzzle::test_workloads();
-  // P = 100 leaves a partial last flag word.
+  std::vector<PuzzleCase> cases;
+  // P = 100 leaves a partial last flag word; P = 8192 spans 128 words.
   for (const std::uint32_t p : {64u, 100u, 256u}) {
-    expect_kernel_runs_match<search::WorkStack<FifteenPuzzle::Node>>(
-        workloads[1], p);
-    expect_kernel_runs_match<search::WorkStack<FifteenPuzzle::Node>>(
-        workloads[2], p);
+    cases.push_back({&workloads[1], p});
+    cases.push_back({&workloads[2], p});
   }
-  // Host lanes own 64-word (4096-lane) chunks, so only P > 4096 splits a
-  // cycle across threads.
-  expect_kernel_runs_match<search::WorkStack<FifteenPuzzle::Node>>(
-      workloads[3], 8192);
+  cases.push_back({&workloads[3], 8192});
+  expect_kernel_runs_match<search::WorkStack<FifteenPuzzle::Node>>(cases);
 }
 
 TEST(FifteenOracle, FullIdaIdenticalAcrossThreadsCompactStack) {
   SKIP_WITHOUT_AVX2();
   const auto& workloads = puzzle::test_workloads();
-  for (const std::uint32_t p : {64u, 256u}) {
-    expect_kernel_runs_match<search::CompactStack<FifteenPuzzle>>(
-        workloads[2], p);
-  }
+  expect_kernel_runs_match<search::CompactStack<FifteenPuzzle>>(
+      {{&workloads[2], 64}, {&workloads[2], 256}});
 }
 
 TEST(FifteenOracle, FirstSolutionIdentical) {
@@ -309,22 +334,16 @@ TEST(FifteenOracle, ArmedFaultPlanIdenticalAndDeadLanesExcluded) {
   EXPECT_GT(ref.pes_killed, 0u);
 
   const FifteenPuzzle problem(wl.board());
-  for (const unsigned threads : {1u, 2u}) {
-    simd::ThreadPool pool(threads);
-    simd::Machine m(p, simd::cm2_cost_model(), threads > 1 ? &pool : nullptr);
-    Engine<FifteenPuzzle> batched(problem, m, gp_dk());
-    ASSERT_EQ(batched.step(), ExpandStep::kBatched);
-    batched.arm_faults(&plan);
-    // run_iteration's conservation check plus degraded-mode accounting make
-    // a dead lane slipping into a batch surface as a stats divergence or a
-    // FaultError; equality means dead lanes were excluded word by word.
-    EXPECT_EQ(batched.run_iteration(wl.solution_length), ref)
-        << "threads=" << threads;
-    EXPECT_EQ(batched.goal_nodes(), per_bit.goal_nodes())
-        << "threads=" << threads;
-    EXPECT_EQ(batched.recovery_journal(), per_bit.recovery_journal())
-        << "threads=" << threads;
-  }
+  simd::Machine m(p, simd::cm2_cost_model());
+  Engine<FifteenPuzzle> batched(problem, m, gp_dk());
+  ASSERT_EQ(batched.step(), ExpandStep::kBatched);
+  batched.arm_faults(&plan);
+  // run_iteration's conservation check plus degraded-mode accounting make a
+  // dead lane slipping into a batch surface as a stats divergence or a
+  // FaultError; equality means dead lanes were excluded word by word.
+  EXPECT_EQ(batched.run_iteration(wl.solution_length), ref);
+  EXPECT_EQ(batched.goal_nodes(), per_bit.goal_nodes());
+  EXPECT_EQ(batched.recovery_journal(), per_bit.recovery_journal());
 }
 
 }  // namespace

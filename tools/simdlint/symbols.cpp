@@ -444,6 +444,41 @@ const std::set<std::string>& nondet_idents() {
   return kNames;
 }
 
+// Standard containers that own heap storage: constructing one with
+// arguments (a size, a fill value, an initializer list, a range) allocates.
+const std::set<std::string>& owning_container_names() {
+  static const std::set<std::string> kNames = {
+      "vector",   "string",   "basic_string", "deque",
+      "list",     "forward_list", "map",      "multimap",
+      "set",      "multiset", "unordered_map", "unordered_multimap",
+      "unordered_set", "unordered_multiset",
+  };
+  return kNames;
+}
+
+/// True when the container type name at `i` (std-qualified or followed by
+/// template arguments, so a plain member call `set(...)` never matches)
+/// starts a construction with arguments: `T<...> v(args)`, `T<...> v{args}`
+/// or the temporary `T<...>(args)`.  Empty `()` / `{}` and declarations
+/// without an initializer construct empty containers, which do not allocate.
+bool constructs_owning_container(const View& t, std::size_t i) {
+  if (owning_container_names().count(t[i].text) == 0) return false;
+  const bool std_q = i >= 2 && t[i - 1].text == "::" && t[i - 2].text == "std";
+  std::size_t k = i + 1;
+  bool templated = false;
+  if (vtok_is(t, k, "<")) {
+    const std::size_t close = vmatch_forward(t, k, "<", ">");
+    if (close == t.size()) return false;
+    k = close + 1;
+    templated = true;
+  }
+  if (!std_q && !templated) return false;
+  if (k < t.size() && t[k].ident) ++k;  // the declared variable, if any
+  if (vtok_is(t, k, "(")) return !vtok_is(t, k + 1, ")");
+  if (vtok_is(t, k, "{")) return !vtok_is(t, k + 1, "}");
+  return false;
+}
+
 const std::set<std::string>& nondet_call_names() {
   static const std::set<std::string> kNames = {"time", "clock"};
   return kNames;
@@ -556,6 +591,11 @@ void scan_body_token(const View& t, std::size_t i, FunctionDef& fn) {
   }
 
   if (!member_access) {
+    if (constructs_owning_container(t, i)) {
+      fn.intrinsics.push_back(
+          {"allocates", "std::" + tok.text + " constructor", tok.line});
+      return;
+    }
     if (lock_type_names().count(tok.text) > 0) {
       fn.intrinsics.push_back({"locks", "std::" + tok.text, tok.line});
       return;

@@ -96,7 +96,7 @@ struct Hit {
 
 /// Key for the global tainted-member map.  Members following the repo's
 /// trailing-underscore (private field) convention are keyed per enclosing
-/// class — `n_` in ThreadPool and `n_` in a puzzle board are different
+/// class — `n_` in a scheduler and `n_` in a puzzle board are different
 /// state, and a name-only key would carry taint between them.  Plain member
 /// names stay globally keyed: they are public aggregate fields read through
 /// arbitrary receivers whose class the token level cannot see.
