@@ -1,7 +1,7 @@
 // Micro-benchmarks of the substrate primitives (google-benchmark).
 //
 // These are not paper experiments; they document the cost of the pieces the
-// simulation is built from — node expansion, scans, matching — so that the
+// simulation is built from — node expansion, matching — so that the
 // simulated cost model's ratio (t_lb / t_expand) can be put in context with
 // the emulator's actual host-side costs.
 #include <benchmark/benchmark.h>
@@ -15,36 +15,60 @@
 #include "search/work_stack.hpp"
 #include "simd/bitplane.hpp"
 #include "simd/rendezvous.hpp"
-#include "simd/scan.hpp"
+#include "simd/summary.hpp"
 #include "synthetic/tree.hpp"
 
 namespace {
 
 using namespace simdts;
 
-/// Random busy/idle occupancy (complementary, like a live machine) as byte
-/// planes plus their packed equivalents.
+/// Busy/idle occupancy (disjoint, like a live machine) as packed planes
+/// plus the summaries the shipped lb kernels hop by.
 struct Occupancy {
-  std::vector<std::uint8_t> busy;
-  std::vector<std::uint8_t> idle;
-  simd::BitPlane busy_plane;
-  simd::BitPlane idle_plane;
+  simd::BitPlane busy;
+  simd::BitPlane idle;
+  simd::SummaryPlane busy_summary;
+  simd::SummaryPlane idle_summary;
+
+  explicit Occupancy(std::size_t p) : busy(p), idle(p) {
+    busy_summary.assign_for_lanes(p);
+    idle_summary.assign_for_lanes(p);
+  }
+
+  void summarize() {
+    busy_summary.rebuild(busy);
+    idle_summary.rebuild(idle);
+  }
 };
 
+/// Dense occupancy: each lane busy with probability busy_of_10 / 10, idle
+/// otherwise.
 Occupancy make_occupancy(std::size_t p, std::uint32_t seed,
                          unsigned busy_of_10) {
-  Occupancy o;
+  Occupancy o(p);
   std::mt19937 rng(seed);
-  o.busy.resize(p);
-  o.idle.resize(p);
-  o.busy_plane.assign(p, false);
-  o.idle_plane.assign(p, false);
   for (std::size_t i = 0; i < p; ++i) {
-    o.busy[i] = (rng() % 10) < busy_of_10;
-    o.idle[i] = !o.busy[i];
-    o.busy_plane.set(i, o.busy[i] != 0);
-    o.idle_plane.set(i, o.idle[i] != 0);
+    const bool busy = (rng() % 10) < busy_of_10;
+    o.busy.set(i, busy);
+    o.idle.set(i, !busy);
   }
+  o.summarize();
+  return o;
+}
+
+/// Sparse occupancy: 1024 busy and 1024 idle lanes scattered over P (busy
+/// wins collisions, so the sets stay disjoint) — the mega-P case the
+/// summary hop is for.
+Occupancy make_sparse_occupancy(std::size_t p) {
+  Occupancy o(p);
+  for (std::uint32_t i = 0; i < 1024; ++i) {
+    o.busy.set(synthetic::Tree::hash2(0xB05B, i) % p, true);
+    o.idle.set(synthetic::Tree::hash2(0x1D1E, i) % p, true);
+  }
+  for (std::size_t w = 0; w < o.idle.words().size(); ++w) {
+    o.idle.words()[w] &= ~o.busy.words()[w];
+  }
+  o.summarize();
   return o;
 }
 
@@ -103,49 +127,23 @@ void BM_SyntheticExpand(benchmark::State& state) {
 }
 BENCHMARK(BM_SyntheticExpand);
 
-void BM_InclusiveScan(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  std::vector<std::uint32_t> in(n, 1);
-  std::vector<std::uint32_t> out(n);
-  for (auto _ : state) {
-    simd::inclusive_scan<std::uint32_t>(in, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_InclusiveScan)->Arg(1 << 10)->Arg(1 << 13)->Arg(1 << 16);
-
-void BM_Rendezvous(benchmark::State& state) {
-  const auto p = static_cast<std::size_t>(state.range(0));
-  const Occupancy o = make_occupancy(p, 99, 7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(simd::rendezvous(o.busy, o.idle, 17));
-  }
-}
-BENCHMARK(BM_Rendezvous)->Arg(1 << 10)->Arg(1 << 13);
+// --- Load-balancing kernels ------------------------------------------------
+// The engine's lb phase runs one of these per round: the GP matcher (the
+// summary-hopping rendezvous plus the pointer advance) or the ring pairing
+// of the Frye baseline.  All run on the dense occupancy of a loaded machine,
+// plus the census every cycle takes.
 
 void BM_RendezvousBitPlane(benchmark::State& state) {
   const auto p = static_cast<std::size_t>(state.range(0));
   const Occupancy o = make_occupancy(p, 99, 7);
   std::vector<simd::Pair> pairs;
   for (auto _ : state) {
-    simd::rendezvous_into(o.busy_plane, o.idle_plane, 17,
+    simd::rendezvous_into(o.busy, o.busy_summary, o.idle, o.idle_summary, 17,
                           static_cast<std::size_t>(-1), pairs);
     benchmark::DoNotOptimize(pairs.data());
   }
 }
 BENCHMARK(BM_RendezvousBitPlane)->Arg(1 << 10)->Arg(1 << 13);
-
-void BM_GpMatchPhase(benchmark::State& state) {
-  const auto p = static_cast<std::size_t>(state.range(0));
-  const Occupancy o = make_occupancy(p, 42, 8);
-  lb::Matcher matcher(lb::MatchScheme::kGP);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(matcher.match(o.busy, o.idle));
-  }
-}
-BENCHMARK(BM_GpMatchPhase)->Arg(1 << 13);
 
 void BM_GpMatchPhaseBitPlane(benchmark::State& state) {
   const auto p = static_cast<std::size_t>(state.range(0));
@@ -153,100 +151,60 @@ void BM_GpMatchPhaseBitPlane(benchmark::State& state) {
   lb::Matcher matcher(lb::MatchScheme::kGP);
   std::vector<simd::Pair> pairs;
   for (auto _ : state) {
-    matcher.match_into(o.busy_plane, o.idle_plane,
+    matcher.match_into(o.busy, o.busy_summary, o.idle, o.idle_summary,
                        static_cast<std::size_t>(-1), pairs);
     benchmark::DoNotOptimize(pairs.data());
   }
 }
 BENCHMARK(BM_GpMatchPhaseBitPlane)->Arg(1 << 13);
 
-// --- Bit-plane substrate vs byte-plane scalar reference -------------------
-// The engine's per-cycle bookkeeping is census (how many PEs are busy),
-// enumeration (sum-scan the idle plane into compacted indices), and ring
-// pairing.  Each packed kernel is benchmarked against the byte kernel it
-// displaced, on the same occupancy.
-
-void BM_CensusBytes(benchmark::State& state) {
+void BM_NeighborPairsBitPlane(benchmark::State& state) {
   const auto p = static_cast<std::size_t>(state.range(0));
-  const Occupancy o = make_occupancy(p, 7, 7);
+  const Occupancy o = make_occupancy(p, 21, 5);
+  std::vector<simd::Pair> pairs;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(simd::count_set(o.busy));
+    lb::neighbor_pairs_into(o.busy, o.busy_summary, o.idle, pairs);
+    benchmark::DoNotOptimize(pairs.data());
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(p));
 }
-BENCHMARK(BM_CensusBytes)->Arg(1 << 10)->Arg(1 << 14);
+BENCHMARK(BM_NeighborPairsBitPlane)->Arg(1 << 13);
 
 void BM_CensusBitPlane(benchmark::State& state) {
   const auto p = static_cast<std::size_t>(state.range(0));
   const Occupancy o = make_occupancy(p, 7, 7);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(simd::count_set(o.busy_plane));
+    benchmark::DoNotOptimize(o.busy.count());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(p));
 }
 BENCHMARK(BM_CensusBitPlane)->Arg(1 << 10)->Arg(1 << 14);
 
-// Second arg: busy lanes out of 10, so the enumerated idle plane ranges
-// from sparse (busy=9 -> 10% idle) to dense (busy=1 -> 90% idle).  The
-// packed kernel is a branch-free byte-table expansion whose cost must not
-// depend on occupancy; the byte kernel's per-lane branch does.
-void BM_EnumerateBytes(benchmark::State& state) {
-  const auto p = static_cast<std::size_t>(state.range(0));
-  const auto busy = static_cast<unsigned>(state.range(1));
-  const Occupancy o = make_occupancy(p, 13, busy);
-  std::vector<std::uint32_t> ranks(p);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(simd::enumerate(o.idle, ranks));
-    benchmark::DoNotOptimize(ranks.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(p));
-}
-BENCHMARK(BM_EnumerateBytes)
-    ->Args({1 << 10, 7})
-    ->Args({1 << 14, 9})
-    ->Args({1 << 14, 7})
-    ->Args({1 << 14, 1});
-
-void BM_EnumerateBitPlane(benchmark::State& state) {
-  const auto p = static_cast<std::size_t>(state.range(0));
-  const auto busy = static_cast<unsigned>(state.range(1));
-  const Occupancy o = make_occupancy(p, 13, busy);
-  std::vector<std::uint32_t> ranks(p);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(simd::enumerate(o.idle_plane, ranks));
-    benchmark::DoNotOptimize(ranks.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(p));
-}
-BENCHMARK(BM_EnumerateBitPlane)
-    ->Args({1 << 10, 7})
-    ->Args({1 << 14, 9})
-    ->Args({1 << 14, 7})
-    ->Args({1 << 14, 1});
-
-void BM_NeighborPairsBytes(benchmark::State& state) {
-  const auto p = static_cast<std::size_t>(state.range(0));
-  const Occupancy o = make_occupancy(p, 21, 5);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(lb::neighbor_pairs(o.busy, o.idle));
-  }
-}
-BENCHMARK(BM_NeighborPairsBytes)->Arg(1 << 13);
-
-void BM_NeighborPairsBitPlane(benchmark::State& state) {
-  const auto p = static_cast<std::size_t>(state.range(0));
-  const Occupancy o = make_occupancy(p, 21, 5);
+// Flat vs hierarchical rendezvous on a sparse P = 2^20 plane (1024 busy,
+// 1024 idle): the flat walk loads all 16384 words of each plane, the
+// summary walk hops between the ~2000 occupied ones.  Read the pair as the
+// size of the summary's win at mega-P.
+void BM_SparseMegaRendezvousFlat(benchmark::State& state) {
+  const Occupancy o = make_sparse_occupancy(std::size_t{1} << 20);
   std::vector<simd::Pair> pairs;
   for (auto _ : state) {
-    lb::neighbor_pairs_into(o.busy_plane, o.idle_plane, pairs);
+    simd::rendezvous_into(o.busy, o.idle, simd::kNoPe,
+                          static_cast<std::size_t>(-1), pairs);
     benchmark::DoNotOptimize(pairs.data());
   }
 }
-BENCHMARK(BM_NeighborPairsBitPlane)->Arg(1 << 13);
+BENCHMARK(BM_SparseMegaRendezvousFlat);
+
+void BM_SparseMegaRendezvousHierarchical(benchmark::State& state) {
+  const Occupancy o = make_sparse_occupancy(std::size_t{1} << 20);
+  std::vector<simd::Pair> pairs;
+  for (auto _ : state) {
+    simd::rendezvous_into(o.busy, o.busy_summary, o.idle, o.idle_summary,
+                          simd::kNoPe, static_cast<std::size_t>(-1), pairs);
+    benchmark::DoNotOptimize(pairs.data());
+  }
+}
+BENCHMARK(BM_SparseMegaRendezvousHierarchical);
 
 // Batched child staging: the old per-child push path (clear + push_back per
 // node) vs the flat staging buffer + run-append the expansion loop now uses.

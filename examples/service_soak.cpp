@@ -10,17 +10,32 @@
 //     against a golden (pass it as --expect-counters "<summary>").
 //
 //   ./build/examples/service_soak [requests] [--expect-counters "<line>"]
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <iostream>
+#include <stdexcept>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "fault/service_fault.hpp"
 #include "service/service.hpp"
 
 namespace {
+
+/// The request count: the whole token must be a decimal integer.
+std::size_t parse_count(const std::string& token) {
+  std::size_t n = 0;
+  const char* last = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), last, n);
+  if (ec != std::errc{} || ptr != last) {
+    throw std::invalid_argument("bad request count '" + token +
+                                "' (expected a non-negative integer)");
+  }
+  return n;
+}
 
 int run(int argc, char** argv) {
   using namespace simdts;
@@ -29,10 +44,13 @@ int run(int argc, char** argv) {
   std::string expect_counters;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--expect-counters" && i + 1 < argc) {
+    if (arg == "--expect-counters") {
+      if (i + 1 == argc) {
+        throw std::invalid_argument("--expect-counters needs a value");
+      }
       expect_counters = argv[++i];
     } else {
-      n = std::stoul(arg);
+      n = parse_count(arg);
     }
   }
 

@@ -14,11 +14,11 @@
 // Cost model: everything here is compiled in only under SIMDTS_SANITIZE (a
 // CMake option, OFF by default).  In a default build this header contributes
 // the constexpr `kCompiledIn = false` and empty macros — no symbols, no
-// branches, provably zero cost (a ctest runs `nm` over libsimdts.a to prove
-// it, and bench/perf_harness hard-fails if the default build reports the
-// sanitizer compiled in).  In a sanitize build the checks can additionally be
-// disarmed at run time (set_armed(false)) so the perf harness can measure the
-// armed-vs-disarmed overhead on identical binaries.
+// branches, provably zero cost (the lint.sanitizer_zero_cost ctest runs `nm`
+// over libsimdts.a to prove it, and Sanitizer.CompiledInFlagMatchesBuild
+// checks the flag in both build flavors).  In a sanitize build the checks can
+// additionally be disarmed at run time (set_armed(false)), so one binary can
+// show that arming them changes no simulated result.
 //
 // Layering: this module sits between common/ and simd/ so that the substrate
 // itself can hook it.  It therefore speaks only in raw words and lane
@@ -35,7 +35,7 @@
 namespace simdts::san {
 
 /// True when the library was built with -DSIMDTS_SANITIZE=ON.  Available in
-/// both build flavors so harnesses can report which binary they measured.
+/// both build flavors so a test can check which flavor it was built in.
 #ifdef SIMDTS_SANITIZE
 inline constexpr bool kCompiledIn = true;
 #else
@@ -44,8 +44,8 @@ inline constexpr bool kCompiledIn = false;
 
 #ifdef SIMDTS_SANITIZE
 
-/// Runtime master switch.  Armed by default; the perf harness disarms one of
-/// two interleaved runs to measure check overhead on the same binary.
+/// Runtime master switch.  Armed by default; a test disarms it to show that
+/// the checks change no simulated result on the same binary.
 [[nodiscard]] bool armed() noexcept;
 void set_armed(bool value) noexcept;
 

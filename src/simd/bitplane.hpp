@@ -148,8 +148,4 @@ void for_each_set(const BitPlane& plane, F&& f) {
   }
 }
 
-/// Index of the k-th set lane (k = 0 selects the first), or size() when fewer
-/// than k+1 lanes are set: word-skipping popcount selection.
-[[nodiscard]] std::size_t nth_set(const BitPlane& plane, std::uint32_t k);
-
 }  // namespace simdts::simd

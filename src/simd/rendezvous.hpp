@@ -8,8 +8,8 @@
 // between the two schemes.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "simd/bitplane.hpp"
@@ -32,76 +32,48 @@ struct Pair {
   friend bool operator==(const Pair&, const Pair&) = default;
 };
 
-/// Pairs donors with receivers by rank.  Donor ranks are assigned in PE-index
-/// order starting at the first donor *strictly after* `start_after` and
-/// wrapping around the machine; receiver ranks are assigned in plain PE-index
-/// order.  Passing `start_after == kNoPe` yields the unrotated (nGP)
-/// enumeration.  Exactly min(#donors, #receivers, limit) pairs are produced,
-/// pair k joining donor-rank k with receiver-rank k (the paper's one-on-one
-/// matching: when idle processors outnumber busy ones only the first A idle
-/// processors receive work, and vice versa).  The walk stops as soon as
-/// `limit` pairs are emitted, so a small limit (the FESS baseline serves one
-/// idle PE per phase) never materializes the full enumeration.
-[[nodiscard]] std::vector<Pair> rendezvous(
-    std::span<const std::uint8_t> donor_flags,
-    std::span<const std::uint8_t> receiver_flags, PeIndex start_after = kNoPe,
-    std::size_t limit = static_cast<std::size_t>(-1));
-
-/// As rendezvous(), but appends into a caller-owned buffer (cleared first) so
-/// hot loops can reuse its capacity across rounds.
-void rendezvous_into(std::span<const std::uint8_t> donor_flags,
-                     std::span<const std::uint8_t> receiver_flags,
-                     PeIndex start_after, std::size_t limit,
-                     std::vector<Pair>& out);
-
-/// The set PEs of `flags` in enumeration order: plain PE-index order, or —
-/// when `start_after != kNoPe` — starting at the first set PE strictly after
-/// `start_after` and wrapping around.  rendezvous() is rank-aligned zipping
-/// of two such enumerations.
-[[nodiscard]] std::vector<PeIndex> ranked(std::span<const std::uint8_t> flags,
-                                          PeIndex start_after = kNoPe);
-
-// --- Packed bit-plane kernels -----------------------------------------------
+// The enumeration contract shared by every kernel below.  Donor ranks are
+// assigned in PE-index order starting at the first donor *strictly after*
+// `start_after` and wrapping around the machine; receiver ranks are assigned
+// in plain PE-index order.  `start_after == kNoPe` yields the unrotated
+// (nGP) enumeration.  Exactly min(#donors, #receivers, limit) pairs are
+// produced, pair k joining donor-rank k with receiver-rank k (the paper's
+// one-on-one matching: when idle processors outnumber busy ones only the
+// first A idle processors receive work, and vice versa).  The walk stops as
+// soon as `limit` pairs are emitted, so a small limit (the FESS baseline
+// serves one idle PE per phase) never materializes the full enumeration.
 //
-// Word-level versions of the walks above: the rotated enumeration visits one
-// std::uint64_t word per 64 lanes (clear words cost a single load + test) and
-// extracts set lanes with std::countr_zero.  Pair sequences are exactly those
-// of the byte-plane kernels on the same occupancy pattern — pinned by
-// tests/test_bitplane.cpp — so the engine can switch planes without moving a
-// single simulated result.
+// The kernels walk packed planes one std::uint64_t word per 64 lanes and
+// extract set lanes with std::countr_zero.  Each consults a SummaryPlane
+// (one bit per plane word) to hop straight between occupied words, so a
+// phase scales with the number of occupied words, not with P — the common
+// sparse case at mega-P.  A clear summary bit guarantees a zero word, so
+// skipping it cannot change the enumeration.  tests/lb_oracle.hpp states
+// the same contract as a plain per-lane walk; the kernels are pinned to it
+// by tests/test_bitplane.cpp and tests/test_summary.cpp.
 
-/// As rendezvous_into() over byte planes, but over packed planes.
-void rendezvous_into(const BitPlane& donor_flags,
-                     const BitPlane& receiver_flags, PeIndex start_after,
-                     std::size_t limit, std::vector<Pair>& out);
-
-/// As ranked() over byte planes, but over a packed plane and into a
-/// caller-owned buffer (cleared first) so hot loops reuse its capacity.
-void ranked_into(const BitPlane& flags, PeIndex start_after,
-                 std::vector<PeIndex>& out);
-
-[[nodiscard]] std::vector<PeIndex> ranked(const BitPlane& flags,
-                                          PeIndex start_after = kNoPe);
-
-// --- Hierarchical (summary-aware) kernels -----------------------------------
-//
-// The flat packed walks above still load every plane word: O(P/64) per phase
-// regardless of occupancy.  These overloads consult a SummaryPlane (one bit
-// per plane word) to hop straight between occupied words, so a phase scales
-// with the number of occupied words, not with P — the common sparse case at
-// mega-P.  Outputs are bit-identical to the flat kernels on the same
-// occupancy pattern: a clear summary bit guarantees a zero word, so skipping
-// it cannot change the enumeration (pinned by tests/test_summary.cpp).
-
-/// As the packed rendezvous_into(), hopping via each plane's summary.
+/// Fills `out` (cleared first; a caller-owned buffer so hot loops reuse its
+/// capacity) with the rank-aligned donor->receiver pairs, hopping via each
+/// plane's summary.
 void rendezvous_into(const BitPlane& donor_flags,
                      const SummaryPlane& donor_summary,
                      const BitPlane& receiver_flags,
                      const SummaryPlane& receiver_summary, PeIndex start_after,
                      std::size_t limit, std::vector<Pair>& out);
 
-/// As the packed ranked_into(), hopping via the plane's summary.
+/// Fills `out` (cleared first) with the set PEs of `flags` in enumeration
+/// order: plain PE-index order, or — when `start_after != kNoPe` — starting
+/// at the first set PE strictly after `start_after` and wrapping around.
+/// rendezvous_into() is rank-aligned zipping of two such enumerations.
 void ranked_into(const BitPlane& flags, const SummaryPlane& summary,
                  PeIndex start_after, std::vector<PeIndex>& out);
+
+/// The same pairs as the summary-aware rendezvous_into(), but visiting every
+/// plane word.  Only perfbench calls it: perfbench/probes.hpp times it as
+/// `simd.rendezvous_flat_ns`, and it goes together with that probe in the
+/// benchmark change of ROADMAP item 1c.
+void rendezvous_into(const BitPlane& donor_flags,
+                     const BitPlane& receiver_flags, PeIndex start_after,
+                     std::size_t limit, std::vector<Pair>& out);
 
 }  // namespace simdts::simd

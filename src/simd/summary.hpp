@@ -4,9 +4,8 @@
 // ring pairing — and the expand cycle's word walk scan a BitPlane one
 // 64-lane word at a time: O(P/64) loads per phase even when only a handful
 // of lanes are set.  At P = 2^20 that is 16384 word loads per plane per
-// phase.  A SummaryPlane adds Blelloch's two-level structure (the same
-// blocked decomposition as simd/scan.hpp): one bit per plane *word*, set
-// exactly when that word is nonzero.  Enumerations then skip clear regions
+// phase.  A SummaryPlane adds Blelloch's two-level structure: one bit per
+// plane *word*, set exactly when that word is nonzero.  Enumerations then skip clear regions
 // at 64 plane words (4096 lanes) per summary-word load and scale with the
 // number of *occupied* words, not with P.
 //
@@ -15,9 +14,10 @@
 //    writes a plane word refreshes its summary bit (BitPlane's zero-tail
 //    invariant holds at both levels).
 //  - A summary consumer may rely on: bit w clear  =>  plane word w == 0.
-//    Summary-aware kernels therefore produce bit-identical output to their
-//    flat counterparts by construction; the property tests in
-//    tests/test_summary.cpp pin this across random planes, and under
+//    Summary-aware kernels therefore produce bit-identical output to a walk
+//    over every lane by construction; the property tests in
+//    tests/test_summary.cpp pin this against the per-lane oracle of
+//    tests/lb_oracle.hpp across random planes, and under
 //    SIMDTS_SANITIZE the engine's per-cycle sweep re-verifies every summary
 //    against a recomputation (the census-divergence check extended to the
 //    summary level).

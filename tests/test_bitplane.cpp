@@ -1,22 +1,21 @@
-// Property tests for the packed bit-plane substrate: every packed kernel
-// (census, enumerate, k-th-set selection, rotated ranking, rendezvous,
-// matching, ring pairing) must agree *exactly* with the byte-plane scalar
-// reference on the same occupancy pattern — including non-multiple-of-64
-// machine sizes and planes with fault-killed lanes masked out.  The engine
-// switched planes on the strength of this equivalence; these tests are what
-// pins it.
+// Property tests for the packed bit-plane substrate: every shipped packed
+// kernel (census, rotated ranking, rendezvous, matching, ring pairing) must
+// agree *exactly* with the per-lane specification of tests/lb_oracle.hpp on
+// the same occupancy pattern — including non-multiple-of-64 machine sizes
+// and planes with fault-killed lanes masked out.
 #include "simd/bitplane.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <vector>
 
 #include "lb/config.hpp"
 #include "lb/matching.hpp"
+#include "lb_oracle.hpp"
 #include "simd/rendezvous.hpp"
-#include "simd/scan.hpp"
 
 namespace simdts::simd {
 namespace {
@@ -36,11 +35,13 @@ std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint32_t seed,
 }
 
 BitPlane pack(const std::vector<std::uint8_t>& bytes) {
-  BitPlane plane(bytes.size());
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    plane.set(i, bytes[i] != 0);
-  }
-  return plane;
+  return oracle::Packed(bytes).plane;
+}
+
+std::size_t count_set(const std::vector<std::uint8_t>& bytes) {
+  return static_cast<std::size_t>(
+      std::count_if(bytes.begin(), bytes.end(),
+                    [](std::uint8_t b) { return b != 0; }));
 }
 
 TEST(BitPlane, AssignFillAndTailInvariant) {
@@ -77,33 +78,7 @@ TEST(BitPlane, CensusMatchesScalarReference) {
                                       pct);
       const BitPlane plane = pack(bytes);
       EXPECT_EQ(plane.count(), count_set(bytes)) << "n=" << n;
-      EXPECT_EQ(count_set(plane), count_set(bytes)) << "n=" << n;
       EXPECT_EQ(plane.none(), count_set(bytes) == 0);
-    }
-  }
-}
-
-TEST(BitPlane, EnumerateMatchesScalarReference) {
-  // The packed overload's contract is a full exclusive sum-scan: every lane
-  // gets its prefix count, set or not (the byte overload leaves unset lanes
-  // untouched, so the two are compared at set lanes and the packed result
-  // is additionally checked against the scan at every lane).
-  for (const std::size_t n : kSizes) {
-    const auto bytes = random_bytes(n, 11u * static_cast<std::uint32_t>(n),
-                                    40);
-    const BitPlane plane = pack(bytes);
-    std::vector<std::uint32_t> want(n, 0xDEADu);
-    std::vector<std::uint32_t> got(n, 0xDEADu);
-    const std::uint32_t want_total = enumerate(bytes, want);
-    const std::uint32_t got_total = enumerate(plane, got);
-    EXPECT_EQ(got_total, want_total) << "n=" << n;
-    std::uint32_t prefix = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(got[i], prefix) << "n=" << n << " i=" << i;
-      if (bytes[i] != 0) {
-        EXPECT_EQ(got[i], want[i]) << "n=" << n << " i=" << i;
-        ++prefix;
-      }
     }
   }
 }
@@ -123,35 +98,17 @@ TEST(BitPlane, ForEachSetVisitsAscendingSetLanes) {
   }
 }
 
-TEST(BitPlane, NthSetSelectsKthBusyPe) {
-  for (const std::size_t n : kSizes) {
-    const auto bytes = random_bytes(n, 17u * static_cast<std::uint32_t>(n),
-                                    35);
-    const BitPlane plane = pack(bytes);
-    std::vector<std::size_t> set_lanes;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (bytes[i] != 0) set_lanes.push_back(i);
-    }
-    for (std::uint32_t k = 0; k < set_lanes.size(); ++k) {
-      EXPECT_EQ(nth_set(plane, k), set_lanes[k]) << "n=" << n << " k=" << k;
-    }
-    // Exhausted selection reports size().
-    EXPECT_EQ(nth_set(plane, static_cast<std::uint32_t>(set_lanes.size())), n);
-    EXPECT_EQ(nth_set(plane, 0xFFFFu), n);
-  }
-}
-
 TEST(BitPlane, RankedMatchesByteKernelWithAndWithoutRotation) {
   for (const std::size_t n : kSizes) {
     const auto bytes = random_bytes(n, 19u * static_cast<std::uint32_t>(n),
                                     45);
-    const BitPlane plane = pack(bytes);
     std::vector<PeIndex> starts = {kNoPe, 0,
                                    static_cast<PeIndex>(n - 1),
                                    static_cast<PeIndex>(n / 2)};
     if (n > 64) starts.push_back(63);  // rotation across a word boundary
     for (const PeIndex start : starts) {
-      EXPECT_EQ(ranked(plane, start), ranked(bytes, start))
+      EXPECT_EQ(oracle::packed_ranked(bytes, start),
+                oracle::ranked(bytes, start))
           << "n=" << n << " start=" << start;
     }
   }
@@ -164,8 +121,8 @@ TEST(BitPlane, RendezvousMatchesByteKernel) {
                                      40);
     const auto receivers = random_bytes(
         n, 29u * static_cast<std::uint32_t>(n), 40);
-    const BitPlane donor_plane = pack(donors);
-    const BitPlane receiver_plane = pack(receivers);
+    const oracle::Packed donor_plane(donors);
+    const oracle::Packed receiver_plane(receivers);
     std::vector<Pair> got;
     for (const PeIndex start :
          {kNoPe, PeIndex{0}, static_cast<PeIndex>(n / 2),
@@ -173,8 +130,10 @@ TEST(BitPlane, RendezvousMatchesByteKernel) {
       for (const std::size_t limit : {std::size_t{0}, std::size_t{1},
                                       std::size_t{3}, kNoLimit}) {
         const std::vector<Pair> want =
-            rendezvous(donors, receivers, start, limit);
-        rendezvous_into(donor_plane, receiver_plane, start, limit, got);
+            oracle::rendezvous(donors, receivers, start, limit);
+        rendezvous_into(donor_plane.plane, donor_plane.summary,
+                        receiver_plane.plane, receiver_plane.summary, start,
+                        limit, got);
         EXPECT_EQ(got, want) << "n=" << n << " start=" << start
                              << " limit=" << limit;
       }
@@ -183,18 +142,15 @@ TEST(BitPlane, RendezvousMatchesByteKernel) {
 }
 
 TEST(BitPlane, MatcherBitAndBytePlanesAgreeAcrossGpPhases) {
-  // Drive two Matchers — one fed byte planes, one fed packed planes — through
-  // a sequence of phases with evolving occupancy.  The pair sequences and the
-  // global-pointer trajectory must stay identical throughout, for both
-  // schemes.
+  // Drive the shipped Matcher and the oracle's through a sequence of phases
+  // with evolving occupancy.  The pair sequences and the global-pointer
+  // trajectory must stay identical throughout, for both schemes.
   for (const lb::MatchScheme scheme :
        {lb::MatchScheme::kGP, lb::MatchScheme::kNGP}) {
     for (const std::size_t n : {std::size_t{65}, std::size_t{200},
                                 std::size_t{1024}}) {
-      lb::Matcher byte_matcher(scheme);
+      oracle::Matcher byte_matcher(scheme);
       lb::Matcher bit_matcher(scheme);
-      std::vector<Pair> want;
-      std::vector<Pair> got;
       for (std::uint32_t phase = 0; phase < 12; ++phase) {
         const auto busy = random_bytes(
             n, 31u * static_cast<std::uint32_t>(n) + phase, 40);
@@ -203,11 +159,9 @@ TEST(BitPlane, MatcherBitAndBytePlanesAgreeAcrossGpPhases) {
         for (std::size_t i = 0; i < n; ++i) {
           if (busy[i] != 0) idle[i] = 0;  // a lane is never both
         }
-        byte_matcher.match_into(busy, idle,
-                                static_cast<std::size_t>(-1), want);
-        bit_matcher.match_into(pack(busy), pack(idle),
-                               static_cast<std::size_t>(-1), got);
-        EXPECT_EQ(got, want) << "n=" << n << " phase=" << phase;
+        EXPECT_EQ(oracle::packed_match(bit_matcher, busy, idle),
+                  byte_matcher.match(busy, idle))
+            << "n=" << n << " phase=" << phase;
         EXPECT_EQ(bit_matcher.pointer(), byte_matcher.pointer())
             << "n=" << n << " phase=" << phase;
       }
@@ -222,10 +176,9 @@ TEST(BitPlane, NeighborPairsMatchByteKernel) {
     for (std::size_t i = 0; i < n; ++i) {
       if (busy[i] != 0) idle[i] = 0;
     }
-    const std::vector<Pair> want = lb::neighbor_pairs(busy, idle);
-    std::vector<Pair> got;
-    lb::neighbor_pairs_into(pack(busy), pack(idle), got);
-    EXPECT_EQ(got, want) << "n=" << n;
+    EXPECT_EQ(oracle::packed_neighbor_pairs(busy, idle),
+              oracle::neighbor_pairs(busy, idle))
+        << "n=" << n;
   }
 }
 
@@ -239,10 +192,8 @@ TEST(BitPlane, NeighborPairsCrossWordAndWrapBoundaries) {
   idle[64] = 1;
   busy[n - 1] = 1;
   idle[0] = 1;
-  const std::vector<Pair> want = lb::neighbor_pairs(busy, idle);
-  std::vector<Pair> got;
-  lb::neighbor_pairs_into(pack(busy), pack(idle), got);
-  ASSERT_EQ(got, want);
+  const std::vector<Pair> got = oracle::packed_neighbor_pairs(busy, idle);
+  ASSERT_EQ(got, oracle::neighbor_pairs(busy, idle));
   ASSERT_EQ(got.size(), 2u);
   EXPECT_EQ(got[0], (Pair{63, 64}));
   EXPECT_EQ(got[1], (Pair{129, 0}));
@@ -251,8 +202,8 @@ TEST(BitPlane, NeighborPairsCrossWordAndWrapBoundaries) {
 TEST(BitPlane, KernelsAgreeWithFaultKilledLanes) {
   // A dead-lane plane masks lanes out of busy/idle entirely (the engine
   // clears a killed lane's bits in every plane).  The packed kernels must
-  // agree with the byte reference on such masked occupancy — including when
-  // whole words die.
+  // agree with the oracle on such masked occupancy — including when whole
+  // words die (a clear summary bit).
   const std::size_t n = 300;
   auto busy = random_bytes(n, 47, 60);
   auto idle = random_bytes(n, 53, 60);
@@ -267,16 +218,15 @@ TEST(BitPlane, KernelsAgreeWithFaultKilledLanes) {
       idle[i] = 0;
     }
   }
-  const BitPlane busy_plane = pack(busy);
-  const BitPlane idle_plane = pack(idle);
-  EXPECT_EQ(busy_plane.count(), count_set(busy));
+  EXPECT_EQ(pack(busy).count(), count_set(busy));
   for (const PeIndex start : {kNoPe, PeIndex{70}, PeIndex{299}}) {
-    EXPECT_EQ(ranked(busy_plane, start), ranked(busy, start));
-    std::vector<Pair> got;
-    rendezvous_into(busy_plane, idle_plane, start,
-                    static_cast<std::size_t>(-1), got);
-    EXPECT_EQ(got, rendezvous(busy, idle, start));
+    EXPECT_EQ(oracle::packed_ranked(busy, start),
+              oracle::ranked(busy, start));
+    EXPECT_EQ(oracle::packed_rendezvous(busy, idle, start),
+              oracle::rendezvous(busy, idle, start));
   }
+  EXPECT_EQ(oracle::packed_neighbor_pairs(busy, idle),
+            oracle::neighbor_pairs(busy, idle));
 }
 
 }  // namespace

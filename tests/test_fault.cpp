@@ -20,6 +20,7 @@
 #include "runtime/sweep.hpp"
 #include "search/serial.hpp"
 #include "synthetic/tree.hpp"
+#include "synthetic/workloads.hpp"
 
 namespace simdts::fault {
 namespace {
@@ -236,6 +237,26 @@ TEST(FaultTransparency, EmptyPlanIsBitIdenticalToUnarmed) {
     EXPECT_EQ(a, b) << cfg.name();
     EXPECT_EQ(m1.clock(), m2.clock()) << cfg.name();
   }
+
+  // The synthetic tree at P = 1024 under GP-S^0.90: the row step, the
+  // summary-hopping lb walk over 16 plane words, and every fault-checking
+  // branch taken each cycle with no event ever firing.
+  const synthetic::SyntheticWorkload& syn = synthetic::test_workloads()[2];
+  const synthetic::Tree tree(syn.params);
+  simd::Machine m1(1024, simd::cm2_cost_model());
+  lb::Engine<synthetic::Tree> unarmed(tree, m1, lb::gp_static(0.9));
+  ASSERT_EQ(unarmed.step(), lb::ExpandStep::kRow);
+  const lb::RunStats a = unarmed.run();
+
+  simd::Machine m2(1024, simd::cm2_cost_model());
+  lb::Engine<synthetic::Tree> armed(tree, m2, lb::gp_static(0.9));
+  armed.arm_faults(&empty);
+  const lb::RunStats b = armed.run();
+
+  EXPECT_EQ(a.total.nodes_expanded, syn.w);
+  EXPECT_GT(a.total.lb_phases, 0u);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(m1.clock(), m2.clock());
 }
 
 TEST(FaultTransparency, FaultCountersZeroWithoutAPlan) {

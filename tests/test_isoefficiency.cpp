@@ -66,12 +66,17 @@ TEST(IsoGrid, EfficiencyFallsWithP) {
   EXPECT_GT(grid.points[2].efficiency, grid.points[5].efficiency);
 }
 
+/// A hand-built grid cell: only P, W and E matter to curve extraction.
+GridPoint grid_point(std::uint32_t p, std::uint64_t w, double efficiency) {
+  return GridPoint{.p = p, .w = w, .efficiency = efficiency, .clock = {}};
+}
+
 TEST(ExtractCurves, InterpolatesBetweenBracketingPoints) {
   // Hand-built grid: P = 4 with E rising 0.4 -> 0.8 over a decade of W.
   GridResult grid;
   grid.points = {
-      GridPoint{4, 1000, 0.4, 0, 0, 0},
-      GridPoint{4, 10000, 0.8, 0, 0, 0},
+      grid_point(4, 1000, 0.4),
+      grid_point(4, 10000, 0.8),
   };
   const double targets[] = {0.6};
   const auto curves = extract_curves(grid, targets);
@@ -87,8 +92,8 @@ TEST(ExtractCurves, InterpolatesBetweenBracketingPoints) {
 TEST(ExtractCurves, MarksExtrapolatedPoints) {
   GridResult grid;
   grid.points = {
-      GridPoint{4, 1000, 0.4, 0, 0, 0},
-      GridPoint{4, 10000, 0.5, 0, 0, 0},
+      grid_point(4, 1000, 0.4),
+      grid_point(4, 10000, 0.5),
   };
   const double targets[] = {0.9};
   const auto curves = extract_curves(grid, targets);
@@ -100,8 +105,8 @@ TEST(ExtractCurves, MarksExtrapolatedPoints) {
 TEST(ExtractCurves, MultipleMachinesProduceOnePointEach) {
   GridResult grid;
   for (const std::uint32_t p : {4u, 16u, 64u}) {
-    grid.points.push_back(GridPoint{p, 1000, 0.3, 0, 0, 0});
-    grid.points.push_back(GridPoint{p, 100000, 0.9, 0, 0, 0});
+    grid.points.push_back(grid_point(p, 1000, 0.3));
+    grid.points.push_back(grid_point(p, 100000, 0.9));
   }
   const double targets[] = {0.5, 0.7};
   const auto curves = extract_curves(grid, targets);

@@ -1,14 +1,23 @@
+// Behavioural tests of the shipped GP/nGP matcher and ring pairing on
+// hand-picked flags, the paper's Figure 2 example among them
+// (tests/lb_oracle.hpp packs each byte list into a plane and its summary).
 #include "lb/matching.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
+
+#include "lb_oracle.hpp"
 
 namespace simdts::lb {
 namespace {
 
 using simd::kNoPe;
 using simd::Pair;
+
+using oracle::packed_match;
+using oracle::packed_neighbor_pairs;
 
 // Flag helpers: PEs listed are set.
 std::vector<std::uint8_t> flags(std::size_t p,
@@ -22,7 +31,7 @@ TEST(Matching, NgpMatchesInPeOrder) {
   Matcher m(MatchScheme::kNGP);
   const auto busy = flags(8, {0, 1, 2, 3, 4, 7});
   const auto idle = flags(8, {5, 6});
-  const auto pairs = m.match(busy, idle);
+  const auto pairs = packed_match(m, busy, idle);
   ASSERT_EQ(pairs.size(), 2u);
   EXPECT_EQ(pairs[0], (Pair{0, 5}));
   EXPECT_EQ(pairs[1], (Pair{1, 6}));
@@ -34,8 +43,8 @@ TEST(Matching, NgpRepeatsSameDonors) {
   Matcher m(MatchScheme::kNGP);
   const auto busy = flags(8, {0, 1, 2, 3, 4, 7});
   const auto idle = flags(8, {5, 6});
-  const auto first = m.match(busy, idle);
-  const auto second = m.match(busy, idle);
+  const auto first = packed_match(m, busy, idle);
+  const auto second = packed_match(m, busy, idle);
   EXPECT_EQ(first, second);
 }
 
@@ -48,7 +57,7 @@ TEST(Matching, PaperFigure2Example) {
   const auto idle = flags(8, {5, 6});
 
   // nGP matches idle 5, 6 to busy 0, 1.
-  const auto ngp_pairs = ngp.match(busy, idle);
+  const auto ngp_pairs = packed_match(ngp, busy, idle);
   ASSERT_EQ(ngp_pairs.size(), 2u);
   EXPECT_EQ(ngp_pairs[0], (Pair{0, 5}));
   EXPECT_EQ(ngp_pairs[1], (Pair{1, 6}));
@@ -57,11 +66,11 @@ TEST(Matching, PaperFigure2Example) {
   // pointer to 0.
   // (Seed the pointer by faking a previous phase where PE 4 donated last:
   //  busy = {4}, idle = {5}.)
-  const auto seed = gp.match(flags(8, {4}), flags(8, {5}));
+  const auto seed = packed_match(gp, flags(8, {4}), flags(8, {5}));
   ASSERT_EQ(seed.size(), 1u);
   EXPECT_EQ(gp.pointer(), 4u);
 
-  const auto gp_pairs = gp.match(busy, idle);
+  const auto gp_pairs = packed_match(gp, busy, idle);
   ASSERT_EQ(gp_pairs.size(), 2u);
   EXPECT_EQ(gp_pairs[0], (Pair{7, 5}));
   EXPECT_EQ(gp_pairs[1], (Pair{0, 6}));
@@ -69,9 +78,9 @@ TEST(Matching, PaperFigure2Example) {
 
   // Example 2 (second phase, same census): nGP repeats itself; GP moves on
   // to busy 1 and 2.
-  const auto ngp_again = ngp.match(busy, idle);
+  const auto ngp_again = packed_match(ngp, busy, idle);
   EXPECT_EQ(ngp_again, ngp_pairs);
-  const auto gp_again = gp.match(busy, idle);
+  const auto gp_again = packed_match(gp, busy, idle);
   ASSERT_EQ(gp_again.size(), 2u);
   EXPECT_EQ(gp_again[0], (Pair{1, 5}));
   EXPECT_EQ(gp_again[1], (Pair{2, 6}));
@@ -85,7 +94,7 @@ TEST(Matching, GpCyclesThroughAllDonorsBeforeRepeating) {
   const auto idle = flags(p, {5});
   std::vector<simd::PeIndex> donors;
   for (int phase = 0; phase < 5; ++phase) {
-    const auto pairs = gp.match(busy, idle);
+    const auto pairs = packed_match(gp, busy, idle);
     ASSERT_EQ(pairs.size(), 1u);
     donors.push_back(pairs[0].donor);
   }
@@ -93,30 +102,30 @@ TEST(Matching, GpCyclesThroughAllDonorsBeforeRepeating) {
   std::sort(donors.begin(), donors.end());
   EXPECT_EQ(donors, (std::vector<simd::PeIndex>{0, 1, 2, 3, 4}));
   // The sixth phase starts the cycle again.
-  const auto pairs = gp.match(busy, idle);
+  const auto pairs = packed_match(gp, busy, idle);
   ASSERT_EQ(pairs.size(), 1u);
 }
 
 TEST(Matching, GpPointerUnchangedWhenNoPairs) {
   Matcher gp(MatchScheme::kGP);
-  (void)gp.match(flags(4, {1}), flags(4, {2}));
+  (void)packed_match(gp, flags(4, {1}), flags(4, {2}));
   EXPECT_EQ(gp.pointer(), 1u);
-  (void)gp.match(flags(4, {}), flags(4, {2}));
+  (void)packed_match(gp, flags(4, {}), flags(4, {2}));
   EXPECT_EQ(gp.pointer(), 1u);
-  (void)gp.match(flags(4, {3}), flags(4, {}));
+  (void)packed_match(gp, flags(4, {3}), flags(4, {}));
   EXPECT_EQ(gp.pointer(), 1u);
 }
 
 TEST(Matching, ResetClearsPointer) {
   Matcher gp(MatchScheme::kGP);
-  (void)gp.match(flags(4, {1}), flags(4, {2}));
+  (void)packed_match(gp, flags(4, {1}), flags(4, {2}));
   gp.reset();
   EXPECT_EQ(gp.pointer(), kNoPe);
 }
 
 TEST(Matching, MoreIdleThanBusyServesOnlyFirstIdle) {
   Matcher m(MatchScheme::kNGP);
-  const auto pairs = m.match(flags(6, {3}), flags(6, {0, 1, 2, 4, 5}));
+  const auto pairs = packed_match(m, flags(6, {3}), flags(6, {0, 1, 2, 4, 5}));
   ASSERT_EQ(pairs.size(), 1u);
   EXPECT_EQ(pairs[0], (Pair{3, 0}));
 }
@@ -124,7 +133,7 @@ TEST(Matching, MoreIdleThanBusyServesOnlyFirstIdle) {
 TEST(NeighborPairs, RingTransfersToRightNeighbor) {
   const auto busy = flags(5, {0, 2, 3});
   const auto idle = flags(5, {1, 4});
-  const auto pairs = neighbor_pairs(busy, idle);
+  const auto pairs = packed_neighbor_pairs(busy, idle);
   ASSERT_EQ(pairs.size(), 2u);
   EXPECT_EQ(pairs[0], (Pair{0, 1}));
   EXPECT_EQ(pairs[1], (Pair{3, 4}));
@@ -133,7 +142,7 @@ TEST(NeighborPairs, RingTransfersToRightNeighbor) {
 TEST(NeighborPairs, WrapsAroundTheRing) {
   const auto busy = flags(4, {3});
   const auto idle = flags(4, {0});
-  const auto pairs = neighbor_pairs(busy, idle);
+  const auto pairs = packed_neighbor_pairs(busy, idle);
   ASSERT_EQ(pairs.size(), 1u);
   EXPECT_EQ(pairs[0], (Pair{3, 0}));
 }
@@ -141,7 +150,7 @@ TEST(NeighborPairs, WrapsAroundTheRing) {
 TEST(NeighborPairs, NoTransferBetweenBusyNeighbors) {
   const auto busy = flags(4, {0, 1, 2, 3});
   const auto idle = flags(4, {});
-  EXPECT_TRUE(neighbor_pairs(busy, idle).empty());
+  EXPECT_TRUE(packed_neighbor_pairs(busy, idle).empty());
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // SummaryPlane invariants and the hierarchical-kernel equivalence contract:
 // every summary-aware enumeration (rendezvous, ranked, matcher, ring
-// pairing) must produce *bit-identical* output to its flat packed reference
-// on the same occupancy pattern — for any plane size (power-of-64 or not),
-// any density, any rotation point, any limit.  Plus the large-N scan
-// coverage the mega-P sweeps lean on.
+// pairing) must produce *bit-identical* output to the flat per-lane walk of
+// tests/lb_oracle.hpp on the same occupancy pattern — for any plane size
+// (power-of-64 or not), any density, any rotation point, any limit.  The
+// flat packed rendezvous perfbench times is held to the same pairs.
 #include "simd/summary.hpp"
 
 #include <gtest/gtest.h>
@@ -15,12 +15,12 @@
 #include "fault/fault.hpp"
 #include "lb/engine.hpp"
 #include "lb/matching.hpp"
+#include "lb_oracle.hpp"
 #include "puzzle/fifteen.hpp"
 #include "puzzle/workloads.hpp"
 #include "runtime/sweep.hpp"
 #include "simd/bitplane.hpp"
 #include "simd/rendezvous.hpp"
-#include "simd/scan.hpp"
 
 namespace simdts::simd {
 namespace {
@@ -152,7 +152,7 @@ TEST(SummaryPlane, EmptyAndFullPlanes) {
 }
 
 // ---------------------------------------------------------------------------
-// Hierarchical kernels == flat packed kernels, bit for bit
+// Hierarchical kernels == the flat per-lane oracle, bit for bit
 // ---------------------------------------------------------------------------
 
 TEST(SummaryKernels, RankedMatchesFlatAcrossSizesAndRotations) {
@@ -169,8 +169,9 @@ TEST(SummaryKernels, RankedMatchesFlatAcrossSizesAndRotations) {
       for (int i = 0; i < 4; ++i) {
         starts.push_back(static_cast<PeIndex>(splitmix(seed) % p));
       }
+      const std::vector<std::uint8_t> bytes = oracle::bytes_of(flags);
       for (const PeIndex sa : starts) {
-        ranked_into(flags, sa, flat);
+        flat = oracle::ranked(bytes, sa);
         ranked_into(flags, sum, sa, hier);
         EXPECT_EQ(flat, hier) << "p=" << p << " density=" << density
                               << " start_after=" << sa;
@@ -179,29 +180,60 @@ TEST(SummaryKernels, RankedMatchesFlatAcrossSizesAndRotations) {
   }
 }
 
-TEST(SummaryKernels, RendezvousMatchesFlatAcrossLimitsAndRotations) {
-  std::uint64_t seed = 6;
+/// Every rendezvous kernel against the oracle on one input: the shipped
+/// summary-hopping walk and the flat packed walk perfbench times.
+void expect_rendezvous_matches_oracle(const BitPlane& donors,
+                                      const BitPlane& receivers, PeIndex sa,
+                                      std::size_t limit) {
   std::vector<Pair> flat;
   std::vector<Pair> hier;
+  const std::vector<Pair> want = oracle::rendezvous(
+      oracle::bytes_of(donors), oracle::bytes_of(receivers), sa, limit);
+  rendezvous_into(donors, receivers, sa, limit, flat);
+  rendezvous_into(donors, summary_of(donors), receivers,
+                  summary_of(receivers), sa, limit, hier);
+  EXPECT_EQ(hier, want) << "p=" << donors.size() << " start_after=" << sa
+                        << " limit=" << limit;
+  EXPECT_EQ(flat, want) << "p=" << donors.size() << " start_after=" << sa
+                        << " limit=" << limit;
+}
+
+const std::size_t kLimits[] = {0, 1, 7, static_cast<std::size_t>(-1)};
+
+TEST(SummaryKernels, RendezvousMatchesFlatAcrossLimitsAndRotations) {
+  std::uint64_t seed = 6;
   for (const std::size_t p : {63, 64, 65, 4096, 70001}) {
     for (int trial = 0; trial < 8; ++trial) {
       const unsigned dd = static_cast<unsigned>(splitmix(seed) % 40);
       const unsigned rd = static_cast<unsigned>(splitmix(seed) % 40);
       const BitPlane donors = random_plane(p, dd, seed);
       const BitPlane receivers = random_plane(p, rd, seed);
-      const SummaryPlane dsum = summary_of(donors);
-      const SummaryPlane rsum = summary_of(receivers);
       const PeIndex sa = (trial % 3 == 0)
                              ? kNoPe
                              : static_cast<PeIndex>(splitmix(seed) % p);
-      for (const std::size_t limit :
-           {std::size_t{0}, std::size_t{1}, std::size_t{7},
-            static_cast<std::size_t>(-1)}) {
-        rendezvous_into(donors, receivers, sa, limit, flat);
-        rendezvous_into(donors, dsum, receivers, rsum, sa, limit, hier);
-        EXPECT_EQ(flat, hier)
-            << "p=" << p << " start_after=" << sa << " limit=" << limit;
+      for (const std::size_t limit : kLimits) {
+        expect_rendezvous_matches_oracle(donors, receivers, sa, limit);
       }
+    }
+  }
+  // Sparse mega-P: 1024 busy and 1024 idle lanes scattered over P = 2^20,
+  // the occupancy where the summary hop skips almost every word.  Busy wins
+  // collisions so the two sets stay disjoint, as in the engine.
+  const std::size_t p = std::size_t{1} << 20;
+  BitPlane busy(p);
+  BitPlane idle(p);
+  for (int i = 0; i < 1024; ++i) {
+    busy.set(splitmix(seed) % p);
+    idle.set(splitmix(seed) % p);
+  }
+  for (std::size_t w = 0; w < idle.words().size(); ++w) {
+    idle.words()[w] &= ~busy.words()[w];
+  }
+  for (const PeIndex sa :
+       {kNoPe, PeIndex{0}, static_cast<PeIndex>(p / 2),
+        static_cast<PeIndex>(p - 1)}) {
+    for (const std::size_t limit : kLimits) {
+      expect_rendezvous_matches_oracle(busy, idle, sa, limit);
     }
   }
 }
@@ -212,7 +244,7 @@ TEST(SummaryKernels, MatcherMatchesFlatIncludingPointerAdvance) {
   std::vector<Pair> hier;
   for (const auto scheme : {lb::MatchScheme::kNGP, lb::MatchScheme::kGP}) {
     for (const std::size_t p : {65, 4096, 70001}) {
-      lb::Matcher m_flat(scheme);
+      oracle::Matcher m_flat(scheme);
       lb::Matcher m_hier(scheme);
       // Multiple rounds: for GP the pointer advance feeds the next round, so
       // a single divergent round would cascade — exactly what we pin.
@@ -225,7 +257,8 @@ TEST(SummaryKernels, MatcherMatchesFlatIncludingPointerAdvance) {
         const SummaryPlane isum = summary_of(idle);
         const std::size_t limit =
             round % 4 == 0 ? 1 : static_cast<std::size_t>(-1);
-        m_flat.match_into(busy, idle, limit, flat);
+        flat = m_flat.match(oracle::bytes_of(busy), oracle::bytes_of(idle),
+                            limit);
         m_hier.match_into(busy, bsum, idle, isum, limit, hier);
         EXPECT_EQ(flat, hier) << "p=" << p << " round=" << round;
         EXPECT_EQ(m_flat.pointer(), m_hier.pointer())
@@ -244,7 +277,8 @@ TEST(SummaryKernels, NeighborPairsMatchFlatIncludingWraparound) {
       const BitPlane busy = random_plane(p, density, seed);
       const BitPlane idle = random_plane(p, 100 - density, seed);
       const SummaryPlane bsum = summary_of(busy);
-      lb::neighbor_pairs_into(busy, idle, flat);
+      flat = oracle::neighbor_pairs(oracle::bytes_of(busy),
+                                    oracle::bytes_of(idle));
       lb::neighbor_pairs_into(busy, bsum, idle, hier);
       EXPECT_EQ(flat, hier) << "p=" << p << " density=" << density;
     }
@@ -256,29 +290,12 @@ TEST(SummaryKernels, NeighborPairsMatchFlatIncludingWraparound) {
   BitPlane idle;
   idle.assign(70001, false);
   idle.set(0);
-  lb::neighbor_pairs_into(busy, idle, flat);
+  flat = oracle::neighbor_pairs(oracle::bytes_of(busy),
+                                oracle::bytes_of(idle));
   lb::neighbor_pairs_into(busy, summary_of(busy), idle, hier);
   EXPECT_EQ(flat, hier);
   ASSERT_EQ(hier.size(), 1u);
   EXPECT_EQ(hier[0], (Pair{70000, 0}));
-}
-
-// ---------------------------------------------------------------------------
-// simd/scan at large N (the prefix sums under mega-P enumerations)
-// ---------------------------------------------------------------------------
-
-TEST(ScanLargeN, EnumerateRanksLargeNonX64Plane) {
-  const std::size_t p = 70001;
-  std::uint64_t seed = 10;
-  const BitPlane plane = random_plane(p, 13, seed);
-  std::vector<std::uint32_t> ranks(p);
-  const std::uint32_t total = enumerate(plane, ranks);
-  EXPECT_EQ(total, plane.count());
-  std::uint32_t expect_rank = 0;
-  for (std::size_t i = 0; i < p; ++i) {
-    EXPECT_EQ(ranks[i], expect_rank) << "i=" << i;
-    if (plane.test(i)) ++expect_rank;
-  }
 }
 
 // ---------------------------------------------------------------------------
