@@ -1,22 +1,24 @@
 // Micro-benchmarks of the substrate primitives (google-benchmark).
 //
 // These are not paper experiments; they document the cost of the pieces the
-// simulation is built from — node expansion, matching — so that the
-// simulated cost model's ratio (t_lb / t_expand) can be put in context with
-// the emulator's actual host-side costs.
+// simulation is built from — node expansion (per node and batched),
+// matching — so that the simulated cost model's ratio (t_lb / t_expand) can
+// be put in context with the emulator's actual host-side costs.
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <cstdint>
 #include <random>
 #include <vector>
 
 #include "lb/matching.hpp"
 #include "puzzle/fifteen.hpp"
 #include "puzzle/heuristic.hpp"
-#include "search/work_stack.hpp"
 #include "simd/bitplane.hpp"
 #include "simd/rendezvous.hpp"
 #include "simd/summary.hpp"
 #include "synthetic/tree.hpp"
+#include "vec/expand.hpp"
 
 namespace {
 
@@ -206,54 +208,41 @@ void BM_SparseMegaRendezvousHierarchical(benchmark::State& state) {
 }
 BENCHMARK(BM_SparseMegaRendezvousHierarchical);
 
-// Batched child staging: the old per-child push path (clear + push_back per
-// node) vs the flat staging buffer + run-append the expansion loop now uses.
-// Read these two as a parity check, not a race: both variants spend their
-// time inside tree.expand, and the staging difference is a handful of
-// memory-bound node copies per expansion, so they time within noise of each
-// other (~1.0x).  The batched path is shipped because the single run-append
-// amortizes the stack's bounds/ownership checks and is the shape the
-// engine's batched 15-puzzle step scatters from — not because this
-// microbenchmark shows a win.
-void BM_ChildStagingPerNode(benchmark::State& state) {
-  const synthetic::Tree tree(synthetic::Params{5, 4, 0.38, 30});
-  search::WorkStack<synthetic::Tree::Node> stack;
-  std::vector<synthetic::Tree::Node> children;
-  search::NextBound nb;
-  stack.push(tree.root());
-  for (auto _ : state) {
-    if (stack.empty()) stack.push(tree.root());
-    const auto n = stack.pop();
-    children.clear();
-    tree.expand(n, search::kUnbounded, children, nb);
-    for (const auto& c : children) {
-      if (stack.size() < (1u << 11)) stack.push(c);
-    }
-    benchmark::DoNotOptimize(stack.size());
+// One batched 15-puzzle kernel call over a full flag word (64 nodes into
+// 64 scratch rows), the batched step's expansion cost without its gather:
+// sec_per_node reads as the kernel's time per node.
+void BM_FifteenKernel(benchmark::State& state) {
+  if (!vec::cpu_has_avx2()) {
+    state.SkipWithError("host CPU lacks AVX2/BMI2");
+    return;
   }
-}
-BENCHMARK(BM_ChildStagingPerNode);
-
-void BM_ChildStagingBatched(benchmark::State& state) {
-  const synthetic::Tree tree(synthetic::Params{5, 4, 0.38, 30});
-  search::WorkStack<synthetic::Tree::Node> stack;
-  std::vector<synthetic::Tree::Node> children;
+  const puzzle::FifteenPuzzle problem(puzzle::random_walk(7, 80));
+  const search::Bound bound = problem.f_value(problem.root()) + 6;
+  // A breadth-first frontier within the bound: mixed blanks, lasts and
+  // take/prune outcomes.
+  std::vector<puzzle::FifteenPuzzle::Node> nodes{problem.root()};
   search::NextBound nb;
-  stack.push(tree.root());
-  for (auto _ : state) {
-    if (stack.empty()) stack.push(tree.root());
-    const auto n = stack.pop();
-    const std::size_t staged = children.size();
-    tree.expand(n, search::kUnbounded, children, nb);
-    const std::size_t added = children.size() - staged;
-    if (added != 0 && stack.size() + added <= (1u << 11)) {
-      stack.append(children.data() + staged, added);
-    }
-    children.resize(staged);
-    benchmark::DoNotOptimize(stack.size());
+  for (std::size_t i = 0; i < nodes.size() && nodes.size() < 64; ++i) {
+    const puzzle::FifteenPuzzle::Node n = nodes[i];
+    problem.expand(n, bound, nodes, nb);
   }
+  nodes.resize(64);
+  std::vector<std::array<puzzle::FifteenPuzzle::Node, 4>> kids(64);
+  std::vector<std::array<puzzle::FifteenPuzzle::Node, 4>*> rows;
+  for (auto& row : kids) rows.push_back(&row);
+  std::vector<std::uint32_t> counts(64);
+  for (auto _ : state) {
+    search::NextBound next;
+    vec::expand_fifteen(nodes.data(), 64, bound, rows.data(), counts.data(),
+                        next);
+    benchmark::DoNotOptimize(kids.data());
+    benchmark::DoNotOptimize(next);
+  }
+  state.counters["sec_per_node"] = benchmark::Counter(
+      64, benchmark::Counter::kIsIterationInvariantRate |
+              benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_ChildStagingBatched);
+BENCHMARK(BM_FifteenKernel);
 
 }  // namespace
 

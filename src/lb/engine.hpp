@@ -20,9 +20,10 @@
 // they move nodes between.  Matching enumerations are word-level
 // popcount/countr_zero walks over the same planes.  Wherever a node has at
 // most four children (every shipped workload but TSP and queens), they are
-// staged in a fixed row of four slots and the whole row is copied onto the
-// stack with the size advanced by the child count, so no step branches on
-// how many children a node had (see expand_cycle).
+// written in place into the four slots above the lane's stack top
+// (WorkStack::top_row) and the stack's size is advanced by the child count
+// (commit), so no step copies a child or branches on how many a node had
+// (see expand_cycle).
 //
 // Determinism: the run is a pure function of (problem, P, config, cost
 // model, fault plan).  An engine runs on one host thread: each lock-step
@@ -49,12 +50,15 @@
 // lanes with one of three steps, chosen once at construction.  The per-bit
 // steps pop and expand lane by lane: the vector step through the problem's
 // expand() (every domain has it, and it is the reference), the row step
-// through expand_row() into a fixed row of four (search::RowTreeProblem,
-// when the instance's row_fits()).  The batched step pops a word's lanes
-// first and expands them with one call of the 15-puzzle kernel
-// (vec/expand.hpp, which also states its selection rule).  Every step feeds
-// the same flag/census transition in the same bit order, so the choice never
-// moves a simulated result; tests/test_vector_backend.cpp pins that.
+// through expand_row() straight into the lane's top row
+// (search::RowTreeProblem, when the instance's row_fits()).  The batched
+// step pops a word's lanes first, noting each one's top row, and expands
+// them with one call of the 15-puzzle kernel (vec/expand.hpp, which also
+// states its selection rule).  A CompactStack lane stores deltas, not
+// nodes, so both row steps stage its children in a scratch row and encode
+// them from there.  Every step feeds the same flag/census transition in
+// the same bit order, so the choice never moves a simulated result;
+// tests/test_vector_backend.cpp pins that.
 //
 // Mega-P (P up to 2^20 and beyond): three coordinated mechanisms keep such
 // machines practical.  Per-lane state lives in a common::ShardedArray
@@ -96,7 +100,7 @@ namespace simdts::lb {
 /// How an Engine expands a flag word's active lanes; see the header comment.
 enum class ExpandStep {
   kVector,   ///< per lane: pop, expand() into the lane's vector, append
-  kRow,      ///< per lane: pop, expand_row() into a row of four, append4
+  kRow,      ///< per lane: pop, expand_row() into the top row, commit
   kBatched,  ///< per word: pop every lane, one 15-puzzle kernel call
 };
 
@@ -144,9 +148,12 @@ class Engine {
     // once is a terminal burst whose growth the markers cover.
     goal_nodes_.reserve(std::min<std::size_t>(machine.size(), 4096));
     if (step_ == ExpandStep::kBatched) {
-      scratch_.batch_nodes.reserve(simd::BitPlane::kWordBits);
-      scratch_.batch_kids.resize(simd::BitPlane::kWordBits);
+      scratch_.batch_nodes.resize(simd::BitPlane::kWordBits);
+      scratch_.batch_rows.resize(simd::BitPlane::kWordBits);
       scratch_.batch_counts.resize(simd::BitPlane::kWordBits);
+      if constexpr (!kRowsInPlace) {
+        scratch_.batch_kids.resize(simd::BitPlane::kWordBits);
+      }
     }
 #ifdef SIMDTS_SANITIZE
     san_dead_.resize(machine.size());
@@ -427,15 +434,24 @@ class Engine {
     std::uint32_t empty = 0;
   };
 
+  using Row = std::array<Node, 4>;
+
+  /// True when the stack takes children in place (WorkStack::top_row); a
+  /// CompactStack stages them in a scratch row and encodes them on append.
+  static constexpr bool kRowsInPlace =
+      requires(StackT& s) { s.top_row(); s.commit(std::size_t{0}); };
+
   /// The walk's reusable buffers, sized at construction so a steady-state
   /// cycle allocates nothing.
   struct WalkScratch {
     std::vector<Node> children;  ///< vector step's staging, cleared per word
-    // Batched step only (empty otherwise): a word's non-goal pops, each
-    // one's row of four child slots, and its child count.
+    // Batched step only (empty otherwise): a word's non-goal pops, the row
+    // each one's children go to, and its child count; the rows are the
+    // lanes' top rows, or batch_kids where the stack stages them.
     std::vector<Node> batch_nodes;
-    std::vector<std::array<Node, 4>> batch_kids;
+    std::vector<Row*> batch_rows;
     std::vector<std::uint32_t> batch_counts;
+    std::vector<Row> batch_kids;
   };
 
   /// The step-selection rule: the batched step where the problem has a
@@ -451,15 +467,29 @@ class Engine {
     return ExpandStep::kVector;
   }
 
-  /// Pushes row[0..n) onto `st` in order.  WorkStack copies the whole row
-  /// and advances its size by n (append4, no branch on n); CompactStack
-  /// encodes just the n children.
-  static void append_row(StackT& st, std::array<Node, 4>& row,
-                         std::uint32_t n) {
-    if constexpr (requires { st.append4(row, n); }) {
-      st.append4(row, n);
+  /// Pushes the first n children of `row` — st's top row, or a staging row
+  /// where the stack has none — onto `st` in order.  WorkStack only
+  /// advances its size by n (no copy, no branch on n); CompactStack encodes
+  /// the n children.
+  static void commit_row(StackT& st, Row& row, std::uint32_t n) {
+    if constexpr (kRowsInPlace) {
+#ifdef SIMDTS_SANITIZE
+      // Mutation: commit one child more than a row holds.
+      if (san::mutation().overcommit_row) n = 5;
+#endif
+      st.commit(n);
     } else if (n != 0) {
       st.append(row.data(), n);
+    }
+  }
+
+  /// The row step's row for a popped node's children: the four slots above
+  /// st's top where the stack takes them in place, else `staging`.
+  static Row& row_for(StackT& st, Row& staging) {
+    if constexpr (kRowsInPlace) {
+      return st.top_row();
+    } else {
+      return staging;
     }
   }
 
@@ -483,17 +513,20 @@ class Engine {
   ///
   /// The per-word step is the only part that varies (step_, fixed at
   /// construction).  The per-bit steps pop and expand inside the bit loop:
-  /// the row step writes a node's children into a row of four and appends
-  /// the row (append_row); the vector step stages them in the scratch vector
-  /// (cleared once per word) and appends them in one batch.  The batched
-  /// step pops the whole word first (expand_word_batched); the bit loop then
-  /// appends each lane's row of four from the kernel.  Every step runs the
-  /// one flag/census transition of the bit loop, in bit order.
+  /// the row step writes a node's children into the four slots above the
+  /// lane's top and commits their count (row_for/commit_row); the vector
+  /// step stages them in the scratch vector (cleared once per word) and
+  /// appends them in one batch.  The batched step pops the whole word first,
+  /// noting each lane's top row, and prefetches the next occupied word's
+  /// stack tops before its kernel call (expand_word_batched); the bit loop
+  /// then commits each lane's child count.  Every step runs the one
+  /// flag/census transition of the bit loop, in bit order.
   ///
-  ///   per-bit:  for each active bit:  pop -> goal? -> expand_row -> row
-  ///                                   -> append_row -> flag/census
-  ///   batched:  pop all active bits -> expand_fifteen -> rows[j]
-  ///             for each active bit:  append_row(rows[j]) -> flag/census
+  ///   per-bit:  for each active bit:  pop -> goal? -> expand_row into
+  ///                                   top_row -> commit -> flag/census
+  ///   batched:  pop all active bits, rows[j] = top_row
+  ///             -> prefetch next word's tops -> expand_fifteen(rows)
+  ///             for each active bit:  commit(count[j]) -> flag/census
   // SIMDLINT-REGION(lockstep)
   void expand_cycle(search::Bound bound, IterationStats& stats) {
     constexpr std::size_t kWordBits = simd::BitPlane::kWordBits;
@@ -511,9 +544,10 @@ class Engine {
     const bool rows = search::RowTreeProblem<P> && step_ == ExpandStep::kRow;
     // Per-bit step on a machine wider than one flag word: prefetch a word's
     // stack tops before popping any of them (see below).  A single word's
-    // stacks stay cache-resident, so small machines skip it.
+    // stacks stay cache-resident, so small machines skip it.  The batched
+    // step prefetches one word ahead instead (expand_word_batched).
     const bool prefetch = !batched && nwords > 1;
-    std::array<Node, 4> row{};      // the row step's staging
+    [[maybe_unused]] Row staging{};  // the row step's row without top_row
     std::int64_t d_nonempty = 0;    // minus the lanes that ran dry
     std::int64_t d_splittable = 0;  // splittable transitions, either way
     search::NextBound next_bound;   // least f-value pruned this cycle
@@ -529,11 +563,16 @@ class Engine {
     // Walk only work-summary-occupied words: a clear summary bit guarantees
     // `active == 0` below, so skipping it is exactly the flat walk's
     // `continue`.
+    const auto valid_mask = [&](std::size_t w) {
+      return (w + 1 == nwords) ? last_mask : ~std::uint64_t{0};
+    };
+    std::size_t next_w = 0;
     for (std::size_t w = san_flat ? 0 : work_summary_.next_occupied(0);
-         w < nwords;
-         w = san_flat ? w + 1 : work_summary_.next_occupied(w + 1)) {
-      const std::uint64_t valid =
-          (w + 1 == nwords) ? last_mask : ~std::uint64_t{0};
+         w < nwords; w = next_w) {
+      // Only word w's summary bit changes below, so the next occupied word
+      // is known now (the batched step prefetches its stack tops).
+      next_w = san_flat ? w + 1 : work_summary_.next_occupied(w + 1);
+      const std::uint64_t valid = valid_mask(w);
       std::uint64_t idle_w = idle_words[w];
       std::uint64_t busy_w = busy_words[w];
       std::uint64_t not_dead = ~dead_words[w];
@@ -564,10 +603,18 @@ class Engine {
       std::uint64_t goal_bits = 0;
       if constexpr (vec::kHasKernel<P>) {
         if (batched) {
-          goal_bits = expand_word_batched(lanes, active, bound, next_bound);
+          std::uint64_t next_active = 0;
+          if (next_w < nwords) {
+            next_active = ~idle_words[next_w] & ~dead_words[next_w] &
+                          valid_mask(next_w);
+          }
+          goal_bits = expand_word_batched(
+              lanes, active,
+              next_active != 0 ? &stacks_[next_w * kWordBits] : nullptr,
+              next_active, bound, next_bound);
         }
       }
-      std::uint32_t slot = 0;  // batched: index into batch_kids/batch_counts
+      std::uint32_t slot = 0;  // batched: index into batch_rows/batch_counts
       std::uint64_t m = active;
       while (m != 0) {
         const auto b = static_cast<unsigned>(std::countr_zero(m));
@@ -576,7 +623,7 @@ class Engine {
         const std::uint64_t bit = std::uint64_t{1} << b;
         if (batched) {
           if ((goal_bits & bit) == 0) {
-            append_row(st, scratch_.batch_kids[slot],
+            commit_row(st, *scratch_.batch_rows[slot],
                        scratch_.batch_counts[slot]);
             ++slot;
           }
@@ -584,11 +631,11 @@ class Engine {
           Node n = st.pop();
           if (!record_goal(n)) {
             if (rows) {
-              std::uint32_t added = 0;
               if constexpr (search::RowTreeProblem<P>) {
-                added = problem_.expand_row(n, bound, row, next_bound);
+                Row& row = row_for(st, staging);
+                commit_row(st, row,
+                           problem_.expand_row(n, bound, row, next_bound));
               }
-              append_row(st, row, added);
             } else {
               std::vector<Node>& children = scratch_.children;
               const std::size_t staged = children.size();
@@ -659,15 +706,21 @@ class Engine {
 
   /// The batched step's gather: pops every active lane of the word whose
   /// stacks start at `lanes`, in bit order, recording goals as it goes (so
-  /// goal order matches the per-bit step), then expands the other nodes with
-  /// one kernel call.  Node j's children land in the first
-  /// scratch_.batch_counts[j] slots of scratch_.batch_kids[j].  Returns the
-  /// word's goal bits.
+  /// goal order matches the per-bit step) and noting each other lane's
+  /// child row, then expands the other nodes with one kernel
+  /// call.  Node j's children land in the first scratch_.batch_counts[j]
+  /// slots of *scratch_.batch_rows[j].  Before the call it prefetches the
+  /// stack tops of `next_active`'s lanes of the next occupied word (stacks
+  /// from `next_lanes`), so their misses overlap the kernel instead of the
+  /// next gather.  Returns the word's goal bits.
   std::uint64_t expand_word_batched(StackT* lanes, std::uint64_t active,
+                                    const StackT* next_lanes,
+                                    std::uint64_t next_active,
                                     search::Bound bound,
                                     search::NextBound& next_bound) {
-    std::vector<Node>& nodes = scratch_.batch_nodes;
-    nodes.clear();
+    Node* const nodes = scratch_.batch_nodes.data();
+    Row** const rows = scratch_.batch_rows.data();
+    std::uint32_t count = 0;
     std::uint64_t goal_bits = 0;
     for (std::uint64_t m = active; m != 0; m &= m - 1) {
       const auto b = static_cast<unsigned>(std::countr_zero(m));
@@ -675,13 +728,21 @@ class Engine {
       if (record_goal(n)) {
         goal_bits |= std::uint64_t{1} << b;
       } else {
-        // SIMDLINT-EFFECT-OK(allocates) capacity kWordBits reserved at
-        nodes.push_back(n);  // construction; a batch never crosses one flag
-        // word, so this never reallocates.
+        nodes[count] = n;
+        if constexpr (kRowsInPlace) {
+          rows[count] = &lanes[b].top_row();
+        } else {
+          rows[count] = &scratch_.batch_kids[count];
+        }
+        ++count;
       }
     }
-    vec::expand_fifteen(nodes.data(), static_cast<std::uint32_t>(nodes.size()),
-                        bound, scratch_.batch_kids.data(),
+    if constexpr (requires(const StackT& s) { s.prefetch_top(); }) {
+      for (std::uint64_t m = next_active; m != 0; m &= m - 1) {
+        next_lanes[std::countr_zero(m)].prefetch_top();
+      }
+    }
+    vec::expand_fifteen(nodes, count, bound, rows,
                         scratch_.batch_counts.data(), next_bound);
     return goal_bits;
   }

@@ -51,6 +51,17 @@ void check_stack_read(std::size_t have, std::size_t need, const char* op) {
   }
 }
 
+void check_row_commit(std::size_t n, bool reserved, const char* op) {
+  if (!armed()) return;
+  if (!reserved || n > 4) {
+    std::ostringstream os;
+    os << op << " of " << n << " node(s) "
+       << (reserved ? "overruns the four-slot row"
+                    : "without a top_row() reservation");
+    fail("row-commit", os.str());
+  }
+}
+
 void verify_tail_zero(const std::uint64_t* words, std::size_t word_count,
                       std::size_t lanes, const char* plane_name) {
   if (!armed()) return;

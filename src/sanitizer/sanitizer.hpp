@@ -6,7 +6,8 @@
 // stack hygiene, single-donor rendezvous matching, incremental-census/
 // flag-plane agreement, sorted fault plans — were previously enforced only
 // by golden-CSV diffs after the fact.
-// SimdSan checks them at the access: instrumented call sites in
+// SimdSan checks them at the access (plus the in-place child-row protocol
+// the expansion cycle writes stacks through): instrumented call sites in
 // simd/bitplane, search/work_stack, lb/engine, lb/matching, and fault/
 // consult a shadow state and throw a typed simdts::SanitizerError (naming the
 // broken invariant) the moment a discipline is violated.
@@ -60,6 +61,7 @@ struct MutationHooks {
   bool corrupt_tail = false;         // set a bit past size() in a flag plane
   bool drop_census_delta = false;    // lose one lane's census update
   bool skip_plan_sort = false;       // fault plan left in submission order
+  bool overcommit_row = false;       // commit more children than a row holds
 
   void reset() noexcept { *this = MutationHooks{}; }
 };
@@ -74,6 +76,14 @@ void check_lane_index(std::size_t i, std::size_t lanes, const char* where);
 /// Throws SanitizerError("stack-underflow") when an operation needing `need`
 /// nodes runs against a stack holding `have`.
 void check_stack_read(std::size_t have, std::size_t need, const char* op);
+
+// ---------------------------------------------------------------------------
+// In-place child rows ("row-commit")
+
+/// Throws SanitizerError("row-commit") unless a commit of `n` children lands
+/// inside a row that top_row() reserved: `reserved` says one is pending,
+/// and a row holds four.
+void check_row_commit(std::size_t n, bool reserved, const char* op);
 
 // ---------------------------------------------------------------------------
 // Tail bits ("tail-bits")

@@ -51,16 +51,20 @@ concept TreeProblem = requires(const P& p, const typename P::Node& n,
 
 /// Optional fixed-row extension of TreeProblem: a domain whose nodes have
 /// at most four children can write them into a caller-owned row of four
-/// slots instead of appending to a vector.  The engine's per-bit step then
-/// copies the whole row onto the lane's stack and advances the size by the
-/// returned count (WorkStack::append4), with no branch on how many children
+/// slots instead of appending to a vector.  The engine's row step passes
+/// the four slots above the lane's stack top (WorkStack::top_row) and then
+/// advances the stack's size by the returned count (WorkStack::commit), so
+/// the children are written in place with no copy and no branch on how many
 /// a node had.
 ///
 /// Contract:
 ///  - expand_row(n, bound, row, next) returns k <= 4 and writes into
 ///    row[0..k) exactly the children — bit for bit, in the same order — that
-///    expand(n, bound, ...) appends, with the same effect on `next`.  Slots
-///    row[k..4) hold no child (a rejected candidate or older data).
+///    expand(n, bound, ...) appends, with the same effect on `next`.
+///  - The row may be stack memory: its initial contents are indeterminate
+///    (never read), and `n` is the caller's copy, never inside the row.
+///    Slots row[k..4) are dead on return (a rejected candidate or older
+///    data) and may hold anything.
 ///  - row_fits() says whether that holds for every node of this instance; a
 ///    domain whose branching depends on its parameters (synthetic::Tree with
 ///    more than four child slots) returns false and is expanded through

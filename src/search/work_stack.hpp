@@ -11,12 +11,17 @@
 // split its work into two non-empty parts, one to keep and one to give away
 // (Section 2).
 //
-// Storage is a contiguous ring buffer (power-of-two capacity, head index,
-// logical size): push/pop at the top and take_bottom at the bottom are all
-// O(1) with no per-node allocation, unlike the former std::deque backing
-// whose chunked storage cost an indirection on every hot-loop access.
-// Element slots are raw storage managed with placement construction so that
-// move-only node types work.
+// Storage is one linear buffer with a moving bottom (power-of-two capacity,
+// head index, logical size): the live nodes are slots [head, head + size),
+// so push/pop at the top and take_bottom at the bottom are O(1) with no
+// per-node allocation and no index mask, and the slots above the top are
+// contiguous — the expansion cycle writes a popped node's children straight
+// into them (top_row/commit).  When the top reaches the end of the buffer,
+// the live nodes slide back to slot 0 if the request fits the capacity, and
+// the buffer doubles otherwise; capacity therefore grows exactly when
+// size + request exceeds it, whatever the head.  Element slots are raw
+// storage managed with placement construction so that move-only node types
+// work.
 #pragma once
 
 #include <algorithm>
@@ -36,6 +41,9 @@ template <typename Node>
 class WorkStack {
  public:
   WorkStack() = default;
+
+  /// The fixed child row the expansion cycle writes into (top_row).
+  using Row = std::array<Node, 4>;
 
   WorkStack(WorkStack&& o) noexcept
       : slots_(o.slots_), cap_(o.cap_), head_(o.head_), size_(o.size_) {
@@ -80,50 +88,48 @@ class WorkStack {
   [[nodiscard]] bool splittable() const noexcept { return size_ >= 2; }
 
   void push(Node n) {
-    if (size_ == cap_) grow();
-    ::new (static_cast<void*>(slot_ptr(size_))) Node(std::move(n));
+    if (head_ + size_ == cap_) make_room(1);
+    ::new (static_cast<void*>(slots_ + head_ + size_)) Node(std::move(n));
     ++size_;
   }
 
   /// Pushes `n` nodes from `src` in order — src[n-1] ends on top, exactly as
   /// n successive push() calls — with one capacity check for the whole
-  /// batch: the staged form of push() used by the expansion cycle, which
-  /// appends every child of a popped node at once.  The source nodes are
-  /// moved from.
+  /// batch: the vector step's append of every child of a popped node.  The
+  /// source nodes are moved from.
   void append(Node* src, std::size_t n) {
-    if (size_ + n > cap_) reserve_pow2(size_ + n);
-    // At most two contiguous runs in the ring: up to the physical end of the
-    // buffer, then wrapped to the front.  The batch almost always fits in
-    // the first run (a wrap needs head_ + size_ within n of the physical
-    // end), and trivially-copyable nodes make that run one memcpy.
-    const std::size_t pos = (head_ + size_) & (cap_ - 1);
-    if (n <= cap_ - pos) [[likely]] {
-      copy_run(slots_ + pos, src, n);
-    } else {
-      const std::size_t run = cap_ - pos;
-      copy_run(slots_ + pos, src, run);
-      copy_run(slots_, src + run, n - run);
-    }
+    if (head_ + size_ + n > cap_) make_room(n);
+    copy_run(slots_ + head_ + size_, src, n);
     size_ += n;
   }
 
-  /// Pushes src[0..n) (n <= 4) with the contents and order of n successive
-  /// push() calls, with no branch on n: the batched 15-puzzle step's append
-  /// of one node's fixed child slots.  It reserves room for four (so the
-  /// buffer can grow a few pushes earlier), writes all four slots
-  /// through the ring mask and then advances the size by n; the slots past
-  /// the new top are dead storage that a later push or append overwrites.
-  /// n varies from call to call in that step, so a switch or loop on it
-  /// mispredicts, and a miss costs more than the spare slot copies.
-  void append4(const std::array<Node, 4>& src, std::size_t n)
-    requires std::is_trivially_copyable_v<Node>
+  /// Reserves the four contiguous slots above the top and returns them as
+  /// one row, for a caller that writes up to four children in place and
+  /// then commit()s how many it wrote: the expansion cycle's row and
+  /// batched steps (search::RowTreeProblem, vec::expand_fifteen).  Room is
+  /// made for four (so the buffer can grow a few pushes earlier than
+  /// push() alone would); the row's contents are indeterminate until
+  /// written, and the slots past the committed count stay dead storage that
+  /// a later push or row overwrites.
+  Row& top_row()
+    requires std::is_trivial_v<Node>
   {
-    if (size_ + 4 > cap_) [[unlikely]] reserve_pow2(size_ + 4);
-    const std::size_t top = head_ + size_;
-    const std::size_t mask = cap_ - 1;
-    for (std::size_t i = 0; i < 4; ++i) {
-      ::new (static_cast<void*>(slots_ + ((top + i) & mask))) Node(src[i]);
-    }
+    if (head_ + size_ + 4 > cap_) [[unlikely]] make_room(4);
+#ifdef SIMDTS_SANITIZE
+    row_reserved_ = true;
+#endif
+    // Default-initializing a row of trivial nodes begins its lifetime and
+    // emits no code.
+    return *::new (static_cast<void*>(slots_ + head_ + size_)) Row;
+  }
+
+  /// Makes row[0..n) of the last top_row() the n nodes above the old top
+  /// (n <= 4), with the contents and order of n successive push() calls.
+  void commit(std::size_t n) {
+#ifdef SIMDTS_SANITIZE
+    san::check_row_commit(n, row_reserved_, "WorkStack::commit");
+    row_reserved_ = false;
+#endif
     size_ += n;
   }
 
@@ -147,7 +153,7 @@ class WorkStack {
     Node* p = slot_ptr(0);
     Node n = std::move(*p);
     p->~Node();
-    head_ = (head_ + 1) & (cap_ - 1);
+    ++head_;
     --size_;
     return n;
   }
@@ -207,7 +213,7 @@ class WorkStack {
   /// Returns surplus capacity to the allocator: an empty stack releases its
   /// buffer entirely (the pooled-release path for lanes that drained after
   /// donating), a non-empty one re-homes into the smallest power-of-two
-  /// buffer that fits.  The ring otherwise only grows, so without this a
+  /// buffer that fits.  The buffer otherwise only grows, so without this a
   /// lane that once held a deep stack pins that memory for the whole run.
   void shrink_to_fit() {
     if (size_ == 0) {
@@ -244,12 +250,11 @@ class WorkStack {
   }
 
  private:
-  /// One contiguous run of an append().  The hot caller is the expansion
-  /// cycle appending one popped node's children — n is almost always <= 4 —
-  /// and a library memcpy call costs more than such a copy itself (and the
-  /// compiler rewrites any plain copy loop into one), so tiny batches are
-  /// unrolled straight-line; only bulk appends (recovery re-donations, big
-  /// transfers) take the memcpy path.
+  /// The run of an append().  The hot caller is the vector step appending
+  /// one popped node's children — n is almost always <= 4 — and a library
+  /// memcpy call costs more than such a copy itself (and the compiler
+  /// rewrites any plain copy loop into one), so tiny batches are unrolled
+  /// straight-line; only bulk appends take the memcpy path.
   static void copy_run(Node* dst, Node* src, std::size_t n) {
     if constexpr (std::is_trivially_copyable_v<Node>) {
       switch (n) {
@@ -278,10 +283,25 @@ class WorkStack {
   }
 
   [[nodiscard]] Node* slot_ptr(std::size_t i) const noexcept {
-    return slots_ + ((head_ + i) & (cap_ - 1));
+    return slots_ + head_ + i;
   }
 
-  void grow() { reserve_pow2(cap_ == 0 ? 8 : cap_ * 2); }
+  /// Makes room for `k` more nodes above the top, which has reached the end
+  /// of the buffer: the live nodes slide down to slot 0 when size + k fits
+  /// the capacity, and the buffer grows (reserve_pow2) otherwise.
+  void make_room(std::size_t k) {
+    if (size_ + k > cap_) {
+      reserve_pow2(size_ + k);
+      return;
+    }
+    // Front to back: each destination slot lies below its source and holds
+    // no live node (it is below the bottom, or was already moved out of).
+    for (std::size_t i = 0; i < size_; ++i) {
+      ::new (static_cast<void*>(slots_ + i)) Node(std::move(slots_[head_ + i]));
+      slots_[head_ + i].~Node();
+    }
+    head_ = 0;
+  }
 
   /// Re-homes the live elements into a fresh buffer of at least `min_cap`
   /// slots (rounded up to a power of two), bottom element first.
@@ -313,8 +333,11 @@ class WorkStack {
 
   Node* slots_ = nullptr;
   std::size_t cap_ = 0;   ///< always zero or a power of two
-  std::size_t head_ = 0;  ///< ring index of the bottom element
+  std::size_t head_ = 0;  ///< slot of the bottom element
   std::size_t size_ = 0;
+#ifdef SIMDTS_SANITIZE
+  bool row_reserved_ = false;  ///< a top_row() awaits its commit()
+#endif
 };
 
 }  // namespace simdts::search

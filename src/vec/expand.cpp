@@ -8,16 +8,18 @@
 // is two packed words, the board and the child's byte fields
 // (`blank | g<<8 | h<<16 | last<<24`, Node's layout past the board).  The
 // *emission phase* walks the candidates per node in move order, storing each
-// as one 16-byte Node into the node's fixed four-slot row and advancing a
-// write cursor by the take predicate, exactly like expand_row()'s row loop.
-// The candidate phase carries all the work (board arithmetic, heuristic
-// deltas, bound tests) and vectorizes because no lane ever branches.
+// as one 16-byte Node into the node's four-slot row (the caller's: a lane's
+// stack top in the engine) and advancing a write cursor by the take
+// predicate, exactly like expand_row()'s row loop.  The candidate phase
+// carries all the work (board arithmetic, heuristic deltas, bound tests) and
+// vectorizes because no lane ever branches.
 //
 // Bit-exactness with FifteenPuzzle::expand_row():
-//  - Tile distances come from the coordinate formula
-//    |row(pos) - row(t)| + |col(pos) - col(t)|, which equals expand_row()'s
-//    table lookup for every real tile (the goal cell of tile t is cell t;
-//    the moved tile is never the blank on a legal move).
+//  - A move slides one tile one cell along one axis, so its Manhattan term
+//    (the goal cell of tile t is cell t) changes by exactly +1 or -1, which
+//    one compare decides.  That equals expand_row()'s table difference
+//    d(t, blank) - d(t, target) for every real tile (the moved tile is never
+//    the blank on a legal move).
 //  - NextBound is a pure min, so observing the batch's minimum pruned f once
 //    equals observing every pruned f individually.
 #include "vec/expand.hpp"
@@ -100,14 +102,6 @@ static_assert(sizeof(Node) == 16 && offsetof(Node, board) == 0 &&
               offsetof(Node, blank) == 8 && offsetof(Node, g) == 9 &&
               offsetof(Node, h) == 10 && offsetof(Node, last) == 11);
 
-/// |x - y| for u64 lanes via the sign-propagation trick — pure bit ops, no
-/// compare/branch, so the vectorizer never bails on it.
-inline std::uint64_t absdiff(std::uint64_t x, std::uint64_t y) {
-  const std::uint64_t d = x - y;
-  const std::uint64_t m = std::uint64_t{0} - (d >> 63);  // 0 or all-ones
-  return (d ^ m) - m;
-}
-
 /// Candidate phase for one move direction, all lanes at once.  kMove follows
 /// puzzle::Move: 0 up, 1 down, 2 left, 3 right (the blank moves).  Illegal
 /// lanes compute a self-move (shift amounts stay in range, no UB) whose
@@ -118,8 +112,9 @@ inline std::uint64_t absdiff(std::uint64_t x, std::uint64_t y) {
 /// Every value in the loop is u64 — legality masks, coordinates, f-values —
 /// for the vectorizer's sake (see FifteenBatchSoA).  Selects are explicit
 /// 0/1-mask arithmetic (never multiplies: AVX2 has no vpmullq).  All
-/// quantities are small and non-negative (g, h < 255; hh >= 0 since h
-/// includes the moved tile's d_from), so u64 and i32 arithmetic agree.
+/// quantities are small and non-negative on a legal move (g, h < 255;
+/// hh >= 0 since h includes the moved tile's distance of at least 1), so
+/// u64 and i32 arithmetic agree; an illegal lane's values are never used.
 template <int kMove>
 VEC_TARGET_AVX2 void fifteen_candidates(
     const FifteenBatchSoA& s, std::uint32_t padded, search::Bound bound,
@@ -153,13 +148,20 @@ VEC_TARGET_AVX2 void fifteen_candidates(
     // variable amount (`0xFULL << sh` reports "no vectype"), while
     // variable << variable lowers to vpsllvq.
     const std::uint64_t nb = (board ^ (tile << from_sh)) | (tile << (b << 2));
-    // Manhattan delta of the slid tile: goal cell of tile t is cell t.
-    const std::uint64_t trow = tile >> 2;
-    const std::uint64_t tcol = tile & 3;
-    const std::uint64_t d_from =
-        absdiff(tsafe >> 2, trow) + absdiff(tsafe & 3, tcol);
-    const std::uint64_t d_to = absdiff(b >> 2, trow) + absdiff(b & 3, tcol);
-    const std::uint64_t hh = s.h[j] + d_to - d_from;
+    // Manhattan step of the slid tile: +1 (away = 1) when its goal row or
+    // column lies strictly behind the blank's in the direction of the
+    // slide, -1 otherwise.
+    std::uint64_t away;  // 0 or 1
+    if constexpr (kMove == 0) {
+      away = static_cast<std::uint64_t>((tile >> 2) < (b >> 2));
+    } else if constexpr (kMove == 1) {
+      away = static_cast<std::uint64_t>((tile >> 2) > (b >> 2));
+    } else if constexpr (kMove == 2) {
+      away = static_cast<std::uint64_t>((tile & 3) < (b & 3));
+    } else {
+      away = static_cast<std::uint64_t>((tile & 3) > (b & 3));
+    }
+    const std::uint64_t hh = s.h[j] - 1 + (away << 1);
     const std::uint64_t f = s.g[j] + 1 + hh;
     const std::uint64_t ok =
         legal & static_cast<std::uint64_t>(s.skip[j] != kMove);
@@ -201,7 +203,7 @@ bool batch_applies(const puzzle::FifteenPuzzle& p,
 // SIMDLINT-REGION(lockstep)
 VEC_TARGET_AVX2 void expand_fifteen(const Node* nodes, std::uint32_t count,
                                     search::Bound bound,
-                                    std::array<Node, 4>* kids,
+                                    std::array<Node, 4>* const* rows,
                                     std::uint32_t* child_counts,
                                     search::NextBound& next) {
   FifteenBatchSoA soa;
@@ -237,7 +239,7 @@ VEC_TARGET_AVX2 void expand_fifteen(const Node* nodes, std::uint32_t count,
   // rejected candidate is overwritten by the next one (or left as dead
   // storage past the count).
   for (std::uint32_t j = 0; j < count; ++j) {
-    Node* const row = kids[j].data();
+    Node* const row = rows[j]->data();
     std::uint32_t k = 0;
     for (std::uint32_t mv = 0; mv < 4; ++mv) {
       const std::uint64_t words[2] = {cand_board[mv][j], cand_meta[mv][j]};

@@ -7,7 +7,9 @@
 // most 64 nodes) and expand them with one expand_fifteen() call: the kernel
 // computes all four moves of every node as branch-free u64 lane arithmetic
 // (AVX2-wide), then fills node j's row with the same row contract as
-// expand_row() (search::RowTreeProblem).
+// expand_row() (search::RowTreeProblem).  The engine passes each lane's
+// WorkStack::top_row(), so the children are written straight onto the
+// stacks; a CompactStack lane gets a scratch row to encode from.
 //
 // The engine picks the step once, at construction (batch_applies):
 //  - the problem has a kernel (kHasKernel — only puzzle::FifteenPuzzle);
@@ -55,14 +57,15 @@ inline constexpr std::uint32_t kMinBatchPes = 64;
 
 /// Expands `count` (at most 64) Manhattan-heuristic nodes with `bound`.
 /// Node j's children, compacted in move order, land in
-/// `kids[j][0..child_counts[j])`; the row's other slots hold no child (a
-/// rejected candidate or an earlier call's data: the caller copies whole
-/// rows and keeps only the count — see WorkStack::append4).  The smallest
-/// pruned f-value is observed in `next`.  `kids` and `child_counts` hold at
+/// `(*rows[j])[0..child_counts[j])`; the row's other slots are dead (a
+/// rejected candidate or older data: the caller keeps only the count — see
+/// WorkStack::commit).  A row may be any four writable slots, stack memory
+/// included, but no row may overlap `nodes` or another row.  The smallest
+/// pruned f-value is observed in `next`.  `rows` and `child_counts` hold at
 /// least `count` entries.  Requires cpu_has_avx2().
 void expand_fifteen(const puzzle::FifteenPuzzle::Node* nodes,
                     std::uint32_t count, search::Bound bound,
-                    std::array<puzzle::FifteenPuzzle::Node, 4>* kids,
+                    std::array<puzzle::FifteenPuzzle::Node, 4>* const* rows,
                     std::uint32_t* child_counts, search::NextBound& next);
 
 }  // namespace simdts::vec

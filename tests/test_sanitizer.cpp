@@ -230,6 +230,21 @@ TEST(SanitizerMutation, DroppedCensusDeltaTripsCensusDivergenceBatched) {
   expect_fires("census-divergence", [] { run_batched_puzzle(64); });
 }
 
+TEST(SanitizerMutation, OvercommittedRowTripsRowCommit) {
+  MutationGuard guard;
+  // The row step commits five children into its four-slot top row.  (The
+  // vector step appends a counted run and has no row to overrun.)
+  san::mutation().overcommit_row = true;
+  expect_fires("row-commit", [] { run_synthetic(64); });
+}
+
+TEST(SanitizerMutation, OvercommittedRowTripsRowCommitBatched) {
+  SKIP_WITHOUT_AVX2();
+  MutationGuard guard;
+  san::mutation().overcommit_row = true;
+  expect_fires("row-commit", [] { run_batched_puzzle(64); });
+}
+
 TEST(SanitizerMutation, UnsortedFaultPlanTripsPlanOrder) {
   MutationGuard guard;
   san::mutation().skip_plan_sort = true;
@@ -252,6 +267,19 @@ TEST(SanitizerPrimitives, StackUnderflowIsCaught) {
   expect_fires("stack-underflow", [&] { (void)stack.top(); });
   stack.push(7);
   EXPECT_EQ(stack.pop(), 7);  // a legal pop stays legal
+}
+
+TEST(SanitizerPrimitives, RowCommitNeedsAReservedRowOfFour) {
+  MutationGuard guard;
+  search::WorkStack<int> stack;
+  // No top_row() reservation pending.
+  expect_fires("row-commit", [&] { stack.commit(0); });
+  (void)stack.top_row();
+  expect_fires("row-commit", [&] { stack.commit(5); });
+  EXPECT_NO_THROW(stack.commit(4));  // a full row is legal
+  EXPECT_EQ(stack.size(), 4u);
+  // A commit consumes its reservation.
+  expect_fires("row-commit", [&] { stack.commit(1); });
 }
 
 TEST(SanitizerPrimitives, LaneBoundsAreCaught) {

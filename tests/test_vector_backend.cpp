@@ -14,7 +14,9 @@
 // AVX2.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -27,6 +29,7 @@
 #include "runtime/sweep.hpp"
 #include "search/compact_stack.hpp"
 #include "search/problem.hpp"
+#include "search/work_stack.hpp"
 #include "simd/machine.hpp"
 #include "step_wrappers.hpp"
 #include "synthetic/tree.hpp"
@@ -70,21 +73,29 @@ std::vector<FifteenPuzzle::Node> node_pool(const FifteenPuzzle& p,
   return pool;
 }
 
-/// One expand_fifteen() call on nodes[0..count), its rows pre-filled with a
-/// poison node so a test cannot pass on zeroed slots.
+using Row = std::array<FifteenPuzzle::Node, 4>;
+
+/// A node that no expansion produces, to pre-fill rows with so a test
+/// cannot pass on zeroed slots.
+constexpr FifteenPuzzle::Node kPoison{~std::uint64_t{0}, 0xEE, 0xEE, 0xEE,
+                                      0xEE};
+
+/// One expand_fifteen() call on nodes[0..count) into scratch rows, one per
+/// node, pre-filled with kPoison.
 struct KernelRun {
-  std::vector<std::array<FifteenPuzzle::Node, 4>> kids;
+  std::vector<Row> kids;
   std::vector<std::uint32_t> counts;
   search::NextBound next;
 };
 
 KernelRun run_kernel(const FifteenPuzzle::Node* nodes, std::uint32_t count,
                      search::Bound bound) {
-  const FifteenPuzzle::Node poison{~std::uint64_t{0}, 0xEE, 0xEE, 0xEE, 0xEE};
   KernelRun r;
-  r.kids.assign(count, {poison, poison, poison, poison});
+  r.kids.assign(count, {kPoison, kPoison, kPoison, kPoison});
   r.counts.assign(count, 99);
-  vec::expand_fifteen(nodes, count, bound, r.kids.data(), r.counts.data(),
+  std::vector<Row*> rows;
+  for (Row& row : r.kids) rows.push_back(&row);
+  vec::expand_fifteen(nodes, count, bound, rows.data(), r.counts.data(),
                       r.next);
   return r;
 }
@@ -192,6 +203,128 @@ TEST(FifteenKernel, BoundsThatPruneEverythingOrNothing) {
     EXPECT_FALSE(all.next.has_value()) << "count " << count;
     for (std::uint32_t j = 0; j < count; ++j) {
       EXPECT_GE(all.counts[j], 1u);
+    }
+  }
+}
+
+/// Every single-move situation the kernel can meet: the blank on each cell,
+/// each legal move from it, and each tile 1..15 in the cell that move
+/// slides from (the other tiles fill the rest of the board in order).  Each
+/// board comes as a root (last = kNoMove) and after every previous move
+/// (last = 0..3, so the move under test is sometimes the skipped inverse),
+/// and with g set so its children's f lands below, on, or just above
+/// `bound` (a slide changes f by exactly 0 or +2).
+std::vector<FifteenPuzzle::Node> every_single_move_node(search::Bound bound) {
+  std::vector<FifteenPuzzle::Node> nodes;
+  for (int blank = 0; blank < puzzle::kCells; ++blank) {
+    const int row = blank / puzzle::kSide;
+    const int col = blank % puzzle::kSide;
+    const int from_cells[4] = {row > 0 ? blank - puzzle::kSide : -1,
+                               row < puzzle::kSide - 1 ? blank + puzzle::kSide
+                                                       : -1,
+                               col > 0 ? blank - 1 : -1,
+                               col < puzzle::kSide - 1 ? blank + 1 : -1};
+    for (const int from : from_cells) {
+      if (from < 0) continue;
+      for (std::uint8_t tile = 1; tile < puzzle::kCells; ++tile) {
+        std::array<std::uint8_t, puzzle::kCells> tiles{};
+        tiles[static_cast<std::size_t>(from)] = tile;
+        std::uint8_t fill = 1;
+        for (int pos = 0; pos < puzzle::kCells; ++pos) {
+          if (pos == blank || pos == from) continue;
+          if (fill == tile) ++fill;
+          tiles[static_cast<std::size_t>(pos)] = fill++;
+        }
+        const puzzle::Board board = puzzle::Board::from_tiles(tiles);
+        const int h = puzzle::manhattan(board);
+        for (const std::uint8_t last : {puzzle::kNoMove, std::uint8_t{0},
+                                        std::uint8_t{1}, std::uint8_t{2},
+                                        std::uint8_t{3}}) {
+          for (int below = 0; below <= 2; ++below) {
+            FifteenPuzzle::Node n{};
+            n.board = board.packed();
+            n.blank = static_cast<std::uint8_t>(blank);
+            n.g = static_cast<std::uint8_t>(bound - h - below);
+            n.h = static_cast<std::uint8_t>(h);
+            n.last = last;
+            nodes.push_back(n);
+          }
+        }
+      }
+    }
+  }
+  return nodes;
+}
+
+TEST(FifteenKernel, EverySingleMoveMatchesExpandRow) {
+  SKIP_WITHOUT_AVX2();
+  const search::Bound bound = 100;
+  const std::vector<FifteenPuzzle::Node> nodes = every_single_move_node(bound);
+  // 48 (cell, move) pairs x 15 tiles x 5 lasts x 3 g offsets.
+  ASSERT_EQ(nodes.size(), 48u * 15 * 5 * 3);
+  // expand_row only reads the node and the instance's heuristic.
+  const FifteenPuzzle p(puzzle::Board::goal());
+  std::size_t taken = 0;
+  std::size_t pruned = 0;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const FifteenPuzzle::Node& n = nodes[i];
+    Row want{};
+    search::NextBound want_next;
+    const std::uint32_t k = p.expand_row(n, bound, want, want_next);
+    // Alone, so NextBound is this node's own.
+    const KernelRun r = run_kernel(&n, 1, bound);
+    ASSERT_EQ(r.counts[0], k) << "node " << i;
+    for (std::uint32_t c = 0; c < k; ++c) {
+      ASSERT_EQ(r.kids[0][c], want[c]) << "node " << i << " slot " << c;
+    }
+    ASSERT_EQ(r.next.value(), want_next.value()) << "node " << i;
+    taken += k;
+    pruned += want_next.has_value() ? 1 : 0;
+  }
+  EXPECT_GT(taken, 0u);
+  EXPECT_GT(pruned, 0u);
+  // The same nodes in full 64-lane batches (and the remainder batch).
+  for (std::size_t i = 0; i < nodes.size(); i += 64) {
+    const auto count =
+        static_cast<std::uint32_t>(std::min<std::size_t>(64, nodes.size() - i));
+    const KernelRun r = run_kernel(nodes.data() + i, count, bound);
+    expect_rows_match_expand(p, nodes.data() + i, count, bound, r);
+  }
+}
+
+TEST(FifteenKernel, StackTopRowsMatchScratchRows) {
+  SKIP_WITHOUT_AVX2();
+  const search::Bound bound = 100;
+  const std::vector<FifteenPuzzle::Node> nodes = every_single_move_node(bound);
+  for (std::size_t i = 0; i + 64 <= nodes.size(); i += 64 * 7) {
+    const KernelRun scratch = run_kernel(nodes.data() + i, 64, bound);
+    // Lane j's stack holds j % 11 nodes with its bottom moved up by j % 5,
+    // so the top rows sit at every offset of the buffer, some of them past
+    // its end (the live nodes slide down) or past its capacity (it grows).
+    std::vector<search::WorkStack<FifteenPuzzle::Node>> stacks(64);
+    std::vector<Row*> rows;
+    for (std::size_t j = 0; j < 64; ++j) {
+      for (std::size_t v = 0; v < j % 11 + j % 5; ++v) stacks[j].push(kPoison);
+      for (std::size_t v = 0; v < j % 5; ++v) stacks[j].take_bottom();
+      rows.push_back(&stacks[j].top_row());
+    }
+    std::vector<std::uint32_t> counts(64, 99);
+    search::NextBound next;
+    vec::expand_fifteen(nodes.data() + i, 64, bound, rows.data(),
+                        counts.data(), next);
+    EXPECT_EQ(counts, scratch.counts);
+    EXPECT_EQ(next.value(), scratch.next.value());
+    for (std::size_t j = 0; j < 64; ++j) {
+      const std::size_t below = stacks[j].size();
+      stacks[j].commit(counts[j]);
+      ASSERT_EQ(stacks[j].size(), below + counts[j]);
+      for (std::uint32_t c = 0; c < counts[j]; ++c) {
+        EXPECT_EQ(stacks[j][below + c], scratch.kids[j][c])
+            << "batch " << i << " lane " << j << " slot " << c;
+      }
+      for (std::size_t v = 0; v < below; ++v) {
+        EXPECT_EQ(stacks[j][v], kPoison) << "lane " << j << " kept " << v;
+      }
     }
   }
 }

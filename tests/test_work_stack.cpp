@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstddef>
+#include <deque>
+#include <memory>
+#include <random>
+#include <utility>
 #include <vector>
+
+#include "search/splitter.hpp"
 
 namespace simdts::search {
 namespace {
@@ -90,11 +95,11 @@ TEST(WorkStack, ShrinkToFitDropsCapacity) {
   EXPECT_EQ(s.memory_bytes(), 0u);
 }
 
-TEST(WorkStack, ShrinkToFitPreservesWrappedRing) {
+TEST(WorkStack, ShrinkToFitPreservesAMovedBottom) {
   WorkStack<int> s;
   for (int i = 0; i < 100; ++i) s.push(i);  // capacity 128
-  // Rotate the live window to the physical end, then push across it so the
-  // ring wraps — shrink must re-home both runs in order.
+  // Move the bottom far up the buffer, then push past the physical end so
+  // the live nodes slide back to slot 0 — shrink must re-home them in order.
   for (int i = 0; i < 90; ++i) (void)s.take_bottom();
   for (int i = 0; i < 30; ++i) s.push(100 + i);
   ASSERT_EQ(s.size(), 40u);
@@ -120,9 +125,9 @@ TEST(WorkStack, MoveOnlyPayload) {
 }
 
 /// A stack after `pushes` push() calls (values 0, 1, ...) and `takes`
-/// take_bottom() calls: `takes` moves the ring's head, so the next top slot
-/// can sit anywhere in the buffer, including within 4 of its physical end.
-WorkStack<int> ring_state(int pushes, int takes) {
+/// take_bottom() calls: `takes` moves the bottom up the buffer, so the top
+/// can sit anywhere in it, including within 4 of its physical end.
+WorkStack<int> linear_state(int pushes, int takes) {
   WorkStack<int> s;
   for (int i = 0; i < pushes; ++i) s.push(i);
   for (int i = 0; i < takes; ++i) s.take_bottom();
@@ -150,64 +155,191 @@ void expect_same_stack(WorkStack<int>& got, WorkStack<int>& want) {
   EXPECT_TRUE(got.empty());
 }
 
-TEST(WorkStack, Append4MatchesSuccessivePushesInEveryRingState) {
-  const std::array<int, 4> src{100, 101, 102, 103};
-  // Up to 12 pushes covers capacities 8 and 16, every head offset in the
-  // 8-slot ring (wrapping writes) and appends that must grow the buffer.
+/// Writes src[0..4) into a fresh top row, commits n of them and returns the
+/// row's address.
+const int* row_commit(WorkStack<int>& s, std::size_t n) {
+  WorkStack<int>::Row& row = s.top_row();
+  for (int i = 0; i < 4; ++i) row[static_cast<std::size_t>(i)] = 100 + i;
+  s.commit(n);
+  return row.data();
+}
+
+TEST(WorkStack, TopRowCommitMatchesSuccessivePushesInEveryLinearState) {
+  // Up to 12 pushes covers capacities 8 and 16, every bottom position in
+  // the 8-slot buffer (rows that slide the live nodes down) and rows that
+  // must grow the buffer.
   for (int pushes = 0; pushes <= 12; ++pushes) {
     for (int takes = 0; takes <= pushes; ++takes) {
       for (std::size_t n = 0; n <= 4; ++n) {
         SCOPED_TRACE(testing::Message() << "pushes " << pushes << " takes "
                                         << takes << " n " << n);
-        WorkStack<int> got = ring_state(pushes, takes);
-        WorkStack<int> want = ring_state(pushes, takes);
+        WorkStack<int> got = linear_state(pushes, takes);
+        WorkStack<int> want = linear_state(pushes, takes);
         const std::size_t before = got.size();
-        got.append4(src, n);
-        for (std::size_t i = 0; i < n; ++i) want.push(src[i]);
+        const int* row = row_commit(got, n);
+        for (std::size_t i = 0; i < n; ++i) {
+          want.push(100 + static_cast<int>(i));
+        }
         EXPECT_EQ(got.size(), before + n);
         EXPECT_GE(got.capacity(), before + 4);
+        // The row is the slots right above the old top.
+        if (n != 0) {
+          EXPECT_EQ(&got[before], row);
+        }
         expect_same_stack(got, want);
       }
     }
   }
 }
 
-TEST(WorkStack, Append4WrapsAroundThePhysicalEnd) {
-  // Seven pushes and five takes: capacity 8, head at slot 5, two live nodes,
-  // so the four slot writes land on physical slots 7, 0, 1 and 2.
-  const std::array<int, 4> src{100, 101, 102, 103};
+TEST(WorkStack, TopRowSlidesLiveNodesDownAtTheEnd) {
+  // Seven pushes and five takes: capacity 8, bottom at slot 5, two live
+  // nodes, so the four row slots would run past the end; 2 + 4 fit the
+  // capacity, so the live nodes slide to slot 0 instead of growing.
   for (std::size_t n = 0; n <= 4; ++n) {
-    WorkStack<int> got = ring_state(7, 5);
+    WorkStack<int> got = linear_state(7, 5);
     ASSERT_EQ(got.capacity(), 8u);
-    got.append4(src, n);
-    EXPECT_EQ(got.capacity(), 8u) << "no regrowth: the writes wrapped";
-    WorkStack<int> want = ring_state(7, 5);
-    for (std::size_t i = 0; i < n; ++i) want.push(src[i]);
+    const int* const old_bottom = &got.bottom();
+    const int* row = row_commit(got, n);
+    EXPECT_EQ(got.capacity(), 8u) << "no regrowth: the live nodes slid";
+    EXPECT_EQ(&got.bottom(), old_bottom - 5) << "bottom back at slot 0";
+    EXPECT_EQ(row, &got.bottom() + 2) << "row right above the top";
+    WorkStack<int> want = linear_state(7, 5);
+    for (std::size_t i = 0; i < n; ++i) want.push(100 + static_cast<int>(i));
     expect_same_stack(got, want);
   }
 }
 
-TEST(WorkStack, Append4GrowsWhenFourSlotsDoNotFit) {
-  // Five of eight slots live: size + 4 > capacity, so even an append of
-  // zero nodes reserves room for four, keeping the bottom-to-top order of
-  // a wrapped ring.
-  const std::array<int, 4> src{100, 101, 102, 103};
+TEST(WorkStack, TopRowGrowsWhenFourSlotsDoNotFit) {
+  // Five of eight slots live: size + 4 > capacity, so even a commit of
+  // zero nodes reserves room for four, keeping the bottom-to-top order.
   for (std::size_t n = 0; n <= 4; ++n) {
-    WorkStack<int> got = ring_state(8, 3);
-    got.push(8);
-    got.push(9);
-    got.push(10);
-    ASSERT_EQ(got.size(), 8u);
-    got.take_bottom();
-    got.take_bottom();
-    got.take_bottom();
+    WorkStack<int> got = linear_state(8, 3);
     ASSERT_EQ(got.capacity(), 8u);
-    got.append4(src, n);
+    row_commit(got, n);
     EXPECT_EQ(got.capacity(), 16u);
     WorkStack<int> want;
-    for (int v = 6; v <= 10; ++v) want.push(v);
-    for (std::size_t i = 0; i < n; ++i) want.push(src[i]);
+    for (int v = 3; v <= 7; ++v) want.push(v);
+    for (std::size_t i = 0; i < n; ++i) want.push(100 + static_cast<int>(i));
     expect_same_stack(got, want);
+  }
+}
+
+TEST(WorkStack, PushSlidesAtTheEndAndGrowsWhenFull) {
+  // Top at the physical end with the bottom moved up: push slides.
+  WorkStack<int> s = linear_state(8, 2);
+  ASSERT_EQ(s.capacity(), 8u);
+  s.push(8);
+  EXPECT_EQ(s.capacity(), 8u);
+  s.push(9);
+  EXPECT_EQ(s.capacity(), 8u);
+  // Every slot live: the next push doubles the buffer.
+  ASSERT_EQ(s.size(), 8u);
+  s.push(10);
+  EXPECT_EQ(s.capacity(), 16u);
+  for (int v = 10; v >= 2; --v) EXPECT_EQ(s.pop(), v);
+  EXPECT_TRUE(s.empty());
+}
+
+TEST(WorkStack, CommitZeroKeepsTheStackAndCommitFourTakesTheRow) {
+  WorkStack<int> s = linear_state(3, 0);
+  row_commit(s, 0);
+  ASSERT_EQ(s.size(), 3u);
+  EXPECT_EQ(s.top(), 2);
+  // The uncommitted row is dead storage: the next row (or push) reuses it.
+  row_commit(s, 4);
+  ASSERT_EQ(s.size(), 7u);
+  for (int v = 103; v >= 100; --v) EXPECT_EQ(s.pop(), v);
+  EXPECT_EQ(s.pop(), 2);
+}
+
+/// The capacity a stack of `size` nodes has after a request for `k` more
+/// under the growth rule: unchanged while size + k fits, else the smallest
+/// power of two >= max(8, size + k).
+std::size_t grown(std::size_t cap, std::size_t size, std::size_t k) {
+  if (size + k <= cap) return cap;
+  std::size_t c = 8;
+  while (c < size + k) c *= 2;
+  return c;
+}
+
+TEST(WorkStack, MatchesDequeModelAndTheCapacityRule) {
+  // Random op sequences against a std::deque of the same values, with the
+  // capacity each op must leave predicted independently of where the live
+  // nodes sit in the buffer (so a slide never shows in capacity or bytes).
+  std::mt19937 rng(20240611);
+  int next_value = 0;
+  for (int seq = 0; seq < 200; ++seq) {
+    WorkStack<int> s;
+    std::deque<int> model;
+    std::size_t cap = 0;
+    for (int op = 0; op < 400; ++op) {
+      SCOPED_TRACE(testing::Message() << "seq " << seq << " op " << op);
+      const unsigned kind = rng() % 100;
+      if (kind < 30) {
+        cap = grown(cap, model.size(), 1);
+        s.push(next_value);
+        model.push_back(next_value++);
+      } else if (kind < 55) {
+        if (model.empty()) continue;
+        ASSERT_EQ(s.pop(), model.back());
+        model.pop_back();
+      } else if (kind < 70) {
+        if (model.empty()) continue;
+        ASSERT_EQ(s.take_bottom(), model.front());
+        model.pop_front();
+      } else if (kind < 88) {
+        const std::size_t n = rng() % 5;
+        cap = grown(cap, model.size(), 4);
+        WorkStack<int>::Row& row = s.top_row();
+        for (std::size_t i = 0; i < 4; ++i) {
+          row[i] = next_value + static_cast<int>(i);
+        }
+        s.commit(n);
+        for (std::size_t i = 0; i < n; ++i) model.push_back(next_value++);
+        next_value += static_cast<int>(4 - n);
+      } else if (kind < 91) {
+        if (model.size() < 2) continue;
+        std::vector<int> out;
+        split(s, SplitStrategy::kHalf, out);
+        std::deque<int> kept;
+        std::vector<int> donated;
+        for (std::size_t i = 0; i < model.size(); ++i) {
+          if (i % 2 == 0) {
+            donated.push_back(model[i]);
+          } else {
+            kept.push_back(model[i]);
+          }
+        }
+        ASSERT_EQ(out, donated);
+        model = std::move(kept);
+      } else if (kind < 94) {
+        const std::size_t keep = model.empty() ? 0 : rng() % model.size();
+        s.truncate(keep);
+        model.resize(keep);
+      } else if (kind < 97) {
+        s.shrink_to_fit();
+        if (model.empty()) {
+          cap = 0;
+        } else {
+          const std::size_t fit = grown(0, model.size(), 0);
+          if (fit < cap) cap = fit;
+        }
+      } else {
+        std::vector<int> out{-1};
+        s.drain_into(out);
+        std::vector<int> want{-1};
+        want.insert(want.end(), model.begin(), model.end());
+        ASSERT_EQ(out, want);
+        model.clear();
+      }
+      ASSERT_EQ(s.size(), model.size());
+      ASSERT_EQ(s.capacity(), cap);
+      ASSERT_EQ(s.memory_bytes(), cap * sizeof(int));
+      for (std::size_t i = 0; i < model.size(); ++i) {
+        ASSERT_EQ(s[i], model[i]) << "slot " << i;
+      }
+    }
   }
 }
 
