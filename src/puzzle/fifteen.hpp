@@ -44,28 +44,28 @@ class FifteenPuzzle {
   }
 
   /// Generates children with f = g + h <= bound; prunes the inverse of the
-  /// last move; records the minimum pruned f in `next`.  A thin wrapper
-  /// over expand_row(), which holds the move arithmetic.
+  /// last move; records the minimum pruned f in `next`.  One expand_row()
+  /// call, which holds the move arithmetic.
   void expand(const Node& n, search::Bound bound, std::vector<Node>& out,
               search::NextBound& next) const {
-    std::array<Node, 4> row{};
-    const std::uint32_t k = expand_row(n, bound, row, next);
-    out.insert(out.end(), row.begin(), row.begin() + k);
+    search::expand_rows(*this, n, bound, out, next);
   }
 
-  /// A node has at most four moves, so every expansion fits one row
-  /// (search::RowTreeProblem).
-  [[nodiscard]] static constexpr bool row_fits() { return true; }
+  /// A node has at most four moves: one row of four child slots
+  /// (search::RowTreeProblem), so the engine's loop over slot groups folds
+  /// to one call.
+  [[nodiscard]] static constexpr std::uint32_t child_slots() { return 4; }
 
-  /// expand()'s children of `n` in row[0..k), k returned.  This is the hot
-  /// path of every experiment, so moves are applied with direct nibble
-  /// arithmetic on the packed board, and every legal move writes its child
-  /// at a cursor that advances by the bound predicate: no data-dependent
-  /// branch on the bound test.
+  /// expand()'s children of `n` in row[0..k), k returned (`first` is always
+  /// 0: there is one slot group).  This is the hot path of every
+  /// experiment, so moves are applied with direct nibble arithmetic on the
+  /// packed board, and every legal move writes its child at a cursor that
+  /// advances by the bound predicate: no data-dependent branch on the bound
+  /// test.
   // SIMDLINT-REGION(lockstep)
   std::uint32_t expand_row(const Node& n, search::Bound bound,
-                           std::array<Node, 4>& row,
-                           search::NextBound& next) const {
+                           std::array<Node, 4>& row, search::NextBound& next,
+                           std::uint32_t /*first*/) const {
     const int blank = n.blank;
     const int blank_row = row_of(blank);
     const int blank_col = col_of(blank);

@@ -9,6 +9,7 @@
 // any machine size).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -31,17 +32,35 @@ class Queens {
 
   [[nodiscard]] Node root() const { return Node{0, 0, 0, 0}; }
 
-  void expand(const Node& n, search::Bound /*bound*/, std::vector<Node>& out,
-              search::NextBound& /*next*/) const {
-    if (n.row >= n_) return;
-    std::uint32_t free = full_ & ~(n.cols | n.diag1 | n.diag2);
+  /// Children: one queen in each free column of the next row, lowest
+  /// column first.
+  void expand(const Node& n, search::Bound bound, std::vector<Node>& out,
+              search::NextBound& next) const {
+    search::expand_rows(*this, n, bound, out, next);
+  }
+
+  /// One child slot per column (search::RowTreeProblem).
+  [[nodiscard]] std::uint32_t child_slots() const { return n_; }
+
+  /// expand()'s children of `n` with the queen in columns [first,
+  /// first + 4), in row[0..k), k returned.
+  // SIMDLINT-REGION(lockstep)
+  std::uint32_t expand_row(const Node& n, search::Bound /*bound*/,
+                           std::array<Node, 4>& row,
+                           search::NextBound& /*next*/,
+                           std::uint32_t first) const {
+    if (n.row >= n_) return 0;
+    std::uint32_t free =
+        full_ & ~(n.cols | n.diag1 | n.diag2) & (0xFu << first);
+    std::uint32_t k = 0;
     while (free != 0) {
       const std::uint32_t bit = free & (0u - free);
       free ^= bit;
-      out.push_back(Node{n.cols | bit, ((n.diag1 | bit) << 1) & full_,
-                         (n.diag2 | bit) >> 1,
-                         static_cast<std::uint8_t>(n.row + 1)});
+      row[k++] = Node{n.cols | bit, ((n.diag1 | bit) << 1) & full_,
+                      (n.diag2 | bit) >> 1,
+                      static_cast<std::uint8_t>(n.row + 1)};
     }
+    return k;
   }
 
   [[nodiscard]] bool is_goal(const Node& n) const { return n.row == n_; }
@@ -57,6 +76,6 @@ class Queens {
   std::uint32_t full_;
 };
 
-static_assert(search::TreeProblem<Queens>);
+static_assert(search::RowTreeProblem<Queens>);
 
 }  // namespace simdts::queens

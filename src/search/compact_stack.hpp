@@ -25,7 +25,7 @@
 //    created by the depth-bound split below have no level-0 entry: their
 //    base is the already-popped parent of the entries above it.
 //  - Levels are segment-relative and never exceed kMaxLevel (255): when a
-//    descent would push an entry past that depth, append() freezes the
+//    descent would push an entry past that depth, commit() freezes the
 //    segment and starts a new one whose base is the cached parent
 //    materialization.  One full Node per 255 levels of depth keeps the
 //    per-entry record at 2 bytes for arbitrarily deep trees.
@@ -33,17 +33,22 @@
 // Backtracking cost: with an UndoDeltaProblem (15-puzzle) the cached top
 // node is walked down the path one O(1) undo per level; without one
 // (hash-generated synthetic trees) the path is replayed from the base.
-// Either way the hot descend case — pop the child just appended — is one
+// Either way the hot descend case — pop the child just committed — is one
 // decode.
 //
-// New segments are created only by push() (work received in serial phases:
-// donations, fault recovery); the lock-step expand cycle only pops and
-// appends, so a lane that never receives work holds exactly one segment.
-// The whole representation lives behind one pointer, so an idle lane costs
-// 24 bytes — smaller than an empty WorkStack — and clear() is a pooled
-// release that returns the lane's memory to the allocator.
+// Children arrive the way they do on a WorkStack: the expand cycle pops a
+// node, has its children written into top_row() — here a staging row of
+// four in the heap representation — and commit()s how many there are,
+// which encodes them against the popped parent.  New segments are created
+// only by push() (work received in serial phases: donations, fault
+// recovery) and by the depth-bound split, so a lane that never receives
+// work and stays under 255 levels holds exactly one segment.  The whole
+// representation, staging row included, lives behind one pointer, so an
+// idle lane costs 24 bytes — smaller than an empty WorkStack — and clear()
+// is a pooled release that returns the lane's memory to the allocator.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -60,6 +65,8 @@ template <DeltaTreeProblem Pr>
 class CompactStack {
  public:
   using Node = typename Pr::Node;
+  /// The fixed child row the expansion cycle writes into (top_row).
+  using Row = std::array<Node, 4>;
 
   CompactStack() = default;
   CompactStack(CompactStack&&) noexcept = default;
@@ -78,9 +85,10 @@ class CompactStack {
 
   /// Pushes a self-contained node: a new segment whose base is `n`.  Serial
   /// contexts only (donations, recovery, the root); the expand cycle grows
-  /// stacks exclusively through append().
+  /// stacks exclusively through top_row()/commit().
   void push(Node n) {
-    Rep& r = rep();
+    if (rep_ == nullptr) rep_ = std::make_unique<Rep>();
+    Rep& r = *rep_;
     r.segs.emplace_back();
     Segment& s = r.segs.back();
     s.base = std::move(n);
@@ -90,24 +98,45 @@ class CompactStack {
     ++size_;
   }
 
-  /// Pushes `n` children of the node the immediately preceding pop()
-  /// returned — the expand cycle's staged batch append, and the only context
-  /// append() is valid in.  src[n-1] ends on top, exactly as WorkStack.
-  void append(Node* src, std::size_t n) {
+  /// The row of four the caller writes children of the node the preceding
+  /// pop() returned into, before commit()ing how many it wrote — the same
+  /// contract as WorkStack::top_row, but the row is a staging row in the
+  /// heap representation, read back by commit().  Valid only after a pop().
+  Row& top_row() {
+    Rep& r = *rep_;
+#ifdef SIMDTS_SANITIZE
+    r.row_reserved = true;
+#endif
+    return r.row;
+  }
+
+  /// Pushes row[0..n) of the last top_row() (n <= 4), in order, encoded as
+  /// children of the node the preceding pop() returned: row[n-1] ends on
+  /// top, exactly as WorkStack.  Several commits may follow one pop (a node
+  /// with more than four child slots); each encodes against the same
+  /// parent.
+  void commit(std::size_t n) {
+#ifdef SIMDTS_SANITIZE
+    san::check_row_commit(n, rep_ != nullptr && rep_->row_reserved,
+                          "CompactStack::commit");
+    if (rep_ != nullptr) rep_->row_reserved = false;
+#endif
+    if (n == 0) return;
     Rep& r = *rep_;
     if (r.segs.back().path.size() >= kMaxLevel) {
       // Depth-bound split: the next level would not fit the one-byte record,
       // so freeze this segment and continue the descent in a new one rooted
-      // at the parent (r.cur is valid here: append only follows a pop).  The
-      // parent is already popped, so the new base is not a live entry.
-      // SIMDLINT-EFFECT-OK(allocates) one segment per 255 levels of depth
+      // at the parent (r.cur is valid here: a commit only follows a pop).
+      // The parent is already popped, so the new base is not a live entry;
+      // a later commit for the same parent finds the new segment's empty
+      // path and stays in it.  One segment per 255 levels of depth.
       r.segs.emplace_back();
       r.segs.back().base = r.cur;
     }
     Segment& s = r.segs.back();
     const auto level = static_cast<std::uint8_t>(s.path.size() + 1);
     for (std::size_t i = 0; i < n; ++i) {
-      push_record(s, level, problem_->encode_delta(r.cur, src[i]));
+      push_record(s, level, problem_->encode_delta(r.cur, r.row[i]));
     }
     size_ += n;
   }
@@ -120,7 +149,7 @@ class CompactStack {
 #endif
     Rep& r = *rep_;
     // Segments drained by earlier pops (their last entry popped and no
-    // children appended) are discarded lazily here.
+    // children committed) are discarded lazily here.
     while (r.segs.back().entries.size() == r.segs.back().entry_head) {
       r.segs.pop_back();
       r.cur_valid = false;
@@ -189,7 +218,7 @@ class CompactStack {
 
   /// The expand cycle's pooled-release hook: called the moment a lane goes
   /// idle, so a drained lane costs only the 24-byte header until work
-  /// arrives again.  (WorkStack deliberately has no such hook — its ring
+  /// arrives again.  (WorkStack deliberately has no such hook — its buffer
   /// retains capacity for the run; that retained-versus-live gap is the
   /// `bytes_per_lane` comparison of the mega-P benchmarks.)
   void release_if_drained() noexcept {
@@ -238,7 +267,7 @@ class CompactStack {
 
  private:
   static constexpr std::size_t kRecordBytes = 2;
-  /// Deepest segment-relative level a record can hold; append() starts a
+  /// Deepest segment-relative level a record can hold; commit() starts a
   /// fresh segment past this depth.
   static constexpr std::size_t kMaxLevel = 255;
 
@@ -251,21 +280,18 @@ class CompactStack {
 
   struct Rep {
     std::vector<Segment> segs;  ///< bottom segment first
+    Row row{};        ///< top_row(): children staged for commit()
     Node cur{};       ///< node at the top segment's full path depth
     bool cur_valid = false;
+#ifdef SIMDTS_SANITIZE
+    bool row_reserved = false;  ///< a top_row() awaits its commit()
+#endif
   };
 
-  Rep& rep() {
-    if (rep_ == nullptr) rep_ = std::make_unique<Rep>();
-    return *rep_;
-  }
-
   static void push_record(Segment& s, std::uint8_t level, std::uint8_t delta) {
-    // Record storage doubles like WorkStack's ring: steady state stays in
+    // Record storage doubles like WorkStack's buffer: steady state stays in
     // retained capacity.
-    // SIMDLINT-EFFECT-OK(allocates) amortized growth, see above
     s.entries.push_back(level);
-    // SIMDLINT-EFFECT-OK(allocates) amortized growth, see above
     s.entries.push_back(delta);
   }
 

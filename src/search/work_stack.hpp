@@ -27,7 +27,6 @@
 #include <algorithm>
 #include <array>
 #include <cstddef>
-#include <cstring>
 #include <memory>
 #include <type_traits>
 #include <utility>
@@ -91,16 +90,6 @@ class WorkStack {
     if (head_ + size_ == cap_) make_room(1);
     ::new (static_cast<void*>(slots_ + head_ + size_)) Node(std::move(n));
     ++size_;
-  }
-
-  /// Pushes `n` nodes from `src` in order — src[n-1] ends on top, exactly as
-  /// n successive push() calls — with one capacity check for the whole
-  /// batch: the vector step's append of every child of a popped node.  The
-  /// source nodes are moved from.
-  void append(Node* src, std::size_t n) {
-    if (head_ + size_ + n > cap_) make_room(n);
-    copy_run(slots_ + head_ + size_, src, n);
-    size_ += n;
   }
 
   /// Reserves the four contiguous slots above the top and returns them as
@@ -250,38 +239,6 @@ class WorkStack {
   }
 
  private:
-  /// The run of an append().  The hot caller is the vector step appending
-  /// one popped node's children — n is almost always <= 4 — and a library
-  /// memcpy call costs more than such a copy itself (and the compiler
-  /// rewrites any plain copy loop into one), so tiny batches are unrolled
-  /// straight-line; only bulk appends take the memcpy path.
-  static void copy_run(Node* dst, Node* src, std::size_t n) {
-    if constexpr (std::is_trivially_copyable_v<Node>) {
-      switch (n) {
-        case 4:
-          ::new (static_cast<void*>(dst + 3)) Node(src[3]);
-          [[fallthrough]];
-        case 3:
-          ::new (static_cast<void*>(dst + 2)) Node(src[2]);
-          [[fallthrough]];
-        case 2:
-          ::new (static_cast<void*>(dst + 1)) Node(src[1]);
-          [[fallthrough]];
-        case 1:
-          ::new (static_cast<void*>(dst)) Node(src[0]);
-          [[fallthrough]];
-        case 0:
-          return;
-        default:
-          std::memcpy(static_cast<void*>(dst), src, n * sizeof(Node));
-      }
-    } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        ::new (static_cast<void*>(dst + i)) Node(std::move(src[i]));
-      }
-    }
-  }
-
   [[nodiscard]] Node* slot_ptr(std::size_t i) const noexcept {
     return slots_ + head_ + i;
   }
@@ -331,7 +288,11 @@ class WorkStack {
     }
   }
 
-  Node* slots_ = nullptr;
+  // The header is four words, aligned to 32 bytes so that no lane's header
+  // straddles a cache line and an engine's shard of them is zero-filled on
+  // aligned addresses (at a 16-byte offset, constructing puzzle-p8192's
+  // engine took about 1.5x as long).
+  alignas(32) Node* slots_ = nullptr;
   std::size_t cap_ = 0;   ///< always zero or a power of two
   std::size_t head_ = 0;  ///< slot of the bottom element
   std::size_t size_ = 0;

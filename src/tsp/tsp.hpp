@@ -10,6 +10,7 @@
 // to the start).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -41,30 +42,42 @@ class Tsp {
 
   [[nodiscard]] Node root() const { return Node{1, 0, 1, 0}; }
 
-  /// Children: unvisited next cities whose lower bound fits the bound; a
-  /// node that has visited everyone closes the tour back to city 0 and
-  /// becomes a goal carrying the full tour cost.
+  /// Children: unvisited next cities whose lower bound fits the bound, in
+  /// city order; a node that has visited everyone closes the tour back to
+  /// city 0 and becomes a goal carrying the full tour cost.
   void expand(const Node& n, search::Bound bound, std::vector<Node>& out,
               search::NextBound& next) const {
-    if (n.count == n_) return;  // goals are not expanded
-    for (int c = 0; c < n_; ++c) {
+    search::expand_rows(*this, n, bound, out, next);
+  }
+
+  /// One child slot per city (search::RowTreeProblem).
+  [[nodiscard]] std::uint32_t child_slots() const { return n_; }
+
+  /// expand()'s children of `n` with next city in [first, first + 4), in
+  /// row[0..k), k returned; the pruned ones' f-values go to `next`.
+  // SIMDLINT-REGION(lockstep)
+  std::uint32_t expand_row(const Node& n, search::Bound bound,
+                           std::array<Node, 4>& row, search::NextBound& next,
+                           std::uint32_t first) const {
+    if (n.count == n_) return 0;  // goals are not expanded
+    const int last = std::min(static_cast<int>(first) + 4, n_);
+    std::uint32_t k = 0;
+    for (int c = static_cast<int>(first); c < last; ++c) {
       const std::uint16_t bit = static_cast<std::uint16_t>(1u << c);
       if ((n.visited & bit) != 0) continue;
-      Node child;
-      child.visited = static_cast<std::uint16_t>(n.visited | bit);
-      child.last = static_cast<std::uint8_t>(c);
-      child.count = static_cast<std::uint8_t>(n.count + 1);
-      child.cost = n.cost + distance(n.last, c);
-      if (child.count == n_) {
-        child.cost += distance(c, 0);  // close the tour
-      }
+      Node child{static_cast<std::uint16_t>(n.visited | bit),
+                 static_cast<std::uint8_t>(c),
+                 static_cast<std::uint8_t>(n.count + 1),
+                 n.cost + distance(n.last, c)};
+      if (child.count == n_) child.cost += distance(c, 0);  // close the tour
       const search::Bound f = f_value(child);
       if (f <= bound) {
-        out.push_back(child);
+        row[k++] = child;
       } else {
         next.observe(f);
       }
     }
+    return k;
   }
 
   [[nodiscard]] bool is_goal(const Node& n) const { return n.count == n_; }
@@ -99,6 +112,6 @@ class Tsp {
   std::array<std::int32_t, kMaxCities> min_edge_{};
 };
 
-static_assert(search::TreeProblem<Tsp>);
+static_assert(search::RowTreeProblem<Tsp>);
 
 }  // namespace simdts::tsp

@@ -8,8 +8,8 @@
 // computes all four moves of every node as branch-free u64 lane arithmetic
 // (AVX2-wide), then fills node j's row with the same row contract as
 // expand_row() (search::RowTreeProblem).  The engine passes each lane's
-// WorkStack::top_row(), so the children are written straight onto the
-// stacks; a CompactStack lane gets a scratch row to encode from.
+// top_row(), so the children are written straight onto a WorkStack, and
+// into the staging row a CompactStack encodes on commit().
 //
 // The engine picks the step once, at construction (batch_applies):
 //  - the problem has a kernel (kHasKernel — only puzzle::FifteenPuzzle);

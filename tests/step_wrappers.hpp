@@ -65,11 +65,13 @@ struct RowStep : VectorStep<Inner> {
   using Node = typename Inner::Node;
   using VectorStep<Inner>::VectorStep;
 
-  [[nodiscard]] bool row_fits() const { return this->inner.row_fits(); }
+  [[nodiscard]] std::uint32_t child_slots() const {
+    return this->inner.child_slots();
+  }
   std::uint32_t expand_row(const Node& n, search::Bound b,
-                           std::array<Node, 4>& row,
-                           search::NextBound& nb) const {
-    return this->inner.expand_row(n, b, row, nb);
+                           std::array<Node, 4>& row, search::NextBound& nb,
+                           std::uint32_t first) const {
+    return this->inner.expand_row(n, b, row, nb, first);
   }
 };
 

@@ -2,9 +2,10 @@
 // identical to WorkStack under the engine's access discipline.
 //
 // The contract under test: the problem delta codecs are bit-exact inverses
-// of expand(); a CompactStack driven through the engine's op mix (pop,
-// batched append of the popped node's children, push/take_bottom in serial
-// phases, drain, split/receive) pops exactly the nodes a WorkStack pops;
+// of expand(); a CompactStack driven through the engine's op mix (pop, the
+// popped node's children written into top_row() and commit()ted, a row of
+// four at a time, push/take_bottom in serial phases, drain, split/receive)
+// pops exactly the nodes a WorkStack pops;
 // an engine templated on CompactStack produces bit-identical runs to the
 // WorkStack engine; and the representation actually is at least 4x smaller
 // per lane on the 15-puzzle — the mega-P memory claim.
@@ -29,6 +30,22 @@ namespace {
 
 using puzzle::FifteenPuzzle;
 using synthetic::Tree;
+
+/// The expand cycle's push of a popped node's children onto a CompactStack:
+/// rows of four through top_row()/commit(), at least one commit (of zero
+/// children for a leaf), as the engine does.
+template <typename Pr>
+void commit_children(CompactStack<Pr>& s,
+                     const std::vector<typename Pr::Node>& kids) {
+  std::size_t i = 0;
+  do {
+    const std::size_t k = std::min<std::size_t>(4, kids.size() - i);
+    std::copy_n(kids.begin() + static_cast<std::ptrdiff_t>(i), k,
+                s.top_row().begin());
+    s.commit(k);
+    i += k;
+  } while (i < kids.size());
+}
 
 std::uint64_t splitmix(std::uint64_t& s) {
   std::uint64_t z = (s += 0x9E3779B97F4A7C15ULL);
@@ -116,7 +133,7 @@ class StackPair {
     check();
   }
 
-  /// The expand cycle's pop -> expand -> append step.  Returns the popped
+  /// The expand cycle's pop -> expand -> push step.  Returns the popped
   /// node (already verified equal across representations).
   FifteenPuzzle::Node pop_and_expand(search::Bound bound) {
     const FifteenPuzzle::Node a = full_.pop();
@@ -125,12 +142,8 @@ class StackPair {
     kids_.clear();
     search::NextBound nb;
     problem_.expand(a, bound, kids_, nb);
-    if (!kids_.empty()) {
-      // append() consumes its source, so feed each stack its own copy.
-      std::vector<FifteenPuzzle::Node> copy = kids_;
-      full_.append(copy.data(), copy.size());
-      compact_.append(kids_.data(), kids_.size());
-    }
+    commit_children(compact_, kids_);
+    for (const FifteenPuzzle::Node& c : kids_) full_.push(c);
     check();
     return a;
   }
@@ -242,6 +255,47 @@ TEST(CompactStack, SplitAndReceiveMatchWorkStackForEveryStrategy) {
   }
 }
 
+TEST(CompactStack, RowCommitsMirrorWorkStackAcrossGroupsAndTheDepthSplit) {
+  // Twelve child slots (three row groups, so several commits follow one
+  // pop) and a depth bound of 600: the descent crosses the 255-level
+  // segment split twice, and take_bottom interleaves as in lb phases.
+  const Tree tree(synthetic::Params{77, 12, 0.3, 600});
+  WorkStack<Tree::Node> full;
+  CompactStack<Tree> compact;
+  compact.bind(tree);
+  full.push(tree.root());
+  compact.push(tree.root());
+  std::uint64_t seed = 99;
+  std::uint16_t deepest = 0;
+  std::size_t multi_group_pops = 0;
+  for (int step = 0; step < 6000 && !full.empty(); ++step) {
+    if (splitmix(seed) % 10 == 0 && full.size() >= 2) {
+      ASSERT_EQ(full.take_bottom(), compact.take_bottom()) << "step " << step;
+      continue;
+    }
+    const Tree::Node a = full.pop();
+    ASSERT_EQ(a, compact.pop()) << "step " << step;
+    deepest = std::max(deepest, a.depth);
+    std::size_t groups_with_kids = 0;
+    search::NextBound nb;
+    for (std::uint32_t first = 0; first < tree.child_slots(); first += 4) {
+      const std::uint32_t k = tree.expand_row(a, 0, full.top_row(), nb, first);
+      full.commit(k);
+      compact.commit(tree.expand_row(a, 0, compact.top_row(), nb, first));
+      groups_with_kids += k > 0 ? 1 : 0;
+    }
+    if (groups_with_kids > 1) ++multi_group_pops;
+    ASSERT_EQ(full.size(), compact.size()) << "step " << step;
+  }
+  EXPECT_GT(deepest, 2 * 255);
+  EXPECT_GT(multi_group_pops, 0u);
+  std::vector<Tree::Node> a;
+  std::vector<Tree::Node> b;
+  full.drain_into(a);
+  compact.drain_into(b);
+  EXPECT_EQ(a, b);
+}
+
 TEST(CompactStack, ClearReleasesEverythingAndHeaderStaysSmall) {
   const auto& wl = puzzle::test_workloads()[1];
   const FifteenPuzzle problem(wl.board());
@@ -277,7 +331,7 @@ TEST(CompactStack, ShrinkToFitReleasesOnlyWhenEmpty) {
 // time-averages these over a real mega-P engine run):
 //  - at equal content a deep stack costs ~3 bytes/entry + path instead of
 //    16 bytes/entry, and
-//  - a drained lane releases its heap entirely, while WorkStack's ring
+//  - a drained lane releases its heap entirely, while WorkStack's buffer
 //    retains peak capacity for the rest of the run.
 // ---------------------------------------------------------------------------
 
@@ -302,9 +356,8 @@ TEST(CompactStack, DeepDfsLifecycleMemory) {
     ASSERT_EQ(a, b);
     kids.clear();
     problem.expand(a, search::kUnbounded, kids, nb);
-    std::vector<FifteenPuzzle::Node> copy = kids;
-    full.append(copy.data(), copy.size());
-    compact.append(kids.data(), kids.size());
+    commit_children(compact, kids);
+    for (const FifteenPuzzle::Node& c : kids) full.push(c);
     peak_full = std::max(peak_full, full.memory_bytes());
     peak_compact = std::max(peak_compact, compact.memory_bytes());
   }
@@ -318,7 +371,7 @@ TEST(CompactStack, DeepDfsLifecycleMemory) {
 
   // Drain both stacks through the engine's pop discipline, then apply the
   // expand cycle's idle-lane hook: the compact lane returns every heap byte;
-  // the ring deliberately retains its peak capacity.
+  // the WorkStack deliberately retains its peak capacity.
   while (!full.empty()) {
     ASSERT_EQ(full.pop(), compact.pop());
   }
@@ -358,9 +411,8 @@ TEST(CompactStack, TimeAveragedBytesPerLaneOverT4kDescentAndDrain) {
     ASSERT_EQ(a, compact.pop()) << "descent step " << step;
     kids.clear();
     problem.expand(a, search::kUnbounded, kids, nb);
-    std::vector<FifteenPuzzle::Node> copy = kids;
-    full.append(copy.data(), copy.size());
-    compact.append(kids.data(), kids.size());
+    commit_children(compact, kids);
+    for (const FifteenPuzzle::Node& c : kids) full.push(c);
     sample();
   }
   while (!full.empty()) {

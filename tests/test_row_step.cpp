@@ -2,19 +2,24 @@
 // vector step.
 //
 // Two layers of contract:
-//  - per node: expand_row() writes exactly expand()'s children, in order,
-//    with the same NextBound outcome (synthetic::Tree and
-//    puzzle::FifteenPuzzle);
+//  - per node: the expand_row() calls of every slot group, concatenated in
+//    slot order, write exactly expand()'s children, in order, with the same
+//    NextBound outcome, into rows poisoned beforehand — for every bundled
+//    domain: synthetic::Tree at max_children 1..12, puzzle::FifteenPuzzle,
+//    tsp::Tsp at bounds that prune none, some and all children, and
+//    queens::Queens at n = 1..12;
 //  - per run: an engine on the row step produces identical RunStats, goal
 //    sequences and recovery journals as one on the vector step, across the
 //    six Table-1 schemes, machine sizes around one flag word, both stack
-//    representations and an armed FaultPlan.
+//    representations (where the domain has a delta codec), an armed
+//    FaultPlan, and for TSP all three search modes.
 // The vector-step reference is oracle::VectorStep (tests/step_wrappers.hpp),
-// a forwarding wrapper without expand_row().  Both domains' expand() wraps
-// expand_row(), so the per-node tests pin that wrapper; the child
-// arithmetic itself has independent references in tests/test_synthetic.cpp
-// (slot-by-slot decode_delta) and tests/test_vector_backend.cpp (the
-// 15-puzzle kernel).
+// a forwarding wrapper without expand_row().  Every domain's expand() is
+// search::expand_rows() over its expand_row(), so the per-node tests pin
+// that helper; the child arithmetic itself has independent references in
+// tests/test_synthetic.cpp (slot-by-slot decode_delta),
+// tests/test_vector_backend.cpp (the 15-puzzle kernel), tests/test_tsp.cpp
+// (brute-force optima) and tests/test_queens.cpp (known solution counts).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,12 +35,14 @@
 #include "puzzle/fifteen.hpp"
 #include "puzzle/heuristic.hpp"
 #include "puzzle/workloads.hpp"
+#include "queens/queens.hpp"
 #include "search/compact_stack.hpp"
 #include "search/problem.hpp"
 #include "search/work_stack.hpp"
 #include "simd/machine.hpp"
 #include "step_wrappers.hpp"
 #include "synthetic/tree.hpp"
+#include "tsp/tsp.hpp"
 #include "vec/expand.hpp"
 
 namespace simdts::lb {
@@ -44,38 +51,64 @@ namespace {
 using oracle::RowStep;
 using oracle::VectorStep;
 using puzzle::FifteenPuzzle;
+using queens::Queens;
 using synthetic::Params;
 using synthetic::Tree;
+using tsp::Tsp;
 
 static_assert(search::RowTreeProblem<Tree>);
 static_assert(search::RowTreeProblem<FifteenPuzzle>);
+static_assert(search::RowTreeProblem<Tsp>);
+static_assert(search::RowTreeProblem<Queens>);
 static_assert(!search::RowTreeProblem<VectorStep<Tree>>);
 static_assert(!search::RowTreeProblem<VectorStep<FifteenPuzzle>>);
+static_assert(!search::RowTreeProblem<VectorStep<Tsp>>);
+static_assert(!search::RowTreeProblem<VectorStep<Queens>>);
 static_assert(search::RowTreeProblem<RowStep<FifteenPuzzle>>);
 static_assert(search::DeltaTreeProblem<VectorStep<Tree>>);
+// A CompactStack takes children only as rows.
+template <typename P>
+concept HasCompactEngine = requires { typename CompactEngine<P>; };
+static_assert(HasCompactEngine<Tree>);
+static_assert(!HasCompactEngine<VectorStep<Tree>>);
 static_assert(search::UndoDeltaProblem<RowStep<FifteenPuzzle>>);
 static_assert(!vec::kHasKernel<RowStep<FifteenPuzzle>>);
 
-/// One expand_row() call into a row pre-filled with `poison`, so a test
-/// cannot pass on slots left from an earlier call or zeroed memory.
+std::uint64_t splitmix(std::uint64_t& s) {
+  std::uint64_t z = (s += 0x9E3779B97F4A7C15ULL);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E9B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
+
+/// The expand_row() calls of every slot group of one node, each into a row
+/// pre-filled with `poison`, so a test cannot pass on slots left from an
+/// earlier call or zeroed memory.
 template <typename P>
 struct RowRun {
-  std::array<typename P::Node, 4> row{};
-  std::uint32_t count = 0;
+  std::vector<typename P::Node> kids;  ///< each group's row[0..k), in order
+  std::uint32_t groups = 0;
   search::NextBound next;
 };
 
 template <typename P>
-RowRun<P> run_row(const P& p, const typename P::Node& n, search::Bound bound,
-                  const typename P::Node& poison) {
+RowRun<P> run_rows(const P& p, const typename P::Node& n, search::Bound bound,
+                   const typename P::Node& poison) {
   RowRun<P> r;
-  r.row.fill(poison);
-  r.count = p.expand_row(n, bound, r.row, r.next);
+  for (std::uint32_t first = 0; first < p.child_slots(); first += 4) {
+    std::array<typename P::Node, 4> row;
+    row.fill(poison);
+    const std::uint32_t k = p.expand_row(n, bound, row, r.next, first);
+    EXPECT_LE(k, 4u) << "first " << first;
+    r.kids.insert(r.kids.end(), row.begin(),
+                  row.begin() + std::min<std::uint32_t>(k, 4));
+    ++r.groups;
+  }
   return r;
 }
 
-/// The row contract for one node: row[0..count) == expand()'s output and
-/// NextBound agrees, set or unset.  Returns expand()'s children.
+/// The row contract for one node: the rows' concatenation == expand()'s
+/// output and NextBound agrees, set or unset.  Returns expand()'s children.
 template <typename P>
 std::vector<typename P::Node> expect_row_matches_expand(
     const P& p, const typename P::Node& n, search::Bound bound,
@@ -83,10 +116,10 @@ std::vector<typename P::Node> expect_row_matches_expand(
   std::vector<typename P::Node> ref;
   search::NextBound ref_next;
   p.expand(n, bound, ref, ref_next);
-  const RowRun<P> r = run_row(p, n, bound, poison);
-  EXPECT_EQ(r.count, ref.size()) << "bound " << bound;
-  for (std::size_t k = 0; k < ref.size() && k < 4; ++k) {
-    EXPECT_EQ(r.row[k], ref[k]) << "bound " << bound << " slot " << k;
+  const RowRun<P> r = run_rows(p, n, bound, poison);
+  EXPECT_EQ(r.kids.size(), ref.size()) << "bound " << bound;
+  for (std::size_t k = 0; k < ref.size() && k < r.kids.size(); ++k) {
+    EXPECT_EQ(r.kids[k], ref[k]) << "bound " << bound << " child " << k;
   }
   EXPECT_EQ(r.next.has_value(), ref_next.has_value()) << "bound " << bound;
   EXPECT_EQ(r.next.value(), ref_next.value()) << "bound " << bound;
@@ -99,28 +132,47 @@ std::vector<typename P::Node> expect_row_matches_expand(
 
 const Tree::Node kTreePoison{0xDEADBEEF, 0xEEEE, 0xEEEE};
 
+/// Breadth-first over every level of trees with `mc` child slots, the
+/// depth-cutoff level included (depth 4, or 2 past four slots, so the first
+/// 400 nodes reach it).  Returns the most children any node had.
+std::size_t expect_tree_rows_match(std::uint32_t mc) {
+  std::size_t widest = 0;
+  const std::uint16_t depth = mc <= 4 ? 4 : 2;
+  for (const double fertility : {0.05, 0.3, 0.9}) {
+    const Tree t(Params{300 + mc, mc, fertility, depth});
+    std::vector<Tree::Node> frontier{t.root()};
+    std::size_t cutoff_nodes = 0;
+    for (std::size_t i = 0; i < frontier.size() && i < 400; ++i) {
+      const Tree::Node n = frontier[i];
+      const auto kids =
+          expect_row_matches_expand(t, n, search::kUnbounded, kTreePoison);
+      widest = std::max(widest, kids.size());
+      if (n.depth >= t.params().max_depth) {
+        ++cutoff_nodes;
+        EXPECT_TRUE(kids.empty());
+      }
+      frontier.insert(frontier.end(), kids.begin(), kids.end());
+    }
+    if (fertility > 0.5) {
+      EXPECT_GT(cutoff_nodes, 0u) << "max_children " << mc;
+    }
+  }
+  return widest;
+}
+
 TEST(TreeRow, MatchesExpandForOneToFourSlots) {
   for (std::uint32_t mc = 1; mc <= 4; ++mc) {
-    for (const double fertility : {0.05, 0.3, 0.9}) {
-      const Tree t(Params{300 + mc, mc, fertility, 4});
-      ASSERT_TRUE(t.row_fits());
-      // Breadth-first over every level, the depth-cutoff level included.
-      std::vector<Tree::Node> frontier{t.root()};
-      std::size_t cutoff_nodes = 0;
-      for (std::size_t i = 0; i < frontier.size() && i < 400; ++i) {
-        const Tree::Node n = frontier[i];
-        const auto kids =
-            expect_row_matches_expand(t, n, search::kUnbounded, kTreePoison);
-        if (n.depth >= t.params().max_depth) {
-          ++cutoff_nodes;
-          EXPECT_TRUE(kids.empty());
-        }
-        frontier.insert(frontier.end(), kids.begin(), kids.end());
-      }
-      if (fertility > 0.5) {
-        EXPECT_GT(cutoff_nodes, 0u) << "max_children " << mc;
-      }
-    }
+    EXPECT_EQ(Tree(Params{1, mc, 0.3, 4}).child_slots(), mc);
+    expect_tree_rows_match(mc);
+  }
+}
+
+TEST(TreeRow, MatchesExpandForFiveToTwelveSlots) {
+  for (std::uint32_t mc = 5; mc <= 12; ++mc) {
+    EXPECT_EQ(Tree(Params{1, mc, 0.3, 4}).child_slots(), mc);
+    // A node with more than four children crossed a group boundary, so the
+    // concatenation itself was exercised.
+    EXPECT_GT(expect_tree_rows_match(mc), 4u) << "max_children " << mc;
   }
 }
 
@@ -148,23 +200,27 @@ TEST(TreeRow, ClimateClampsAtBothEnds) {
 
 TEST(TreeRow, ExpandAppendsTheRowAfterStagedContent) {
   const Tree::Node sentinel{0x5E, 9, 9};
-  for (std::uint32_t mc = 1; mc <= 4; ++mc) {
+  for (std::uint32_t mc = 1; mc <= 12; ++mc) {
     const Tree t(Params{400 + mc, mc, 0.6, 6});
     std::vector<Tree::Node> frontier{t.root()};
     for (std::size_t i = 0; i < frontier.size() && i < 200; ++i) {
       const Tree::Node n = frontier[i];
       search::NextBound nb;
-      // A row still holding the previous node's children.
-      std::array<Tree::Node, 4> row;
-      row.fill(sentinel);
-      if (i > 0) (void)t.expand_row(frontier[i - 1], 0, row, nb);
-      const std::uint32_t k = t.expand_row(n, 0, row, nb);
+      // Rows still holding the previous node's children of the same group.
+      std::vector<Tree::Node> rows;
+      for (std::uint32_t first = 0; first < mc; first += 4) {
+        std::array<Tree::Node, 4> row;
+        row.fill(sentinel);
+        if (i > 0) (void)t.expand_row(frontier[i - 1], 0, row, nb, first);
+        const std::uint32_t k = t.expand_row(n, 0, row, nb, first);
+        rows.insert(rows.end(), row.begin(), row.begin() + k);
+      }
       // expand() onto a vector that already holds content.
       std::vector<Tree::Node> staged(3, sentinel);
       t.expand(n, 0, staged, nb);
-      ASSERT_EQ(staged.size(), 3 + k) << "max_children " << mc;
+      ASSERT_EQ(staged.size(), 3 + rows.size()) << "max_children " << mc;
       for (std::size_t j = 0; j < 3; ++j) EXPECT_EQ(staged[j], sentinel);
-      EXPECT_TRUE(std::equal(row.begin(), row.begin() + k, staged.begin() + 3))
+      EXPECT_TRUE(std::equal(rows.begin(), rows.end(), staged.begin() + 3))
           << "max_children " << mc << " node " << i;
       EXPECT_FALSE(nb.has_value());
       frontier.insert(frontier.end(), staged.begin() + 3, staged.end());
@@ -172,17 +228,34 @@ TEST(TreeRow, ExpandAppendsTheRowAfterStagedContent) {
   }
 }
 
-TEST(TreeRow, ApplicabilityRuleFollowsMaxChildren) {
+TEST(TreeRow, ExpandReadsAParentThatLivesInTheOutputVector) {
+  // expand(out[i], ..., out): the children of a node stored in the vector
+  // they are appended to, across several groups (so after reallocations).
+  for (const std::uint32_t mc : {4u, 9u, 12u}) {
+    const Tree t(Params{500 + mc, mc, 0.9, 5});
+    std::vector<Tree::Node> pool{t.root()};
+    search::NextBound nb;
+    for (std::size_t i = 0; i < pool.size() && i < 50; ++i) {
+      const Tree::Node n = pool[i];
+      std::vector<Tree::Node> ref;
+      t.expand(n, 0, ref, nb);
+      pool.shrink_to_fit();  // the next append reallocates
+      t.expand(pool[i], 0, pool, nb);
+      ASSERT_TRUE(std::equal(ref.begin(), ref.end(), pool.end() - ref.size()))
+          << "max_children " << mc << " node " << i;
+    }
+  }
+}
+
+TEST(TreeRow, RowStepForEveryMaxChildren) {
   simd::Machine m64(64, simd::cm2_cost_model());
   simd::Machine m1(1, simd::cm2_cost_model());
   for (std::uint32_t mc = 1; mc <= 12; ++mc) {
     const Tree t(Params{5, mc, 0.3, 8});
-    const bool fits = mc <= 4;
-    EXPECT_EQ(t.row_fits(), fits) << "max_children " << mc;
-    const ExpandStep want = fits ? ExpandStep::kRow : ExpandStep::kVector;
-    EXPECT_EQ(Engine<Tree>(t, m64, gp_dk()).step(), want) << mc;
-    EXPECT_EQ(Engine<Tree>(t, m1, gp_dk()).step(), want) << mc;
-    EXPECT_EQ(CompactEngine<Tree>(t, m64, gp_dk()).step(), want) << mc;
+    EXPECT_EQ(Engine<Tree>(t, m64, gp_dk()).step(), ExpandStep::kRow) << mc;
+    EXPECT_EQ(Engine<Tree>(t, m1, gp_dk()).step(), ExpandStep::kRow) << mc;
+    EXPECT_EQ(CompactEngine<Tree>(t, m64, gp_dk()).step(), ExpandStep::kRow)
+        << mc;
     const VectorStep<Tree> wrapped(t.params());
     EXPECT_EQ(Engine<VectorStep<Tree>>(wrapped, m64, gp_dk()).step(),
               ExpandStep::kVector)
@@ -211,6 +284,7 @@ std::vector<FifteenPuzzle::Node> puzzle_pool(const FifteenPuzzle& p,
 }
 
 TEST(FifteenRow, MatchesExpandAtBoundsThatPruneNoneSomeAndAll) {
+  static_assert(FifteenPuzzle::child_slots() == 4);
   for (const auto heuristic :
        {puzzle::Heuristic::kManhattan, puzzle::Heuristic::kLinearConflict}) {
     for (std::size_t w = 1; w <= 2; ++w) {
@@ -227,16 +301,17 @@ TEST(FifteenRow, MatchesExpandAtBoundsThatPruneNoneSomeAndAll) {
             search::Bound{255}}) {
         for (const auto& n : pool) {
           expect_row_matches_expand(p, n, bound, kPuzzlePoison);
-          const RowRun<FifteenPuzzle> r = run_row(p, n, bound, kPuzzlePoison);
+          const RowRun<FifteenPuzzle> r = run_rows(p, n, bound, kPuzzlePoison);
+          EXPECT_EQ(r.groups, 1u);
           if (bound == 0) {
-            EXPECT_EQ(r.count, 0u);
+            EXPECT_TRUE(r.kids.empty());
             EXPECT_TRUE(r.next.has_value());
           }
           if (bound == 255) {
-            EXPECT_GE(r.count, 1u);
+            EXPECT_GE(r.kids.size(), 1u);
             EXPECT_FALSE(r.next.has_value());
           }
-          if (r.count > 0 && r.next.has_value()) ++partly_pruned;
+          if (!r.kids.empty() && r.next.has_value()) ++partly_pruned;
         }
       }
       EXPECT_GT(partly_pruned, 0u) << "workload " << w;
@@ -259,10 +334,10 @@ TEST(FifteenRow, RootsWithAnInteriorBlankTakeAllFourMoves) {
       ASSERT_EQ(root.blank, cell);
       const search::Bound open = 100;
       expect_row_matches_expand(p, root, open, kPuzzlePoison);
-      const RowRun<FifteenPuzzle> r = run_row(p, root, open, kPuzzlePoison);
-      ASSERT_EQ(r.count, 4u) << "cell " << cell;
+      const RowRun<FifteenPuzzle> r = run_rows(p, root, open, kPuzzlePoison);
+      ASSERT_EQ(r.kids.size(), 4u) << "cell " << cell;
       for (std::uint32_t mv = 0; mv < 4; ++mv) {
-        EXPECT_EQ(r.row[mv].last, mv) << "cell " << cell;
+        EXPECT_EQ(r.kids[mv].last, mv) << "cell " << cell;
       }
       EXPECT_FALSE(r.next.has_value());
     }
@@ -272,6 +347,7 @@ TEST(FifteenRow, RootsWithAnInteriorBlankTakeAllFourMoves) {
 TEST(FifteenRow, StepSelection) {
   const puzzle::Board board = puzzle::test_workloads()[1].board();
   const FifteenPuzzle manhattan(board);
+  const FifteenPuzzle linear(board, puzzle::Heuristic::kLinearConflict);
   const RowStep<FifteenPuzzle> row_only(board);
   const VectorStep<FifteenPuzzle> vector_only(board);
   for (const std::uint32_t p : {1u, 63u, 64u, 1000u}) {
@@ -281,10 +357,137 @@ TEST(FifteenRow, StepSelection) {
     EXPECT_EQ(
         Engine<VectorStep<FifteenPuzzle>>(vector_only, m, gp_dk()).step(),
         ExpandStep::kVector);
+    // Linear conflict never batches: the row step on both stacks.
+    EXPECT_EQ(Engine<FifteenPuzzle>(linear, m, gp_dk()).step(),
+              ExpandStep::kRow);
+    EXPECT_EQ(CompactEngine<FifteenPuzzle>(linear, m, gp_dk()).step(),
+              ExpandStep::kRow);
     if (p < vec::kMinBatchPes) {
       EXPECT_EQ(Engine<FifteenPuzzle>(manhattan, m, gp_dk()).step(),
                 ExpandStep::kRow);
+      EXPECT_EQ(CompactEngine<FifteenPuzzle>(manhattan, m, gp_dk()).step(),
+                ExpandStep::kRow);
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// tsp::Tsp and queens::Queens
+// ---------------------------------------------------------------------------
+
+const Tsp::Node kTspPoison{0xEEEE, 0xEE, 0xEE, -7};
+const Queens::Node kQueensPoison{0xEEEEEEEE, 0xEEEEEEEE, 0xEEEEEEEE, 0xEE};
+
+/// A breadth-first pool of up to `want` nodes (unbounded), plus every node
+/// on `descents` random root-to-leaf paths, so the deep levels and the
+/// leaves (goals, dead ends) are covered too.
+template <typename P>
+std::vector<typename P::Node> tree_pool(const P& p, std::size_t want,
+                                        int descents, std::uint64_t seed) {
+  std::vector<typename P::Node> pool{p.root()};
+  search::NextBound nb;
+  for (std::size_t i = 0; i < pool.size() && pool.size() < want; ++i) {
+    p.expand(pool[i], search::kUnbounded, pool, nb);
+  }
+  if (pool.size() > want) pool.resize(want);
+  std::vector<typename P::Node> kids;
+  for (int d = 0; d < descents; ++d) {
+    typename P::Node n = p.root();
+    for (;;) {
+      kids.clear();
+      p.expand(n, search::kUnbounded, kids, nb);
+      if (kids.empty()) break;
+      n = kids[splitmix(seed) % kids.size()];
+      pool.push_back(n);
+    }
+  }
+  return pool;
+}
+
+TEST(TspRow, MatchesExpandAtBoundsThatPruneNoneSomeAndAll) {
+  // 4, 8, 12 and 16 cities fill whole groups; the others end mid-group.
+  for (const int cities : {1, 2, 4, 5, 7, 8, 11, 12, 16}) {
+    const Tsp t(cities, 100 + static_cast<std::uint64_t>(cities));
+    EXPECT_EQ(t.child_slots(), static_cast<std::uint32_t>(cities));
+    const auto pool = tree_pool(t, 300, 30, 17);
+    const search::Bound f0 = t.f_value(t.root());
+    std::size_t partly_pruned = 0;
+    std::size_t goals = 0;
+    for (const search::Bound bound :
+         {search::Bound{0}, f0, static_cast<search::Bound>(f0 + 40),
+          static_cast<search::Bound>(f0 + 120), search::kUnbounded}) {
+      for (const Tsp::Node& n : pool) {
+        expect_row_matches_expand(t, n, bound, kTspPoison);
+        const RowRun<Tsp> r = run_rows(t, n, bound, kTspPoison);
+        const auto unvisited =
+            static_cast<std::size_t>(cities - static_cast<int>(n.count));
+        if (t.is_goal(n)) {
+          ++goals;
+          EXPECT_TRUE(r.kids.empty());
+          EXPECT_FALSE(r.next.has_value());
+          continue;
+        }
+        if (bound == 0) {  // every child costs at least one edge
+          EXPECT_TRUE(r.kids.empty());
+          EXPECT_TRUE(r.next.has_value());
+        }
+        if (bound == search::kUnbounded) {
+          EXPECT_EQ(r.kids.size(), unvisited);
+          EXPECT_FALSE(r.next.has_value());
+        }
+        if (!r.kids.empty() && r.next.has_value()) ++partly_pruned;
+      }
+    }
+    EXPECT_GT(goals, 0u) << cities << " cities";
+    if (cities >= 5) {
+      EXPECT_GT(partly_pruned, 0u) << cities << " cities";
+    }
+  }
+}
+
+TEST(QueensRow, MatchesExpandForBoardsOneToTwelve) {
+  for (int n = 1; n <= 12; ++n) {
+    const Queens q(n);
+    EXPECT_EQ(q.child_slots(), static_cast<std::uint32_t>(n));
+    const auto pool = tree_pool(q, 3000, 40, 23);
+    std::size_t goals = 0;
+    std::size_t widest = 0;
+    for (const Queens::Node& node : pool) {
+      const auto kids =
+          expect_row_matches_expand(q, node, search::kUnbounded, kQueensPoison);
+      widest = std::max(widest, kids.size());
+      if (q.is_goal(node)) {
+        ++goals;
+        EXPECT_TRUE(kids.empty());
+      }
+    }
+    // The root's row spans every column.
+    EXPECT_EQ(widest, static_cast<std::size_t>(n));
+    if (Queens::known_solutions(n) > 0) {
+      EXPECT_GT(goals, 0u) << "n=" << n;
+    }
+  }
+}
+
+TEST(TspRow, StepSelection) {
+  const Tsp t(9, 3);
+  const VectorStep<Tsp> vt(9, 3);
+  for (const std::uint32_t p : {1u, 63u, 64u, 1000u}) {
+    simd::Machine m(p, simd::cm2_cost_model());
+    EXPECT_EQ(Engine<Tsp>(t, m, gp_dk()).step(), ExpandStep::kRow);
+    EXPECT_EQ(Engine<VectorStep<Tsp>>(vt, m, gp_dk()).step(),
+              ExpandStep::kVector);
+  }
+}
+
+TEST(QueensRow, StepSelection) {
+  const Queens q(8);
+  const VectorStep<Queens> vq(8);
+  for (const std::uint32_t p : {1u, 63u, 64u, 1000u}) {
+    simd::Machine m(p, simd::cm2_cost_model());
+    EXPECT_EQ(Engine<Queens>(q, m, gp_dk()).step(), ExpandStep::kRow);
+    EXPECT_EQ(Engine<VectorStep<Queens>>(vq, m, gp_dk()).step(),
+              ExpandStep::kVector);
   }
 }
 
@@ -292,18 +495,53 @@ TEST(FifteenRow, StepSelection) {
 // Whole-engine oracles: row step vs vector step
 // ---------------------------------------------------------------------------
 
+/// Which Engine entry point a run goes through (tests/test_modes.cpp).
+enum class Mode { kIda, kFirstSolution, kBranchAndBound };
+
+template <typename Node>
+struct Outcome {
+  RunStats stats;  ///< run(); the other modes fill stats.total only
+  search::Bound best = search::kUnbounded;  ///< run_branch_and_bound()
+  std::vector<Node> goals;
+  std::vector<fault::RecoveryRecord> journal;
+};
+
 template <typename P, typename StackT>
-RunStats run_engine(const P& problem, std::uint32_t p, SchemeConfig cfg,
-                    const fault::FaultPlan* plan, ExpandStep want_step, std::vector<typename P::Node>& goals,
-                    std::vector<fault::RecoveryRecord>& journal) {
+Outcome<typename P::Node> run_engine(const P& problem, std::uint32_t p,
+                                     const SchemeConfig& cfg,
+                                     const fault::FaultPlan* plan,
+                                     ExpandStep want_step, Mode mode) {
   simd::Machine m(p, simd::cm2_cost_model());
   Engine<P, StackT> engine(problem, m, cfg);
   EXPECT_EQ(engine.step(), want_step);
   engine.arm_faults(plan);
-  RunStats rs = engine.run();
-  goals = engine.goal_nodes();
-  journal = engine.recovery_journal();
-  return rs;
+  Outcome<typename P::Node> o;
+  switch (mode) {
+    case Mode::kIda:
+      o.stats = engine.run();
+      break;
+    case Mode::kFirstSolution:
+      o.stats.total = engine.run_first_solution(search::kUnbounded);
+      break;
+    case Mode::kBranchAndBound: {
+      const auto bnb = engine.run_branch_and_bound();
+      o.stats.total = bnb.stats;
+      o.best = bnb.best;
+      break;
+    }
+  }
+  o.goals = engine.goal_nodes();
+  o.journal = engine.recovery_journal();
+  return o;
+}
+
+template <typename Node>
+void expect_same_outcome(const Outcome<Node>& got, const Outcome<Node>& ref,
+                         const char* what) {
+  EXPECT_EQ(got.stats, ref.stats) << what;
+  EXPECT_EQ(got.best, ref.best) << what;
+  EXPECT_EQ(got.goals, ref.goals) << what;
+  EXPECT_EQ(got.journal, ref.journal) << what;
 }
 
 /// The six schemes of the paper's Table 1.
@@ -324,44 +562,39 @@ SchemeConfig table1_scheme(int i) {
   }
 }
 
-/// For every P x {unarmed, armed} under `cfg`: the vector step on WorkStack
-/// is the reference; the row step on WorkStack and on CompactStack must
-/// reproduce it exactly.
+/// For every P x {unarmed, armed} under `cfg` and `mode`: the vector step
+/// on WorkStack is the reference; the row step on WorkStack must reproduce
+/// it exactly, and so must the row step on CompactStack where the domain
+/// has a delta codec.
 template <typename RowP, typename VecP>
 void expect_steps_identical(const RowP& row_problem, const VecP& vec_problem,
-                            const SchemeConfig& cfg, std::uint64_t plan_seed) {
+                            const SchemeConfig& cfg, std::uint64_t plan_seed,
+                            Mode mode = Mode::kIda) {
   using Node = typename RowP::Node;
   for (const std::uint32_t p : {1u, 5u, 63u, 64u, 65u, 1000u}) {
     const fault::FaultPlan plan = fault::FaultPlan::random_kills(
         plan_seed + p, p, std::min(p - 1, 3u), 2, 40);
     const std::array<const fault::FaultPlan*, 2> plans{nullptr, &plan};
     for (const fault::FaultPlan* armed : plans) {
-      std::vector<Node> ref_goals;
-      std::vector<fault::RecoveryRecord> ref_journal;
-      const RunStats ref = run_engine<VecP, search::WorkStack<Node>>(
-          vec_problem, p, cfg, armed, ExpandStep::kVector, ref_goals,
-          ref_journal);
-      if (armed != nullptr && p > 1) {
-        EXPECT_GT(ref.total.pes_killed, 0u) << cfg.name() << " P=" << p;
+      SCOPED_TRACE(::testing::Message()
+                   << cfg.name() << " P=" << p << " armed="
+                   << (armed != nullptr) << " mode="
+                   << static_cast<int>(mode));
+      const auto ref = run_engine<VecP, search::WorkStack<Node>>(
+          vec_problem, p, cfg, armed, ExpandStep::kVector, mode);
+      if (armed != nullptr && p > 1 && mode == Mode::kIda) {
+        EXPECT_GT(ref.stats.total.pes_killed, 0u);
       }
-      std::vector<Node> goals;
-      std::vector<fault::RecoveryRecord> journal;
-      EXPECT_EQ((run_engine<RowP, search::WorkStack<Node>>(
-                    row_problem, p, cfg, armed, ExpandStep::kRow, goals,
-                    journal)),
-                ref)
-          << cfg.name() << " P=" << p << " armed=" << (armed != nullptr)
-          << " WorkStack";
-      EXPECT_EQ(goals, ref_goals) << cfg.name() << " P=" << p;
-      EXPECT_EQ(journal, ref_journal) << cfg.name() << " P=" << p;
-      EXPECT_EQ((run_engine<RowP, search::CompactStack<RowP>>(
-                    row_problem, p, cfg, armed, ExpandStep::kRow, goals,
-                    journal)),
-                ref)
-          << cfg.name() << " P=" << p << " armed=" << (armed != nullptr)
-          << " CompactStack";
-      EXPECT_EQ(goals, ref_goals) << cfg.name() << " P=" << p;
-      EXPECT_EQ(journal, ref_journal) << cfg.name() << " P=" << p;
+      expect_same_outcome(run_engine<RowP, search::WorkStack<Node>>(
+                              row_problem, p, cfg, armed, ExpandStep::kRow,
+                              mode),
+                          ref, "row step, WorkStack");
+      if constexpr (search::DeltaTreeProblem<RowP>) {
+        expect_same_outcome(run_engine<RowP, search::CompactStack<RowP>>(
+                                row_problem, p, cfg, armed, ExpandStep::kRow,
+                                mode),
+                            ref, "row step, CompactStack");
+      }
     }
   }
 }
@@ -382,6 +615,19 @@ TEST_P(RowOracle, SyntheticTreeIdenticalToVectorStep) {
   }
 }
 
+TEST_P(RowOracle, WideSyntheticTreesIdenticalToVectorStep) {
+  // max_children 5..12 at mean branching 1.5 (fertility 1.5 / mc): several
+  // row groups per node, some of them empty.  Seeds picked for W between
+  // about 1.5k and 2.2k.
+  const std::array<std::uint64_t, 8> seeds{12605, 13106, 16307, 9608,
+                                           10809, 9310,  9511,  11412};
+  for (std::uint32_t mc = 5; mc <= 12; ++mc) {
+    const Params params{seeds[mc - 5], mc, 1.5 / mc, 12};
+    expect_steps_identical(Tree(params), VectorStep<Tree>(params),
+                           table1_scheme(GetParam()), 37 * mc);
+  }
+}
+
 TEST_P(RowOracle, FifteenPuzzleIdenticalToVectorStep) {
   const puzzle::Board board = puzzle::test_workloads()[1].board();
   expect_steps_identical(RowStep<FifteenPuzzle>(board),
@@ -397,6 +643,26 @@ TEST_P(RowOracle, LinearConflictPuzzleIdenticalToVectorStep) {
   expect_steps_identical(FifteenPuzzle(board, lc),
                          VectorStep<FifteenPuzzle>(board, lc),
                          table1_scheme(GetParam()), 11);
+}
+
+TEST_P(RowOracle, TspIdenticalToVectorStepInEveryMode) {
+  // Nine cities: three row groups, the last one partial.
+  // Distances in [1, 5] keep IDA* to five iterations.
+  const Tsp t(9, 1, 5);
+  const VectorStep<Tsp> v(9, 1, 5);
+  for (const Mode mode :
+       {Mode::kIda, Mode::kFirstSolution, Mode::kBranchAndBound}) {
+    expect_steps_identical(t, v, table1_scheme(GetParam()), 13, mode);
+  }
+}
+
+TEST_P(RowOracle, QueensIdenticalToVectorStep) {
+  const Queens q(8);
+  simd::Machine m(64, simd::cm2_cost_model());
+  Engine<Queens> engine(q, m, table1_scheme(GetParam()));
+  EXPECT_EQ(engine.run().goals_found, Queens::known_solutions(8));
+  expect_steps_identical(q, VectorStep<Queens>(8), table1_scheme(GetParam()),
+                         19);
 }
 
 INSTANTIATE_TEST_SUITE_P(Table1Schemes, RowOracle, ::testing::Range(0, 6));

@@ -23,6 +23,7 @@
 #include "lb/engine.hpp"
 #include "puzzle/fifteen.hpp"
 #include "puzzle/workloads.hpp"
+#include "search/compact_stack.hpp"
 #include "search/work_stack.hpp"
 #include "simd/bitplane.hpp"
 #include "simd/cost_model.hpp"
@@ -238,6 +239,21 @@ TEST(SanitizerMutation, OvercommittedRowTripsRowCommit) {
   expect_fires("row-commit", [] { run_synthetic(64); });
 }
 
+TEST(SanitizerMutation, OvercommittedRowTripsRowCommitCompact) {
+  MutationGuard guard;
+  // The same mutation on CompactStack lanes: commit() checks the count
+  // before it encodes a single record from the staging row.
+  san::mutation().overcommit_row = true;
+  expect_fires("row-commit", [] {
+    const synthetic::Tree tree(synthetic::Params{9013, 4, 0.395, 14});
+    simd::Machine machine(64, simd::cm2_cost_model());
+    lb::CompactEngine<synthetic::Tree> engine(tree, machine,
+                                              lb::gp_static(0.9));
+    EXPECT_EQ(engine.step(), lb::ExpandStep::kRow);
+    engine.run();
+  });
+}
+
 TEST(SanitizerMutation, OvercommittedRowTripsRowCommitBatched) {
   SKIP_WITHOUT_AVX2();
   MutationGuard guard;
@@ -278,6 +294,25 @@ TEST(SanitizerPrimitives, RowCommitNeedsAReservedRowOfFour) {
   expect_fires("row-commit", [&] { stack.commit(5); });
   EXPECT_NO_THROW(stack.commit(4));  // a full row is legal
   EXPECT_EQ(stack.size(), 4u);
+  // A commit consumes its reservation.
+  expect_fires("row-commit", [&] { stack.commit(1); });
+}
+
+TEST(SanitizerPrimitives, CompactRowCommitNeedsAReservedRowOfFour) {
+  MutationGuard guard;
+  const synthetic::Tree tree(synthetic::Params{42, 4, 0.9, 12});
+  search::CompactStack<synthetic::Tree> stack;
+  stack.bind(tree);
+  stack.push(tree.root());
+  const synthetic::Tree::Node root = stack.pop();
+  // No top_row() reservation pending.
+  expect_fires("row-commit", [&] { stack.commit(0); });
+  search::NextBound nb;
+  const std::uint32_t k = tree.expand_row(root, 0, stack.top_row(), nb, 0);
+  ASSERT_GT(k, 0u);
+  expect_fires("row-commit", [&] { stack.commit(5); });
+  EXPECT_NO_THROW(stack.commit(k));
+  EXPECT_EQ(stack.size(), k);
   // A commit consumes its reservation.
   expect_fires("row-commit", [&] { stack.commit(1); });
 }

@@ -270,7 +270,7 @@ TEST(FifteenKernel, EverySingleMoveMatchesExpandRow) {
     const FifteenPuzzle::Node& n = nodes[i];
     Row want{};
     search::NextBound want_next;
-    const std::uint32_t k = p.expand_row(n, bound, want, want_next);
+    const std::uint32_t k = p.expand_row(n, bound, want, want_next, 0);
     // Alone, so NextBound is this node's own.
     const KernelRun r = run_kernel(&n, 1, bound);
     ASSERT_EQ(r.counts[0], k) << "node " << i;
