@@ -244,6 +244,44 @@ void BM_FifteenKernel(benchmark::State& state) {
 }
 BENCHMARK(BM_FifteenKernel);
 
+// The word step's scalar group loop, the counterpart of BM_FifteenKernel for
+// a domain without a kernel: one expand_row() call per node over a full
+// flag word (64 synthetic-tree nodes into 64 scratch rows; four child slots,
+// so one group), without the gather.  sec_per_node reads as the loop's time
+// per node.
+void BM_TreeWordKernel(benchmark::State& state) {
+  const synthetic::Tree tree(synthetic::Params{9013, 4, 0.395, 40});
+  // A breadth-first frontier past the root: mixed climates and child
+  // counts.
+  std::vector<synthetic::Tree::Node> nodes{tree.root()};
+  search::NextBound nb;
+  for (std::size_t i = 0; i < nodes.size() && nodes.size() < 64 + i; ++i) {
+    const synthetic::Tree::Node n = nodes[i];
+    tree.expand(n, search::kUnbounded, nodes, nb);
+  }
+  nodes.erase(nodes.begin(), nodes.end() - 64);
+  std::vector<std::array<synthetic::Tree::Node, 4>> kids(64);
+  std::vector<std::array<synthetic::Tree::Node, 4>*> rows;
+  for (auto& row : kids) rows.push_back(&row);
+  std::vector<std::uint32_t> counts(64);
+  for (auto _ : state) {
+    search::NextBound next;
+    for (std::uint32_t first = 0; first < tree.child_slots(); first += 4) {
+      for (std::size_t j = 0; j < 64; ++j) {
+        counts[j] = tree.expand_row(nodes[j], search::kUnbounded, *rows[j],
+                                    next, first);
+      }
+    }
+    benchmark::DoNotOptimize(kids.data());
+    benchmark::DoNotOptimize(counts.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["sec_per_node"] = benchmark::Counter(
+      64, benchmark::Counter::kIsIterationInvariantRate |
+              benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_TreeWordKernel);
+
 }  // namespace
 
 BENCHMARK_MAIN();

@@ -46,19 +46,21 @@
 // the run is bit-identical to the pre-fault engine.
 //
 // Expansion step (ExpandStep): the word walk expands each word's active
-// lanes with one of three steps, chosen once at construction from the
-// problem's type.  The per-bit steps pop and expand lane by lane: the row
-// step through expand_row() straight into the lane's top row, one call per
-// group of four child slots (search::RowTreeProblem, which every bundled
-// domain is), the vector step through expand() for a problem type without
-// expand_row().  The batched step pops a word's lanes first, noting each
-// one's top row, and expands them with one call of the 15-puzzle kernel
-// (vec/expand.hpp, which also states its selection rule).  Both stacks take
-// rows the same way: a WorkStack's top row is its own storage, a
-// CompactStack's a staging row that commit() encodes.  Every step feeds the
-// same flag/census transition in the same bit order, so the choice never
-// moves a simulated result; tests/test_row_step.cpp and
-// tests/test_vector_backend.cpp pin that.
+// lanes with one of two steps, fixed by the problem's type.  The word step
+// (search::RowTreeProblem, which every bundled domain is) works as the
+// paper's machine does, one expansion over all of a word's lanes: it pops
+// them all first, noting each one's top row, then expands the popped nodes
+// one group of four child slots at a time — through the 15-puzzle kernel
+// where vec::batch_applies holds (vec/expand.hpp), else through one
+// expand_row() call per node — committing every lane's row between groups.
+// The vector step, for a problem type without expand_row(), pops and
+// expands lane by lane through expand().  Both stacks take rows the same
+// way: a WorkStack's top row is its own storage, a CompactStack's a staging
+// row that commit() encodes.  Each lane sees the same pop/commit sequence
+// whichever step or kernel runs, and every step feeds the same flag/census
+// transition in the same bit order, so the choice never moves a simulated
+// result; tests/test_row_step.cpp and tests/test_vector_backend.cpp pin
+// that.
 //
 // Mega-P (P up to 2^20 and beyond): three coordinated mechanisms keep such
 // machines practical.  Per-lane state lives in a common::ShardedArray
@@ -106,9 +108,8 @@ enum class ExpandStep {
   /// (examples/custom_domain.cpp), a decorator that forwards only expand(),
   /// and the tests' vector-step oracle.
   kVector,
-  kRow,      ///< per lane: pop, per slot group expand_row() into the top
-             ///< row and commit
-  kBatched,  ///< per word: pop every lane, one 15-puzzle kernel call
+  kWord,  ///< per word: pop every lane, expand slot group by slot group
+          ///< into the lanes' top rows, commit
 };
 
 /// `StackT` selects the per-lane stack representation: WorkStack<Node> (the
@@ -135,7 +136,7 @@ class Engine {
       : problem_(problem),
         machine_(machine),
         cfg_(cfg),
-        step_(select_step(problem, machine.size())),
+        kernel_(select_kernel(problem, machine.size())),
         matcher_(cfg.match),
         stacks_(machine.size()),
         busy_flags_(machine.size()),
@@ -149,20 +150,14 @@ class Engine {
     if constexpr (requires(StackT& s) { s.bind(problem); }) {
       stacks_.for_each([&problem](StackT& s) { s.bind(problem); });
     }
-    // Size the walk's buffers once, outside the lockstep region: a cycle
-    // records at most one goal per PE and a batch never crosses one flag
-    // word, so with these capacities a steady-state cycle touches no
-    // allocator at all (the effect analysis pins the remaining growth
-    // sites, see the markers in expand_cycle and its step helpers).  The
-    // goal reserve is capped: at mega-P a reserve of P nodes would itself
-    // dominate memory, and a cycle landing more than the cap in goals at
-    // once is a terminal burst whose growth the markers cover.
+    // Size the goal buffer once, outside the lockstep region: a cycle
+    // records at most one goal per PE, so with this capacity a steady-state
+    // cycle touches no allocator at all (the effect analysis pins the
+    // remaining growth sites, see the markers in expand_cycle and its step
+    // helpers).  The reserve is capped: at mega-P a reserve of P nodes
+    // would itself dominate memory, and a cycle landing more than the cap
+    // in goals at once is a terminal burst whose growth the markers cover.
     goal_nodes_.reserve(std::min<std::size_t>(machine.size(), 4096));
-    if (step_ == ExpandStep::kBatched) {
-      scratch_.batch_nodes.resize(simd::BitPlane::kWordBits);
-      scratch_.batch_rows.resize(simd::BitPlane::kWordBits);
-      scratch_.batch_counts.resize(simd::BitPlane::kWordBits);
-    }
 #ifdef SIMDTS_SANITIZE
     san_dead_.resize(machine.size());
 #endif
@@ -189,9 +184,16 @@ class Engine {
 #endif
   }
 
-  /// The expansion step this engine chose at construction (select_step).
-  /// Results are identical whichever it is.
-  [[nodiscard]] ExpandStep step() const noexcept { return step_; }
+  /// The expansion step, fixed by the problem type: the word step for a
+  /// search::RowTreeProblem, else the vector step.
+  [[nodiscard]] static constexpr ExpandStep step() noexcept {
+    return search::RowTreeProblem<P> ? ExpandStep::kWord : ExpandStep::kVector;
+  }
+
+  /// Whether the word step expands through the 15-puzzle kernel
+  /// (vec::batch_applies, decided at construction).  Results are identical
+  /// either way.
+  [[nodiscard]] bool uses_kernel() const noexcept { return kernel_; }
 
   /// Watchdog: a nonzero budget bounds the expand cycles of each bounded DFS
   /// (each run_iteration / IDA* iteration); exceeding it throws
@@ -444,25 +446,26 @@ class Engine {
 
   using Row = std::array<Node, 4>;
 
-  /// The walk's reusable buffers, sized at construction so a steady-state
-  /// cycle allocates nothing.
+  /// The walk's reusable buffers, held inline so a steady-state cycle and
+  /// the engine's construction allocate nothing for them.
   struct WalkScratch {
     std::vector<Node> children;  ///< vector step's staging, cleared per word
-    // Batched step only (empty otherwise): a word's non-goal pops, the
-    // lane's top row each one's children go to, and its child count.
-    std::vector<Node> batch_nodes;
-    std::vector<Row*> batch_rows;
-    std::vector<std::uint32_t> batch_counts;
+    // Word step: a word's non-goal pops in bit order, the lane row each
+    // one's current slot group goes to, and that group's child count.
+    // Each word writes an entry before reading it, so they start
+    // uninitialized and constructing an engine writes none of them.
+    std::array<Node, simd::BitPlane::kWordBits> nodes;
+    std::array<Row*, simd::BitPlane::kWordBits> rows;
+    std::array<std::uint32_t, simd::BitPlane::kWordBits> counts;
   };
 
-  /// The step-selection rule: the batched step where the problem has a
-  /// batch kernel and vec::batch_applies says it pays, else the row step
-  /// for any problem with expand_row(), else the vector step.
-  static ExpandStep select_step(const P& problem, std::uint32_t pes) {
-    if constexpr (vec::kHasKernel<P>) {
-      if (vec::batch_applies(problem, pes)) return ExpandStep::kBatched;
-    }
-    return search::RowTreeProblem<P> ? ExpandStep::kRow : ExpandStep::kVector;
+  /// The kernel rule: the word step expands through vec::expand_fifteen
+  /// where the problem has a batch kernel and vec::batch_applies says it
+  /// pays, else through expand_row().
+  static bool select_kernel([[maybe_unused]] const P& problem,
+                            [[maybe_unused]] std::uint32_t pes) {
+    if constexpr (vec::kHasKernel<P>) return vec::batch_applies(problem, pes);
+    return false;
   }
 
   /// Pushes the first n nodes of st's last top_row() onto `st` in order: a
@@ -494,25 +497,27 @@ class Engine {
   /// deltas and pruned bound are locals, folded into the run state once at
   /// the end of the cycle.
   ///
-  /// The per-word step is the only part that varies (step_, fixed at
-  /// construction).  The per-bit steps pop and expand inside the bit loop:
-  /// the row step writes a node's children into the four slots above the
-  /// lane's top and commits their count, once per group of four child
-  /// slots in slot order, so the stack ends up exactly as after pushing
-  /// expand()'s output; the vector step stages them in the scratch vector
-  /// (cleared once per word) and pushes them one by one.  The batched
-  /// step pops the whole word first, noting each lane's top row, and
-  /// prefetches the next occupied word's stack tops before its kernel call
-  /// (expand_word_batched); the bit loop then commits each lane's child
-  /// count.  Every step runs the one flag/census transition of the bit
-  /// loop, in bit order.
+  /// The per-word step is the only part that varies (step(), fixed by the
+  /// problem type).  The word step pops the whole word first, noting each
+  /// lane's top row, prefetches the next occupied word's stack tops, and
+  /// expands the popped nodes one group of four child slots at a time
+  /// (expand_word); the bit loop then commits each lane's last group.
+  /// Every lane thus writes each group into the four slots above its top
+  /// and commits its count, in slot order, so its stack ends up exactly as
+  /// after pushing expand()'s output.  The vector step pops and expands
+  /// inside the bit loop, staging children in the scratch vector (cleared
+  /// once per word) and pushing them one by one.  Both steps run the one
+  /// flag/census transition of the bit loop, in bit order.
   ///
-  ///   per-bit:  for each active bit:  pop -> goal? -> per slot group:
-  ///                                   expand_row into top_row -> commit
-  ///                                   -> flag/census
-  ///   batched:  pop all active bits, rows[j] = top_row
-  ///             -> prefetch next word's tops -> expand_fifteen(rows)
-  ///             for each active bit:  commit(count[j]) -> flag/census
+  ///   word:    pop all active bits, rows[j] = top_row
+  ///            -> prefetch next word's tops
+  ///            -> per slot group: (commit(count[j]), rows[j] = top_row)
+  ///               after the first; expand_fifteen(rows) or
+  ///               expand_row(nodes[j], *rows[j]) for each j
+  ///            for each active bit:  commit(count[j]) -> flag/census
+  ///   vector:  prefetch this word's tops
+  ///            for each active bit:  pop -> goal? -> expand() -> push
+  ///                                  -> flag/census
   // SIMDLINT-REGION(lockstep)
   void expand_cycle(search::Bound bound, IterationStats& stats) {
     constexpr std::size_t kWordBits = simd::BitPlane::kWordBits;
@@ -524,15 +529,10 @@ class Engine {
     const std::uint64_t* const dead_words = dead_.words().data();
     const std::size_t nwords = idle_flags_.word_count();
     const std::uint64_t last_mask = idle_flags_.word_mask(nwords - 1);
+    constexpr bool kWordStep = step() == ExpandStep::kWord;
     // Constant false for problems without a kernel, so their walk compiles
-    // without that step.  The per-bit step is the row step exactly when the
-    // problem type has expand_row (select_step).
-    const bool batched = vec::kHasKernel<P> && step_ == ExpandStep::kBatched;
-    // Per-bit step on a machine wider than one flag word: prefetch a word's
-    // stack tops before popping any of them (see below).  A single word's
-    // stacks stay cache-resident, so small machines skip it.  The batched
-    // step prefetches one word ahead instead (expand_word_batched).
-    const bool prefetch = !batched && nwords > 1;
+    // without it.
+    const bool kernel = vec::kHasKernel<P> && kernel_;
     std::int64_t d_nonempty = 0;    // minus the lanes that ran dry
     std::int64_t d_splittable = 0;  // splittable transitions, either way
     search::NextBound next_bound;   // least f-value pruned this cycle
@@ -555,7 +555,7 @@ class Engine {
     for (std::size_t w = san_flat ? 0 : work_summary_.next_occupied(0);
          w < nwords; w = next_w) {
       // Only word w's summary bit changes below, so the next occupied word
-      // is known now (the batched step prefetches its stack tops).
+      // is known now (the word step prefetches its stack tops).
       next_w = san_flat ? w + 1 : work_summary_.next_occupied(w + 1);
       const std::uint64_t valid = valid_mask(w);
       std::uint64_t idle_w = idle_words[w];
@@ -566,7 +566,6 @@ class Engine {
 #endif
       const std::uint64_t active = ~idle_w & not_dead & valid;
       if (active == 0) continue;
-      scratch_.children.clear();
       const std::size_t base = w * kWordBits;
       StackT* const lanes = &stacks_[base];
 #ifdef SIMDTS_SANITIZE
@@ -575,62 +574,55 @@ class Engine {
         san_dead_.check_alive(base + b, "expand");
       }
 #endif
-      if constexpr (requires(const StackT& s) { s.prefetch_top(); }) {
-        // The stack tops of a word's lanes are scattered across the heap;
-        // issuing every fetch up front overlaps their misses, where the bit
-        // loop's pops would otherwise take them one after another.
-        if (prefetch) {
-          for (std::uint64_t m = active; m != 0; m &= m - 1) {
-            lanes[std::countr_zero(m)].prefetch_top();
-          }
-        }
-      }
       std::uint64_t goal_bits = 0;
-      if constexpr (vec::kHasKernel<P>) {
-        if (batched) {
-          std::uint64_t next_active = 0;
-          if (next_w < nwords) {
-            next_active = ~idle_words[next_w] & ~dead_words[next_w] &
-                          valid_mask(next_w);
+      if constexpr (kWordStep) {
+        std::uint64_t next_active = 0;
+        if (next_w < nwords) {
+          next_active = ~idle_words[next_w] & ~dead_words[next_w] &
+                        valid_mask(next_w);
+        }
+        goal_bits = expand_word(
+            lanes, active,
+            next_active != 0 ? &stacks_[next_w * kWordBits] : nullptr,
+            next_active, kernel, bound, next_bound);
+      } else {
+        scratch_.children.clear();
+        if constexpr (requires(const StackT& s) { s.prefetch_top(); }) {
+          // The stack tops of a word's lanes are scattered across the
+          // heap; issuing every fetch up front overlaps their misses, where
+          // the bit loop's pops would otherwise take them one after
+          // another.  A single word's stacks stay cache-resident.
+          if (nwords > 1) {
+            for (std::uint64_t m = active; m != 0; m &= m - 1) {
+              lanes[std::countr_zero(m)].prefetch_top();
+            }
           }
-          goal_bits = expand_word_batched(
-              lanes, active,
-              next_active != 0 ? &stacks_[next_w * kWordBits] : nullptr,
-              next_active, bound, next_bound);
         }
       }
-      std::uint32_t slot = 0;  // batched: index into batch_rows/batch_counts
+      std::uint32_t slot = 0;  // word step: index into scratch_.counts
       std::uint64_t m = active;
       while (m != 0) {
         const auto b = static_cast<unsigned>(std::countr_zero(m));
         m &= m - 1;
         StackT& st = lanes[b];
         const std::uint64_t bit = std::uint64_t{1} << b;
-        if (batched) {
+        if constexpr (kWordStep) {
           if ((goal_bits & bit) == 0) {
-            commit_row(st, scratch_.batch_counts[slot]);
+            commit_row(st, scratch_.counts[slot]);
             ++slot;
           }
         } else {
           Node n = st.pop();
           if (!record_goal(n)) {
-            if constexpr (search::RowTreeProblem<P>) {
-              for (std::uint32_t first = 0; first < problem_.child_slots();
-                   first += 4) {
-                commit_row(st, problem_.expand_row(n, bound, st.top_row(),
-                                                   next_bound, first));
-              }
-            } else {
-              std::vector<Node>& children = scratch_.children;
-              const std::size_t staged = children.size();
-              // SIMDLINT-EFFECT-OK(allocates) children is persistent-
-              problem_.expand(n, bound, children, next_bound);
-              // capacity scratch: growth is amortized over the run.
-              for (std::size_t i = staged; i < children.size(); ++i) {
-                // SIMDLINT-EFFECT-OK(allocates) only a WorkStack gets here
-                st.push(children[i]);  // (static_assert at the top of the
-                // class), whose growth is amortized (effects.conf).
-              }
+            std::vector<Node>& children = scratch_.children;
+            const std::size_t staged = children.size();
+            // SIMDLINT-EFFECT-OK(allocates) children is persistent-
+            problem_.expand(n, bound, children, next_bound);
+            // capacity scratch: growth is amortized over the run.
+            for (std::size_t i = staged; i < children.size(); ++i) {
+              // SIMDLINT-EFFECT-OK(allocates) only a WorkStack gets here
+              st.push(children[i]);  // (static_assert at the top of the
+              // class), whose growth is amortized (effects.conf).
             }
           }
         }
@@ -691,22 +683,28 @@ class Engine {
     return true;
   }
 
-  /// The batched step's gather: pops every active lane of the word whose
-  /// stacks start at `lanes`, in bit order, recording goals as it goes (so
-  /// goal order matches the per-bit step) and noting each other lane's
-  /// top row, then expands the other nodes with one kernel call.  Node j's
-  /// children land in the first scratch_.batch_counts[j] slots of
-  /// *scratch_.batch_rows[j].  Before the call it prefetches the
-  /// stack tops of `next_active`'s lanes of the next occupied word (stacks
-  /// from `next_lanes`), so their misses overlap the kernel instead of the
-  /// next gather.  Returns the word's goal bits.
-  std::uint64_t expand_word_batched(StackT* lanes, std::uint64_t active,
-                                    const StackT* next_lanes,
-                                    std::uint64_t next_active,
-                                    search::Bound bound,
-                                    search::NextBound& next_bound) {
-    Node* const nodes = scratch_.batch_nodes.data();
-    Row** const rows = scratch_.batch_rows.data();
+  /// The word step up to its last commit.  Pops every active lane of the
+  /// word whose stacks start at `lanes`, in bit order, recording goals as
+  /// it goes (so goal order is bit order) and noting each other lane's top
+  /// row; prefetches the stack tops of `next_active`'s lanes of the next
+  /// occupied word (stacks from `next_lanes`), so their misses overlap this
+  /// word's expansion instead of the next gather; then expands the popped
+  /// nodes one slot group at a time, the group loop outside the node loop.
+  /// Each group after the first commits the previous group's counts and
+  /// takes a fresh top row per lane.  On return node j's last group sits in
+  /// the first scratch_.counts[j] slots of *scratch_.rows[j], uncommitted.
+  /// With `kernel` the 15-puzzle kernel expands the group (it has exactly
+  /// one), else one expand_row() call per node.  Returns the word's goal
+  /// bits.
+  // SIMDLINT-REGION(lockstep)
+  std::uint64_t expand_word(StackT* lanes, std::uint64_t active,
+                            const StackT* next_lanes,
+                            std::uint64_t next_active, bool kernel,
+                            search::Bound bound,
+                            search::NextBound& next_bound) {
+    Node* const nodes = scratch_.nodes.data();
+    Row** const rows = scratch_.rows.data();
+    std::uint32_t* const counts = scratch_.counts.data();
     std::uint32_t count = 0;
     std::uint64_t goal_bits = 0;
     for (std::uint64_t m = active; m != 0; m &= m - 1) {
@@ -725,8 +723,28 @@ class Engine {
         next_lanes[std::countr_zero(m)].prefetch_top();
       }
     }
-    vec::expand_fifteen(nodes, count, bound, rows,
-                        scratch_.batch_counts.data(), next_bound);
+    const std::uint64_t expanded = active & ~goal_bits;
+    for (std::uint32_t first = 0; first < problem_.child_slots();
+         first += 4) {
+      if (first != 0) {
+        std::uint32_t j = 0;
+        for (std::uint64_t m = expanded; m != 0; m &= m - 1, ++j) {
+          StackT& st = lanes[std::countr_zero(m)];
+          commit_row(st, counts[j]);
+          rows[j] = &st.top_row();
+        }
+      }
+      if constexpr (vec::kHasKernel<P>) {
+        if (kernel) {
+          vec::expand_fifteen(nodes, count, bound, rows, counts, next_bound);
+          continue;
+        }
+      }
+      for (std::uint32_t j = 0; j < count; ++j) {
+        counts[j] =
+            problem_.expand_row(nodes[j], bound, *rows[j], next_bound, first);
+      }
+    }
     return goal_bits;
   }
 
@@ -1113,7 +1131,7 @@ class Engine {
   const P& problem_;
   simd::Machine& machine_;
   SchemeConfig cfg_;
-  const ExpandStep step_;  ///< fixed at construction (select_step)
+  const bool kernel_;  ///< word step through the kernel (select_kernel)
   Matcher matcher_;
   common::ShardedArray<StackT> stacks_;
   simd::BitPlane busy_flags_;   ///< splittable, maintained in place

@@ -55,11 +55,14 @@ concept TreeProblem = requires(const P& p, const typename P::Node& n,
 /// (expand() is the minimum every domain provides).  A domain numbers the
 /// candidate children of a node by *child slots* 0..child_slots()-1 and
 /// writes the children of any four consecutive slots into a caller-owned
-/// row of four.  The engine's row step calls expand_row once per group of
-/// four slots, each time into the four slots above the lane's stack top
-/// (WorkStack::top_row), and advances the stack by the returned count
-/// (commit), so children are written in place with no copy and no branch on
-/// how many a node had.
+/// row of four.  The engine's word step pops a flag word's lanes, then runs
+/// the slot groups in order, the group loop outside the node loop: for each
+/// group it calls expand_row once per popped node, into the four slots
+/// above that lane's stack top (WorkStack::top_row), and advances the stack
+/// by the returned count (commit) before the lane's next group, so children
+/// are written in place with no copy and no branch on how many a node had.
+/// Calls for different nodes interleave (node j's group 1 after node k's
+/// group 0), so expand_row must depend on its arguments only.
 ///
 /// Contract:
 ///  - child_slots() is the instance's slot count, the same for every node.

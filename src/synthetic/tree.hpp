@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -85,8 +86,7 @@ class Tree {
     // loop; a loop from `first` to min(first + 4, max_children) stays rolled
     // and cost fig4-sweep's wall a few percent.
     const std::uint32_t slots = std::min(params_.max_children - first, 4u);
-    const double p =
-        params_.fertility * (0.5 + static_cast<double>(n.climate) * 0x1.0p-16);
+    const std::uint64_t thr = existence_threshold(n.climate);
     const auto depth = static_cast<std::uint16_t>(n.depth + 1);
     // Locals, so the row stores cannot force reloads through `n`.
     const std::uint64_t id = n.id;
@@ -95,7 +95,7 @@ class Tree {
     for (std::uint32_t j = 0; j < slots; ++j) {
       const std::uint64_t h = hash2(id, 0x4348494C44ULL + first + j);
       row[k] = Node{h, depth, drift_climate(climate, h)};
-      k += static_cast<std::uint32_t>(normalized(h) < p);
+      k += static_cast<std::uint32_t>((h >> 11) < thr);
     }
     return k;
   }
@@ -139,9 +139,27 @@ class Tree {
     return x;
   }
 
-  /// Maps a hash to [0, 1).
+  /// Maps a hash to [0, 1).  Slot existence is defined as
+  /// `normalized(h) < p`; expand_row() evaluates it in integers
+  /// (existence_threshold).
   [[nodiscard]] static double normalized(std::uint64_t h) {
     return static_cast<double>(h >> 11) * 0x1.0p-53;
+  }
+
+  /// The existence probability p of a child of a node with `climate`, as
+  /// an integer threshold on the top 53 hash bits: `(h >> 11) < thr`
+  /// exactly when `normalized(h) < p`.  Both `h >> 11` (< 2^53) and the
+  /// scaling by 2^53 are exact in double, and for an integer x, x < s
+  /// exactly when x < ceil(s).  p >= 1 gives 2^53 (every slot), p <= 0 and
+  /// NaN give 0 (none), so the conversion never leaves uint64's range.
+  [[nodiscard]] std::uint64_t existence_threshold(
+      std::uint16_t climate) const {
+    const double p =
+        params_.fertility * (0.5 + static_cast<double>(climate) * 0x1.0p-16);
+    const double scaled = p * 0x1.0p53;
+    if (scaled >= 0x1.0p53) return std::uint64_t{1} << 53;
+    if (!(scaled > 0.0)) return 0;
+    return static_cast<std::uint64_t>(std::ceil(scaled));
   }
 
  private:

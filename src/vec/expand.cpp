@@ -1,5 +1,5 @@
 // The batched 15-puzzle kernel (see vec/expand.hpp for the contract and the
-// selection rule).
+// kernel rule).
 //
 // Two phases.  The *candidate phase* is pure branch-free lane arithmetic
 // over struct-of-arrays copies of the batch: every potential child of every

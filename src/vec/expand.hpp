@@ -1,21 +1,24 @@
-// Batched 15-puzzle expansion: the engine's per-word step.
+// Batched 15-puzzle expansion: the kernel inside the engine's word step.
 //
-// The engine's per-bit steps pop one node per active lane and expand it
-// alone; for the 15-puzzle that is FifteenPuzzle::expand_row(), which writes
-// the node's children into a row of four slots.  Under the Manhattan
-// heuristic the engine can instead pop a whole flag word's active lanes (at
-// most 64 nodes) and expand them with one expand_fifteen() call: the kernel
+// The engine's word step pops a whole flag word's active lanes (at most 64
+// nodes), notes each lane's top row, and expands the popped nodes one group
+// of four child slots at a time.  For a domain without a kernel a group is
+// one expand_row() call per node; for the 15-puzzle under the Manhattan
+// heuristic it can instead be one expand_fifteen() call: the kernel
 // computes all four moves of every node as branch-free u64 lane arithmetic
 // (AVX2-wide), then fills node j's row with the same row contract as
-// expand_row() (search::RowTreeProblem).  The engine passes each lane's
-// top_row(), so the children are written straight onto a WorkStack, and
-// into the staging row a CompactStack encodes on commit().
+// expand_row() (search::RowTreeProblem).  The 15-puzzle has one group, and
+// the engine passes each lane's top_row(), so the children are written
+// straight onto a WorkStack, and into the staging row a CompactStack
+// encodes on commit().
 //
-// The engine picks the step once, at construction (batch_applies):
+// batch_applies picks the kernel once, at the engine's construction, and
+// the word step runs it on every cycle when all of these hold:
 //  - the problem has a kernel (kHasKernel — only puzzle::FifteenPuzzle);
 //  - its heuristic is Manhattan (linear conflict re-evaluates whole boards);
-//  - P >= kMinBatchPes (on a machine smaller than one flag word the
-//    gather/scatter costs more than the kernel saves);
+//  - P >= kMinBatchPes (the kernel loads and pads its struct-of-arrays copy
+//    per call, which costs more than the scalar loop when a word holds a
+//    few active lanes, as in the tiny solves of a small machine);
 //  - the host CPU has AVX2 and BMI2 (the kernel is compiled for them with a
 //    function-level target attribute; the rest of the library keeps its
 //    default flags, so no floating-point code generation changes).
@@ -26,7 +29,7 @@
 // in the same order, and the NextBound outcome equals that of `count` calls
 // of expand_row().
 // The kernel does the same integer arithmetic as expand_row() — only the
-// schedule changes — so the engine's results do not depend on the step.
+// schedule changes — so the engine's results do not depend on the choice.
 #pragma once
 
 #include <array>
@@ -43,15 +46,16 @@ inline constexpr bool kHasKernel = false;
 template <>
 inline constexpr bool kHasKernel<puzzle::FifteenPuzzle> = true;
 
-/// Smallest machine the engine runs the batched step on.
+/// Smallest machine the word step runs the kernel on.
 inline constexpr std::uint32_t kMinBatchPes = 64;
 
 /// True when the host CPU executes the kernel's AVX2/BMI2 code (always
 /// false off x86 or without GCC/Clang builtins).
 [[nodiscard]] bool cpu_has_avx2() noexcept;
 
-/// The selection rule: true when an engine of `pes` lanes over `p` should
-/// expand through expand_fifteen() instead of per-node expand_row().
+/// The kernel rule: true when the word step of an engine of `pes` lanes
+/// over `p` should expand through expand_fifteen() instead of per-node
+/// expand_row().
 [[nodiscard]] bool batch_applies(const puzzle::FifteenPuzzle& p,
                                  std::uint32_t pes) noexcept;
 

@@ -1,14 +1,16 @@
-// Forwarding wrappers that pin an Engine to one expansion step.
+// Forwarding wrappers that pin an Engine to one expansion path.
 //
 // lb::Engine picks its step from the problem's type (lb::ExpandStep): the
-// batched step needs a 15-puzzle kernel (vec::kHasKernel), the row step an
-// expand_row() (search::RowTreeProblem), and every TreeProblem has the vector
-// step.  Wrapping a domain in a type that forwards only part of its interface
-// makes the engine take a chosen step while it searches exactly the same
-// tree, which is what the step-equivalence oracles compare against.
+// word step for a type with expand_row() (search::RowTreeProblem), which
+// runs the 15-puzzle kernel where the type has one (vec::kHasKernel) and
+// vec::batch_applies holds, and the vector step for every other
+// TreeProblem.  Wrapping a domain in a type that forwards only part of its
+// interface makes the engine take a chosen path while it searches exactly
+// the same tree, which is what the step-equivalence oracles compare against.
 //  - VectorStep<P> forwards expand() but not expand_row(): the vector step.
-//  - RowStep<P> forwards expand_row() too but has no kernel: the row step,
-//    even at machine sizes where the inner type would batch.
+//  - RowStep<P> forwards expand_row() too but has no kernel: the word step's
+//    scalar loop, even at machine sizes where the inner type would take the
+//    kernel.
 // Both forward the delta codec when the inner type has one, so the oracles
 // cover CompactStack as well.
 #pragma once

@@ -238,14 +238,15 @@ TEST(FaultTransparency, EmptyPlanIsBitIdenticalToUnarmed) {
     EXPECT_EQ(m1.clock(), m2.clock()) << cfg.name();
   }
 
-  // The synthetic tree at P = 1024 under GP-S^0.90: the row step, the
+  // The synthetic tree at P = 1024 under GP-S^0.90: the word step, the
   // summary-hopping lb walk over 16 plane words, and every fault-checking
   // branch taken each cycle with no event ever firing.
   const synthetic::SyntheticWorkload& syn = synthetic::test_workloads()[2];
   const synthetic::Tree tree(syn.params);
   simd::Machine m1(1024, simd::cm2_cost_model());
   lb::Engine<synthetic::Tree> unarmed(tree, m1, lb::gp_static(0.9));
-  ASSERT_EQ(unarmed.step(), lb::ExpandStep::kRow);
+  ASSERT_EQ(unarmed.step(), lb::ExpandStep::kWord);
+  ASSERT_FALSE(unarmed.uses_kernel());
   const lb::RunStats a = unarmed.run();
 
   simd::Machine m2(1024, simd::cm2_cost_model());

@@ -69,7 +69,8 @@ TEST_P(FuzzSweep, EngineConservesAndTerminates) {
     const auto p = static_cast<std::uint32_t>(1 + mix(seed + variant) % 256);
     simd::Machine machine(p, simd::cm2_cost_model());
     lb::Engine<synthetic::Tree> engine(tree, machine, cfg);
-    ASSERT_EQ(engine.step(), lb::ExpandStep::kRow);
+    ASSERT_EQ(engine.step(), lb::ExpandStep::kWord);
+    ASSERT_FALSE(engine.uses_kernel());
     const lb::IterationStats it = engine.run_iteration(search::kUnbounded);
 
     ASSERT_EQ(it.nodes_expanded, serial.nodes_expanded)

@@ -1,5 +1,5 @@
-// The row step (search::RowTreeProblem, lb::ExpandStep::kRow) against the
-// vector step.
+// The word step's scalar path (search::RowTreeProblem, lb::ExpandStep::kWord
+// without the 15-puzzle kernel) against the vector step.
 //
 // Two layers of contract:
 //  - per node: the expand_row() calls of every slot group, concatenated in
@@ -8,7 +8,7 @@
 //    domain: synthetic::Tree at max_children 1..12, puzzle::FifteenPuzzle,
 //    tsp::Tsp at bounds that prune none, some and all children, and
 //    queens::Queens at n = 1..12;
-//  - per run: an engine on the row step produces identical RunStats, goal
+//  - per run: an engine on the word step produces identical RunStats, goal
 //    sequences and recovery journals as one on the vector step, across the
 //    six Table-1 schemes, machine sizes around one flag word, both stack
 //    representations (where the domain has a delta codec), an armed
@@ -25,6 +25,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <utility>
 #include <vector>
 
@@ -252,10 +253,16 @@ TEST(TreeRow, RowStepForEveryMaxChildren) {
   simd::Machine m1(1, simd::cm2_cost_model());
   for (std::uint32_t mc = 1; mc <= 12; ++mc) {
     const Tree t(Params{5, mc, 0.3, 8});
-    EXPECT_EQ(Engine<Tree>(t, m64, gp_dk()).step(), ExpandStep::kRow) << mc;
-    EXPECT_EQ(Engine<Tree>(t, m1, gp_dk()).step(), ExpandStep::kRow) << mc;
-    EXPECT_EQ(CompactEngine<Tree>(t, m64, gp_dk()).step(), ExpandStep::kRow)
-        << mc;
+    const Engine<Tree> wide(t, m64, gp_dk());
+    const Engine<Tree> narrow(t, m1, gp_dk());
+    const CompactEngine<Tree> compact(t, m64, gp_dk());
+    EXPECT_EQ(wide.step(), ExpandStep::kWord) << mc;
+    EXPECT_EQ(narrow.step(), ExpandStep::kWord) << mc;
+    EXPECT_EQ(compact.step(), ExpandStep::kWord) << mc;
+    // The tree has no kernel: the word step's scalar loop at every P.
+    EXPECT_FALSE(wide.uses_kernel()) << mc;
+    EXPECT_FALSE(narrow.uses_kernel()) << mc;
+    EXPECT_FALSE(compact.uses_kernel()) << mc;
     const VectorStep<Tree> wrapped(t.params());
     EXPECT_EQ(Engine<VectorStep<Tree>>(wrapped, m64, gp_dk()).step(),
               ExpandStep::kVector)
@@ -352,21 +359,28 @@ TEST(FifteenRow, StepSelection) {
   const VectorStep<FifteenPuzzle> vector_only(board);
   for (const std::uint32_t p : {1u, 63u, 64u, 1000u}) {
     simd::Machine m(p, simd::cm2_cost_model());
-    EXPECT_EQ(Engine<RowStep<FifteenPuzzle>>(row_only, m, gp_dk()).step(),
-              ExpandStep::kRow);
+    const Engine<RowStep<FifteenPuzzle>> row_engine(row_only, m, gp_dk());
+    EXPECT_EQ(row_engine.step(), ExpandStep::kWord);
+    EXPECT_FALSE(row_engine.uses_kernel());
     EXPECT_EQ(
         Engine<VectorStep<FifteenPuzzle>>(vector_only, m, gp_dk()).step(),
         ExpandStep::kVector);
-    // Linear conflict never batches: the row step on both stacks.
-    EXPECT_EQ(Engine<FifteenPuzzle>(linear, m, gp_dk()).step(),
-              ExpandStep::kRow);
-    EXPECT_EQ(CompactEngine<FifteenPuzzle>(linear, m, gp_dk()).step(),
-              ExpandStep::kRow);
+    // Linear conflict never takes the kernel: the word step's scalar loop
+    // on both stacks.
+    const Engine<FifteenPuzzle> linear_work(linear, m, gp_dk());
+    const CompactEngine<FifteenPuzzle> linear_compact(linear, m, gp_dk());
+    EXPECT_EQ(linear_work.step(), ExpandStep::kWord);
+    EXPECT_EQ(linear_compact.step(), ExpandStep::kWord);
+    EXPECT_FALSE(linear_work.uses_kernel());
+    EXPECT_FALSE(linear_compact.uses_kernel());
+    const Engine<FifteenPuzzle> manhattan_work(manhattan, m, gp_dk());
+    const CompactEngine<FifteenPuzzle> manhattan_compact(manhattan, m,
+                                                         gp_dk());
+    EXPECT_EQ(manhattan_work.step(), ExpandStep::kWord);
+    EXPECT_EQ(manhattan_compact.step(), ExpandStep::kWord);
     if (p < vec::kMinBatchPes) {
-      EXPECT_EQ(Engine<FifteenPuzzle>(manhattan, m, gp_dk()).step(),
-                ExpandStep::kRow);
-      EXPECT_EQ(CompactEngine<FifteenPuzzle>(manhattan, m, gp_dk()).step(),
-                ExpandStep::kRow);
+      EXPECT_FALSE(manhattan_work.uses_kernel());
+      EXPECT_FALSE(manhattan_compact.uses_kernel());
     }
   }
 }
@@ -474,7 +488,9 @@ TEST(TspRow, StepSelection) {
   const VectorStep<Tsp> vt(9, 3);
   for (const std::uint32_t p : {1u, 63u, 64u, 1000u}) {
     simd::Machine m(p, simd::cm2_cost_model());
-    EXPECT_EQ(Engine<Tsp>(t, m, gp_dk()).step(), ExpandStep::kRow);
+    const Engine<Tsp> engine(t, m, gp_dk());
+    EXPECT_EQ(engine.step(), ExpandStep::kWord);
+    EXPECT_FALSE(engine.uses_kernel());
     EXPECT_EQ(Engine<VectorStep<Tsp>>(vt, m, gp_dk()).step(),
               ExpandStep::kVector);
   }
@@ -485,14 +501,16 @@ TEST(QueensRow, StepSelection) {
   const VectorStep<Queens> vq(8);
   for (const std::uint32_t p : {1u, 63u, 64u, 1000u}) {
     simd::Machine m(p, simd::cm2_cost_model());
-    EXPECT_EQ(Engine<Queens>(q, m, gp_dk()).step(), ExpandStep::kRow);
+    const Engine<Queens> engine(q, m, gp_dk());
+    EXPECT_EQ(engine.step(), ExpandStep::kWord);
+    EXPECT_FALSE(engine.uses_kernel());
     EXPECT_EQ(Engine<VectorStep<Queens>>(vq, m, gp_dk()).step(),
               ExpandStep::kVector);
   }
 }
 
 // ---------------------------------------------------------------------------
-// Whole-engine oracles: row step vs vector step
+// Whole-engine oracles: word step vs vector step
 // ---------------------------------------------------------------------------
 
 /// Which Engine entry point a run goes through (tests/test_modes.cpp).
@@ -514,6 +532,9 @@ Outcome<typename P::Node> run_engine(const P& problem, std::uint32_t p,
   simd::Machine m(p, simd::cm2_cost_model());
   Engine<P, StackT> engine(problem, m, cfg);
   EXPECT_EQ(engine.step(), want_step);
+  // The oracles compare the scalar paths; the kernel has its own
+  // (tests/test_vector_backend.cpp).
+  EXPECT_FALSE(engine.uses_kernel());
   engine.arm_faults(plan);
   Outcome<typename P::Node> o;
   switch (mode) {
@@ -563,15 +584,17 @@ SchemeConfig table1_scheme(int i) {
 }
 
 /// For every P x {unarmed, armed} under `cfg` and `mode`: the vector step
-/// on WorkStack is the reference; the row step on WorkStack must reproduce
-/// it exactly, and so must the row step on CompactStack where the domain
+/// on WorkStack is the reference; the word step on WorkStack must reproduce
+/// it exactly, and so must the word step on CompactStack where the domain
 /// has a delta codec.
 template <typename RowP, typename VecP>
-void expect_steps_identical(const RowP& row_problem, const VecP& vec_problem,
-                            const SchemeConfig& cfg, std::uint64_t plan_seed,
-                            Mode mode = Mode::kIda) {
+void expect_steps_identical(
+    const RowP& row_problem, const VecP& vec_problem, const SchemeConfig& cfg,
+    std::uint64_t plan_seed, Mode mode = Mode::kIda,
+    std::initializer_list<std::uint32_t> pes = {1u, 5u, 63u, 64u, 65u,
+                                                1000u}) {
   using Node = typename RowP::Node;
-  for (const std::uint32_t p : {1u, 5u, 63u, 64u, 65u, 1000u}) {
+  for (const std::uint32_t p : pes) {
     const fault::FaultPlan plan = fault::FaultPlan::random_kills(
         plan_seed + p, p, std::min(p - 1, 3u), 2, 40);
     const std::array<const fault::FaultPlan*, 2> plans{nullptr, &plan};
@@ -586,14 +609,14 @@ void expect_steps_identical(const RowP& row_problem, const VecP& vec_problem,
         EXPECT_GT(ref.stats.total.pes_killed, 0u);
       }
       expect_same_outcome(run_engine<RowP, search::WorkStack<Node>>(
-                              row_problem, p, cfg, armed, ExpandStep::kRow,
+                              row_problem, p, cfg, armed, ExpandStep::kWord,
                               mode),
-                          ref, "row step, WorkStack");
+                          ref, "word step, WorkStack");
       if constexpr (search::DeltaTreeProblem<RowP>) {
         expect_same_outcome(run_engine<RowP, search::CompactStack<RowP>>(
-                                row_problem, p, cfg, armed, ExpandStep::kRow,
+                                row_problem, p, cfg, armed, ExpandStep::kWord,
                                 mode),
-                            ref, "row step, CompactStack");
+                            ref, "word step, CompactStack");
       }
     }
   }
@@ -636,8 +659,8 @@ TEST_P(RowOracle, FifteenPuzzleIdenticalToVectorStep) {
 }
 
 TEST_P(RowOracle, LinearConflictPuzzleIdenticalToVectorStep) {
-  // FifteenPuzzle itself: linear conflict rules the batched step out at
-  // every P, so the unwrapped type takes the row step.
+  // FifteenPuzzle itself: linear conflict rules the kernel out at every P,
+  // so the unwrapped type takes the word step's scalar loop.
   const puzzle::Board board = puzzle::test_workloads()[1].board();
   const auto lc = puzzle::Heuristic::kLinearConflict;
   expect_steps_identical(FifteenPuzzle(board, lc),
@@ -663,6 +686,121 @@ TEST_P(RowOracle, QueensIdenticalToVectorStep) {
   EXPECT_EQ(engine.run().goals_found, Queens::known_solutions(8));
   expect_steps_identical(q, VectorStep<Queens>(8), table1_scheme(GetParam()),
                          19);
+}
+
+/// A deep, wide tree for the word step's group commits: a spine of
+/// `max_depth` levels (one designated child slot of every spine node
+/// continues it) with subcritical side subtrees on every other slot.  Every
+/// node spans ceil(slots / 4) slot groups, some of them empty, and the
+/// lane that descends the spine passes CompactStack's 255-level segment
+/// split.  Side nodes with id % 61 == 0 are goals.
+class DeepTree {
+ public:
+  struct Node {
+    std::uint64_t id;
+    std::uint16_t depth;
+    std::uint8_t spine;  ///< 1 on the spine
+
+    friend bool operator==(const Node&, const Node&) = default;
+  };
+
+  DeepTree(std::uint64_t seed, std::uint32_t slots, std::uint16_t max_depth)
+      : seed_(seed), slots_(slots), max_depth_(max_depth) {}
+
+  [[nodiscard]] Node root() const {
+    return Node{Tree::hash2(seed_, 0x5350494E45ULL), 0, 1};
+  }
+  void expand(const Node& n, search::Bound bound, std::vector<Node>& out,
+              search::NextBound& next) const {
+    search::expand_rows(*this, n, bound, out, next);
+  }
+  [[nodiscard]] std::uint32_t child_slots() const { return slots_; }
+  std::uint32_t expand_row(const Node& n, search::Bound /*bound*/,
+                           std::array<Node, 4>& row,
+                           search::NextBound& /*next*/,
+                           std::uint32_t first) const {
+    if (n.depth >= max_depth_) return 0;
+    std::uint32_t k = 0;
+    for (std::uint32_t i = first; i < std::min(first + 4, slots_); ++i) {
+      const Node c = decode_delta(n, static_cast<std::uint8_t>(i));
+      // Side children exist with probability 0.9 / slots: mean branching
+      // 0.9 off the spine, so each side subtree is finite and small.
+      if (c.spine == 1 ||
+          (c.id >> 11) * slots_ * 10 < (std::uint64_t{9} << 53)) {
+        row[k++] = c;
+      }
+    }
+    return k;
+  }
+  [[nodiscard]] bool is_goal(const Node& n) const {
+    return n.spine == 0 && n.id % 61 == 0;
+  }
+  [[nodiscard]] search::Bound f_value(const Node&) const { return 0; }
+
+  [[nodiscard]] std::uint8_t encode_delta(const Node& parent,
+                                          const Node& child) const {
+    for (std::uint32_t i = 0; i < slots_; ++i) {
+      if (decode_delta(parent, static_cast<std::uint8_t>(i)) == child) {
+        return static_cast<std::uint8_t>(i);
+      }
+    }
+    return 0;
+  }
+  [[nodiscard]] Node decode_delta(const Node& n, std::uint8_t d) const {
+    const bool spine = n.spine == 1 && d == n.id % slots_;
+    return Node{Tree::hash2(n.id, d), static_cast<std::uint16_t>(n.depth + 1),
+                static_cast<std::uint8_t>(spine ? 1 : 0)};
+  }
+
+ private:
+  std::uint64_t seed_;
+  std::uint32_t slots_;
+  std::uint16_t max_depth_;
+};
+
+static_assert(search::RowTreeProblem<DeepTree>);
+static_assert(search::DeltaTreeProblem<DeepTree>);
+
+TEST_P(RowOracle, DeepWideTreesInterleaveGroupCommits) {
+  // The word step commits every lane's slot group before the next group
+  // of any lane is written, so several lanes' multi-group commits
+  // interleave within one flag word.  Each lane must still end exactly as
+  // after pushing expand()'s output, on both stacks, at P inside one word,
+  // at one word, and across two and three.
+  for (std::uint32_t slots = 5; slots <= 12; ++slots) {
+    const DeepTree tree(700 + slots, slots, 300);
+    // The spine reaches depth 300 and the tree has goals off it.
+    std::vector<DeepTree::Node> pool{tree.root()};
+    search::NextBound nb;
+    std::uint16_t deepest = 0;
+    std::size_t goals = 0;
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      deepest = std::max(deepest, pool[i].depth);
+      if (tree.is_goal(pool[i])) {
+        ++goals;
+      } else {
+        tree.expand(pool[i], 0, pool, nb);
+      }
+    }
+    ASSERT_EQ(deepest, 300) << "slots " << slots;
+    ASSERT_GT(goals, 0u) << "slots " << slots;
+    ASSERT_LT(pool.size(), 10000u) << "slots " << slots;
+    // Several lanes of one flag word expand in the same cycle, so their
+    // group commits do interleave.
+    SchemeConfig traced = table1_scheme(GetParam());
+    traced.record_trace = true;
+    simd::Machine m64(64, simd::cm2_cost_model());
+    Engine<DeepTree> engine(tree, m64, traced);
+    std::uint32_t widest = 0;
+    for (const TracePoint& t : engine.run_iteration(0).trace) {
+      widest = std::max(widest, t.working);
+    }
+    EXPECT_GE(widest, 8u) << "slots " << slots;
+    expect_steps_identical(tree, VectorStep<DeepTree>(700 + slots, slots,
+                                                      std::uint16_t{300}),
+                           table1_scheme(GetParam()), 41 * slots, Mode::kIda,
+                           {1u, 63u, 64u, 65u, 130u});
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Table1Schemes, RowOracle, ::testing::Range(0, 6));

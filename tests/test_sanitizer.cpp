@@ -22,6 +22,7 @@
 #include "lb/config.hpp"
 #include "lb/engine.hpp"
 #include "puzzle/fifteen.hpp"
+#include "puzzle/heuristic.hpp"
 #include "puzzle/workloads.hpp"
 #include "search/compact_stack.hpp"
 #include "search/work_stack.hpp"
@@ -83,8 +84,8 @@ using VectorTree = oracle::VectorStep<synthetic::Tree>;
 /// A moderate synthetic-tree run that exercises expansion, lb phases and
 /// (with a plan) the kill/recovery path — the scenario every engine-level
 /// mutation test perturbs.  `Problem` picks the expansion step: the Tree
-/// itself takes the row step, VectorTree the vector step, and each
-/// mutation test runs both.
+/// itself takes the word step (its scalar loop), VectorTree the vector
+/// step, and each mutation test runs both.
 template <typename Problem = synthetic::Tree>
 lb::RunStats run_synthetic(std::uint32_t p,
                            const fault::FaultPlan* plan = nullptr) {
@@ -92,28 +93,31 @@ lb::RunStats run_synthetic(std::uint32_t p,
   simd::Machine machine(p, simd::cm2_cost_model());
   lb::Engine<Problem> engine(tree, machine, lb::gp_static(0.9));
   EXPECT_EQ(engine.step(), search::RowTreeProblem<Problem>
-                               ? lb::ExpandStep::kRow
+                               ? lb::ExpandStep::kWord
                                : lb::ExpandStep::kVector);
+  EXPECT_FALSE(engine.uses_kernel());
   if (plan != nullptr) engine.arm_faults(plan);
   return engine.run();
 }
 
-/// The same scenario on the batched 15-puzzle step (P >= 64, Manhattan), so
-/// every engine mutation is also seen through the kernel's gather/scatter.
+/// The same scenario on the word step through the 15-puzzle kernel (P >= 64,
+/// Manhattan), so every engine mutation is also seen through the kernel's
+/// gather/scatter.
 lb::RunStats run_batched_puzzle(std::uint32_t p,
                                 const fault::FaultPlan* plan = nullptr) {
   const puzzle::FifteenPuzzle problem(puzzle::test_workloads()[2].board());
   simd::Machine machine(p, simd::cm2_cost_model());
   lb::Engine<puzzle::FifteenPuzzle> engine(problem, machine,
                                            lb::gp_static(0.9));
-  EXPECT_EQ(engine.step(), lb::ExpandStep::kBatched);
+  EXPECT_EQ(engine.step(), lb::ExpandStep::kWord);
+  EXPECT_TRUE(engine.uses_kernel());
   if (plan != nullptr) engine.arm_faults(plan);
   return engine.run();
 }
 
 #define SKIP_WITHOUT_AVX2()                                              \
   if (!vec::cpu_has_avx2()) {                                            \
-    GTEST_SKIP() << "host CPU lacks AVX2/BMI2: no batched step to test"; \
+    GTEST_SKIP() << "host CPU lacks AVX2/BMI2: no kernel path to test";  \
   }
 
 // ---------------------------------------------------------------------------
@@ -207,7 +211,7 @@ TEST(SanitizerMutation, DroppedCensusDeltaTripsCensusDivergence) {
   expect_fires("census-divergence", [] { run_synthetic<VectorTree>(64); });
 }
 
-// The engine mutations again, on the batched step.
+// The engine mutations again, on the word step through the kernel.
 
 TEST(SanitizerMutation, ExpandingADeadLaneTripsDeadLaneBatched) {
   SKIP_WITHOUT_AVX2();
@@ -231,12 +235,54 @@ TEST(SanitizerMutation, DroppedCensusDeltaTripsCensusDivergenceBatched) {
   expect_fires("census-divergence", [] { run_batched_puzzle(64); });
 }
 
+/// One run on the word step's scalar loop (never the kernel) over stack
+/// `StackT`, for the row-commit mutations.
+template <typename Problem, typename StackT>
+void run_scalar_word(const Problem& problem, std::uint32_t p) {
+  simd::Machine machine(p, simd::cm2_cost_model());
+  lb::Engine<Problem, StackT> engine(problem, machine, lb::gp_static(0.9));
+  EXPECT_EQ(engine.step(), lb::ExpandStep::kWord);
+  EXPECT_FALSE(engine.uses_kernel());
+  engine.run();
+}
+
+/// The scalar word loop's commits on every shape, over the stacks
+/// `StackOf` picks: a four-slot tree (only the bit loop's commit), a
+/// nine-slot tree (the group loop commits between slot groups too) and the
+/// linear-conflict 15-puzzle (no kernel), each inside one flag word and
+/// across three.
+template <template <typename> typename StackOf>
+void expect_overcommit_fires() {
+  const synthetic::Tree narrow(synthetic::Params{9013, 4, 0.395, 14});
+  const synthetic::Tree wide(synthetic::Params{9013, 9, 1.5 / 9, 12});
+  const puzzle::FifteenPuzzle puzzle(puzzle::test_workloads()[2].board(),
+                                     puzzle::Heuristic::kLinearConflict);
+  for (const std::uint32_t p : {64u, 130u}) {
+    expect_fires("row-commit", [&] {
+      run_scalar_word<synthetic::Tree, StackOf<synthetic::Tree>>(narrow, p);
+    });
+    expect_fires("row-commit", [&] {
+      run_scalar_word<synthetic::Tree, StackOf<synthetic::Tree>>(wide, p);
+    });
+    expect_fires("row-commit", [&] {
+      run_scalar_word<puzzle::FifteenPuzzle, StackOf<puzzle::FifteenPuzzle>>(
+          puzzle, p);
+    });
+  }
+}
+
+template <typename P>
+using WorkStackOf = search::WorkStack<typename P::Node>;
+template <typename P>
+using CompactStackOf = search::CompactStack<P>;
+
 TEST(SanitizerMutation, OvercommittedRowTripsRowCommit) {
   MutationGuard guard;
-  // The row step commits five children into its four-slot top row.  (The
+  // The word step commits five children into its four-slot top row.  (The
   // vector step appends a counted run and has no row to overrun.)
   san::mutation().overcommit_row = true;
   expect_fires("row-commit", [] { run_synthetic(64); });
+  expect_overcommit_fires<WorkStackOf>();
 }
 
 TEST(SanitizerMutation, OvercommittedRowTripsRowCommitCompact) {
@@ -244,14 +290,7 @@ TEST(SanitizerMutation, OvercommittedRowTripsRowCommitCompact) {
   // The same mutation on CompactStack lanes: commit() checks the count
   // before it encodes a single record from the staging row.
   san::mutation().overcommit_row = true;
-  expect_fires("row-commit", [] {
-    const synthetic::Tree tree(synthetic::Params{9013, 4, 0.395, 14});
-    simd::Machine machine(64, simd::cm2_cost_model());
-    lb::CompactEngine<synthetic::Tree> engine(tree, machine,
-                                              lb::gp_static(0.9));
-    EXPECT_EQ(engine.step(), lb::ExpandStep::kRow);
-    engine.run();
-  });
+  expect_overcommit_fires<CompactStackOf>();
 }
 
 TEST(SanitizerMutation, OvercommittedRowTripsRowCommitBatched) {

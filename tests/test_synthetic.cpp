@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "search/serial.hpp"
@@ -74,6 +75,67 @@ std::vector<Tree::Node> reference_children(const Tree& t,
     if (Tree::normalized(c.id) < p) out.push_back(c);
   }
   return out;
+}
+
+TEST(SyntheticTree, ExistenceThresholdAgreesWithTheDoubleFormula) {
+  // expand_row() tests `(h >> 11) < existence_threshold(climate)`; the
+  // definition is `normalized(h) < p`.  Check both on hashes either side of
+  // the threshold, with every low-bit pattern that the shift drops.
+  constexpr std::uint64_t kTop = std::uint64_t{1} << 53;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double fertility :
+       {0.0, -0.0, -0.25, 5e-324, 1e-300, 1e-17, 0.395, 0.7, 2.0 / 3.0, 1.0,
+        1.5, inf, -inf, nan}) {
+    const Tree t(Params{3, 4, fertility, 10});
+    for (const std::uint16_t climate :
+         {std::uint16_t{0}, std::uint16_t{1}, std::uint16_t{0x8000},
+          std::uint16_t{0xFFFF}}) {
+      const double p =
+          fertility * (0.5 + static_cast<double>(climate) * 0x1.0p-16);
+      const std::uint64_t thr = t.existence_threshold(climate);
+      ASSERT_LE(thr, kTop);
+      if (p >= 1.0) {
+        EXPECT_EQ(thr, kTop) << fertility << " " << climate;
+      }
+      if (!(p > 0.0)) {
+        EXPECT_EQ(thr, 0u) << fertility << " " << climate;
+      }
+      std::vector<std::uint64_t> tops{0, 1, kTop - 2, kTop - 1};
+      for (const std::uint64_t d : {2u, 1u, 0u}) {
+        if (thr >= d) tops.push_back(thr - d);
+        if (thr + d < kTop) tops.push_back(thr + d);
+      }
+      for (const std::uint64_t top : tops) {
+        for (const std::uint64_t low : {std::uint64_t{0}, std::uint64_t{1},
+                                        std::uint64_t{0x7FF}}) {
+          const std::uint64_t h = (top << 11) | low;
+          EXPECT_EQ((h >> 11) < thr, Tree::normalized(h) < p)
+              << "fertility " << fertility << " climate " << climate
+              << " top " << top;
+        }
+      }
+    }
+  }
+}
+
+TEST(SyntheticTree, DegenerateFertilitiesKeepEverySlotOrNone) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double fertility : {2.0, inf}) {
+    const Tree t(Params{5, 9, fertility, 3});
+    std::vector<Tree::Node> out;
+    search::NextBound nb;
+    t.expand(t.root(), search::kUnbounded, out, nb);
+    EXPECT_EQ(out.size(), 9u) << fertility;
+  }
+  for (const double fertility :
+       {0.0, -1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    const Tree t(Params{5, 9, fertility, 3});
+    std::vector<Tree::Node> out;
+    search::NextBound nb;
+    t.expand(t.root(), search::kUnbounded, out, nb);
+    EXPECT_TRUE(out.empty()) << fertility;
+  }
 }
 
 TEST(SyntheticTree, ExpandEmitsExactlyTheReferenceChildrenInOrder) {

@@ -1,4 +1,5 @@
-// The batched 15-puzzle step against the vector-step reference.
+// The word step through the 15-puzzle kernel against the vector-step
+// reference.
 //
 // The contract under test (vec/expand.hpp): an engine that expands through
 // the 15-puzzle kernel produces *identical* RunStats (nodes expanded, goals,
@@ -338,22 +339,26 @@ TEST(FifteenKernel, SelectionRulePinsEachBranch) {
   simd::Machine m63(63, simd::cm2_cost_model());
 
   // Every other condition holds; each of these fails exactly one.  A
-  // FifteenPuzzle that misses the batched step takes the row step; the
-  // wrapper without a kernel or expand_row takes the vector step.
-  EXPECT_EQ(Engine<FifteenPuzzle>(conflict, m64, gp_dk()).step(),
-            ExpandStep::kRow);
-  EXPECT_EQ(Engine<FifteenPuzzle>(manhattan, m63, gp_dk()).step(),
-            ExpandStep::kRow);
-  EXPECT_EQ(Engine<NoBatchPuzzle>(no_kernel, m64, gp_dk()).step(),
-            ExpandStep::kVector);
+  // FifteenPuzzle that misses the kernel takes the word step's scalar loop;
+  // the wrapper without a kernel or expand_row takes the vector step.
+  const Engine<FifteenPuzzle> conflict64(conflict, m64, gp_dk());
+  EXPECT_EQ(conflict64.step(), ExpandStep::kWord);
+  EXPECT_FALSE(conflict64.uses_kernel());
+  const Engine<FifteenPuzzle> manhattan63(manhattan, m63, gp_dk());
+  EXPECT_EQ(manhattan63.step(), ExpandStep::kWord);
+  EXPECT_FALSE(manhattan63.uses_kernel());
+  const Engine<NoBatchPuzzle> no_kernel64(no_kernel, m64, gp_dk());
+  EXPECT_EQ(no_kernel64.step(), ExpandStep::kVector);
+  EXPECT_FALSE(no_kernel64.uses_kernel());
   EXPECT_FALSE(vec::batch_applies(manhattan, vec::kMinBatchPes - 1));
 
   // All four hold (the CPU condition only on an AVX2 host).
-  const ExpandStep want =
-      vec::cpu_has_avx2() ? ExpandStep::kBatched : ExpandStep::kRow;
-  EXPECT_EQ(Engine<FifteenPuzzle>(manhattan, m64, gp_dk()).step(), want);
-  EXPECT_EQ(CompactEngine<FifteenPuzzle>(manhattan, m64, gp_dk()).step(),
-            want);
+  const Engine<FifteenPuzzle> manhattan64(manhattan, m64, gp_dk());
+  const CompactEngine<FifteenPuzzle> compact64(manhattan, m64, gp_dk());
+  EXPECT_EQ(manhattan64.step(), ExpandStep::kWord);
+  EXPECT_EQ(compact64.step(), ExpandStep::kWord);
+  EXPECT_EQ(manhattan64.uses_kernel(), vec::cpu_has_avx2());
+  EXPECT_EQ(compact64.uses_kernel(), vec::cpu_has_avx2());
 }
 
 /// One full-IDA* case of the kernel oracle.
@@ -363,7 +368,7 @@ struct PuzzleCase {
 };
 
 struct PuzzleRun {
-  ExpandStep step = ExpandStep::kVector;
+  bool kernel = false;
   RunStats stats;
   std::vector<FifteenPuzzle::Node> goals;
 };
@@ -394,14 +399,14 @@ void expect_kernel_runs_match(const std::vector<PuzzleCase>& cases) {
       const FifteenPuzzle problem(c.wl->board());
       simd::Machine m(c.p, simd::cm2_cost_model());
       Engine<FifteenPuzzle, StackT> batched(problem, m, gp_dk());
-      runs[i].step = batched.step();
+      runs[i].kernel = batched.uses_kernel();
       runs[i].stats = batched.run();
       runs[i].goals = batched.goal_nodes();
     });
     for (std::size_t i = 0; i < n; ++i) {
       const PuzzleCase& c = cases[i % cases.size()];
       const PuzzleRun& ref = refs[i % cases.size()];
-      EXPECT_EQ(runs[i].step, ExpandStep::kBatched);
+      EXPECT_TRUE(runs[i].kernel);
       EXPECT_EQ(runs[i].stats, ref.stats)
           << c.wl->name << " P=" << c.p << " threads=" << threads;
       EXPECT_EQ(runs[i].goals, ref.goals)
@@ -440,7 +445,7 @@ TEST(FifteenOracle, FirstSolutionIdentical) {
     Engine<NoBatchPuzzle> per_bit(reference, m_ref, gp_dk());
     simd::Machine m(p, simd::cm2_cost_model());
     Engine<FifteenPuzzle> batched(problem, m, gp_dk());
-    ASSERT_EQ(batched.step(), ExpandStep::kBatched);
+    ASSERT_TRUE(batched.uses_kernel());
     EXPECT_EQ(batched.run_first_solution(wl.solution_length),
               per_bit.run_first_solution(wl.solution_length))
         << "P=" << p;
@@ -469,7 +474,7 @@ TEST(FifteenOracle, ArmedFaultPlanIdenticalAndDeadLanesExcluded) {
   const FifteenPuzzle problem(wl.board());
   simd::Machine m(p, simd::cm2_cost_model());
   Engine<FifteenPuzzle> batched(problem, m, gp_dk());
-  ASSERT_EQ(batched.step(), ExpandStep::kBatched);
+  ASSERT_TRUE(batched.uses_kernel());
   batched.arm_faults(&plan);
   // run_iteration's conservation check plus degraded-mode accounting make a
   // dead lane slipping into a batch surface as a stats divergence or a
