@@ -63,8 +63,9 @@
 // that.
 //
 // Mega-P (P up to 2^20 and beyond): three coordinated mechanisms keep such
-// machines practical.  Per-lane state lives in a common::ShardedArray
-// (4096-lane shards, stable addresses, incremental allocation); each
+// machines practical.  The per-lane stacks live in one std::vector sized
+// at construction and never resized, so a flag word's 64 stacks are one
+// contiguous run and every address is stable for the engine's life; each
 // flag plane carries a simd::SummaryPlane (one bit per 64-lane word,
 // maintained at the same write-back that stores the word) so the expansion
 // walk and every load-balancing enumeration skip empty regions and scale
@@ -82,7 +83,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/sharded_array.hpp"
 #include "fault/fault.hpp"
 #include "lb/config.hpp"
 #include "sanitizer/sanitizer.hpp"
@@ -148,7 +148,7 @@ class Engine {
     idle_summary_.assign_for_lanes(machine.size());
     work_summary_.assign_for_lanes(machine.size());
     if constexpr (requires(StackT& s) { s.bind(problem); }) {
-      stacks_.for_each([&problem](StackT& s) { s.bind(problem); });
+      for (StackT& s : stacks_) s.bind(problem);
     }
     // Size the goal buffer once, outside the lockstep region: a cycle
     // records at most one goal per PE, so with this capacity a steady-state
@@ -253,7 +253,7 @@ class Engine {
     IterationStats& stats = result.stats;
     stats.bound = bound;
 
-    stacks_.for_each([](StackT& s) { s.clear(); });
+    for (StackT& s : stacks_) s.clear();
     // Initial census and flag planes: the first surviving PE holds the root
     // (one node, so not yet splittable), every other survivor is idle, dead
     // lanes are neither.  From here on the census is maintained
@@ -386,22 +386,11 @@ class Engine {
   /// The matcher (exposing the GP global pointer for tests).
   [[nodiscard]] const Matcher& matcher() const { return matcher_; }
 
-  /// Direct access to the PE stacks, for white-box tests.
-  [[nodiscard]] const common::ShardedArray<StackT>& stacks() const {
-    return stacks_;
-  }
-
-  /// Returns surplus stack capacity to the allocator across every lane (the
-  /// pooled-release path; a serial, between-runs operation).
-  void trim_memory() {
-    stacks_.for_each([](StackT& s) { s.shrink_to_fit(); });
-  }
-
   /// Total heap bytes held by the per-lane stacks — the bytes-per-lane
   /// metric of the mega-P benchmarks.
   [[nodiscard]] std::size_t stack_memory_bytes() const {
     std::size_t total = 0;
-    stacks_.for_each([&total](const StackT& s) { total += s.memory_bytes(); });
+    for (const StackT& s : stacks_) total += s.memory_bytes();
     return total;
   }
 
@@ -521,9 +510,6 @@ class Engine {
   // SIMDLINT-REGION(lockstep)
   void expand_cycle(search::Bound bound, IterationStats& stats) {
     constexpr std::size_t kWordBits = simd::BitPlane::kWordBits;
-    // A flag word's lanes never span two stack shards, so each word's
-    // stacks are one contiguous run from &stacks_[w * kWordBits].
-    static_assert(common::ShardedArray<StackT>::kShardElems % kWordBits == 0);
     std::uint64_t* const idle_words = idle_flags_.words().data();
     std::uint64_t* const busy_words = busy_flags_.words().data();
     const std::uint64_t* const dead_words = dead_.words().data();
@@ -1133,7 +1119,7 @@ class Engine {
   SchemeConfig cfg_;
   const bool kernel_;  ///< word step through the kernel (select_kernel)
   Matcher matcher_;
-  common::ShardedArray<StackT> stacks_;
+  std::vector<StackT> stacks_;  ///< one per lane, never resized
   simd::BitPlane busy_flags_;   ///< splittable, maintained in place
   simd::BitPlane idle_flags_;   ///< empty *and alive*, in place
   simd::SummaryPlane busy_summary_;  ///< one bit per busy-plane word

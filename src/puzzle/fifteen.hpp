@@ -77,21 +77,7 @@ class FifteenPuzzle {
 
     auto try_move = [&](Move m, bool legal, int target) {
       if (!legal || static_cast<std::uint8_t>(m) == skip) return;
-      const std::uint64_t t = (n.board >> (4 * target)) & 0xF;
-      std::uint64_t board = n.board & ~(0xFULL << (4 * target));
-      board |= t << (4 * blank);
-      Node child{};
-      child.board = board;
-      child.blank = static_cast<std::uint8_t>(target);
-      child.g = static_cast<std::uint8_t>(n.g + 1);
-      if (heuristic_ == Heuristic::kManhattan) {
-        child.h = static_cast<std::uint8_t>(
-            n.h + manhattan_delta(static_cast<std::uint8_t>(t), target, blank));
-      } else {
-        child.h = static_cast<std::uint8_t>(
-            evaluate(Board(board), heuristic_));
-      }
-      child.last = static_cast<std::uint8_t>(m);
+      const Node child = child_of(n, target, static_cast<std::uint8_t>(m));
       const auto f = static_cast<search::Bound>(child.g) + child.h;
       const bool take = f <= bound;
       row[k] = child;
@@ -119,28 +105,12 @@ class FifteenPuzzle {
     return child.last;
   }
 
-  /// Re-applies move `delta` to `n` with exactly the arithmetic of
-  /// expand_row()'s try_move, so the decoded child is bit-identical to the
-  /// one expand() emitted (the CompactStack correctness contract).
+  /// Re-applies move `delta` to `n` through the child_of() that
+  /// expand_row() uses, so the decoded child is bit-identical to the one
+  /// expand() emitted (the CompactStack correctness contract).
   [[nodiscard]] Node decode_delta(const Node& n, std::uint8_t delta) const {
-    const auto m = static_cast<Move>(delta);
-    const int blank = n.blank;
-    const int target = blank + move_offset(m);
-    const std::uint64_t t = (n.board >> (4 * target)) & 0xF;
-    std::uint64_t board = n.board & ~(0xFULL << (4 * target));
-    board |= t << (4 * blank);
-    Node child{};
-    child.board = board;
-    child.blank = static_cast<std::uint8_t>(target);
-    child.g = static_cast<std::uint8_t>(n.g + 1);
-    if (heuristic_ == Heuristic::kManhattan) {
-      child.h = static_cast<std::uint8_t>(
-          n.h + manhattan_delta(static_cast<std::uint8_t>(t), target, blank));
-    } else {
-      child.h = static_cast<std::uint8_t>(evaluate(Board(board), heuristic_));
-    }
-    child.last = delta;
-    return child;
+    return child_of(n, n.blank + move_offset(static_cast<Move>(delta)),
+                    delta);
   }
 
   /// Inverse of decode_delta (search::UndoDeltaProblem): reconstructs the
@@ -152,18 +122,16 @@ class FifteenPuzzle {
                                 std::uint8_t parent_delta) const {
     const auto m = static_cast<Move>(delta);
     const int pb = c.blank - move_offset(m);  // where the blank came from
-    const std::uint64_t t = (c.board >> (4 * pb)) & 0xF;  // the slid tile
-    std::uint64_t board = c.board & ~(0xFULL << (4 * pb));
-    board |= t << (4 * c.blank);
+    const std::uint64_t t = tile_at(c.board, pb);  // the slid tile
     Node p{};
-    p.board = board;
+    p.board = slide(c.board, pb, c.blank);
     p.blank = static_cast<std::uint8_t>(pb);
     p.g = static_cast<std::uint8_t>(c.g - 1);
     if (heuristic_ == Heuristic::kManhattan) {
       p.h = static_cast<std::uint8_t>(
           c.h - manhattan_delta(static_cast<std::uint8_t>(t), c.blank, pb));
     } else {
-      p.h = static_cast<std::uint8_t>(evaluate(Board(board), heuristic_));
+      p.h = static_cast<std::uint8_t>(evaluate(Board(p.board), heuristic_));
     }
     p.last = parent_delta;
     return p;
@@ -178,6 +146,41 @@ class FifteenPuzzle {
   }
 
  private:
+  /// The tile on square `pos` of a packed board.
+  [[nodiscard]] static constexpr std::uint64_t tile_at(std::uint64_t board,
+                                                       int pos) {
+    return (board >> (4 * pos)) & 0xF;
+  }
+
+  /// `board` with the tile on square `from` slid onto the blank at `to`.
+  [[nodiscard]] static constexpr std::uint64_t slide(std::uint64_t board,
+                                                     int from, int to) {
+    return (board & ~(0xFULL << (4 * from))) |
+           (tile_at(board, from) << (4 * to));
+  }
+
+  /// The child of `n` whose blank moved to `target` by move `m`: the one
+  /// copy of the child arithmetic (expand_row, decode_delta).  With the
+  /// Manhattan heuristic h is updated by the slid tile's delta.
+  [[nodiscard]] Node child_of(const Node& n, int target,
+                              std::uint8_t m) const {
+    const int blank = n.blank;
+    const std::uint64_t t = tile_at(n.board, target);
+    Node child{};
+    child.board = slide(n.board, target, blank);
+    child.blank = static_cast<std::uint8_t>(target);
+    child.g = static_cast<std::uint8_t>(n.g + 1);
+    if (heuristic_ == Heuristic::kManhattan) {
+      child.h = static_cast<std::uint8_t>(
+          n.h + manhattan_delta(static_cast<std::uint8_t>(t), target, blank));
+    } else {
+      child.h = static_cast<std::uint8_t>(
+          evaluate(Board(child.board), heuristic_));
+    }
+    child.last = m;
+    return child;
+  }
+
   /// Displacement of the blank for each move, matching expand_row()'s
   /// targets.
   [[nodiscard]] static constexpr int move_offset(Move m) {

@@ -57,7 +57,6 @@
 
 #include "sanitizer/sanitizer.hpp"
 #include "search/problem.hpp"
-#include "search/splitter.hpp"
 
 namespace simdts::search {
 
@@ -210,12 +209,6 @@ class CompactStack {
     size_ = 0;
   }
 
-  /// Releases the representation when empty (entries always pack 2 bytes, so
-  /// there is nothing further to shrink while entries live).
-  void shrink_to_fit() {
-    if (size_ == 0) rep_.reset();
-  }
-
   /// The expand cycle's pooled-release hook: called the moment a lane goes
   /// idle, so a drained lane costs only the 24-byte header until work
   /// arrives again.  (WorkStack deliberately has no such hook — its buffer
@@ -327,7 +320,7 @@ class CompactStack {
   }
 
   /// Materializes an entry of segment `s` without touching the cached state:
-  /// read-only replay of the path prefix (take_bottom / split).
+  /// read-only replay of the path prefix (take_bottom).
   [[nodiscard]] Node materialize(const Segment& s, std::uint8_t level,
                                  std::uint8_t delta) const {
     if (level == 0) return s.base;
@@ -342,49 +335,5 @@ class CompactStack {
   std::size_t size_ = 0;
   const Pr* problem_ = nullptr;
 };
-
-/// Split strategies over a CompactStack (same contract as the WorkStack
-/// overload in splitter.hpp: the donated nodes are appended to `out`).
-/// kBottomNode / kTopNode move one materialized node; kHalf — used only by
-/// the split-quality ablation — materializes the whole stack and rebuilds
-/// the kept half as self-contained segments, giving up the delta encoding
-/// for those entries (documented memory trade-off in docs/performance.md).
-template <DeltaTreeProblem Pr>
-void split(CompactStack<Pr>& donor, SplitStrategy strategy,
-           std::vector<typename Pr::Node>& out) {
-  switch (strategy) {
-    case SplitStrategy::kBottomNode:
-      out.push_back(donor.take_bottom());
-      break;
-    case SplitStrategy::kTopNode:
-      out.push_back(donor.pop());
-      break;
-    case SplitStrategy::kHalf: {
-      std::vector<typename Pr::Node> all;
-      donor.drain_into(all);
-      out.reserve(out.size() + (all.size() + 1) / 2);
-      for (std::size_t i = 0; i < all.size(); ++i) {
-        if (i % 2 == 0) {
-          out.push_back(all[i]);
-        } else {
-          donor.push(all[i]);
-        }
-      }
-      break;
-    }
-  }
-}
-
-/// Appends donated nodes in bottom-to-top order (each becomes a segment
-/// base, so received work is self-contained on the new owner) and leaves
-/// `donated` empty with its capacity kept.
-template <DeltaTreeProblem Pr>
-void receive(CompactStack<Pr>& receiver,
-             std::vector<typename Pr::Node>& donated) {
-  for (auto& n : donated) {
-    receiver.push(std::move(n));
-  }
-  donated.clear();
-}
 
 }  // namespace simdts::search

@@ -18,10 +18,9 @@
 //                used by the sensitivity ablation.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
-
-#include "search/work_stack.hpp"
 
 namespace simdts::search {
 
@@ -34,15 +33,14 @@ enum class SplitStrategy : std::uint8_t {
 /// Name for reports.
 [[nodiscard]] const char* to_string(SplitStrategy s);
 
-/// Splits `donor` in place, appending the donated nodes to `out` in
-/// bottom-to-top order.  `out` is the caller's reusable buffer (receive()
-/// empties it again and keeps its capacity), so a steady stream of
-/// transfers allocates nothing.  Preconditions: donor.splittable().
-/// Postconditions: neither part is empty, the parts are disjoint, and their
-/// union is the original stack.
-template <typename Node>
-void split(WorkStack<Node>& donor, SplitStrategy strategy,
-           std::vector<Node>& out) {
+/// Splits `donor` — a WorkStack or a CompactStack — in place, appending the
+/// donated nodes to `out` in bottom-to-top order.  `out` is the caller's
+/// reusable buffer (receive() empties it again and keeps its capacity), so
+/// a steady stream of transfers allocates nothing.  Preconditions:
+/// donor.splittable().  Postconditions: neither part is empty, the parts are
+/// disjoint, and their union is the original stack.
+template <typename Stack, typename Node>
+void split(Stack& donor, SplitStrategy strategy, std::vector<Node>& out) {
   switch (strategy) {
     case SplitStrategy::kBottomNode:
       out.push_back(donor.take_bottom());
@@ -51,21 +49,24 @@ void split(WorkStack<Node>& donor, SplitStrategy strategy,
       out.push_back(donor.pop());
       break;
     case SplitStrategy::kHalf: {
-      // Keep indices 1, 3, 5, ...; donate 0, 2, 4, ...  Donating from every
-      // depth keeps both halves representative of the whole stack.  The kept
-      // nodes are compacted towards the bottom in place.
-      const std::size_t n = donor.size();
-      out.reserve(out.size() + (n + 1) / 2);
-      std::size_t kept = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        if (i % 2 == 0) {
-          out.push_back(std::move(donor[i]));
+      // Keep stack indices 1, 3, 5, ...; donate 0, 2, 4, ...  Donating from
+      // every depth keeps both halves representative of the whole stack.
+      // The whole stack is drained after the caller's content, the kept
+      // nodes are pushed back bottom first, and the donated ones are
+      // compacted in place.  (A CompactStack's kept nodes thereby become
+      // self-contained segments, giving up their delta encoding — the
+      // documented memory trade-off of this strategy.)
+      const std::size_t base = out.size();
+      donor.drain_into(out);
+      std::size_t donated = base;
+      for (std::size_t i = base; i < out.size(); ++i) {
+        if ((i - base) % 2 == 0) {
+          out[donated++] = out[i];
         } else {
-          if (kept != i) donor[kept] = std::move(donor[i]);
-          ++kept;
+          donor.push(out[i]);
         }
       }
-      donor.truncate(kept);
+      out.resize(donated);
       break;
     }
   }
@@ -73,12 +74,12 @@ void split(WorkStack<Node>& donor, SplitStrategy strategy,
 
 /// Moves the donated nodes onto `receiver`, preserving bottom-to-top order
 /// so that depth-first order is maintained on the receiving side, and
-/// leaves `donated` empty with its capacity kept.
-template <typename Node>
-void receive(WorkStack<Node>& receiver, std::vector<Node>& donated) {
-  for (auto& n : donated) {
-    receiver.push(std::move(n));
-  }
+/// leaves `donated` empty with its capacity kept.  (A CompactStack makes
+/// each received node a segment base, so received work is self-contained on
+/// the new owner.)
+template <typename Stack, typename Node>
+void receive(Stack& receiver, std::vector<Node>& donated) {
+  for (const Node& n : donated) receiver.push(n);
   donated.clear();
 }
 

@@ -19,12 +19,11 @@
 // into them (top_row/commit).  When the top reaches the end of the buffer,
 // the live nodes slide back to slot 0 if the request fits the capacity, and
 // the buffer doubles otherwise; capacity therefore grows exactly when
-// size + request exceeds it, whatever the head.  Element slots are raw
-// storage managed with placement construction so that move-only node types
-// work.
+// size + request exceeds it, whatever the head.  Nodes are trivial types
+// (every search node is a plain aggregate), so the slots are plain storage
+// that nodes are copied in and out of.
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <memory>
@@ -38,6 +37,9 @@ namespace simdts::search {
 
 template <typename Node>
 class WorkStack {
+  static_assert(std::is_trivial_v<Node>,
+                "WorkStack copies nodes as plain storage");
+
  public:
   WorkStack() = default;
 
@@ -61,22 +63,6 @@ class WorkStack {
     return *this;
   }
 
-  WorkStack(const WorkStack& o) {
-    reserve_pow2(o.size_);
-    for (std::size_t i = 0; i < o.size_; ++i) {
-      ::new (static_cast<void*>(slots_ + i)) Node(o[i]);
-      ++size_;
-    }
-  }
-
-  WorkStack& operator=(const WorkStack& o) {
-    if (this != &o) {
-      WorkStack tmp(o);
-      *this = std::move(tmp);
-    }
-    return *this;
-  }
-
   ~WorkStack() { release(); }
 
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
@@ -88,7 +74,7 @@ class WorkStack {
 
   void push(Node n) {
     if (head_ + size_ == cap_) make_room(1);
-    ::new (static_cast<void*>(slots_ + head_ + size_)) Node(std::move(n));
+    slots_[head_ + size_] = n;
     ++size_;
   }
 
@@ -100,9 +86,7 @@ class WorkStack {
   /// push() alone would); the row's contents are indeterminate until
   /// written, and the slots past the committed count stay dead storage that
   /// a later push or row overwrites.
-  Row& top_row()
-    requires std::is_trivial_v<Node>
-  {
+  Row& top_row() {
     if (head_ + size_ + 4 > cap_) [[unlikely]] make_room(4);
 #ifdef SIMDTS_SANITIZE
     row_reserved_ = true;
@@ -127,11 +111,8 @@ class WorkStack {
 #ifdef SIMDTS_SANITIZE
     san::check_stack_read(size_, 1, "WorkStack::pop");
 #endif
-    Node* p = slot_ptr(size_ - 1);
-    Node n = std::move(*p);
-    p->~Node();
     --size_;
-    return n;
+    return slots_[head_ + size_];
   }
 
   /// Removes and returns the shallowest node (bottom of the stack).
@@ -139,25 +120,8 @@ class WorkStack {
 #ifdef SIMDTS_SANITIZE
     san::check_stack_read(size_, 1, "WorkStack::take_bottom");
 #endif
-    Node* p = slot_ptr(0);
-    Node n = std::move(*p);
-    p->~Node();
-    ++head_;
     --size_;
-    return n;
-  }
-
-  [[nodiscard]] const Node& bottom() const {
-#ifdef SIMDTS_SANITIZE
-    san::check_stack_read(size_, 1, "WorkStack::bottom");
-#endif
-    return *slot_ptr(0);
-  }
-  [[nodiscard]] const Node& top() const {
-#ifdef SIMDTS_SANITIZE
-    san::check_stack_read(size_, 1, "WorkStack::top");
-#endif
-    return *slot_ptr(size_ - 1);
+    return slots_[head_++];
   }
 
   /// Hints the top slot into cache ahead of the pop() that will read it.
@@ -165,29 +129,10 @@ class WorkStack {
   /// popping any of them, so the word's scattered stack tops are fetched in
   /// parallel instead of missing one after another.  No effect on contents.
   void prefetch_top() const noexcept {
-    if (size_ != 0) __builtin_prefetch(slot_ptr(size_ - 1));
+    if (size_ != 0) __builtin_prefetch(slots_ + head_ + size_ - 1);
   }
 
-  /// Element i counted from the bottom (0 = shallowest, size()-1 = deepest);
-  /// for splitters and tests.
-  [[nodiscard]] Node& operator[](std::size_t i) { return *slot_ptr(i); }
-  [[nodiscard]] const Node& operator[](std::size_t i) const {
-    return *slot_ptr(i);
-  }
-
-  /// Destroys every node above the first `new_size` (counted from the
-  /// bottom); for splitters compacting the kept part in place.
-  void truncate(std::size_t new_size) {
-    while (size_ > new_size) {
-      slot_ptr(size_ - 1)->~Node();
-      --size_;
-    }
-  }
-
-  void clear() noexcept {
-    truncate(0);
-    head_ = 0;
-  }
+  void clear() noexcept { head_ = size_ = 0; }
 
   /// Slots currently allocated (zero or a power of two).
   [[nodiscard]] std::size_t capacity() const noexcept { return cap_; }
@@ -199,30 +144,6 @@ class WorkStack {
     return cap_ * sizeof(Node);
   }
 
-  /// Returns surplus capacity to the allocator: an empty stack releases its
-  /// buffer entirely (the pooled-release path for lanes that drained after
-  /// donating), a non-empty one re-homes into the smallest power-of-two
-  /// buffer that fits.  The buffer otherwise only grows, so without this a
-  /// lane that once held a deep stack pins that memory for the whole run.
-  void shrink_to_fit() {
-    if (size_ == 0) {
-      release();
-      return;
-    }
-    std::size_t new_cap = 8;
-    while (new_cap < size_) new_cap *= 2;
-    if (new_cap >= cap_) return;
-    Node* new_slots = std::allocator<Node>().allocate(new_cap);
-    for (std::size_t i = 0; i < size_; ++i) {
-      ::new (static_cast<void*>(new_slots + i)) Node(std::move(*slot_ptr(i)));
-      slot_ptr(i)->~Node();
-    }
-    std::allocator<Node>().deallocate(slots_, cap_);
-    slots_ = new_slots;
-    cap_ = new_cap;
-    head_ = 0;
-  }
-
   /// Moves every node into `out` in bottom-to-top order, leaving the stack
   /// empty.  Fault recovery uses this to journal a killed PE's unexpanded
   /// intervals: the order matters, because re-donating bottom-first keeps the
@@ -230,19 +151,11 @@ class WorkStack {
   /// preserving depth-first order on the survivors.
   void drain_into(std::vector<Node>& out) {
     out.reserve(out.size() + size_);
-    for (std::size_t i = 0; i < size_; ++i) {
-      out.push_back(std::move(*slot_ptr(i)));
-      slot_ptr(i)->~Node();
-    }
-    size_ = 0;
-    head_ = 0;
+    out.insert(out.end(), slots_ + head_, slots_ + head_ + size_);
+    clear();
   }
 
  private:
-  [[nodiscard]] Node* slot_ptr(std::size_t i) const noexcept {
-    return slots_ + head_ + i;
-  }
-
   /// Makes room for `k` more nodes above the top, which has reached the end
   /// of the buffer: the live nodes slide down to slot 0 when size + k fits
   /// the capacity, and the buffer grows (reserve_pow2) otherwise.
@@ -251,27 +164,21 @@ class WorkStack {
       reserve_pow2(size_ + k);
       return;
     }
-    // Front to back: each destination slot lies below its source and holds
-    // no live node (it is below the bottom, or was already moved out of).
-    for (std::size_t i = 0; i < size_; ++i) {
-      ::new (static_cast<void*>(slots_ + i)) Node(std::move(slots_[head_ + i]));
-      slots_[head_ + i].~Node();
-    }
+    // Each destination slot lies below its source, so a forward copy is
+    // safe on the overlap.
+    for (std::size_t i = 0; i < size_; ++i) slots_[i] = slots_[head_ + i];
     head_ = 0;
   }
 
-  /// Re-homes the live elements into a fresh buffer of at least `min_cap`
-  /// slots (rounded up to a power of two), bottom element first.
+  /// Re-homes the live nodes into a fresh buffer of at least `min_cap`
+  /// slots (rounded up to a power of two), bottom node first.
   void reserve_pow2(std::size_t min_cap) {
     std::size_t new_cap = 8;
     while (new_cap < min_cap) new_cap *= 2;
     if (new_cap <= cap_) return;
     Node* new_slots = std::allocator<Node>().allocate(new_cap);
-    for (std::size_t i = 0; i < size_; ++i) {
-      ::new (static_cast<void*>(new_slots + i)) Node(std::move(*slot_ptr(i)));
-      slot_ptr(i)->~Node();
-    }
     if (slots_ != nullptr) {
+      for (std::size_t i = 0; i < size_; ++i) new_slots[i] = slots_[head_ + i];
       std::allocator<Node>().deallocate(slots_, cap_);
     }
     slots_ = new_slots;
@@ -281,7 +188,6 @@ class WorkStack {
 
   void release() noexcept {
     if (slots_ != nullptr) {
-      truncate(0);
       std::allocator<Node>().deallocate(slots_, cap_);
       slots_ = nullptr;
       cap_ = head_ = size_ = 0;
@@ -289,12 +195,12 @@ class WorkStack {
   }
 
   // The header is four words, aligned to 32 bytes so that no lane's header
-  // straddles a cache line and an engine's shard of them is zero-filled on
+  // straddles a cache line and an engine's array of them is zero-filled on
   // aligned addresses (at a 16-byte offset, constructing puzzle-p8192's
   // engine took about 1.5x as long).
   alignas(32) Node* slots_ = nullptr;
   std::size_t cap_ = 0;   ///< always zero or a power of two
-  std::size_t head_ = 0;  ///< slot of the bottom element
+  std::size_t head_ = 0;  ///< slot of the bottom node
   std::size_t size_ = 0;
 #ifdef SIMDTS_SANITIZE
   bool row_reserved_ = false;  ///< a top_row() awaits its commit()

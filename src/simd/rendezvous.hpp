@@ -71,7 +71,7 @@ void ranked_into(const BitPlane& flags, const SummaryPlane& summary,
 /// The same pairs as the summary-aware rendezvous_into(), but visiting every
 /// plane word.  Only perfbench calls it: perfbench/probes.hpp times it as
 /// `simd.rendezvous_flat_ns`, and it goes together with that probe in the
-/// benchmark change of ROADMAP item 1c.
+/// benchmark change of ROADMAP item 1(e).
 void rendezvous_into(const BitPlane& donor_flags,
                      const BitPlane& receiver_flags, PeIndex start_after,
                      std::size_t limit, std::vector<Pair>& out);

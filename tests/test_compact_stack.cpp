@@ -312,20 +312,6 @@ TEST(CompactStack, ClearReleasesEverythingAndHeaderStaysSmall) {
   EXPECT_LE(sizeof(CompactStack<FifteenPuzzle>), 24u);
 }
 
-TEST(CompactStack, ShrinkToFitReleasesOnlyWhenEmpty) {
-  const auto& wl = puzzle::test_workloads()[1];
-  const FifteenPuzzle problem(wl.board());
-  CompactStack<FifteenPuzzle> s;
-  s.bind(problem);
-  s.push(problem.root());
-  s.shrink_to_fit();
-  EXPECT_EQ(s.size(), 1u);
-  EXPECT_GT(s.memory_bytes(), 0u);
-  (void)s.pop();
-  s.shrink_to_fit();
-  EXPECT_EQ(s.memory_bytes(), 0u);
-}
-
 // ---------------------------------------------------------------------------
 // The memory claim, both mechanisms (the bench's bytes_per_lane figure
 // time-averages these over a real mega-P engine run):

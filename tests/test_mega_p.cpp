@@ -101,9 +101,9 @@ TEST(MegaP, TrimMemoryReleasesDrainedLanesAfterRun) {
   simd::Machine machine(p, simd::cm2_cost_model());
   CompactEngine<Tree> engine(tree, machine, gp_static(0.9));
   (void)engine.run_iteration(search::kUnbounded);
-  engine.trim_memory();
-  // Every stack drained by the completed iteration returns its heap to the
-  // allocator: the pooled-release path of the memory-bounded design.
+  // Every stack drained by the completed iteration has returned its heap to
+  // the allocator: the cycle's pooled release (release_if_drained) of the
+  // memory-bounded design, with no trimming pass after the run.
   EXPECT_EQ(engine.stack_memory_bytes(), 0u);
 }
 

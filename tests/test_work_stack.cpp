@@ -4,7 +4,6 @@
 
 #include <cstddef>
 #include <deque>
-#include <memory>
 #include <random>
 #include <utility>
 #include <vector>
@@ -42,16 +41,22 @@ TEST(WorkStack, SplittableNeedsTwoNodes) {
   EXPECT_FALSE(s.splittable());
 }
 
+/// The stack's nodes bottom to top; leaves it empty.
+std::vector<int> drained(WorkStack<int>& s) {
+  std::vector<int> out;
+  s.drain_into(out);
+  return out;
+}
+
 TEST(WorkStack, BottomIsOldestEntry) {
   WorkStack<int> s;
   s.push(10);
   s.push(20);
   s.push(30);
-  EXPECT_EQ(s.bottom(), 10);
-  EXPECT_EQ(s.top(), 30);
   EXPECT_EQ(s.take_bottom(), 10);
-  EXPECT_EQ(s.bottom(), 20);
   EXPECT_EQ(s.size(), 2u);
+  EXPECT_EQ(drained(s), (std::vector<int>{20, 30}));
+  EXPECT_TRUE(s.empty());
 }
 
 TEST(WorkStack, InterleavedPushPopTakeBottom) {
@@ -62,9 +67,7 @@ TEST(WorkStack, InterleavedPushPopTakeBottom) {
   s.push(99);
   EXPECT_EQ(s.pop(), 99);
   EXPECT_EQ(s.take_bottom(), 1);
-  EXPECT_EQ(s.size(), 3u);  // 2, 3, 4 remain
-  EXPECT_EQ(s.bottom(), 2);
-  EXPECT_EQ(s.top(), 4);
+  EXPECT_EQ(drained(s), (std::vector<int>{2, 3, 4}));
 }
 
 TEST(WorkStack, ClearEmpties) {
@@ -73,55 +76,6 @@ TEST(WorkStack, ClearEmpties) {
   s.push(2);
   s.clear();
   EXPECT_TRUE(s.empty());
-}
-
-TEST(WorkStack, ShrinkToFitDropsCapacity) {
-  WorkStack<int> s;
-  for (int i = 0; i < 1000; ++i) s.push(i);
-  const std::size_t grown_cap = s.capacity();
-  const std::size_t grown_bytes = s.memory_bytes();
-  EXPECT_GE(grown_cap, 1000u);
-  EXPECT_EQ(grown_bytes, grown_cap * sizeof(int));
-  while (s.size() > 10) (void)s.pop();
-  s.shrink_to_fit();
-  EXPECT_LT(s.capacity(), grown_cap);
-  EXPECT_LE(s.capacity(), 16u);  // smallest power of two >= max(size, 8)
-  EXPECT_LT(s.memory_bytes(), grown_bytes);
-  // Contents survive the re-home, in order.
-  for (int i = 9; i >= 0; --i) EXPECT_EQ(s.pop(), i);
-  // The pooled-release path: an empty stack frees its buffer entirely.
-  s.shrink_to_fit();
-  EXPECT_EQ(s.capacity(), 0u);
-  EXPECT_EQ(s.memory_bytes(), 0u);
-}
-
-TEST(WorkStack, ShrinkToFitPreservesAMovedBottom) {
-  WorkStack<int> s;
-  for (int i = 0; i < 100; ++i) s.push(i);  // capacity 128
-  // Move the bottom far up the buffer, then push past the physical end so
-  // the live nodes slide back to slot 0 — shrink must re-home them in order.
-  for (int i = 0; i < 90; ++i) (void)s.take_bottom();
-  for (int i = 0; i < 30; ++i) s.push(100 + i);
-  ASSERT_EQ(s.size(), 40u);
-  const std::size_t old_cap = s.capacity();
-  s.shrink_to_fit();
-  EXPECT_LT(s.capacity(), old_cap);
-  std::vector<int> got;
-  while (!s.empty()) got.push_back(s.take_bottom());
-  std::vector<int> want;
-  for (int i = 90; i < 100; ++i) want.push_back(i);
-  for (int i = 0; i < 30; ++i) want.push_back(100 + i);
-  EXPECT_EQ(got, want);
-}
-
-TEST(WorkStack, MoveOnlyPayload) {
-  WorkStack<std::unique_ptr<int>> s;
-  s.push(std::make_unique<int>(5));
-  s.push(std::make_unique<int>(6));
-  auto p = s.pop();
-  EXPECT_EQ(*p, 6);
-  auto q = s.take_bottom();
-  EXPECT_EQ(*q, 5);
 }
 
 /// A stack after `pushes` push() calls (values 0, 1, ...) and `takes`
@@ -134,13 +88,10 @@ WorkStack<int> linear_state(int pushes, int takes) {
   return s;
 }
 
-/// Checks `got` against `want` element by element, then drains both with
-/// the same mix of pop() and take_bottom() and compares what comes out.
+/// Drains `got` and `want` with the same mix of pop() and take_bottom()
+/// and compares what comes out, node by node.
 void expect_same_stack(WorkStack<int>& got, WorkStack<int>& want) {
   ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(got[i], want[i]) << "slot " << i;
-  }
   // Later pushes land right above the new top, over the dead slots.
   got.push(1000);
   want.push(1000);
@@ -155,9 +106,9 @@ void expect_same_stack(WorkStack<int>& got, WorkStack<int>& want) {
   EXPECT_TRUE(got.empty());
 }
 
-/// Writes src[0..4) into a fresh top row, commits n of them and returns the
+/// Writes 100..103 into a fresh top row, commits n of them and returns the
 /// row's address.
-const int* row_commit(WorkStack<int>& s, std::size_t n) {
+int* row_commit(WorkStack<int>& s, std::size_t n) {
   WorkStack<int>::Row& row = s.top_row();
   for (int i = 0; i < 4; ++i) row[static_cast<std::size_t>(i)] = 100 + i;
   s.commit(n);
@@ -176,15 +127,18 @@ TEST(WorkStack, TopRowCommitMatchesSuccessivePushesInEveryLinearState) {
         WorkStack<int> got = linear_state(pushes, takes);
         WorkStack<int> want = linear_state(pushes, takes);
         const std::size_t before = got.size();
-        const int* row = row_commit(got, n);
+        int* row = row_commit(got, n);
         for (std::size_t i = 0; i < n; ++i) {
           want.push(100 + static_cast<int>(i));
         }
         EXPECT_EQ(got.size(), before + n);
         EXPECT_GE(got.capacity(), before + 4);
-        // The row is the slots right above the old top.
+        // The row is the slots right above the old top: a write through it
+        // after commit() is what pop() returns.
         if (n != 0) {
-          EXPECT_EQ(&got[before], row);
+          row[n - 1] = -1;
+          (void)want.pop();
+          want.push(-1);
         }
         expect_same_stack(got, want);
       }
@@ -197,13 +151,18 @@ TEST(WorkStack, TopRowSlidesLiveNodesDownAtTheEnd) {
   // nodes, so the four row slots would run past the end; 2 + 4 fit the
   // capacity, so the live nodes slide to slot 0 instead of growing.
   for (std::size_t n = 0; n <= 4; ++n) {
+    WorkStack<int> slid = linear_state(7, 5);
+    ASSERT_EQ(slid.capacity(), 8u);
+    const int* row = row_commit(slid, n);
+    EXPECT_EQ(slid.capacity(), 8u) << "no regrowth: the live nodes slid";
+    // Popping leaves the bottom where it is, so the next row of the emptied
+    // stack starts at the bottom's slot.
+    while (!slid.empty()) (void)slid.pop();
+    const int* bottom = slid.top_row().data();
+    slid.commit(0);
+    EXPECT_EQ(row, bottom + 2) << "bottom at slot 0, row right above the top";
     WorkStack<int> got = linear_state(7, 5);
-    ASSERT_EQ(got.capacity(), 8u);
-    const int* const old_bottom = &got.bottom();
-    const int* row = row_commit(got, n);
-    EXPECT_EQ(got.capacity(), 8u) << "no regrowth: the live nodes slid";
-    EXPECT_EQ(&got.bottom(), old_bottom - 5) << "bottom back at slot 0";
-    EXPECT_EQ(row, &got.bottom() + 2) << "row right above the top";
+    row_commit(got, n);
     WorkStack<int> want = linear_state(7, 5);
     for (std::size_t i = 0; i < n; ++i) want.push(100 + static_cast<int>(i));
     expect_same_stack(got, want);
@@ -245,7 +204,6 @@ TEST(WorkStack, CommitZeroKeepsTheStackAndCommitFourTakesTheRow) {
   WorkStack<int> s = linear_state(3, 0);
   row_commit(s, 0);
   ASSERT_EQ(s.size(), 3u);
-  EXPECT_EQ(s.top(), 2);
   // The uncommitted row is dead storage: the next row (or push) reuses it.
   row_commit(s, 4);
   ASSERT_EQ(s.size(), 7u);
@@ -298,33 +256,36 @@ TEST(WorkStack, MatchesDequeModelAndTheCapacityRule) {
         s.commit(n);
         for (std::size_t i = 0; i < n; ++i) model.push_back(next_value++);
         next_value += static_cast<int>(4 - n);
-      } else if (kind < 91) {
+      } else if (kind < 97) {
+        // Every split keeps the capacity: kHalf drains and pushes back.
         if (model.size() < 2) continue;
         std::vector<int> out;
-        split(s, SplitStrategy::kHalf, out);
         std::deque<int> kept;
         std::vector<int> donated;
-        for (std::size_t i = 0; i < model.size(); ++i) {
-          if (i % 2 == 0) {
-            donated.push_back(model[i]);
+        if (kind < 91) {
+          split(s, SplitStrategy::kHalf, out);
+          for (std::size_t i = 0; i < model.size(); ++i) {
+            if (i % 2 == 0) {
+              donated.push_back(model[i]);
+            } else {
+              kept.push_back(model[i]);
+            }
+          }
+        } else {
+          const bool bottom = kind < 94;
+          split(s,
+                bottom ? SplitStrategy::kBottomNode : SplitStrategy::kTopNode,
+                out);
+          kept = model;
+          donated.push_back(bottom ? kept.front() : kept.back());
+          if (bottom) {
+            kept.pop_front();
           } else {
-            kept.push_back(model[i]);
+            kept.pop_back();
           }
         }
         ASSERT_EQ(out, donated);
         model = std::move(kept);
-      } else if (kind < 94) {
-        const std::size_t keep = model.empty() ? 0 : rng() % model.size();
-        s.truncate(keep);
-        model.resize(keep);
-      } else if (kind < 97) {
-        s.shrink_to_fit();
-        if (model.empty()) {
-          cap = 0;
-        } else {
-          const std::size_t fit = grown(0, model.size(), 0);
-          if (fit < cap) cap = fit;
-        }
       } else {
         std::vector<int> out{-1};
         s.drain_into(out);
@@ -336,10 +297,10 @@ TEST(WorkStack, MatchesDequeModelAndTheCapacityRule) {
       ASSERT_EQ(s.size(), model.size());
       ASSERT_EQ(s.capacity(), cap);
       ASSERT_EQ(s.memory_bytes(), cap * sizeof(int));
-      for (std::size_t i = 0; i < model.size(); ++i) {
-        ASSERT_EQ(s[i], model[i]) << "slot " << i;
-      }
     }
+    // Pops, bottom takes and splits compared single nodes along the way;
+    // the drain compares every node left.
+    EXPECT_EQ(drained(s), std::vector<int>(model.begin(), model.end()));
   }
 }
 
