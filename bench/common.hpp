@@ -13,13 +13,18 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <numeric>
 #include <span>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "analysis/report.hpp"
 #include "analysis/table.hpp"
+#include "common/parse.hpp"
 #include "lb/engine.hpp"
 #include "puzzle/fifteen.hpp"
 #include "puzzle/workloads.hpp"
@@ -31,10 +36,10 @@
 namespace simdts::bench {
 
 /// The machine size for the headline tables: the paper's 8192, or 1024 in
-/// quick mode, or $SIMDTS_P.
+/// quick mode, or $SIMDTS_P when it is a positive decimal that fits 32 bits.
 inline std::uint32_t table_machine_size() {
-  const std::uint64_t fallback = analysis::quick_mode() ? 1024 : 8192;
-  return static_cast<std::uint32_t>(analysis::env_u64("SIMDTS_P", fallback));
+  const std::uint32_t fallback = analysis::quick_mode() ? 1024 : 8192;
+  return positive_or(std::getenv("SIMDTS_P"), fallback);
 }
 
 /// The puzzle workloads for the headline tables (quick mode keeps the two
@@ -98,6 +103,15 @@ inline std::vector<lb::IterationStats> run_puzzle_sweep(
       threads);
 }
 
+/// The path of the sweep journal `name`: $SIMDTS_OUT_DIR/<name>.journal.
+/// Creates the directory, best-effort, since the journal creates none (one
+/// that cannot be written throws on its first append).
+inline std::string journal_path(const std::string& name) {
+  std::error_code ec;
+  std::filesystem::create_directories(analysis::out_dir(), ec);
+  return analysis::out_dir() + "/" + name + ".journal";
+}
+
 /// True when the command line asks to resume from an existing sweep journal.
 inline bool parse_resume_flag(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
@@ -109,40 +123,30 @@ inline bool parse_resume_flag(int argc, char** argv) {
 /// Checkpointing variant of run_puzzle_sweep: completed cells are journaled
 /// to $SIMDTS_OUT_DIR/<journal_name>.journal (encoded bit-exactly via
 /// lb::encode_journal) as the sweep runs; with `resume` the journal is
-/// loaded first and only the missing cells are re-run.  Determinism makes
-/// the merged results — and every table printed from them — byte-identical
-/// to an uninterrupted sweep.  Callers delete the journal (see
-/// remove_sweep_journal) once their CSVs are safely written.
+/// replayed first and only the missing cells are re-run
+/// (runtime::run_resumable).  Determinism makes the merged results — and
+/// every table printed from them — byte-identical to an uninterrupted sweep.
+/// Callers delete the journal (see remove_sweep_journal) once their CSVs are
+/// safely written.
 inline std::vector<lb::IterationStats> run_puzzle_sweep_journaled(
     std::span<const PuzzleRun> runs, const std::string& journal_name,
     bool resume, unsigned threads = 0) {
-  std::vector<lb::IterationStats> results(runs.size());
-  std::vector<std::uint8_t> done(runs.size(), std::uint8_t{0});
-  runtime::SweepJournal journal(analysis::out_dir() + "/" + journal_name +
-                                ".journal");
-  if (resume) {
-    for (const auto& [slot, payload] : journal.load()) {
-      lb::IterationStats stats;
-      if (slot < runs.size() && lb::decode_journal(payload, stats)) {
-        results[slot] = std::move(stats);
-        done[slot] = 1;
-      }
-    }
-  }
+  runtime::Journal journal(journal_path(journal_name));
+  std::vector<std::size_t> order(runs.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
   runtime::SweepRunner runner(threads);
-  runner.run(runs.size(), [&](std::size_t i) {
-    if (done[i] != 0) return;  // replayed from the journal
-    const PuzzleRun& r = runs[i];
-    results[i] = run_puzzle(*r.workload, r.p, r.cfg, r.cost);
-    journal.record(i, lb::encode_journal(results[i]));
-  });
-  return results;
+  return runtime::run_resumable(
+      runner, order, &journal, resume,
+      [&](std::size_t i) {
+        const PuzzleRun& r = runs[i];
+        return run_puzzle(*r.workload, r.p, r.cfg, r.cost);
+      },
+      lb::encode_journal, lb::decode_journal);
 }
 
 /// Deletes a sweep journal written by run_puzzle_sweep_journaled.
 inline void remove_sweep_journal(const std::string& journal_name) {
-  runtime::SweepJournal(analysis::out_dir() + "/" + journal_name + ".journal")
-      .remove();
+  runtime::Journal(journal_path(journal_name)).remove();
 }
 
 /// The CM-2 t_lb / U_calc ratio used by the analytic-trigger columns.

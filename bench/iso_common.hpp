@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "analysis/report.hpp"
 #include "analysis/table.hpp"
 #include "common.hpp"
+#include "common/parse.hpp"
 #include "runtime/journal.hpp"
 #include "synthetic/workloads.hpp"
 
@@ -70,11 +72,12 @@ inline void run_iso_experiment(const std::string& name,
   if (sizes.empty()) sizes = iso_machine_sizes();
   const auto ladder = iso_ladder();
   analysis::GridOptions options;
-  options.journal_path = analysis::out_dir() + "/" + name + "_grid.journal";
+  options.journal_path = journal_path(name + "_grid");
   options.resume = resume;
   // Watchdog prior: generous multiple of the whole ladder's serial work, so
   // only a genuinely wedged simulation trips it.
-  options.cycle_budget = analysis::env_u64("SIMDTS_CYCLE_BUDGET", 500000000);
+  options.cycle_budget = positive_or<std::uint64_t>(
+      std::getenv("SIMDTS_CYCLE_BUDGET"), 500000000);
   if (resume) {
     std::cout << "[resume] replaying completed cells from "
               << options.journal_path << '\n';
@@ -124,7 +127,7 @@ inline void run_iso_experiment(const std::string& name,
   std::cout << '\n';
   analysis::emit_csv(name + "_curves", curve_table);
   // The CSVs are on disk; the checkpoint has served its purpose.
-  runtime::SweepJournal(options.journal_path).remove();
+  runtime::Journal(options.journal_path).remove();
 }
 
 }  // namespace simdts::bench

@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <memory>
 #include <numeric>
+#include <optional>
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 #include "lb/engine.hpp"
 #include "runtime/journal.hpp"
 #include "runtime/sweep.hpp"
@@ -32,29 +33,20 @@ std::string encode_grid_point(const GridPoint& pt) {
   return os.str();
 }
 
-bool decode_grid_point(const std::string& payload, GridPoint& out) {
-  std::istringstream is(payload);
-  std::string version;
-  if (!(is >> version) || version != "v1") return false;
+bool decode_grid_point(std::string_view payload, GridPoint& out) {
+  FieldReader in(payload);
   GridPoint pt;
-  std::uint64_t eff = 0, timed = 0, el = 0, calc = 0, idle = 0, lb = 0,
-                rec = 0;
-  if (!(is >> pt.p >> pt.w >> eff >> pt.expand_cycles >> pt.lb_phases >>
-        pt.lb_rounds >> timed >> el >> calc >> idle >> lb >> rec >>
-        pt.clock.expand_cycles >> pt.clock.lb_rounds >>
-        pt.clock.recovery_rounds >> pt.clock.nodes_expanded)) {
-    return false;
+  std::uint64_t timed = 0;
+  if (!in.word("v1") ||
+      !in.read(pt.p, pt.w, pt.efficiency, pt.expand_cycles, pt.lb_phases,
+               pt.lb_rounds, timed, pt.clock.elapsed, pt.clock.calc_time,
+               pt.clock.idle_time, pt.clock.lb_time, pt.clock.recovery_time,
+               pt.clock.expand_cycles, pt.clock.lb_rounds,
+               pt.clock.recovery_rounds, pt.clock.nodes_expanded) ||
+      !in.done() || timed > 1) {
+    return false;  // torn, foreign or trailing junk
   }
-  std::string extra;
-  if (is >> extra) return false;  // trailing garbage: treat as torn
-  if (timed > 1) return false;
-  pt.efficiency = std::bit_cast<double>(eff);
   pt.timed_out = timed == 1;
-  pt.clock.elapsed = std::bit_cast<double>(el);
-  pt.clock.calc_time = std::bit_cast<double>(calc);
-  pt.clock.idle_time = std::bit_cast<double>(idle);
-  pt.clock.lb_time = std::bit_cast<double>(lb);
-  pt.clock.recovery_time = std::bit_cast<double>(rec);
   out = pt;
   return true;
 }
@@ -93,60 +85,38 @@ GridResult run_grid(const lb::SchemeConfig& config,
   GridResult result;
   result.config = config;
   const std::size_t per_size = workloads.size();
-  result.points.resize(machine_sizes.size() * per_size);
-
-  // Checkpoint/resume: completed slots are replayed from the journal, the
-  // rest re-run.  Determinism makes the merge exact — a replayed point is
-  // bit-identical to what the re-run would have produced.
-  std::unique_ptr<runtime::SweepJournal> journal;
-  std::vector<std::uint8_t> done(result.points.size(), std::uint8_t{0});
-  if (!options.journal_path.empty()) {
-    journal = std::make_unique<runtime::SweepJournal>(options.journal_path);
-    if (options.resume) {
-      for (const auto& [slot, payload] : journal->load()) {
-        GridPoint pt;
-        if (slot < result.points.size() && decode_grid_point(payload, pt)) {
-          result.points[slot] = pt;
-          done[slot] = 1;
-        }
-      }
-    }
-  }
-
+  std::optional<runtime::Journal> journal;
+  if (!options.journal_path.empty()) journal.emplace(options.journal_path);
+  runtime::SweepRunner runner(options.threads);
   // Longest cells first; each still writes its own slot, so the order
   // changes only when a cell runs, never what it produces.
-  const std::vector<std::size_t> order =
-      grid_dispatch_order(workloads, machine_sizes);
-  runtime::SweepRunner runner(options.threads);
-  runner.run(order.size(), [&](std::size_t i) {
-    const std::size_t k = order[i];
-    if (done[k] != 0) return;  // replayed from the journal
-    const std::uint32_t p = machine_sizes[k / per_size];
-    const auto& wl = workloads[k % per_size];
-    const synthetic::Tree tree(wl.params);
-    simd::Machine machine(p, cost);
-    lb::Engine<synthetic::Tree> engine(tree, machine, config);
-    GridPoint& pt = result.points[k];
-    if (options.cycle_budget != 0) {
-      engine.set_cycle_budget(options.cycle_budget);
-    }
-    try {
-      const lb::IterationStats stats =
-          engine.run_iteration(search::kUnbounded);
-      pt.p = p;
-      pt.w = stats.nodes_expanded;
-      pt.efficiency = stats.efficiency();
-      pt.expand_cycles = stats.expand_cycles;
-      pt.lb_phases = stats.lb_phases;
-      pt.lb_rounds = stats.lb_rounds;
-      pt.clock = stats.clock;
-    } catch (const TimeoutError&) {
-      pt = GridPoint{};
-      pt.p = p;
-      pt.timed_out = true;
-    }
-    if (journal) journal->record(k, encode_grid_point(pt));
-  });
+  result.points = runtime::run_resumable(
+      runner, grid_dispatch_order(workloads, machine_sizes),
+      journal ? &*journal : nullptr, options.resume,
+      [&](std::size_t k) {
+        GridPoint pt;
+        pt.p = machine_sizes[k / per_size];
+        const synthetic::Tree tree(workloads[k % per_size].params);
+        simd::Machine machine(pt.p, cost);
+        lb::Engine<synthetic::Tree> engine(tree, machine, config);
+        if (options.cycle_budget != 0) {
+          engine.set_cycle_budget(options.cycle_budget);
+        }
+        try {
+          const lb::IterationStats stats =
+              engine.run_iteration(search::kUnbounded);
+          pt.w = stats.nodes_expanded;
+          pt.efficiency = stats.efficiency();
+          pt.expand_cycles = stats.expand_cycles;
+          pt.lb_phases = stats.lb_phases;
+          pt.lb_rounds = stats.lb_rounds;
+          pt.clock = stats.clock;
+        } catch (const TimeoutError&) {
+          pt.timed_out = true;  // zero metrics
+        }
+        return pt;
+      },
+      encode_grid_point, decode_grid_point);
   return result;
 }
 

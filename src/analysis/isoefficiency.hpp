@@ -11,14 +11,17 @@
 // watchdog cycle budget (a point that blows it is marked timed_out instead
 // of hanging the sweep) and an optional on-disk journal of completed slots,
 // so an interrupted grid resumes — skipping finished points and emitting a
-// byte-identical CSV (GridPoint codecs keep doubles as bit patterns).
-// Cells are dispatched longest first (grid_dispatch_order) but written to
-// their own slots, so neither the points nor a resume depend on that order.
+// byte-identical CSV (GridPoint codecs keep doubles as bit patterns).  The
+// grid runs through runtime::run_resumable, the resume loop the table
+// sweeps share.  Cells are dispatched longest first (grid_dispatch_order)
+// but written to their own slots, so neither the points nor a resume
+// depend on that order.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "lb/config.hpp"
@@ -43,9 +46,10 @@ struct GridPoint {
 
 /// Exact single-line serialization of a GridPoint for sweep journals
 /// (doubles as IEEE-754 bit patterns; see lb::encode_journal for the
-/// convention).  decode returns false on torn/malformed payloads.
+/// convention).  decode reads strictly (common/parse.hpp) and returns false,
+/// leaving `out` untouched, on torn/malformed payloads.
 [[nodiscard]] std::string encode_grid_point(const GridPoint& pt);
-[[nodiscard]] bool decode_grid_point(const std::string& payload,
+[[nodiscard]] bool decode_grid_point(std::string_view payload,
                                      GridPoint& out);
 
 struct GridResult {
@@ -95,7 +99,8 @@ struct GridOptions {
 /// uninterrupted result bit-identically — completed slots are replayed from
 /// the journal, the rest are re-run (determinism makes the merge exact).
 /// The journal file is left in place; callers delete it (via
-/// runtime::SweepJournal::remove) once derived outputs are safely written.
+/// runtime::Journal::remove) once derived outputs are safely written.  The
+/// journal's directory must exist.
 [[nodiscard]] GridResult run_grid(
     const lb::SchemeConfig& config,
     std::span<const synthetic::SyntheticWorkload> workloads,

@@ -32,15 +32,6 @@ void emit_csv(const std::string& name, const Table& table) {
   }
 }
 
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return fallback;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v, &end, 10);
-  if (end == v || parsed == 0) return fallback;
-  return parsed;
-}
-
 bool quick_mode() { return std::getenv("SIMDTS_QUICK") != nullptr; }
 
 }  // namespace simdts::analysis

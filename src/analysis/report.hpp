@@ -20,10 +20,6 @@ void print_banner(const std::string& experiment, const std::string& paper_ref,
 /// stdout (best-effort: failure to write is reported but not fatal).
 void emit_csv(const std::string& name, const Table& table);
 
-/// Reads a positive integer from the environment (scaling knobs for the
-/// bench harness); returns fallback when unset or unparsable.
-[[nodiscard]] std::uint64_t env_u64(const char* name, std::uint64_t fallback);
-
 /// True when $SIMDTS_QUICK is set (reduced-scale bench runs).
 [[nodiscard]] bool quick_mode();
 

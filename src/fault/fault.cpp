@@ -46,13 +46,6 @@ FaultPlan::FaultPlan(std::vector<FaultEvent> events)
 #endif
 }
 
-std::uint64_t splitmix64(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
 FaultPlan FaultPlan::random_kills(std::uint64_t seed, std::uint32_t p,
                                   std::uint32_t kills,
                                   std::uint64_t first_cycle,

@@ -96,9 +96,16 @@ class FaultPlan {
   std::vector<FaultEvent> events_;
 };
 
-/// SplitMix64 step — the deterministic PRNG used by random plan generation
-/// (exposed for tests pinning generated plans).
-[[nodiscard]] std::uint64_t splitmix64(std::uint64_t& state);
+/// SplitMix64 step: advances `state` and returns the next output.  The
+/// repo's one seeded generator — random fault and service plans, puzzle
+/// scrambles, TSP instances, MIMD random polling and the retry jitter all
+/// draw from it.  Inline, so the MIMD engine's per-steal draw costs no call.
+[[nodiscard]] inline std::uint64_t splitmix64(std::uint64_t& state) {
+  std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
 
 /// One entry of the engine's lost-work journal: at simulated cycle `cycle`,
 /// PE `pe` died holding `nodes` unexpanded stack intervals, which were

@@ -3,6 +3,7 @@
 #include <bit>
 #include <sstream>
 
+#include "common/parse.hpp"
 #include "search/bound.hpp"
 
 namespace simdts::lb {
@@ -57,21 +58,6 @@ void put_f64(std::ostream& os, double v) {
   os << ' ' << std::bit_cast<std::uint64_t>(v);
 }
 
-bool get_u64(std::istream& is, std::uint64_t& v) {
-  return static_cast<bool>(is >> v);
-}
-
-bool get_f64(std::istream& is, double& v) {
-  std::uint64_t bits = 0;
-  if (!(is >> bits)) return false;
-  v = std::bit_cast<double>(bits);
-  return true;
-}
-
-bool get_i64(std::istream& is, std::int64_t& v) {
-  return static_cast<bool>(is >> v);
-}
-
 }  // namespace
 
 std::string encode_journal(const IterationStats& s) {
@@ -92,30 +78,23 @@ std::string encode_journal(const IterationStats& s) {
   return os.str();
 }
 
-bool decode_journal(const std::string& payload, IterationStats& out) {
-  std::istringstream is(payload);
-  std::string version;
-  if (!(is >> version) || version != "v1") return false;
+bool decode_journal(std::string_view payload, IterationStats& out) {
+  FieldReader in(payload);
   IterationStats s;
   std::int64_t bound = 0;
   std::int64_t next_bound = 0;
-  if (!get_i64(is, bound) || !get_u64(is, s.nodes_expanded) ||
-      !get_u64(is, s.goals_found) || !get_i64(is, next_bound) ||
-      !get_u64(is, s.expand_cycles) || !get_u64(is, s.lb_phases) ||
-      !get_u64(is, s.lb_rounds) || !get_u64(is, s.transfers) ||
-      !get_u64(is, s.pes_killed) || !get_u64(is, s.pes_revived) ||
-      !get_u64(is, s.nodes_recovered) || !get_u64(is, s.recovery_phases) ||
-      !get_u64(is, s.recovery_rounds) || !get_u64(is, s.messages_dropped) ||
-      !get_f64(is, s.clock.elapsed) || !get_f64(is, s.clock.calc_time) ||
-      !get_f64(is, s.clock.idle_time) || !get_f64(is, s.clock.lb_time) ||
-      !get_f64(is, s.clock.recovery_time) ||
-      !get_u64(is, s.clock.expand_cycles) || !get_u64(is, s.clock.lb_rounds) ||
-      !get_u64(is, s.clock.recovery_rounds) ||
-      !get_u64(is, s.clock.nodes_expanded)) {
-    return false;
+  if (!in.word("v1") ||
+      !in.read(bound, s.nodes_expanded, s.goals_found, next_bound,
+               s.expand_cycles, s.lb_phases, s.lb_rounds, s.transfers,
+               s.pes_killed, s.pes_revived, s.nodes_recovered,
+               s.recovery_phases, s.recovery_rounds, s.messages_dropped,
+               s.clock.elapsed, s.clock.calc_time, s.clock.idle_time,
+               s.clock.lb_time, s.clock.recovery_time, s.clock.expand_cycles,
+               s.clock.lb_rounds, s.clock.recovery_rounds,
+               s.clock.nodes_expanded) ||
+      !in.done()) {
+    return false;  // torn, foreign or trailing junk
   }
-  std::string extra;
-  if (is >> extra) return false;  // trailing garbage: treat as torn
   s.bound = static_cast<search::Bound>(bound);
   s.next_bound = static_cast<search::Bound>(next_bound);
   out = std::move(s);

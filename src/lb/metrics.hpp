@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "search/problem.hpp"
@@ -76,10 +77,10 @@ struct RunStats {
 /// empty trace.
 [[nodiscard]] std::string encode_journal(const IterationStats& s);
 
-/// Inverse of encode_journal().  Returns false (leaving `out` untouched) on
-/// any malformed or truncated payload — a torn journal line is skipped, and
-/// the task is simply re-run.
-[[nodiscard]] bool decode_journal(const std::string& payload,
+/// Inverse of encode_journal(), read strictly (common/parse.hpp).  Returns
+/// false (leaving `out` untouched) on any malformed or truncated payload — a
+/// torn journal line is skipped, and the task is simply re-run.
+[[nodiscard]] bool decode_journal(std::string_view payload,
                                   IterationStats& out);
 
 }  // namespace simdts::lb

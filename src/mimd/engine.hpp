@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "fault/fault.hpp"
 #include "search/problem.hpp"
 #include "search/splitter.hpp"
 #include "search/work_stack.hpp"
@@ -128,13 +129,10 @@ class MimdEngine {
           v = pes[self].rr;
           pes[self].rr = (pes[self].rr + 1) % p_;
           break;
-        case StealPolicy::kRandomPolling: {
-          std::uint64_t z = (pes[self].rng += 0x9E3779B97F4A7C15ULL);
-          z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-          z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-          v = static_cast<std::uint32_t>((z ^ (z >> 31)) % p_);
+        case StealPolicy::kRandomPolling:
+          v = static_cast<std::uint32_t>(fault::splitmix64(pes[self].rng) %
+                                         p_);
           break;
-        }
       }
       if (v == self) v = (v + 1) % p_;
       return v;

@@ -3,21 +3,9 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "fault/fault.hpp"
 
 namespace simdts::puzzle {
-
-namespace {
-
-/// splitmix64 — small, high-quality deterministic generator for scrambles.
-std::uint64_t splitmix64(std::uint64_t& state) {
-  state += 0x9E3779B97F4A7C15ULL;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
 
 Board Board::from_tiles(const std::array<std::uint8_t, kCells>& tiles) {
   std::uint32_t seen = 0;
@@ -129,7 +117,7 @@ Board random_walk(std::uint64_t seed, int steps) {
   std::uint8_t last = kNoMove;
   int done = 0;
   while (done < steps) {
-    const auto m = static_cast<Move>(splitmix64(state) & 3);
+    const auto m = static_cast<Move>(fault::splitmix64(state) & 3);
     if (last != kNoMove && m == inverse(static_cast<Move>(last))) continue;
     int b = blank;
     const auto next = board.apply(m, b);

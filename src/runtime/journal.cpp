@@ -1,68 +1,73 @@
 #include "runtime/journal.hpp"
 
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
+#include <string>
+#include <system_error>
 #include <utility>
 
 #include "common/error.hpp"
 
 namespace simdts::runtime {
 
-SweepJournal::SweepJournal(std::string path) : path_(std::move(path)) {
-  // Best-effort: make sure the journal's directory exists, like the CSV
-  // writer does for its artifacts.
-  const std::filesystem::path p(path_);
-  if (p.has_parent_path()) {
-    std::error_code ec;
-    std::filesystem::create_directories(p.parent_path(), ec);
+namespace {
+
+constexpr std::string_view kCommit = " ok";
+
+}  // namespace
+
+Journal::Journal(std::filesystem::path path) : path_(std::move(path)) {}
+
+void Journal::replay(const std::function<void(std::string_view)>& fn) const {
+  std::ifstream in(path_, std::ios::binary);
+  if (!in) return;
+  std::string data;
+  char chunk[1 << 14];
+  while (in.read(chunk, sizeof chunk), in.gcount() > 0) {
+    data.append(chunk, static_cast<std::size_t>(in.gcount()));
+  }
+  std::string_view rest = data;
+  while (!rest.empty()) {
+    const std::size_t nl = rest.find('\n');
+    std::string_view line = rest.substr(0, nl);
+    rest.remove_prefix(nl == std::string_view::npos ? rest.size() : nl + 1);
+    if (!line.ends_with(kCommit)) continue;  // torn: the record is absent
+    line.remove_suffix(kCommit.size());
+    fn(line);
   }
 }
 
-std::map<std::size_t, std::string> SweepJournal::load() const {
-  std::map<std::size_t, std::string> entries;
-  std::ifstream in(path_);
-  if (!in) return entries;
-  std::string line;
-  while (std::getline(in, line)) {
-    // Format: `<index> <payload...> ok`.  The payload may itself contain
-    // spaces; only a line whose last token is the "ok" marker is trusted.
-    std::istringstream is(line);
-    std::size_t index = 0;
-    if (!(is >> index)) continue;
-    std::string rest;
-    std::getline(is, rest);
-    // Strip the single separating space and the trailing marker.
-    const std::string marker = " ok";
-    if (rest.size() < marker.size() + 1 || rest.front() != ' ' ||
-        rest.compare(rest.size() - marker.size(), marker.size(), marker) !=
-            0) {
-      continue;  // torn or malformed: the task re-runs
+void Journal::append(std::string_view record) {
+  if (record.find('\n') != std::string_view::npos) {
+    throw InvariantError("journal records must be single-line",
+                         path_.string());
+  }
+  const std::lock_guard lock(mu_);
+  if (!out_.is_open()) {
+    // A torn tail (its writer died mid-line) must not swallow this record:
+    // end it first, so it stays uncommitted and this line starts whole.
+    std::ifstream tail(path_, std::ios::binary | std::ios::ate);
+    const bool torn = tail && tail.tellg() > 0 &&
+                      tail.seekg(-1, std::ios::end) && tail.get() != '\n';
+    out_.open(path_, std::ios::app);  // clears the state on success
+    if (!out_) {
+      throw InvariantError("journal is not writable", path_.string());
     }
-    entries[index] = rest.substr(1, rest.size() - 1 - marker.size());
+    if (torn) out_.put('\n');
   }
-  return entries;
-}
-
-void SweepJournal::record(std::size_t index, const std::string& payload) {
-  if (payload.find('\n') != std::string::npos) {
-    throw Error("journal payload must be a single line [" + path_ + "]");
-  }
-  const std::lock_guard<std::mutex> lock(mu_);
-  std::ofstream out(path_, std::ios::app);
-  if (!out) {
-    throw Error("cannot open sweep journal for append [" + path_ + "]");
-  }
-  out << index << ' ' << payload << " ok\n";
-  out.flush();
-  if (!out) {
-    throw Error("failed writing sweep journal [" + path_ + "]");
+  out_.write(record.data(), static_cast<std::streamsize>(record.size()));
+  out_.write(kCommit.data(), kCommit.size());
+  out_.put('\n');
+  out_.flush();
+  if (!out_) {
+    out_.close();  // the next append reopens and tries again
+    throw InvariantError("journal append failed", path_.string());
   }
 }
 
-void SweepJournal::remove() const {
-  std::remove(path_.c_str());
+void Journal::remove() {
+  const std::lock_guard lock(mu_);
+  out_.close();
+  std::error_code ec;
+  std::filesystem::remove(path_, ec);
 }
 
 }  // namespace simdts::runtime

@@ -1,52 +1,63 @@
-// Append-only journal of completed sweep slots (checkpoint/resume).
+// Append-only, crash-tolerant journal of single-line records.
 //
-// Long table sweeps (hundreds of engine runs) die for host-side reasons —
-// an OOM kill, a CI timeout, a Ctrl-C.  The journal makes them resumable:
-// each completed task appends one line `<slot-index> <payload> ok\n` and
-// flushes, so a restarted sweep can load the journal, skip every slot whose
-// payload decodes, and re-run only the rest.  Payloads are the exact
-// single-line encodings of lb::encode_journal / analysis-level codecs (all
-// doubles as IEEE-754 bit patterns), so a resumed sweep emits byte-identical
-// CSVs.
+// Two things in the repo must survive a host-side death (an OOM kill, a CI
+// timeout, a Ctrl-C) mid-write: a long table sweep's finished slots, so the
+// sweep resumes instead of restarting (runtime::run_resumable in sweep.hpp),
+// and the solve service's result cache (service::ResultCache).  Both keep
+// their state as one Journal: a text file holding one record per line,
 //
-// Crash tolerance is by construction: a line is only trusted if it parses
-// completely and carries the trailing "ok" marker, so a torn final line (the
-// process died mid-write) is silently dropped and its task simply re-runs.
+//     <record> ok
+//
+// Crash tolerance is by construction.  A line counts only once its trailing
+// `ok` marker is on disk, so a torn final line (the process died
+// mid-append) is skipped on replay and its record is simply absent.  The
+// record's own format — `<slot> <payload>` for sweeps,
+// `<key> <checksum> <payload>` for the cache — belongs to the caller.
+//
+// The file is opened for appending by the first append and held open; no
+// file exists before it, and no directory is created.  Every line is
+// written whole and flushed before append() returns, so a second Journal
+// opened on the same path while this one is alive replays every line
+// written so far.  Appends are serialized by a mutex, so sweep workers may
+// append concurrently.
 #pragma once
 
-#include <cstddef>
-#include <map>
+#include <filesystem>
+#include <fstream>
+#include <functional>
 #include <mutex>
-#include <string>
+#include <string_view>
 
 namespace simdts::runtime {
 
-class SweepJournal {
+class Journal {
  public:
-  /// Opens (creating if absent) the journal at `path` for appending.
-  explicit SweepJournal(std::string path);
+  explicit Journal(std::filesystem::path path);
 
-  [[nodiscard]] const std::string& path() const noexcept { return path_; }
+  [[nodiscard]] const std::filesystem::path& path() const noexcept {
+    return path_;
+  }
 
-  /// Parses the journal into slot-index -> payload.  Torn or malformed lines
-  /// are skipped; a later entry for the same slot wins (harmless — entries
-  /// for one slot are identical by determinism).  A missing file yields an
-  /// empty map.
-  [[nodiscard]] std::map<std::size_t, std::string> load() const;
+  /// Calls fn(record) for every committed line, in file order; the view is
+  /// valid only during the call.  The file is read in one go.  Lines not
+  /// ending in the ` ok` marker are skipped; a final line without a newline
+  /// still counts.  A missing file replays nothing.
+  void replay(const std::function<void(std::string_view)>& fn) const;
 
-  /// Appends `<index> <payload> ok` and flushes.  Thread-safe; called by
-  /// sweep worker threads as tasks complete.  The payload must be a single
-  /// line without embedded newlines.  Throws simdts::Error on I/O failure or
-  /// a payload containing a newline.
-  void record(std::size_t index, const std::string& payload);
+  /// Appends `<record> ok` and flushes.  Thread-safe.  Throws
+  /// simdts::InvariantError if the record contains a newline, or if the
+  /// file cannot be opened or written; a failed write closes the stream,
+  /// so the next append reopens and tries again.
+  void append(std::string_view record);
 
-  /// Deletes the journal file (after a sweep completes and its CSV is
-  /// safely written).  Missing file is not an error.
-  void remove() const;
+  /// Closes the file and deletes it (once whatever was derived from it is
+  /// safely written).  A missing file is not an error.
+  void remove();
 
  private:
-  std::string path_;
+  std::filesystem::path path_;
   std::mutex mu_;
+  std::ofstream out_;  ///< opened by the first append()
 };
 
 }  // namespace simdts::runtime

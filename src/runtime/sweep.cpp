@@ -2,31 +2,24 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
-#include <chrono>
 #include <cstdlib>
 #include <exception>
 #include <mutex>
-#include <string_view>
-#include <system_error>
 #include <thread>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 #include "fault/fault.hpp"
 
 namespace simdts::runtime {
 
 unsigned sweep_threads() {
-  if (const char* v = std::getenv("SIMDTS_SWEEP_THREADS"); v != nullptr) {
-    // Strict: the whole string is digits, > 0 and within unsigned.
-    // from_chars takes no sign, space or prefix for an unsigned target, so a
-    // sign, trailing junk or an overflow falls back to the default rather
-    // than wrapping into a huge or truncated thread count.
-    const std::string_view s(v);
-    const char* const last = s.data() + s.size();
-    unsigned parsed = 0;
-    const auto [end, ec] = std::from_chars(s.data(), last, parsed);
-    if (ec == std::errc{} && end == last && parsed > 0) return parsed;
+  // Strict (common/parse.hpp): a sign, trailing junk or an overflow falls
+  // back to the default rather than wrapping into a huge or truncated
+  // thread count.
+  if (const unsigned n = positive_or(std::getenv("SIMDTS_SWEEP_THREADS"), 0u);
+      n > 0) {
+    return n;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;
@@ -120,8 +113,6 @@ std::vector<TaskReport> run_tasks(SweepRunner& runner, std::size_t n,
         r.status = TaskStatus::kTransient;
         r.message = e.what();
         if (attempt + 1 >= max_attempts) return;
-        std::this_thread::sleep_for(std::chrono::milliseconds(
-            backoff_delay_ms(policy, attempt + 1, i)));
       } catch (const std::exception& e) {
         r.status = TaskStatus::kFailed;
         r.message = e.what();

@@ -30,19 +30,25 @@
 // Robustness (docs/robustness.md): run_tasks() wraps run() with a typed
 // per-task outcome — a task that throws simdts::TimeoutError (the engine
 // watchdog) yields a kTimeout report instead of aborting the sweep, a
-// simdts::TransientError is retried with exponential backoff up to the
-// RetryPolicy's attempt limit, and anything else is reported kFailed with
-// its message.  Resumable sweeps layer SweepJournal on top (the analysis
-// and bench layers own the payload codecs).
+// simdts::TransientError is retried up to the RetryPolicy's attempt limit
+// (backoff_delay_ms() is the schedule a caller charges; run_tasks never
+// sleeps), and anything else is reported kFailed with its message.
+// Resumable sweeps run through run_resumable(), the one resume loop over a
+// runtime::Journal (the analysis and bench layers own the payload codecs).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
+
+#include "common/parse.hpp"
+#include "runtime/journal.hpp"
 
 namespace simdts::runtime {
 
@@ -101,7 +107,7 @@ struct TaskReport {
 /// will blow it every time.
 struct RetryPolicy {
   std::uint32_t max_attempts = 3;   ///< total executions (first + retries)
-  /// Base backoff: the sleep before retry k (1-based) is
+  /// Base backoff: the delay charged before retry k (1-based) is
   /// backoff_ms << (k - 1) — the first retry waits the base delay, every
   /// further retry doubles it.  See backoff_delay_ms() for the exact
   /// (clamped, optionally jittered) schedule.
@@ -113,25 +119,26 @@ struct RetryPolicy {
   std::uint64_t jitter_seed = 0;
 };
 
-/// The backoff schedule as a pure function: the delay in milliseconds slept
+/// The backoff schedule as a pure function: the delay in milliseconds charged
 /// before retry `retry` (1-based — retry 1 precedes the second execution;
 /// retry 0 is meaningless and returns 0).  The base delay is
 /// backoff_ms << (retry - 1) with the shift clamped at 32, so a pathological
 /// attempt limit saturates instead of shifting past the width (undefined
 /// behaviour).  With policy.jitter_seed != 0 a deterministic jitter in
 /// [0, base) is added, derived from SplitMix64 over (jitter_seed, salt,
-/// retry); `salt` identifies the retrying task (run_tasks passes the task
-/// index) so concurrent retries spread out.  Exposed — and kept pure — so
-/// tests and the service layer can pin the exact schedule without sleeping.
+/// retry); `salt` identifies the retrying task (the service passes its
+/// execution slot) so concurrent retries spread out.  Pure, so tests and
+/// the service's virtual clock charge the exact schedule without sleeping.
 [[nodiscard]] std::uint64_t backoff_delay_ms(const RetryPolicy& policy,
                                              std::uint32_t retry,
                                              std::uint64_t salt = 0);
 
 /// Like SweepRunner::run, but failures are contained per task: returns one
 /// TaskReport per index instead of rethrowing the first exception.  A task
-/// throwing TransientError is re-attempted (with exponential backoff) up to
-/// policy.max_attempts times; TimeoutError and other exceptions settle the
-/// task immediately.  The sweep always visits every index.
+/// throwing TransientError is re-attempted at once, up to
+/// policy.max_attempts times (the backoff is the caller's to charge);
+/// TimeoutError and other exceptions settle the task immediately.  The
+/// sweep always visits every index.
 [[nodiscard]] std::vector<TaskReport> run_tasks(
     SweepRunner& runner, std::size_t n,
     const std::function<void(std::size_t)>& task, RetryPolicy policy = {});
@@ -144,6 +151,50 @@ template <typename T, typename F>
   std::vector<T> out(n);
   SweepRunner runner(threads);
   runner.run(n, [&](std::size_t i) { out[i] = fn(i); });
+  return out;
+}
+
+/// The resume loop of every journaled sweep, over the slots of `order` (a
+/// permutation of [0, order.size())):
+///   1. with `resume`, replay `journal`;
+///   2. mark a slot done when its record `<slot> <payload>` has a strict
+///      decimal slot below order.size() and decode(payload, out[slot])
+///      accepts it;
+///   3. run out[slot] = run(slot) for every other slot on `runner`, in the
+///      order given (longest first, say);
+///   4. append each finished slot to the journal as
+///      `<slot> <encode(out[slot])>`.
+/// `journal` may be null: the loop then only runs the slots.  Each slot is
+/// written to its own place, so the result is the same for any order,
+/// thread count or resume point; decode must leave `out` untouched when it
+/// rejects a payload.  The journal is left in place for the caller to
+/// remove once derived outputs are safely written.
+template <typename T, typename Run>
+[[nodiscard]] std::vector<T> run_resumable(
+    SweepRunner& runner, std::span<const std::size_t> order, Journal* journal,
+    bool resume, Run&& run, std::string (*encode)(const T&),
+    bool (*decode)(std::string_view, T&)) {
+  std::vector<T> out(order.size());
+  std::vector<std::uint8_t> done(order.size(), std::uint8_t{0});
+  if (journal != nullptr && resume) {
+    journal->replay([&](std::string_view record) {
+      const std::size_t space = record.find(' ');
+      std::size_t slot = 0;
+      if (space != std::string_view::npos &&
+          parse_whole(record.substr(0, space), slot) && slot < out.size() &&
+          decode(record.substr(space + 1), out[slot])) {
+        done[slot] = 1;
+      }
+    });
+  }
+  runner.run(order.size(), [&](std::size_t i) {
+    const std::size_t slot = order[i];
+    if (done[slot] != 0) return;  // replayed from the journal
+    out[slot] = run(slot);
+    if (journal != nullptr) {
+      journal->append(std::to_string(slot) + ' ' + encode(out[slot]));
+    }
+  });
   return out;
 }
 

@@ -3,6 +3,7 @@
 #include <charconv>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 
 namespace simdts::service {
 
@@ -10,22 +11,9 @@ namespace {
 
 constexpr std::size_t kMaxHexDigits = 16;  // a uint64_t in base 16
 
-/// Parses a whole lowercase-or-uppercase hex token: no sign, no `0x`, no
-/// whitespace, no overflow.  False unless every character was consumed.
-bool parse_hex(std::string_view token, std::uint64_t& out) {
-  const char* const end = token.data() + token.size();
-  const auto [ptr, ec] = std::from_chars(token.data(), end, out, 16);
-  return ec == std::errc{} && ptr == end;
-}
-
 /// Writes `v` as lowercase hex without a prefix; returns one past the end.
 char* put_hex(char* out, std::uint64_t v) {
   return std::to_chars(out, out + kMaxHexDigits, v, 16).ptr;
-}
-
-std::string to_hex(std::uint64_t v) {
-  char buf[kMaxHexDigits];
-  return {buf, put_hex(buf, v)};
 }
 
 }  // namespace
@@ -42,38 +30,23 @@ std::uint64_t ResultCache::entry_checksum(std::uint64_t key,
   return h;
 }
 
-ResultCache::ResultCache(std::filesystem::path path) : path_(std::move(path)) {
-  std::ifstream in(path_);
-  if (!in) return;  // first use: the journal appears on the first insert
-  std::string data;
-  char chunk[1 << 14];
-  while (in.read(chunk, sizeof chunk), in.gcount() > 0) {
-    data.append(chunk, static_cast<std::size_t>(in.gcount()));
-  }
-
-  constexpr std::string_view kCommit = " ok";
-  std::string_view rest = data;
-  while (!rest.empty()) {
-    const std::size_t nl = rest.find('\n');
-    std::string_view line = rest.substr(0, nl);
-    rest.remove_prefix(nl == std::string_view::npos ? rest.size() : nl + 1);
-    // A committed line ends in " ok"; anything else is torn — skip it.
-    if (!line.ends_with(kCommit)) continue;
-    line.remove_suffix(kCommit.size());
-    const std::size_t s1 = line.find(' ');
-    if (s1 == std::string_view::npos) continue;
-    const std::size_t s2 = line.find(' ', s1 + 1);
-    if (s2 == std::string_view::npos) continue;
+ResultCache::ResultCache(std::filesystem::path path)
+    : journal_(std::move(path)) {
+  journal_.replay([this](std::string_view record) {
+    const std::size_t s1 = record.find(' ');
+    if (s1 == std::string_view::npos) return;
+    const std::size_t s2 = record.find(' ', s1 + 1);
+    if (s2 == std::string_view::npos) return;
     std::uint64_t key = 0;
     std::uint64_t checksum = 0;
-    if (!parse_hex(line.substr(0, s1), key) ||
-        !parse_hex(line.substr(s1 + 1, s2 - s1 - 1), checksum)) {
-      continue;
+    if (!parse_whole(record.substr(0, s1), key, 16) ||
+        !parse_whole(record.substr(s1 + 1, s2 - s1 - 1), checksum, 16)) {
+      return;
     }
     // Last-wins: a re-appended entry (or a scripted corruption) supersedes
     // the earlier line.  Verification is deferred to lookup().
-    entries_[key] = Entry{checksum, std::string(line.substr(s2 + 1))};
-  }
+    entries_[key] = Entry{checksum, std::string(record.substr(s2 + 1))};
+  });
 }
 
 std::optional<std::string> ResultCache::lookup(std::uint64_t key,
@@ -93,10 +66,6 @@ std::optional<std::string> ResultCache::lookup(std::uint64_t key,
 }
 
 void ResultCache::insert(std::uint64_t key, const std::string& payload) {
-  if (payload.find('\n') != std::string::npos) {
-    throw InvariantError("result-cache payloads must be single-line",
-                         "key=" + to_hex(key));
-  }
   const std::uint64_t checksum = entry_checksum(key, payload);
   append_line(key, checksum, payload);
   entries_[key] = Entry{checksum, payload};
@@ -118,28 +87,16 @@ bool ResultCache::corrupt_payload_byte(std::uint64_t key,
 
 void ResultCache::append_line(std::uint64_t key, std::uint64_t checksum,
                               const std::string& payload) {
-  if (!journal_.is_open()) {
-    journal_.open(path_, std::ios::app);  // clears the state on success
-    if (!journal_) {
-      throw InvariantError("result-cache journal is not writable",
-                           path_.string());
-    }
-  }
   char head[2 * kMaxHexDigits + 2];
   char* p = put_hex(head, key);
   *p++ = ' ';
   p = put_hex(p, checksum);
   *p++ = ' ';
-  journal_.write(head, p - head);
-  journal_.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  journal_.write(" ok\n", 4);
-  // Flushed per line: a second cache opened on this path sees the entry now.
-  journal_.flush();
-  if (!journal_) {
-    journal_.close();  // the next append reopens and tries again
-    throw InvariantError("result-cache journal append failed",
-                         path_.string());
-  }
+  std::string record;
+  record.reserve(static_cast<std::size_t>(p - head) + payload.size());
+  record.append(head, p);
+  record += payload;
+  journal_.append(record);
 }
 
 }  // namespace simdts::service

@@ -1,19 +1,20 @@
-// Content-addressed result cache with a crash-tolerant journal.
+// Content-addressed result cache over a crash-tolerant journal.
 //
 // The cache maps canonical_key(request) to the encoded solve result, backed
-// by an append-only journal in the SweepJournal discipline: one line per
-// insert, `<key> <checksum> <payload> ok` (key and checksum in lowercase hex
-// with no prefix), where the trailing "ok" only hits the disk after the
-// whole line.  A process killed mid-append leaves a torn final line with no
-// "ok"; the constructor's replay skips it and the entry is simply absent — a
-// clean miss, never a garbled hit.
+// by a runtime::Journal (journal.hpp: one record per line, committed by its
+// trailing `ok` marker, opened on the first append, flushed per line, torn
+// lines skipped on replay).  Each insert appends the record
+// `<key> <checksum> <payload>`, key and checksum in lowercase hex with no
+// prefix.  A process killed mid-append leaves a torn final line; the
+// constructor's replay skips it and the entry is simply absent — a clean
+// miss, never a garbled hit.  A key or checksum token that is not whole hex
+// fitting 64 bits (no sign, `0x` or whitespace) skips its line too.
 //
-// The journal is opened on the first append and held open for the cache's
-// lifetime.  Every line is written whole and flushed before insert() or
-// corrupt_payload_byte() returns, so a second cache opened on the same path
-// while this one is alive replays every line written so far.  A journal
-// that cannot be opened or written throws simdts::InvariantError on each
-// append that fails; no file exists until the first insert.
+// Because every line is flushed before insert() or corrupt_payload_byte()
+// returns, a second cache opened on the same path while this one is alive
+// replays every line written so far.  A journal that cannot be opened or
+// written throws simdts::InvariantError on each append that fails; no file
+// exists until the first insert.
 //
 // Verified-on-read: the journaled checksum covers (key, payload), and
 // lookup() recomputes it before serving.  A mismatch — bit rot, a torn
@@ -32,11 +33,12 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+
+#include "runtime/journal.hpp"
 
 namespace simdts::service {
 
@@ -66,7 +68,7 @@ class ResultCache {
 
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
   [[nodiscard]] const std::filesystem::path& path() const noexcept {
-    return path_;
+    return journal_.path();
   }
   /// Corrupt entries detected (and erased) by verified reads so far.
   [[nodiscard]] std::uint64_t corruptions_detected() const noexcept {
@@ -88,8 +90,7 @@ class ResultCache {
   void append_line(std::uint64_t key, std::uint64_t checksum,
                    const std::string& payload);
 
-  std::filesystem::path path_;
-  std::ofstream journal_;  ///< opened by the first append_line()
+  runtime::Journal journal_;
   std::unordered_map<std::uint64_t, Entry> entries_;
   std::uint64_t corruptions_detected_ = 0;
 };

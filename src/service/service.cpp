@@ -7,6 +7,7 @@
 #include <unordered_map>
 
 #include "common/error.hpp"
+#include "common/parse.hpp"
 #include "lb/config.hpp"
 #include "lb/engine.hpp"
 #include "puzzle/fifteen.hpp"
@@ -131,24 +132,15 @@ bool decode_cache_payload(std::string_view payload,
                           std::uint64_t& expand_cycles,
                           std::uint64_t& goals_found) {
   // Exactly what the encoder writes: three unsigned decimal fields, one
-  // space apart.  from_chars takes no sign, prefix or whitespace, and
-  // reports overflow, so each of those decodes as a miss.
-  std::uint64_t fields[3] = {};
-  const char* p = payload.data();
-  const char* const end = p + payload.size();
-  for (std::size_t f = 0; f < 3; ++f) {
-    if (f > 0) {
-      if (p == end || *p != ' ') return false;
-      ++p;
-    }
-    const auto [next, ec] = std::from_chars(p, end, fields[f]);
-    if (ec != std::errc{}) return false;
-    p = next;
-  }
-  if (p != end) return false;  // trailing junk
-  nodes_expanded = fields[0];
-  expand_cycles = fields[1];
-  goals_found = fields[2];
+  // space apart; a sign, prefix, extra whitespace or overflow is a miss.
+  std::uint64_t n = 0;
+  std::uint64_t c = 0;
+  std::uint64_t g = 0;
+  FieldReader in(payload);
+  if (!in.read(n, c, g) || !in.done()) return false;
+  nodes_expanded = n;
+  expand_cycles = c;
+  goals_found = g;
   return true;
 }
 
@@ -276,8 +268,7 @@ std::vector<Response> SolveService::run_trace(
   // run_tasks retries a slot inside the worker that owns it.
   std::vector<std::uint32_t> crash_seen(slots.size(), 0);
   runtime::SweepRunner runner(cfg_.threads);
-  runtime::RetryPolicy exec_policy = cfg_.retry;
-  exec_policy.backoff_ms = 0;  // backoff is charged virtually, never slept
+  // Retries run at once; pass 4 charges their backoff on the virtual clock.
   const std::vector<runtime::TaskReport> reports = runtime::run_tasks(
       runner, slots.size(),
       [&](std::size_t s) {
@@ -293,7 +284,7 @@ std::vector<Response> SolveService::run_trace(
         }
         outcomes[s] = solve_one(r, sl.eff_p, sl.eff_mode, cfg_.static_x);
       },
-      exec_policy);
+      cfg_.retry);
 
   // --- pass 4: response assembly + cache writes (serial, trace order) ---
   for (std::size_t i = 0; i < trace.size(); ++i) {

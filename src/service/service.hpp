@@ -50,8 +50,8 @@ namespace simdts::service {
 struct ServiceConfig {
   AdmissionConfig admission{};
   /// Retry schedule for transient (scripted-crash) failures.  backoff_ms
-  /// feeds the *virtual* backoff accounting via backoff_delay_ms(); the
-  /// execution pool itself runs with host sleeping disabled.
+  /// feeds the *virtual* backoff accounting via backoff_delay_ms();
+  /// run_tasks retries at once and never sleeps.
   runtime::RetryPolicy retry{3, 8, 0x5EEDBACCULL};
   /// Result-cache journal path; empty disables the cache entirely.
   std::filesystem::path cache_path;

@@ -6,20 +6,9 @@
 #include <string>
 
 #include "common/error.hpp"
+#include "fault/fault.hpp"
 
 namespace simdts::tsp {
-
-namespace {
-
-std::uint64_t splitmix64(std::uint64_t& state) {
-  state += 0x9E3779B97F4A7C15ULL;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
 
 Tsp::Tsp(int n, std::uint64_t seed, std::int32_t max_distance) : n_(n) {
   if (n < 1 || n > kMaxCities) {
@@ -34,7 +23,8 @@ Tsp::Tsp(int n, std::uint64_t seed, std::int32_t max_distance) : n_(n) {
   for (int a = 0; a < n_; ++a) {
     for (int b = a + 1; b < n_; ++b) {
       const auto d = static_cast<std::int32_t>(
-          1 + splitmix64(state) % static_cast<std::uint64_t>(max_distance));
+          1 + fault::splitmix64(state) %
+                  static_cast<std::uint64_t>(max_distance));
       dist_[static_cast<std::size_t>(a) * kMaxCities + b] = d;
       dist_[static_cast<std::size_t>(b) * kMaxCities + a] = d;
     }

@@ -2,13 +2,21 @@
 // checkpoint/resume, and the retrying sweep wrapper (docs/robustness.md).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
+#include <numeric>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "analysis/isoefficiency.hpp"
 #include "common/error.hpp"
+#include "common/parse.hpp"
 #include "lb/config.hpp"
 #include "lb/metrics.hpp"
 #include "runtime/journal.hpp"
@@ -136,57 +144,252 @@ TEST(JournalCodec, GridPointRoundTripsExactly) {
       analysis::encode_grid_point(pt) + " junk", back));
 }
 
+// A payload a strict reader must refuse although istream `>>` took it.
+TEST(JournalCodec, RejectsWhatTheEncoderNeverWrites) {
+  lb::IterationStats s;
+  s.bound = -3;  // the bounds are signed fields
+  s.next_bound = 7;
+  s.nodes_expanded = 12;
+  const std::string good = lb::encode_journal(s);
+  lb::IterationStats out;
+  ASSERT_TRUE(lb::decode_journal(good, out));
+  EXPECT_EQ(out.bound, -3);
+  EXPECT_EQ(out.next_bound, 7);
+  const std::string after_bound = good.substr(std::string("v1 -3").size());
+  const std::string refused[] = {
+      "v1 +3" + after_bound,   // sign on a signed field
+      "v1  -3" + after_bound,  // double separator
+      " " + good,              // leading space
+      good + " ",              // trailing space
+      "v1\t-3" + after_bound,  // tab separator
+  };
+  for (const std::string& payload : refused) {
+    EXPECT_FALSE(lb::decode_journal(payload, out)) << '"' << payload << '"';
+  }
+  analysis::GridPoint pt;
+  pt.p = 16;
+  const std::string grid = analysis::encode_grid_point(pt);
+  analysis::GridPoint back;
+  ASSERT_TRUE(analysis::decode_grid_point(grid, back));
+  EXPECT_FALSE(analysis::decode_grid_point("v1 -16" + grid.substr(5), back));
+  EXPECT_FALSE(analysis::decode_grid_point("v1 4294967296" + grid.substr(5),
+                                           back));  // P overflows 32 bits
+}
+
 // ---------------------------------------------------------------------------
-// The on-disk journal: append, load, torn-line tolerance.
+// Strict parsing of the numeric environment knobs ($SIMDTS_P,
+// $SIMDTS_CYCLE_BUDGET, $SIMDTS_SWEEP_THREADS): the whole string is
+// digits, greater than 0 and within the target type, or the fallback.
 // ---------------------------------------------------------------------------
 
-TEST(SweepJournal, RecordsAndLoads) {
+TEST(StrictParse, PositiveOrTakesOnlyWholePositiveDecimals) {
+  struct Case {
+    const char* text;
+    std::uint64_t u64;  ///< 0 = the fallback (99)
+    std::uint32_t u32;  ///< 0 = the fallback (99)
+  };
+  const Case cases[] = {
+      {"12", 12, 12},
+      {"007", 7, 7},
+      {"4294967295", 4294967295u, 4294967295u},
+      {"4294967296", 4294967296u, 0},  // past 32 bits
+      {"18446744073709551615", 18446744073709551615u, 0},
+      {"18446744073709551616", 0, 0},  // past 64 bits
+      {nullptr, 0, 0},                 // unset
+      {"", 0, 0},
+      {"0", 0, 0},
+      {"12abc", 0, 0},
+      {"-5", 0, 0},
+      {"+5", 0, 0},
+      {" 5", 0, 0},
+      {"5 ", 0, 0},
+      {"0x10", 0, 0},
+      {"abc", 0, 0},
+  };
+  for (const Case& c : cases) {
+    const std::string shown = c.text == nullptr ? "<unset>" : c.text;
+    EXPECT_EQ(positive_or<std::uint64_t>(c.text, 99),
+              c.u64 == 0 ? 99 : c.u64)
+        << shown;
+    EXPECT_EQ(positive_or<std::uint32_t>(c.text, 99),
+              c.u32 == 0 ? 99 : c.u32)
+        << shown;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The on-disk journal (runtime::Journal) and the resume loop over it
+// (runtime::run_resumable): append, replay, torn-line tolerance, strict
+// slot indices.
+// ---------------------------------------------------------------------------
+
+std::vector<std::string> replay_all(const runtime::Journal& journal) {
+  std::vector<std::string> records;
+  journal.replay([&](std::string_view r) { records.emplace_back(r); });
+  return records;
+}
+
+std::string read_all(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void write_all(const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << text;
+}
+
+TEST(Journal, AppendsAndReplaysRecords) {
   const std::string path = temp_path("journal_basic");
   std::remove(path.c_str());
-  runtime::SweepJournal journal(path);
-  journal.record(2, "two words");
-  journal.record(0, "zero");
-  journal.record(7, "seven");
-
-  const auto entries = journal.load();
-  ASSERT_EQ(entries.size(), 3u);
-  EXPECT_EQ(entries.at(0), "zero");
-  EXPECT_EQ(entries.at(2), "two words");
-  EXPECT_EQ(entries.at(7), "seven");
+  runtime::Journal journal(path);
+  EXPECT_TRUE(replay_all(journal).empty());
+  EXPECT_FALSE(std::filesystem::exists(path));  // created by the 1st append
+  journal.append("2 two words");
+  journal.append("0 zero");
+  journal.append("7 seven");
+  EXPECT_EQ(replay_all(journal),
+            (std::vector<std::string>{"2 two words", "0 zero", "7 seven"}));
+  EXPECT_EQ(read_all(path), "2 two words ok\n0 zero ok\n7 seven ok\n");
   journal.remove();
-  EXPECT_TRUE(journal.load().empty());
+  EXPECT_FALSE(std::filesystem::exists(path));
+  EXPECT_TRUE(replay_all(journal).empty());
 }
 
-TEST(SweepJournal, SkipsTornAndMalformedLines) {
+TEST(Journal, SkipsTornAndUncommittedLines) {
   const std::string path = temp_path("journal_torn");
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << "0 alpha ok\n"
-        << "1 beta o";  // torn mid-marker: the process died here
-  }
-  runtime::SweepJournal journal(path);
-  auto entries = journal.load();
-  EXPECT_EQ(entries.size(), 1u);
-  EXPECT_EQ(entries.at(0), "alpha");
+  write_all(path,
+            "0 alpha ok\n"
+            "1 beta o");  // torn mid-marker: the process died here
+  runtime::Journal journal(path);
+  EXPECT_EQ(replay_all(journal), (std::vector<std::string>{"0 alpha"}));
 
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << "garbage line\n"
-        << "3 gamma ok\n"
-        << "4 delta\n"          // no marker
-        << "notanumber x ok\n"  // bad index
-        << "5 epsilon ok\n";
-  }
-  entries = journal.load();
-  EXPECT_EQ(entries.size(), 2u);
-  EXPECT_EQ(entries.at(3), "gamma");
-  EXPECT_EQ(entries.at(5), "epsilon");
+  write_all(path,
+            "garbage line\n"
+            "3 gamma ok\n"
+            "4 delta\n"  // no marker
+            "5 epsilon OK\n"
+            "6 zeta ok \n"
+            "\n"
+            "7 eta ok");  // the last line needs no newline
+  EXPECT_EQ(replay_all(journal),
+            (std::vector<std::string>{"3 gamma", "7 eta"}));
   journal.remove();
 }
 
-TEST(SweepJournal, RejectsMultilinePayloads) {
-  runtime::SweepJournal journal(temp_path("journal_reject"));
-  EXPECT_THROW(journal.record(0, "two\nlines"), Error);
+// A torn tail must not swallow the next record: the first append after a
+// crash starts a fresh line, leaving the torn one uncommitted.
+TEST(Journal, AppendAfterATornTailStartsAFreshLine) {
+  const std::string path = temp_path("journal_torn_tail");
+  write_all(path, "0 alpha ok\n1 be");
+  runtime::Journal journal(path);
+  journal.append("1 beta");
+  EXPECT_EQ(read_all(path), "0 alpha ok\n1 be\n1 beta ok\n");
+  EXPECT_EQ(replay_all(journal),
+            (std::vector<std::string>{"0 alpha", "1 beta"}));
+  journal.remove();
+}
+
+TEST(Journal, RejectsMultilineRecords) {
+  const std::string path = temp_path("journal_reject");
+  std::remove(path.c_str());
+  runtime::Journal journal(path);
+  EXPECT_THROW(journal.append("0 two\nlines"), InvariantError);
+  EXPECT_FALSE(std::filesystem::exists(path));
+}
+
+TEST(Journal, UnwritableThrowsOnEveryAppend) {
+  const std::string path =
+      ::testing::TempDir() + "simdts_journal_no_such_dir/sweep.journal";
+  std::filesystem::remove_all(std::filesystem::path(path).parent_path());
+  runtime::Journal journal(path);
+  EXPECT_THROW(journal.append("0 zero"), InvariantError);
+  EXPECT_THROW(journal.append("1 one"), InvariantError);
+}
+
+// Eight sweep workers append to one journal at once: every line lands
+// whole, none interleaved or lost.
+TEST(Journal, ConcurrentAppendsStayWhole) {
+  const std::string path = temp_path("journal_concurrent");
+  std::remove(path.c_str());
+  runtime::Journal journal(path);
+  const std::size_t n = 800;
+  const auto record = [](std::size_t i) {
+    return std::to_string(i) + ' ' +
+           std::string(1 + i % 97, static_cast<char>('a' + i % 26));
+  };
+  runtime::SweepRunner runner(8);
+  runner.run(n, [&](std::size_t i) { journal.append(record(i)); });
+  std::vector<std::string> got = replay_all(journal);
+  std::vector<std::string> want;
+  for (std::size_t i = 0; i < n; ++i) want.push_back(record(i));
+  std::sort(got.begin(), got.end());
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(got, want);
+  journal.remove();
+}
+
+std::string encode_text(const std::string& s) { return s; }
+
+bool decode_text(std::string_view payload, std::string& out) {
+  if (payload == "BAD") return false;
+  out = payload;
+  return true;
+}
+
+// The resume loop restores a slot only from a record whose slot index is
+// strict decimal and in range and whose payload decodes; every other slot
+// runs (once) and is appended.
+TEST(Journal, ResumeTakesOnlyStrictDecimalSlots) {
+  const std::string path = temp_path("journal_slots");
+  write_all(path,
+            "garbage line\n"
+            "3 gamma ok\n"
+            "4 delta\n"            // no marker
+            "notanumber x ok\n"    // bad index
+            "5 epsilon ok\n"
+            "12 twelve ok\n"       // multi-digit slot
+            "+3 plus ok\n"         // signed: istream took it as 3
+            "-1 minus ok\n"        // istream wrapped it to SIZE_MAX
+            " 6 lead ok\n"         // leading space
+            "16 past ok\n"         // slot >= n
+            "99999999999999999999999 big ok\n"  // overflow
+            "8 BAD ok\n"           // payload the codec rejects
+            "9  ok\n"              // empty payload: restores ""
+            "1 beta o");           // torn mid-marker
+  const std::size_t n = 16;
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::vector<int> runs(n, 0);
+  runtime::Journal journal(path);
+  runtime::SweepRunner runner(1);
+  const std::vector<std::string> out = runtime::run_resumable(
+      runner, order, &journal, /*resume=*/true,
+      [&](std::size_t slot) {
+        ++runs[slot];
+        return "ran" + std::to_string(slot);
+      },
+      encode_text, decode_text);
+  const std::map<std::size_t, std::string> restored = {
+      {3, "gamma"}, {5, "epsilon"}, {9, ""}, {12, "twelve"}};
+  for (std::size_t slot = 0; slot < n; ++slot) {
+    const auto it = restored.find(slot);
+    EXPECT_EQ(out[slot],
+              it != restored.end() ? it->second : "ran" + std::to_string(slot))
+        << "slot " << slot;
+    EXPECT_EQ(runs[slot], it != restored.end() ? 0 : 1) << "slot " << slot;
+  }
+  // Every slot that ran was appended; replaying again restores all n.
+  std::vector<int> reruns(n, 0);
+  const std::vector<std::string> again = runtime::run_resumable(
+      runner, order, &journal, /*resume=*/true,
+      [&](std::size_t slot) {
+        ++reruns[slot];
+        return std::string();
+      },
+      encode_text, decode_text);
+  EXPECT_EQ(again, out);
+  EXPECT_EQ(reruns, std::vector<int>(n, 0));
   journal.remove();
 }
 
@@ -218,9 +421,9 @@ TEST(ResumableGrid, ResumedRunIsBitIdentical) {
   const std::string path = temp_path("grid_resume.journal");
   std::remove(path.c_str());
   {
-    runtime::SweepJournal journal(path);
-    journal.record(0, analysis::encode_grid_point(reference.points[0]));
-    journal.record(3, analysis::encode_grid_point(reference.points[3]));
+    runtime::Journal journal(path);
+    journal.append("0 " + analysis::encode_grid_point(reference.points[0]));
+    journal.append("3 " + analysis::encode_grid_point(reference.points[3]));
     // Simulate a torn final line from the crash.
     std::ofstream out(path, std::ios::app);
     out << "1 v1 16 941";
@@ -238,8 +441,9 @@ TEST(ResumableGrid, ResumedRunIsBitIdentical) {
     EXPECT_EQ(resumed.points[i], reference.points[i]) << "slot " << i;
   }
   // The journal now covers every slot (the re-run recorded the rest).
-  EXPECT_EQ(runtime::SweepJournal(path).load().size(), 4u);
-  runtime::SweepJournal(path).remove();
+  runtime::Journal journal(path);
+  EXPECT_EQ(replay_all(journal).size(), 4u);
+  journal.remove();
 }
 
 TEST(ResumableGrid, WatchdogMarksPointTimedOutInsteadOfHanging) {

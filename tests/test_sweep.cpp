@@ -213,10 +213,10 @@ TEST(SweepDeterminism, ResumeAfterTheFirstDispatchedCells) {
     for (const unsigned threads : {1u, 3u}) {
       std::remove(path.c_str());
       {
-        SweepJournal journal(path);
+        Journal journal(path);
         for (std::size_t i = 0; i < first; ++i) {
-          journal.record(order[i], analysis::encode_grid_point(
-                                       serial.points[order[i]]));
+          journal.append(std::to_string(order[i]) + ' ' +
+                         analysis::encode_grid_point(serial.points[order[i]]));
         }
       }
       analysis::GridOptions options;
@@ -238,7 +238,7 @@ TEST(SweepDeterminism, ResumeAfterTheFirstDispatchedCells) {
       EXPECT_EQ(lines, serial.points.size());
     }
   }
-  SweepJournal(path).remove();
+  Journal(path).remove();
 }
 
 // Golden values: pin the integer observables of one quick grid so *any*

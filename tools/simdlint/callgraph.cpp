@@ -24,7 +24,7 @@ const std::set<std::string>& ubiquitous_member_calls() {
       "get",    "reset",    "release",   "swap",     "top",      "pop",
       "pop_back", "pop_front", "c_str",  "str",      "length",   "value",
       "has_value", "substr", "compare",  "erase",    "first",    "second",
-      "fill",   "min",      "max",       "test",
+      "fill",   "min",      "max",       "test",     "insert",
   };
   return kNames;
 }
