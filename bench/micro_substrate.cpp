@@ -208,14 +208,23 @@ void BM_SparseMegaRendezvousHierarchical(benchmark::State& state) {
 }
 BENCHMARK(BM_SparseMegaRendezvousHierarchical);
 
+/// Skips the benchmark (and says why) when the host CPU cannot run the
+/// kernel build `isa`; returns whether it can.
+bool host_runs(benchmark::State& state, vec::Isa isa) {
+  if (vec::host_isa() >= isa) return true;
+  state.SkipWithError(isa == vec::Isa::kAvx512
+                          ? "host CPU lacks AVX-512 F/DQ/VL/BW"
+                          : "host CPU lacks AVX2/BMI2");
+  return false;
+}
+
 // One batched 15-puzzle kernel call over a full flag word (64 nodes into
 // 64 scratch rows), the batched step's expansion cost without its gather:
-// sec_per_node reads as the kernel's time per node.
+// sec_per_node reads as the kernel's time per node.  The argument is the
+// build: 1 AVX2, 2 AVX-512 (vec::Isa).
 void BM_FifteenKernel(benchmark::State& state) {
-  if (!vec::cpu_has_avx2()) {
-    state.SkipWithError("host CPU lacks AVX2/BMI2");
-    return;
-  }
+  const auto isa = static_cast<vec::Isa>(state.range(0));
+  if (!host_runs(state, isa)) return;
   const puzzle::FifteenPuzzle problem(puzzle::random_walk(7, 80));
   const search::Bound bound = problem.f_value(problem.root()) + 6;
   // A breadth-first frontier within the bound: mixed blanks, lasts and
@@ -233,8 +242,8 @@ void BM_FifteenKernel(benchmark::State& state) {
   std::vector<std::uint32_t> counts(64);
   for (auto _ : state) {
     search::NextBound next;
-    vec::expand_fifteen(nodes.data(), 64, bound, rows.data(), counts.data(),
-                        next);
+    vec::expand_group(isa, problem, nodes.data(), 64, bound, rows.data(),
+                      counts.data(), next, 0);
     benchmark::DoNotOptimize(kids.data());
     benchmark::DoNotOptimize(next);
   }
@@ -242,17 +251,13 @@ void BM_FifteenKernel(benchmark::State& state) {
       64, benchmark::Counter::kIsIterationInvariantRate |
               benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_FifteenKernel);
+BENCHMARK(BM_FifteenKernel)
+    ->Arg(static_cast<int>(vec::Isa::kAvx2))
+    ->Arg(static_cast<int>(vec::Isa::kAvx512));
 
-// The word step's scalar group loop, the counterpart of BM_FifteenKernel for
-// a domain without a kernel: one expand_row() call per node over a full
-// flag word (64 synthetic-tree nodes into 64 scratch rows; four child slots,
-// so one group), without the gather.  sec_per_node reads as the loop's time
-// per node.
-void BM_TreeWordKernel(benchmark::State& state) {
-  const synthetic::Tree tree(synthetic::Params{9013, 4, 0.395, 40});
-  // A breadth-first frontier past the root: mixed climates and child
-  // counts.
+/// The benchmark trees' batch: a breadth-first frontier past the root of a
+/// four-slot tree, 64 nodes of mixed climates and child counts.
+std::vector<synthetic::Tree::Node> tree_frontier(const synthetic::Tree& tree) {
   std::vector<synthetic::Tree::Node> nodes{tree.root()};
   search::NextBound nb;
   for (std::size_t i = 0; i < nodes.size() && nodes.size() < 64 + i; ++i) {
@@ -260,6 +265,16 @@ void BM_TreeWordKernel(benchmark::State& state) {
     tree.expand(n, search::kUnbounded, nodes, nb);
   }
   nodes.erase(nodes.begin(), nodes.end() - 64);
+  return nodes;
+}
+
+// The word step's scalar group loop, the counterpart of BM_TreeKernel: one
+// expand_row() call per node over a full flag word (64 synthetic-tree nodes
+// into 64 scratch rows; four child slots, so one group), without the
+// gather.  sec_per_node reads as the loop's time per node.
+void BM_TreeWordKernel(benchmark::State& state) {
+  const synthetic::Tree tree(synthetic::Params{9013, 4, 0.395, 40});
+  const std::vector<synthetic::Tree::Node> nodes = tree_frontier(tree);
   std::vector<std::array<synthetic::Tree::Node, 4>> kids(64);
   std::vector<std::array<synthetic::Tree::Node, 4>*> rows;
   for (auto& row : kids) rows.push_back(&row);
@@ -281,6 +296,32 @@ void BM_TreeWordKernel(benchmark::State& state) {
               benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_TreeWordKernel);
+
+// The same word through the synthetic-tree kernel (AVX-512 only): one
+// expand_group() call over the 64 nodes.  sec_per_node reads as the
+// kernel's time per node, to set against BM_TreeWordKernel's.
+void BM_TreeKernel(benchmark::State& state) {
+  if (!host_runs(state, vec::Isa::kAvx512)) return;
+  const synthetic::Tree tree(synthetic::Params{9013, 4, 0.395, 40});
+  const std::vector<synthetic::Tree::Node> nodes = tree_frontier(tree);
+  std::vector<std::array<synthetic::Tree::Node, 4>> kids(64);
+  std::vector<std::array<synthetic::Tree::Node, 4>*> rows;
+  for (auto& row : kids) rows.push_back(&row);
+  std::vector<std::uint32_t> counts(64);
+  for (auto _ : state) {
+    search::NextBound next;
+    vec::expand_group(vec::Isa::kAvx512, tree, nodes.data(), 64,
+                      search::kUnbounded, rows.data(), counts.data(), next,
+                      0);
+    benchmark::DoNotOptimize(kids.data());
+    benchmark::DoNotOptimize(counts.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["sec_per_node"] = benchmark::Counter(
+      64, benchmark::Counter::kIsIterationInvariantRate |
+              benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_TreeKernel);
 
 }  // namespace
 

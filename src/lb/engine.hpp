@@ -50,9 +50,11 @@
 // (search::RowTreeProblem, which every bundled domain is) works as the
 // paper's machine does, one expansion over all of a word's lanes: it pops
 // them all first, noting each one's top row, then expands the popped nodes
-// one group of four child slots at a time — through the 15-puzzle kernel
-// where vec::batch_applies holds (vec/expand.hpp), else through one
-// expand_row() call per node — committing every lane's row between groups.
+// one group of four child slots at a time — through the domain's word
+// kernel (vec::expand_group: the 15-puzzle's AVX2 or AVX-512 build, or the
+// synthetic tree's AVX-512 build) where vec::kernel_rule picks one
+// (vec/expand.hpp), else through one expand_row() call per node —
+// committing every lane's row between groups.
 // The vector step, for a problem type without expand_row(), pops and
 // expands lane by lane through expand().  Both stacks take rows the same
 // way: a WorkStack's top row is its own storage, a CompactStack's a staging
@@ -133,10 +135,19 @@ class Engine {
   /// Throws simdts::ConfigError on an invalid scheme configuration (see
   /// SchemeConfig::validate).
   Engine(const P& problem, simd::Machine& machine, SchemeConfig cfg)
+      : Engine(problem, machine, cfg, vec::host_isa()) {}
+
+ protected:
+  /// The engine as built on a CPU whose widest kernel instruction set is
+  /// `cpu`, which this CPU must run: the seam through which tests run each
+  /// kernel build end to end.  The public constructor passes
+  /// vec::host_isa().
+  Engine(const P& problem, simd::Machine& machine, SchemeConfig cfg,
+         vec::Isa cpu)
       : problem_(problem),
         machine_(machine),
         cfg_(cfg),
-        kernel_(select_kernel(problem, machine.size())),
+        kernel_(select_kernel(problem, machine.size(), cpu)),
         matcher_(cfg.match),
         stacks_(machine.size()),
         busy_flags_(machine.size()),
@@ -163,6 +174,7 @@ class Engine {
 #endif
   }
 
+ public:
   /// Arms a fault plan: the plan's events fire on this engine's cumulative
   /// expand-cycle clock (across IDA* iterations of one run).  The plan is
   /// validated against the machine size; passing nullptr disarms.  Arming
@@ -190,10 +202,11 @@ class Engine {
     return search::RowTreeProblem<P> ? ExpandStep::kWord : ExpandStep::kVector;
   }
 
-  /// Whether the word step expands through the 15-puzzle kernel
-  /// (vec::batch_applies, decided at construction).  Results are identical
-  /// either way.
-  [[nodiscard]] bool uses_kernel() const noexcept { return kernel_; }
+  /// Whether the word step expands through a word kernel (vec::kernel_rule,
+  /// decided at construction).  Results are identical either way.
+  [[nodiscard]] bool uses_kernel() const noexcept {
+    return kernel_ != vec::Isa::kNone;
+  }
 
   /// Watchdog: a nonzero budget bounds the expand cycles of each bounded DFS
   /// (each run_iteration / IDA* iteration); exceeding it throws
@@ -448,13 +461,16 @@ class Engine {
     std::array<std::uint32_t, simd::BitPlane::kWordBits> counts;
   };
 
-  /// The kernel rule: the word step expands through vec::expand_fifteen
-  /// where the problem has a batch kernel and vec::batch_applies says it
-  /// pays, else through expand_row().
-  static bool select_kernel([[maybe_unused]] const P& problem,
-                            [[maybe_unused]] std::uint32_t pes) {
-    if constexpr (vec::kHasKernel<P>) return vec::batch_applies(problem, pes);
-    return false;
+  /// The kernel rule: the word step expands through the build of
+  /// vec::expand_group that vec::kernel_rule picks for the problem, the
+  /// machine size and the CPU, else (Isa::kNone) through expand_row().
+  static vec::Isa select_kernel([[maybe_unused]] const P& problem,
+                                [[maybe_unused]] std::uint32_t pes,
+                                [[maybe_unused]] vec::Isa cpu) {
+    if constexpr (vec::kHasKernel<P>) {
+      return vec::kernel_rule(problem, pes, cpu);
+    }
+    return vec::Isa::kNone;
   }
 
   /// Pushes the first n nodes of st's last top_row() onto `st` in order: a
@@ -501,7 +517,7 @@ class Engine {
   ///   word:    pop all active bits, rows[j] = top_row
   ///            -> prefetch next word's tops
   ///            -> per slot group: (commit(count[j]), rows[j] = top_row)
-  ///               after the first; expand_fifteen(rows) or
+  ///               after the first; expand_group(rows) or
   ///               expand_row(nodes[j], *rows[j]) for each j
   ///            for each active bit:  commit(count[j]) -> flag/census
   ///   vector:  prefetch this word's tops
@@ -516,9 +532,9 @@ class Engine {
     const std::size_t nwords = idle_flags_.word_count();
     const std::uint64_t last_mask = idle_flags_.word_mask(nwords - 1);
     constexpr bool kWordStep = step() == ExpandStep::kWord;
-    // Constant false for problems without a kernel, so their walk compiles
+    // Constant kNone for problems without a kernel, so their walk compiles
     // without it.
-    const bool kernel = vec::kHasKernel<P> && kernel_;
+    const vec::Isa kernel = vec::kHasKernel<P> ? kernel_ : vec::Isa::kNone;
     std::int64_t d_nonempty = 0;    // minus the lanes that ran dry
     std::int64_t d_splittable = 0;  // splittable transitions, either way
     search::NextBound next_bound;   // least f-value pruned this cycle
@@ -679,13 +695,12 @@ class Engine {
   /// Each group after the first commits the previous group's counts and
   /// takes a fresh top row per lane.  On return node j's last group sits in
   /// the first scratch_.counts[j] slots of *scratch_.rows[j], uncommitted.
-  /// With `kernel` the 15-puzzle kernel expands the group (it has exactly
-  /// one), else one expand_row() call per node.  Returns the word's goal
-  /// bits.
+  /// With a `kernel` build one vec::expand_group() call expands each group,
+  /// else one expand_row() call per node.  Returns the word's goal bits.
   // SIMDLINT-REGION(lockstep)
   std::uint64_t expand_word(StackT* lanes, std::uint64_t active,
                             const StackT* next_lanes,
-                            std::uint64_t next_active, bool kernel,
+                            std::uint64_t next_active, vec::Isa kernel,
                             search::Bound bound,
                             search::NextBound& next_bound) {
     Node* const nodes = scratch_.nodes.data();
@@ -721,8 +736,9 @@ class Engine {
         }
       }
       if constexpr (vec::kHasKernel<P>) {
-        if (kernel) {
-          vec::expand_fifteen(nodes, count, bound, rows, counts, next_bound);
+        if (kernel != vec::Isa::kNone) {
+          vec::expand_group(kernel, problem_, nodes, count, bound, rows,
+                            counts, next_bound, first);
           continue;
         }
       }
@@ -1117,7 +1133,7 @@ class Engine {
   const P& problem_;
   simd::Machine& machine_;
   SchemeConfig cfg_;
-  const bool kernel_;  ///< word step through the kernel (select_kernel)
+  const vec::Isa kernel_;  ///< the word kernel's build (select_kernel)
   Matcher matcher_;
   std::vector<StackT> stacks_;  ///< one per lane, never resized
   simd::BitPlane busy_flags_;   ///< splittable, maintained in place

@@ -81,7 +81,7 @@ class WorkStack {
   /// Reserves the four contiguous slots above the top and returns them as
   /// one row, for a caller that writes up to four children in place and
   /// then commit()s how many it wrote: the expansion cycle's word step
-  /// (search::RowTreeProblem, vec::expand_fifteen).  Room is
+  /// (search::RowTreeProblem, vec::expand_group).  Room is
   /// made for four (so the buffer can grow a few pushes earlier than
   /// push() alone would); the row's contents are indeterminate until
   /// written, and the slots past the committed count stay dead storage that

@@ -93,7 +93,7 @@ class Tree {
     const std::uint16_t climate = n.climate;
     std::uint32_t k = 0;
     for (std::uint32_t j = 0; j < slots; ++j) {
-      const std::uint64_t h = hash2(id, 0x4348494C44ULL + first + j);
+      const std::uint64_t h = child_hash(id, first + j);
       row[k] = Node{h, depth, drift_climate(climate, h)};
       k += static_cast<std::uint32_t>((h >> 11) < thr);
     }
@@ -112,7 +112,7 @@ class Tree {
   [[nodiscard]] std::uint8_t encode_delta(const Node& parent,
                                           const Node& child) const {
     for (std::uint32_t i = 0; i < params_.max_children; ++i) {
-      if (hash2(parent.id, 0x4348494C44ULL + i) == child.id) {
+      if (child_hash(parent.id, i) == child.id) {
         return static_cast<std::uint8_t>(i);
       }
     }
@@ -121,7 +121,7 @@ class Tree {
 
   /// Recomputes slot `delta`'s child with exactly expand()'s arithmetic.
   [[nodiscard]] Node decode_delta(const Node& n, std::uint8_t delta) const {
-    const std::uint64_t h = hash2(n.id, 0x4348494C44ULL + delta);
+    const std::uint64_t h = child_hash(n.id, delta);
     return Node{h, static_cast<std::uint16_t>(n.depth + 1),
                 drift_climate(n.climate, h)};
   }
@@ -139,6 +139,13 @@ class Tree {
     return x;
   }
 
+  /// The id of slot `slot`'s candidate child of the node with id `id`; the
+  /// child exists when `(h >> 11) < existence_threshold(parent climate)`.
+  [[nodiscard]] static std::uint64_t child_hash(std::uint64_t id,
+                                                std::uint32_t slot) {
+    return hash2(id, 0x4348494C44ULL + slot);
+  }
+
   /// Maps a hash to [0, 1).  Slot existence is defined as
   /// `normalized(h) < p`; expand_row() evaluates it in integers
   /// (existence_threshold).
@@ -152,6 +159,8 @@ class Tree {
   /// scaling by 2^53 are exact in double, and for an integer x, x < s
   /// exactly when x < ceil(s).  p >= 1 gives 2^53 (every slot), p <= 0 and
   /// NaN give 0 (none), so the conversion never leaves uint64's range.
+  /// The climate factor's sum is exact, so contracting it into an FMA
+  /// cannot change the result.
   [[nodiscard]] std::uint64_t existence_threshold(
       std::uint16_t climate) const {
     const double p =
@@ -162,9 +171,9 @@ class Tree {
     return static_cast<std::uint64_t>(std::ceil(scaled));
   }
 
- private:
   /// Random-walk step of the climate, clamped to the uint16 range.  Shared
-  /// by expand_row() and decode_delta(), which must agree bit for bit.
+  /// by expand_row(), decode_delta() and the tree kernel, which must agree
+  /// bit for bit.
   [[nodiscard]] static std::uint16_t drift_climate(std::uint16_t climate,
                                                    std::uint64_t h) {
     const auto delta = static_cast<std::int32_t>((h >> 40) % 8192) - 4096;
@@ -174,6 +183,7 @@ class Tree {
     return static_cast<std::uint16_t>(next);
   }
 
+ private:
   Params params_;
 };
 

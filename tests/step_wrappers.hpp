@@ -2,8 +2,8 @@
 //
 // lb::Engine picks its step from the problem's type (lb::ExpandStep): the
 // word step for a type with expand_row() (search::RowTreeProblem), which
-// runs the 15-puzzle kernel where the type has one (vec::kHasKernel) and
-// vec::batch_applies holds, and the vector step for every other
+// runs a word kernel where the type has one (vec::kHasKernel) and
+// vec::kernel_rule picks a build, and the vector step for every other
 // TreeProblem.  Wrapping a domain in a type that forwards only part of its
 // interface makes the engine take a chosen path while it searches exactly
 // the same tree, which is what the step-equivalence oracles compare against.

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -19,8 +20,10 @@
 #include "puzzle/workloads.hpp"
 #include "runtime/sweep.hpp"
 #include "search/serial.hpp"
+#include "step_wrappers.hpp"
 #include "synthetic/tree.hpp"
 #include "synthetic/workloads.hpp"
+#include "vec/expand.hpp"
 
 namespace simdts::fault {
 namespace {
@@ -240,24 +243,31 @@ TEST(FaultTransparency, EmptyPlanIsBitIdenticalToUnarmed) {
 
   // The synthetic tree at P = 1024 under GP-S^0.90: the word step, the
   // summary-hopping lb walk over 16 plane words, and every fault-checking
-  // branch taken each cycle with no event ever firing.
+  // branch taken each cycle with no event ever firing — on the scalar loop
+  // (RowStep<Tree> has no kernel) and on the tree's own word kernel where
+  // the CPU has AVX-512.
   const synthetic::SyntheticWorkload& syn = synthetic::test_workloads()[2];
-  const synthetic::Tree tree(syn.params);
-  simd::Machine m1(1024, simd::cm2_cost_model());
-  lb::Engine<synthetic::Tree> unarmed(tree, m1, lb::gp_static(0.9));
-  ASSERT_EQ(unarmed.step(), lb::ExpandStep::kWord);
-  ASSERT_FALSE(unarmed.uses_kernel());
-  const lb::RunStats a = unarmed.run();
+  const auto expect_transparent = [&](const auto& tree, bool kernel) {
+    using Tree = std::remove_cvref_t<decltype(tree)>;
+    simd::Machine m1(1024, simd::cm2_cost_model());
+    lb::Engine<Tree> unarmed(tree, m1, lb::gp_static(0.9));
+    ASSERT_EQ(unarmed.step(), lb::ExpandStep::kWord);
+    ASSERT_EQ(unarmed.uses_kernel(), kernel);
+    const lb::RunStats a = unarmed.run();
 
-  simd::Machine m2(1024, simd::cm2_cost_model());
-  lb::Engine<synthetic::Tree> armed(tree, m2, lb::gp_static(0.9));
-  armed.arm_faults(&empty);
-  const lb::RunStats b = armed.run();
+    simd::Machine m2(1024, simd::cm2_cost_model());
+    lb::Engine<Tree> armed(tree, m2, lb::gp_static(0.9));
+    armed.arm_faults(&empty);
+    const lb::RunStats b = armed.run();
 
-  EXPECT_EQ(a.total.nodes_expanded, syn.w);
-  EXPECT_GT(a.total.lb_phases, 0u);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(m1.clock(), m2.clock());
+    EXPECT_EQ(a.total.nodes_expanded, syn.w);
+    EXPECT_GT(a.total.lb_phases, 0u);
+    EXPECT_EQ(a, b);
+    EXPECT_EQ(m1.clock(), m2.clock());
+  };
+  expect_transparent(oracle::RowStep<synthetic::Tree>(syn.params), false);
+  expect_transparent(synthetic::Tree(syn.params),
+                     vec::host_isa() == vec::Isa::kAvx512);
 }
 
 TEST(FaultTransparency, FaultCountersZeroWithoutAPlan) {

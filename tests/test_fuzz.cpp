@@ -11,6 +11,7 @@
 #include "simd/cost_model.hpp"
 #include "step_wrappers.hpp"
 #include "synthetic/tree.hpp"
+#include "vec/expand.hpp"
 
 namespace simdts {
 namespace {
@@ -67,13 +68,25 @@ TEST_P(FuzzSweep, EngineConservesAndTerminates) {
     // Any P in 1..256, so partial flag words (P < 64, P not a multiple of
     // 64) are drawn as well as whole ones.
     const auto p = static_cast<std::uint32_t>(1 + mix(seed + variant) % 256);
+    // The word step's scalar loop: RowStep<Tree> has no kernel at any P.
     simd::Machine machine(p, simd::cm2_cost_model());
-    lb::Engine<synthetic::Tree> engine(tree, machine, cfg);
+    const oracle::RowStep<synthetic::Tree> scalar_tree(tree_params);
+    lb::Engine<oracle::RowStep<synthetic::Tree>> engine(scalar_tree, machine,
+                                                        cfg);
     ASSERT_EQ(engine.step(), lb::ExpandStep::kWord);
     ASSERT_FALSE(engine.uses_kernel());
     const lb::IterationStats it = engine.run_iteration(search::kUnbounded);
 
     ASSERT_EQ(it.nodes_expanded, serial.nodes_expanded)
+        << "seed=" << seed << " cfg=" << cfg.name() << " P=" << p;
+    // The kernel axis: the tree itself takes its word kernel at P >= 64
+    // where the CPU has AVX-512, and must reproduce every result.
+    simd::Machine kernel_machine(p, simd::cm2_cost_model());
+    lb::Engine<synthetic::Tree> kernel_engine(tree, kernel_machine, cfg);
+    ASSERT_EQ(kernel_engine.step(), lb::ExpandStep::kWord);
+    ASSERT_EQ(kernel_engine.uses_kernel(),
+              p >= 64 && vec::host_isa() == vec::Isa::kAvx512);
+    EXPECT_EQ(kernel_engine.run_iteration(search::kUnbounded), it)
         << "seed=" << seed << " cfg=" << cfg.name() << " P=" << p;
     // The expansion-step axis: the same config on the vector step (a
     // wrapper without expand_row) must reproduce every result.

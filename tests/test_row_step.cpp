@@ -1,5 +1,6 @@
-// The word step's scalar path (search::RowTreeProblem, lb::ExpandStep::kWord
-// without the 15-puzzle kernel) against the vector step.
+// The word step (search::RowTreeProblem, lb::ExpandStep::kWord) against the
+// vector step: its scalar path, and where a domain has a word kernel
+// (vec::kHasKernel) its kernel path too.
 //
 // Two layers of contract:
 //  - per node: the expand_row() calls of every slot group, concatenated in
@@ -12,7 +13,9 @@
 //    sequences and recovery journals as one on the vector step, across the
 //    six Table-1 schemes, machine sizes around one flag word, both stack
 //    representations (where the domain has a delta codec), an armed
-//    FaultPlan, and for TSP all three search modes.
+//    FaultPlan, and for TSP all three search modes.  The scalar leg of a
+//    domain with a kernel runs through oracle::RowStep, which has none; its
+//    kernel leg runs the domain type itself and asserts the kernel rule.
 // The vector-step reference is oracle::VectorStep (tests/step_wrappers.hpp),
 // a forwarding wrapper without expand_row().  Every domain's expand() is
 // search::expand_rows() over its expand_row(), so the per-node tests pin
@@ -66,6 +69,7 @@ static_assert(!search::RowTreeProblem<VectorStep<FifteenPuzzle>>);
 static_assert(!search::RowTreeProblem<VectorStep<Tsp>>);
 static_assert(!search::RowTreeProblem<VectorStep<Queens>>);
 static_assert(search::RowTreeProblem<RowStep<FifteenPuzzle>>);
+static_assert(search::RowTreeProblem<RowStep<Tree>>);
 static_assert(search::DeltaTreeProblem<VectorStep<Tree>>);
 // A CompactStack takes children only as rows.
 template <typename P>
@@ -74,6 +78,8 @@ static_assert(HasCompactEngine<Tree>);
 static_assert(!HasCompactEngine<VectorStep<Tree>>);
 static_assert(search::UndoDeltaProblem<RowStep<FifteenPuzzle>>);
 static_assert(!vec::kHasKernel<RowStep<FifteenPuzzle>>);
+static_assert(!vec::kHasKernel<RowStep<Tree>>);
+static_assert(search::DeltaTreeProblem<RowStep<Tree>>);
 
 std::uint64_t splitmix(std::uint64_t& s) {
   std::uint64_t z = (s += 0x9E3779B97F4A7C15ULL);
@@ -251,18 +257,28 @@ TEST(TreeRow, ExpandReadsAParentThatLivesInTheOutputVector) {
 TEST(TreeRow, RowStepForEveryMaxChildren) {
   simd::Machine m64(64, simd::cm2_cost_model());
   simd::Machine m1(1, simd::cm2_cost_model());
+  const bool avx512 = vec::host_isa() == vec::Isa::kAvx512;
   for (std::uint32_t mc = 1; mc <= 12; ++mc) {
     const Tree t(Params{5, mc, 0.3, 8});
-    const Engine<Tree> wide(t, m64, gp_dk());
+    const RowStep<Tree> scalar_t(t.params());
+    const Engine<RowStep<Tree>> wide(scalar_t, m64, gp_dk());
     const Engine<Tree> narrow(t, m1, gp_dk());
-    const CompactEngine<Tree> compact(t, m64, gp_dk());
+    const CompactEngine<RowStep<Tree>> compact(scalar_t, m64, gp_dk());
     EXPECT_EQ(wide.step(), ExpandStep::kWord) << mc;
     EXPECT_EQ(narrow.step(), ExpandStep::kWord) << mc;
     EXPECT_EQ(compact.step(), ExpandStep::kWord) << mc;
-    // The tree has no kernel: the word step's scalar loop at every P.
+    // RowStep<Tree> has no kernel: the word step's scalar loop at every P,
+    // as has the tree itself below kMinBatchPes.
     EXPECT_FALSE(wide.uses_kernel()) << mc;
     EXPECT_FALSE(narrow.uses_kernel()) << mc;
     EXPECT_FALSE(compact.uses_kernel()) << mc;
+    // The tree itself takes its kernel at P >= 64 where the CPU has
+    // AVX-512, for every max_children.
+    const Engine<Tree> kernel_wide(t, m64, gp_dk());
+    const CompactEngine<Tree> kernel_compact(t, m64, gp_dk());
+    EXPECT_EQ(kernel_wide.step(), ExpandStep::kWord) << mc;
+    EXPECT_EQ(kernel_wide.uses_kernel(), avx512) << mc;
+    EXPECT_EQ(kernel_compact.uses_kernel(), avx512) << mc;
     const VectorStep<Tree> wrapped(t.params());
     EXPECT_EQ(Engine<VectorStep<Tree>>(wrapped, m64, gp_dk()).step(),
               ExpandStep::kVector)
@@ -524,6 +540,21 @@ struct Outcome {
   std::vector<fault::RecoveryRecord> journal;
 };
 
+/// Whether an engine over `problem` at P = p takes a word kernel on this
+/// host: the kernel legs' expectation.  Every type without a kernel
+/// (wrappers, TSP, queens, the test-local trees) takes the scalar loop.
+template <typename P>
+bool want_kernel(const P& /*problem*/, std::uint32_t /*p*/) {
+  return false;
+}
+bool want_kernel(const Tree& /*problem*/, std::uint32_t p) {
+  return p >= 64 && vec::host_isa() == vec::Isa::kAvx512;
+}
+bool want_kernel(const FifteenPuzzle& problem, std::uint32_t p) {
+  return problem.heuristic() == puzzle::Heuristic::kManhattan && p >= 64 &&
+         vec::host_isa() >= vec::Isa::kAvx2;
+}
+
 template <typename P, typename StackT>
 Outcome<typename P::Node> run_engine(const P& problem, std::uint32_t p,
                                      const SchemeConfig& cfg,
@@ -532,9 +563,9 @@ Outcome<typename P::Node> run_engine(const P& problem, std::uint32_t p,
   simd::Machine m(p, simd::cm2_cost_model());
   Engine<P, StackT> engine(problem, m, cfg);
   EXPECT_EQ(engine.step(), want_step);
-  // The oracles compare the scalar paths; the kernel has its own
-  // (tests/test_vector_backend.cpp).
-  EXPECT_FALSE(engine.uses_kernel());
+  // The scalar legs never take a kernel; a kernel leg takes one exactly
+  // where the rule says (tests/test_vector_backend.cpp pins the rule).
+  EXPECT_EQ(engine.uses_kernel(), want_kernel(problem, p));
   engine.arm_faults(plan);
   Outcome<typename P::Node> o;
   switch (mode) {
@@ -583,10 +614,32 @@ SchemeConfig table1_scheme(int i) {
   }
 }
 
+/// The word-step legs of one problem type against a reference: WorkStack,
+/// and CompactStack where the domain has a delta codec.
+template <typename RowP, typename Node>
+void expect_word_legs_identical(const RowP& row_problem, std::uint32_t p,
+                                const SchemeConfig& cfg,
+                                const fault::FaultPlan* armed, Mode mode,
+                                const Outcome<Node>& ref, const char* what) {
+  SCOPED_TRACE(what);
+  expect_same_outcome(run_engine<RowP, search::WorkStack<Node>>(
+                          row_problem, p, cfg, armed, ExpandStep::kWord, mode),
+                      ref, "word step, WorkStack");
+  if constexpr (search::DeltaTreeProblem<RowP>) {
+    expect_same_outcome(run_engine<RowP, search::CompactStack<RowP>>(
+                            row_problem, p, cfg, armed, ExpandStep::kWord,
+                            mode),
+                        ref, "word step, CompactStack");
+  }
+}
+
 /// For every P x {unarmed, armed} under `cfg` and `mode`: the vector step
 /// on WorkStack is the reference; the word step on WorkStack must reproduce
 /// it exactly, and so must the word step on CompactStack where the domain
-/// has a delta codec.
+/// has a delta codec.  A RowStep<Inner> row problem (the scalar leg: no
+/// kernel at any P) whose Inner has a word kernel also runs Inner itself
+/// against the same reference (the kernel leg, which takes the kernel
+/// where the rule gives it one).
 template <typename RowP, typename VecP>
 void expect_steps_identical(
     const RowP& row_problem, const VecP& vec_problem, const SchemeConfig& cfg,
@@ -608,15 +661,13 @@ void expect_steps_identical(
       if (armed != nullptr && p > 1 && mode == Mode::kIda) {
         EXPECT_GT(ref.stats.total.pes_killed, 0u);
       }
-      expect_same_outcome(run_engine<RowP, search::WorkStack<Node>>(
-                              row_problem, p, cfg, armed, ExpandStep::kWord,
-                              mode),
-                          ref, "word step, WorkStack");
-      if constexpr (search::DeltaTreeProblem<RowP>) {
-        expect_same_outcome(run_engine<RowP, search::CompactStack<RowP>>(
-                                row_problem, p, cfg, armed, ExpandStep::kWord,
-                                mode),
-                            ref, "word step, CompactStack");
+      expect_word_legs_identical(row_problem, p, cfg, armed, mode, ref,
+                                 "scalar leg");
+      if constexpr (requires { row_problem.inner; }) {
+        if constexpr (vec::kHasKernel<decltype(row_problem.inner)>) {
+          expect_word_legs_identical(row_problem.inner, p, cfg, armed, mode,
+                                     ref, "kernel leg");
+        }
       }
     }
   }
@@ -627,12 +678,13 @@ void expect_steps_identical(
 class RowOracle : public ::testing::TestWithParam<int> {};
 
 TEST_P(RowOracle, SyntheticTreeIdenticalToVectorStep) {
-  // One tree per child-slot count, W between about 1.5k and 2.2k.
+  // One tree per child-slot count, W between about 1.5k and 2.2k.  The
+  // scalar leg is RowStep<Tree>, the kernel leg the tree itself.
   const std::array<Params, 3> trees{Params{9103, 2, 0.75, 14},
                                     Params{9103, 3, 0.55, 14},
                                     Params{9104, 4, 0.45, 10}};
   for (const Params& params : trees) {
-    expect_steps_identical(Tree(params), VectorStep<Tree>(params),
+    expect_steps_identical(RowStep<Tree>(params), VectorStep<Tree>(params),
                            table1_scheme(GetParam()),
                            31 * params.max_children);
   }
@@ -646,7 +698,7 @@ TEST_P(RowOracle, WideSyntheticTreesIdenticalToVectorStep) {
                                            10809, 9310,  9511,  11412};
   for (std::uint32_t mc = 5; mc <= 12; ++mc) {
     const Params params{seeds[mc - 5], mc, 1.5 / mc, 12};
-    expect_steps_identical(Tree(params), VectorStep<Tree>(params),
+    expect_steps_identical(RowStep<Tree>(params), VectorStep<Tree>(params),
                            table1_scheme(GetParam()), 37 * mc);
   }
 }

@@ -80,13 +80,20 @@ void expect_fires(const char* invariant, Fn&& fn) {
 /// synthetic::Tree behind a wrapper without expand_row(): the same tree on
 /// the vector step.
 using VectorTree = oracle::VectorStep<synthetic::Tree>;
+/// synthetic::Tree behind a wrapper with expand_row() but no kernel: the
+/// word step's scalar loop at every P.
+using ScalarTree = oracle::RowStep<synthetic::Tree>;
+
+/// Whether the host runs the synthetic-tree kernel (AVX-512 only).
+bool tree_kernel_runs() { return vec::host_isa() == vec::Isa::kAvx512; }
 
 /// A moderate synthetic-tree run that exercises expansion, lb phases and
 /// (with a plan) the kill/recovery path — the scenario every engine-level
-/// mutation test perturbs.  `Problem` picks the expansion step: the Tree
-/// itself takes the word step (its scalar loop), VectorTree the vector
-/// step, and each mutation test runs both.
-template <typename Problem = synthetic::Tree>
+/// mutation test perturbs.  `Problem` picks the expansion step: ScalarTree
+/// takes the word step's scalar loop, VectorTree the vector step, and each
+/// mutation test runs both; the Tree itself takes its word kernel at
+/// P >= 64 where the CPU has AVX-512 (the scalar loop elsewhere).
+template <typename Problem = ScalarTree>
 lb::RunStats run_synthetic(std::uint32_t p,
                            const fault::FaultPlan* plan = nullptr) {
   const Problem tree(synthetic::Params{9013, 4, 0.395, 14});
@@ -95,7 +102,8 @@ lb::RunStats run_synthetic(std::uint32_t p,
   EXPECT_EQ(engine.step(), search::RowTreeProblem<Problem>
                                ? lb::ExpandStep::kWord
                                : lb::ExpandStep::kVector);
-  EXPECT_FALSE(engine.uses_kernel());
+  EXPECT_EQ(engine.uses_kernel(), vec::kHasKernel<Problem> && p >= 64 &&
+                                      tree_kernel_runs());
   if (plan != nullptr) engine.arm_faults(plan);
   return engine.run();
 }
@@ -116,7 +124,7 @@ lb::RunStats run_batched_puzzle(std::uint32_t p,
 }
 
 #define SKIP_WITHOUT_AVX2()                                              \
-  if (!vec::cpu_has_avx2()) {                                            \
+  if (vec::host_isa() < vec::Isa::kAvx2) {                               \
     GTEST_SKIP() << "host CPU lacks AVX2/BMI2: no kernel path to test";  \
   }
 
@@ -143,9 +151,13 @@ TEST(Sanitizer, CleanRunPassesAllChecksArmedAndDisarmed) {
   const lb::RunStats vector =
       armed_equals_disarmed([] { return run_synthetic<VectorTree>(64); });
   EXPECT_EQ(vector, row);
-  if (vec::cpu_has_avx2()) {
+  if (vec::host_isa() >= vec::Isa::kAvx2) {
     armed_equals_disarmed([] { return run_batched_puzzle(64); });
   }
+  // The tree's own word kernel (the scalar loop without AVX-512).
+  EXPECT_EQ(armed_equals_disarmed(
+                [] { return run_synthetic<synthetic::Tree>(64); }),
+            row);
 }
 
 TEST(Sanitizer, CleanBatchedPuzzleRunPassesAllChecks) {
@@ -219,6 +231,8 @@ TEST(SanitizerMutation, ExpandingADeadLaneTripsDeadLaneBatched) {
   san::mutation().expand_dead_lane = true;
   const fault::FaultPlan plan({{2, fault::FaultKind::kKillPe, 0, 0}});
   expect_fires("dead-lane", [&] { run_batched_puzzle(64, &plan); });
+  expect_fires("dead-lane",
+               [&] { run_synthetic<synthetic::Tree>(64, &plan); });
 }
 
 TEST(SanitizerMutation, CorruptedTailTripsTailBitsBatched) {
@@ -226,6 +240,7 @@ TEST(SanitizerMutation, CorruptedTailTripsTailBitsBatched) {
   MutationGuard guard;
   san::mutation().corrupt_tail = true;
   expect_fires("tail-bits", [] { run_batched_puzzle(100); });
+  expect_fires("tail-bits", [] { run_synthetic<synthetic::Tree>(100); });
 }
 
 TEST(SanitizerMutation, DroppedCensusDeltaTripsCensusDivergenceBatched) {
@@ -233,40 +248,47 @@ TEST(SanitizerMutation, DroppedCensusDeltaTripsCensusDivergenceBatched) {
   MutationGuard guard;
   san::mutation().drop_census_delta = true;
   expect_fires("census-divergence", [] { run_batched_puzzle(64); });
+  expect_fires("census-divergence",
+               [] { run_synthetic<synthetic::Tree>(64); });
 }
 
-/// One run on the word step's scalar loop (never the kernel) over stack
-/// `StackT`, for the row-commit mutations.
+/// One run on the word step over stack `StackT`, for the row-commit
+/// mutations; `kernel` says whether it must take a word kernel.
 template <typename Problem, typename StackT>
-void run_scalar_word(const Problem& problem, std::uint32_t p) {
+void run_word(const Problem& problem, std::uint32_t p, bool kernel) {
   simd::Machine machine(p, simd::cm2_cost_model());
   lb::Engine<Problem, StackT> engine(problem, machine, lb::gp_static(0.9));
   EXPECT_EQ(engine.step(), lb::ExpandStep::kWord);
-  EXPECT_FALSE(engine.uses_kernel());
+  EXPECT_EQ(engine.uses_kernel(), kernel);
   engine.run();
 }
 
-/// The scalar word loop's commits on every shape, over the stacks
-/// `StackOf` picks: a four-slot tree (only the bit loop's commit), a
-/// nine-slot tree (the group loop commits between slot groups too) and the
+/// The word step's commits on every shape, over the stacks `StackOf`
+/// picks: a four-slot tree (only the bit loop's commit), a nine-slot tree
+/// (the group loop commits between slot groups too) and the
 /// linear-conflict 15-puzzle (no kernel), each inside one flag word and
-/// across three.
+/// across three.  The trees run twice: on the scalar loop (ScalarTree) and
+/// through the tree kernel where the CPU has AVX-512.
 template <template <typename> typename StackOf>
 void expect_overcommit_fires() {
-  const synthetic::Tree narrow(synthetic::Params{9013, 4, 0.395, 14});
-  const synthetic::Tree wide(synthetic::Params{9013, 9, 1.5 / 9, 12});
+  const synthetic::Params narrow{9013, 4, 0.395, 14};
+  const synthetic::Params wide{9013, 9, 1.5 / 9, 12};
   const puzzle::FifteenPuzzle puzzle(puzzle::test_workloads()[2].board(),
                                      puzzle::Heuristic::kLinearConflict);
   for (const std::uint32_t p : {64u, 130u}) {
+    for (const synthetic::Params& params : {narrow, wide}) {
+      expect_fires("row-commit", [&] {
+        run_word<ScalarTree, StackOf<ScalarTree>>(ScalarTree(params), p,
+                                                  false);
+      });
+      expect_fires("row-commit", [&] {
+        run_word<synthetic::Tree, StackOf<synthetic::Tree>>(
+            synthetic::Tree(params), p, tree_kernel_runs());
+      });
+    }
     expect_fires("row-commit", [&] {
-      run_scalar_word<synthetic::Tree, StackOf<synthetic::Tree>>(narrow, p);
-    });
-    expect_fires("row-commit", [&] {
-      run_scalar_word<synthetic::Tree, StackOf<synthetic::Tree>>(wide, p);
-    });
-    expect_fires("row-commit", [&] {
-      run_scalar_word<puzzle::FifteenPuzzle, StackOf<puzzle::FifteenPuzzle>>(
-          puzzle, p);
+      run_word<puzzle::FifteenPuzzle, StackOf<puzzle::FifteenPuzzle>>(
+          puzzle, p, false);
     });
   }
 }
