@@ -11,18 +11,21 @@
 // baselines) are expressed through SchemeConfig; the engine itself is
 // domain-independent over any TreeProblem.
 //
-// Hot-path structure: the busy/idle flag planes are *packed bit planes*
-// (simd::BitPlane, one std::uint64_t word per 64 lanes), and the census (how
-// many stacks are non-empty / splittable / empty) is maintained incrementally
-// — the expansion cycle walks only the active lanes (one word load covers 64
-// lanes; a fully idle or dead block costs a single test) and accumulates
-// census *deltas*; work transfers reclassify exactly the donor and receiver
-// they move nodes between.  Matching enumerations are word-level
-// popcount/countr_zero walks over the same planes.  Every bundled domain
-// writes a popped node's children in place, four child slots at a time,
-// into the four slots above the lane's stack top (top_row), and the stack
-// is advanced by the child count (commit), so no step copies a child
-// through a vector or branches on how many a node had (see expand_cycle).
+// Hot-path structure: the lane state is one object, lb::Lanes
+// (lb/lanes.hpp): the per-lane stacks, the busy/idle/dead flag planes
+// (packed simd::BitPlanes, one std::uint64_t word per 64 lanes), their
+// summaries, and the census (how many lanes are non-empty and splittable;
+// the empty count is derived, alive - non-empty).  Lanes is the only code
+// that writes them: the expansion cycle walks only the active lanes (one
+// word load covers 64 lanes; a fully idle or dead block costs a single
+// test) and settles each word through it, and work transfers and fault
+// events reclassify exactly the lanes they change.  Matching enumerations
+// are word-level popcount/countr_zero walks over the same planes.  Every
+// bundled domain writes a popped node's children in place, four child
+// slots at a time, into the four slots above the lane's stack top
+// (top_row), and the stack is advanced by the child count (commit), so no
+// step copies a child through a vector or branches on how many a node had
+// (see expand_cycle).
 //
 // Determinism: the run is a pure function of (problem, P, config, cost
 // model, fault plan).  An engine runs on one host thread: each lock-step
@@ -69,7 +72,7 @@
 // at construction and never resized, so a flag word's 64 stacks are one
 // contiguous run and every address is stable for the engine's life; each
 // flag plane carries a simd::SummaryPlane (one bit per 64-lane word,
-// maintained at the same write-back that stores the word) so the expansion
+// maintained by the one write-back that stores the word) so the expansion
 // walk and every load-balancing enumeration skip empty regions and scale
 // with *occupied* words, not P; and the per-lane stack is a template
 // parameter, so a DeltaTreeProblem can swap WorkStack's full-Node entries
@@ -87,6 +90,7 @@
 #include "common/error.hpp"
 #include "fault/fault.hpp"
 #include "lb/config.hpp"
+#include "lb/lanes.hpp"
 #include "sanitizer/sanitizer.hpp"
 #include "lb/matching.hpp"
 #include "lb/metrics.hpp"
@@ -97,7 +101,6 @@
 #include "search/work_stack.hpp"
 #include "simd/bitplane.hpp"
 #include "simd/machine.hpp"
-#include "simd/summary.hpp"
 #include "vec/expand.hpp"
 
 namespace simdts::lb {
@@ -149,18 +152,8 @@ class Engine {
         cfg_(cfg),
         kernel_(select_kernel(problem, machine.size(), cpu)),
         matcher_(cfg.match),
-        stacks_(machine.size()),
-        busy_flags_(machine.size()),
-        idle_flags_(machine.size()),
-        dead_(machine.size()),
-        alive_(machine.size()) {
+        lanes_(machine.size(), problem) {
     cfg_.validate();
-    busy_summary_.assign_for_lanes(machine.size());
-    idle_summary_.assign_for_lanes(machine.size());
-    work_summary_.assign_for_lanes(machine.size());
-    if constexpr (requires(StackT& s) { s.bind(problem); }) {
-      for (StackT& s : stacks_) s.bind(problem);
-    }
     // Size the goal buffer once, outside the lockstep region: a cycle
     // records at most one goal per PE, so with this capacity a steady-state
     // cycle touches no allocator at all (the effect analysis pins the
@@ -186,8 +179,7 @@ class Engine {
     next_fault_ = 0;
     fault_clock_ = 0;
     drop_budget_ = 0;
-    dead_.fill(false);
-    alive_ = machine_.size();
+    lanes_.revive_all();
     orphaned_total_ = 0;
     recovered_total_ = 0;
     recovery_journal_.clear();
@@ -266,36 +258,20 @@ class Engine {
     IterationStats& stats = result.stats;
     stats.bound = bound;
 
-    for (StackT& s : stacks_) s.clear();
-    // Initial census and flag planes: the first surviving PE holds the root
-    // (one node, so not yet splittable), every other survivor is idle, dead
-    // lanes are neither.  From here on the census is maintained
-    // incrementally — by the expansion cycles, by each work transfer, and by
-    // the fault events — and never recomputed by a full rescan.
-    busy_flags_.fill(false);
-    idle_flags_.fill(true);
-    std::uint32_t root_pe = 0;
-    if (fault_armed()) {
-      if (alive_ == 0) {
-        throw FaultError("no surviving PE to start an iteration on",
-                         cfg_.name(), machine_.size(), fault_clock_);
-      }
-      simd::for_each_set(dead_,
-                         [this](std::size_t i) { idle_flags_.reset(i); });
-      while (dead_.test(root_pe)) ++root_pe;
+    // The first surviving PE holds the root, every other survivor is idle.
+    // From here on the lane state follows every expansion cycle, work
+    // transfer and fault event, and is never recomputed by a full rescan.
+    if (lanes_.alive() == 0) {
+      throw FaultError("no surviving PE to start an iteration on",
+                       cfg_.name(), machine_.size(), fault_clock_);
     }
-    stacks_[root_pe].push(problem_.root());
-    idle_flags_.reset(root_pe);
-    counts_ = Counts{};
-    counts_.nonempty = 1;
-    counts_.empty = alive_ - 1;
-    rebuild_summaries();
+    lanes_.reset(problem_.root());
 
     next_bound_ = search::NextBound{};
     goal_nodes_.clear();
     std::size_t goals_seen = 0;  // goal_nodes_ scanned so far (for B&B)
 
-    Trigger trigger(cfg_, alive_, machine_.cost().t_expand,
+    Trigger trigger(cfg_, lanes_.alive(), machine_.cost().t_expand,
                     initial_lb_cost());
     trigger.begin_search_phase();
     // The initial work-distribution phase (Section 7): dynamic triggers are
@@ -304,20 +280,20 @@ class Engine {
     bool init_phase =
         cfg_.trigger == TriggerKind::kDP || cfg_.trigger == TriggerKind::kDK;
 
-    while (counts_.nonempty > 0) {
+    while (lanes_.nonempty() > 0) {
       if (cycle_budget_ != 0 && stats.expand_cycles >= cycle_budget_) {
         throw TimeoutError(cfg_.name(), machine_.size(), stats.expand_cycles,
                            cycle_budget_);
       }
-      const std::uint32_t working = counts_.nonempty;
+      const std::uint32_t working = lanes_.nonempty();
       expand_cycle(bound, stats);
-      machine_.charge_expand_cycle(working, alive_);
+      machine_.charge_expand_cycle(working, lanes_.alive());
       trigger.note_cycle(working);
       ++stats.expand_cycles;
       if (cfg_.track_stack_memory) note_stack_memory();
       if (cfg_.record_trace) {
-        stats.trace.push_back(
-            TracePoint{counts_.nonempty, counts_.splittable, alive_});
+        stats.trace.push_back(TracePoint{lanes_.nonempty(),
+                                         lanes_.splittable(), lanes_.alive()});
       }
       ++fault_clock_;
       if (fault_armed()) apply_due_faults(stats, trigger);
@@ -338,19 +314,19 @@ class Engine {
       }
 
       const std::uint32_t active = cfg_.busy == BusyPolicy::kSplittable
-                                       ? counts_.splittable
-                                       : counts_.nonempty;
+                                       ? lanes_.splittable()
+                                       : lanes_.nonempty();
       bool fire;
       if (init_phase) {
         const bool below = static_cast<double>(active) <=
                            cfg_.init_threshold *
-                               static_cast<double>(alive_);
+                               static_cast<double>(lanes_.alive());
         if (!below) init_phase = false;
         fire = below;
       } else {
-        fire = trigger.should_trigger(active, counts_.empty);
+        fire = trigger.should_trigger(active, lanes_.empty());
       }
-      if (fire && counts_.empty > 0 && counts_.splittable > 0) {
+      if (fire && lanes_.empty() > 0 && lanes_.splittable() > 0) {
         lb_phase(stats, trigger);
       }
     }
@@ -402,9 +378,7 @@ class Engine {
   /// Total heap bytes held by the per-lane stacks — the bytes-per-lane
   /// metric of the mega-P benchmarks.
   [[nodiscard]] std::size_t stack_memory_bytes() const {
-    std::size_t total = 0;
-    for (const StackT& s : stacks_) total += s.memory_bytes();
-    return total;
+    return lanes_.memory_bytes();
   }
 
   /// Peak of stack_memory_bytes() across all cycles sampled so far.
@@ -429,7 +403,7 @@ class Engine {
   }
 
   /// Surviving lane count (== machine size with no faults applied).
-  [[nodiscard]] std::uint32_t alive() const noexcept { return alive_; }
+  [[nodiscard]] std::uint32_t alive() const noexcept { return lanes_.alive(); }
 
   /// The lost-work journal of the armed fault plan's kills: one record per
   /// kill event, with the detected orphan count and the recovery rounds it
@@ -440,12 +414,6 @@ class Engine {
   }
 
  private:
-  struct Counts {
-    std::uint32_t nonempty = 0;
-    std::uint32_t splittable = 0;
-    std::uint32_t empty = 0;
-  };
-
   using Row = std::array<Node, 4>;
 
   /// The walk's reusable buffers, held inline so a steady-state cycle and
@@ -492,52 +460,43 @@ class Engine {
 
   /// One lock-step node-expansion cycle.  Every non-empty PE pops one node;
   /// goal nodes are recorded (and not expanded), everything else is expanded
-  /// with the bound.  The loop walks the packed flag planes one 64-lane word
-  /// at a time: active lanes are the set bits of ~idle & ~dead (idle tracks
-  /// "empty and alive", so the complement under the valid-lane mask is
-  /// exactly the lanes holding work), extracted with std::countr_zero — a
-  /// fully idle or dead block costs one load and one test, and the dead-lane
-  /// check is a word-level AND (zero-cost when no plan is armed: the plane
-  /// is all-zero).  The walk is one host thread in PE order; its census
-  /// deltas and pruned bound are locals, folded into the run state once at
-  /// the end of the cycle.
+  /// with the bound.  The loop walks the lane state one 64-lane word at a
+  /// time, visiting only the words its work summary marks, and takes each
+  /// word's active lanes (Lanes::active_lanes: alive and holding work) with
+  /// std::countr_zero; the dead-lane mask is a word-level AND (zero-cost
+  /// when no plan is armed: the plane is all-zero).  The walk is one host
+  /// thread in PE order; its pruned bound is a local, folded into the run
+  /// state once at the end of the cycle.
   ///
   /// The per-word step is the only part that varies (step(), fixed by the
   /// problem type).  The word step pops the whole word first, noting each
   /// lane's top row, prefetches the next occupied word's stack tops, and
   /// expands the popped nodes one group of four child slots at a time
-  /// (expand_word); the bit loop then commits each lane's last group.
+  /// (expand_word); settling the word then commits each lane's last group.
   /// Every lane thus writes each group into the four slots above its top
   /// and commits its count, in slot order, so its stack ends up exactly as
   /// after pushing expand()'s output.  The vector step pops and expands
-  /// inside the bit loop, staging children in the scratch vector (cleared
-  /// once per word) and pushing them one by one.  Both steps run the one
-  /// flag/census transition of the bit loop, in bit order.
+  /// while the word settles, staging children in the scratch vector (cleared
+  /// once per word) and pushing them one by one.  Both steps end in the one
+  /// flag/census transition of Lanes::settle_word, in bit order.
   ///
   ///   word:    pop all active bits, rows[j] = top_row
   ///            -> prefetch next word's tops
   ///            -> per slot group: (commit(count[j]), rows[j] = top_row)
   ///               after the first; expand_group(rows) or
   ///               expand_row(nodes[j], *rows[j]) for each j
-  ///            for each active bit:  commit(count[j]) -> flag/census
+  ///            settle, each active bit:  commit(count[j]) -> flags
   ///   vector:  prefetch this word's tops
-  ///            for each active bit:  pop -> goal? -> expand() -> push
-  ///                                  -> flag/census
+  ///            settle, each active bit:  pop -> goal? -> expand() -> push
+  ///                                      -> flags
   // SIMDLINT-REGION(lockstep)
   void expand_cycle(search::Bound bound, IterationStats& stats) {
-    constexpr std::size_t kWordBits = simd::BitPlane::kWordBits;
-    std::uint64_t* const idle_words = idle_flags_.words().data();
-    std::uint64_t* const busy_words = busy_flags_.words().data();
-    const std::uint64_t* const dead_words = dead_.words().data();
-    const std::size_t nwords = idle_flags_.word_count();
-    const std::uint64_t last_mask = idle_flags_.word_mask(nwords - 1);
     constexpr bool kWordStep = step() == ExpandStep::kWord;
     // Constant kNone for problems without a kernel, so their walk compiles
     // without it.
     const vec::Isa kernel = vec::kHasKernel<P> ? kernel_ : vec::Isa::kNone;
-    std::int64_t d_nonempty = 0;    // minus the lanes that ran dry
-    std::int64_t d_splittable = 0;  // splittable transitions, either way
-    search::NextBound next_bound;   // least f-value pruned this cycle
+    const std::size_t nwords = lanes_.word_count();
+    search::NextBound next_bound;  // least f-value pruned this cycle
     const std::size_t goals_before = goal_nodes_.size();
 #ifdef SIMDTS_SANITIZE
     // The dead-lane-expansion mutation needs the flat walk: it fakes every
@@ -547,46 +506,35 @@ class Engine {
 #else
     constexpr bool san_flat = false;
 #endif
-    // Walk only work-summary-occupied words: a clear summary bit guarantees
-    // `active == 0` below, so skipping it is exactly the flat walk's
-    // `continue`.
-    const auto valid_mask = [&](std::size_t w) {
-      return (w + 1 == nwords) ? last_mask : ~std::uint64_t{0};
-    };
     std::size_t next_w = 0;
-    for (std::size_t w = san_flat ? 0 : work_summary_.next_occupied(0);
-         w < nwords; w = next_w) {
+    for (std::size_t w = san_flat ? 0 : lanes_.next_occupied(0); w < nwords;
+         w = next_w) {
       // Only word w's summary bit changes below, so the next occupied word
       // is known now (the word step prefetches its stack tops).
-      next_w = san_flat ? w + 1 : work_summary_.next_occupied(w + 1);
-      const std::uint64_t valid = valid_mask(w);
-      std::uint64_t idle_w = idle_words[w];
-      std::uint64_t busy_w = busy_words[w];
-      std::uint64_t not_dead = ~dead_words[w];
+      next_w = san_flat ? w + 1 : lanes_.next_occupied(w + 1);
+      std::uint64_t active = lanes_.active_lanes(w);
 #ifdef SIMDTS_SANITIZE
-      if (san::mutation().expand_dead_lane) not_dead = ~std::uint64_t{0};
+      if (san_flat) active |= lanes_.dead().words()[w];
 #endif
-      const std::uint64_t active = ~idle_w & not_dead & valid;
       if (active == 0) continue;
-      const std::size_t base = w * kWordBits;
-      StackT* const lanes = &stacks_[base];
+      StackT* const stacks = lanes_.word_stacks(w);
 #ifdef SIMDTS_SANITIZE
       for (std::uint64_t m = active; m != 0; m &= m - 1) {
         const auto b = static_cast<unsigned>(std::countr_zero(m));
-        san_dead_.check_alive(base + b, "expand");
+        san_dead_.check_alive(w * simd::BitPlane::kWordBits + b, "expand");
       }
 #endif
-      std::uint64_t goal_bits = 0;
       if constexpr (kWordStep) {
-        std::uint64_t next_active = 0;
-        if (next_w < nwords) {
-          next_active = ~idle_words[next_w] & ~dead_words[next_w] &
-                        valid_mask(next_w);
-        }
-        goal_bits = expand_word(
-            lanes, active,
-            next_active != 0 ? &stacks_[next_w * kWordBits] : nullptr,
+        const std::uint64_t next_active =
+            next_w < nwords ? lanes_.active_lanes(next_w) : 0;
+        const std::uint64_t goal_bits = expand_word(
+            stacks, active,
+            next_active != 0 ? lanes_.word_stacks(next_w) : nullptr,
             next_active, kernel, bound, next_bound);
+        std::uint32_t slot = 0;  // index into scratch_.counts
+        lanes_.settle_word(w, active, [&](StackT& st, std::uint64_t bit) {
+          if ((goal_bits & bit) == 0) commit_row(st, scratch_.counts[slot++]);
+        });
       } else {
         scratch_.children.clear();
         if constexpr (requires(const StackT& s) { s.prefetch_top(); }) {
@@ -596,83 +544,31 @@ class Engine {
           // another.  A single word's stacks stay cache-resident.
           if (nwords > 1) {
             for (std::uint64_t m = active; m != 0; m &= m - 1) {
-              lanes[std::countr_zero(m)].prefetch_top();
+              stacks[std::countr_zero(m)].prefetch_top();
             }
           }
         }
-      }
-      std::uint32_t slot = 0;  // word step: index into scratch_.counts
-      std::uint64_t m = active;
-      while (m != 0) {
-        const auto b = static_cast<unsigned>(std::countr_zero(m));
-        m &= m - 1;
-        StackT& st = lanes[b];
-        const std::uint64_t bit = std::uint64_t{1} << b;
-        if constexpr (kWordStep) {
-          if ((goal_bits & bit) == 0) {
-            commit_row(st, scratch_.counts[slot]);
-            ++slot;
-          }
-        } else {
+        lanes_.settle_word(w, active, [&](StackT& st, std::uint64_t) {
           Node n = st.pop();
-          if (!record_goal(n)) {
-            std::vector<Node>& children = scratch_.children;
-            const std::size_t staged = children.size();
-            // SIMDLINT-EFFECT-OK(allocates) children is persistent-
-            problem_.expand(n, bound, children, next_bound);
-            // capacity scratch: growth is amortized over the run.
-            for (std::size_t i = staged; i < children.size(); ++i) {
-              // SIMDLINT-EFFECT-OK(allocates) only a WorkStack gets here
-              st.push(children[i]);  // (static_assert at the top of the
-              // class), whose growth is amortized (effects.conf).
-            }
+          if (record_goal(n)) return;
+          std::vector<Node>& children = scratch_.children;
+          const std::size_t staged = children.size();
+          // SIMDLINT-EFFECT-OK(allocates) children is persistent-
+          problem_.expand(n, bound, children, next_bound);
+          // capacity scratch: growth is amortized over the run.
+          for (std::size_t i = staged; i < children.size(); ++i) {
+            // SIMDLINT-EFFECT-OK(allocates) only a WorkStack gets here
+            st.push(children[i]);  // (static_assert at the top of the
+            // class), whose growth is amortized (effects.conf).
           }
-        }
-        const bool was_split = (busy_w & bit) != 0;
-        if (st.empty()) {
-          idle_w |= bit;
-          busy_w &= ~bit;
-          --d_nonempty;
-          if (was_split) --d_splittable;
-          if constexpr (requires { st.release_if_drained(); }) {
-            // Pooled release: a drained lane's heap goes back to the
-            // allocator the cycle it goes idle, so resident stack memory
-            // tracks *live* work — the memory bound that makes P = 2^20
-            // practical.  Memory-only: simulated results are unchanged.
-            st.release_if_drained();
-          }
-        } else if (st.splittable() != was_split) {
-          d_splittable += was_split ? -1 : 1;
-          busy_w ^= bit;
-        }
+        });
       }
-      idle_words[w] = idle_w;
-      busy_words[w] = busy_w;
-      busy_summary_.update_word(w, busy_w);
-      idle_summary_.update_word(w, idle_w);
-      work_summary_.update_word(w, ~idle_w & ~dead_words[w] & valid);
     }
 #ifdef SIMDTS_SANITIZE
-    if (san::mutation().corrupt_tail && last_mask != ~std::uint64_t{0}) {
-      // Mutation: set the first invalid bit past size() in the idle plane so
-      // the per-cycle tail sweep below can prove it fires.
-      idle_words[nwords - 1] |= ~last_mask & (last_mask + 1);
-    }
-    // Mutation: lose the cycle's splittable delta before the fold,
-    // desynchronizing the incremental census from the stacks.
-    if (san::mutation().drop_census_delta) d_splittable = 0;
+    lanes_.san_end_cycle();
 #endif
-    counts_.nonempty = static_cast<std::uint32_t>(
-        static_cast<std::int64_t>(counts_.nonempty) + d_nonempty);
-    counts_.splittable = static_cast<std::uint32_t>(
-        static_cast<std::int64_t>(counts_.splittable) + d_splittable);
-    counts_.empty = static_cast<std::uint32_t>(
-        static_cast<std::int64_t>(counts_.empty) - d_nonempty);
     stats.goals_found += goal_nodes_.size() - goals_before;
     next_bound_.merge(next_bound);
-#ifdef SIMDTS_SANITIZE
-    san_verify_cycle();
-#endif
   }
 
   /// Records `n` as a goal if it is one (goals are never expanded) and says
@@ -751,53 +647,12 @@ class Engine {
   }
 
 #ifdef SIMDTS_SANITIZE
-  /// SimdSan per-cycle sweep: the packed planes keep their zero tails, and
-  /// the incrementally maintained census agrees with both a reference
-  /// recount of the stacks and the flag-plane popcounts.  This is the
-  /// packed-vs-reference divergence check — the incremental path is what the
-  /// engine reports, the recount is what a from-scratch implementation would
-  /// compute.
-  void san_verify_cycle() const {
-    if (!san::armed()) return;
-    busy_flags_.san_verify_tail("busy plane");
-    idle_flags_.san_verify_tail("idle plane");
-    dead_.san_verify_tail("dead plane");
-    std::uint64_t ref_nonempty = 0;
-    std::uint64_t ref_splittable = 0;
-    for (std::size_t i = 0; i < stacks_.size(); ++i) {
-      if (dead_.test(i)) continue;
-      if (!stacks_[i].empty()) {
-        ++ref_nonempty;
-        if (stacks_[i].splittable()) ++ref_splittable;
-      }
-    }
-    const std::uint64_t ref_empty = alive_ - ref_nonempty;
-    san::check_census(counts_.nonempty, ref_nonempty, "census.nonempty");
-    san::check_census(counts_.splittable, ref_splittable,
-                      "census.splittable");
-    san::check_census(counts_.empty, ref_empty, "census.empty");
-    san::check_census(busy_flags_.count(), ref_splittable,
-                      "busy-plane popcount");
-    san::check_census(idle_flags_.count(), ref_empty, "idle-plane popcount");
-    // Census-divergence check, summary level: every incrementally maintained
-    // summary bit must agree with a recomputation from its plane.
-    busy_summary_.san_verify(busy_flags_, "busy summary");
-    idle_summary_.san_verify(idle_flags_, "idle summary");
-    const std::size_t nwords = idle_flags_.word_count();
-    for (std::size_t w = 0; w < nwords; ++w) {
-      const std::uint64_t active = ~idle_flags_.words()[w] &
-                                   ~dead_.words()[w] & idle_flags_.word_mask(w);
-      san::check_census(work_summary_.test(w) ? 1 : 0, active != 0 ? 1 : 0,
-                        "work summary");
-    }
-  }
-
   /// Mutation hook: redirect the first matched pair's donor to a dead lane
   /// so the donation-side dead-lane check can be proven to fire.
   void san_apply_pair_mutation() {
     if (!san::mutation().donate_from_dead || pairs_.empty()) return;
-    for (std::size_t i = 0; i < dead_.size(); ++i) {
-      if (dead_.test(i)) {
+    for (std::size_t i = 0; i < lanes_.size(); ++i) {
+      if (lanes_.dead().test(i)) {
         pairs_[0].donor = static_cast<simd::PeIndex>(i);
         return;
       }
@@ -828,31 +683,25 @@ class Engine {
     }
   }
 
-  /// Kills PE `pe`: removes it from the census and both flag planes, then
-  /// journals its unexpanded stack intervals and re-donates them to
-  /// survivors (the recovery phase).  Receivers are the surviving idle PEs
-  /// in wrap order after the dead PE (falling back to all survivors when
-  /// none is idle); nodes are dealt round-robin bottom-first, so each
-  /// receiver's stack stays in depth-first order.  Each round-robin wave
-  /// costs one recovery transfer round on the machine clock.
+  /// Kills PE `pe`: removes it from the lane state, then journals its
+  /// unexpanded stack intervals and re-donates them to survivors (the
+  /// recovery phase).  Receivers are the surviving idle PEs in wrap order
+  /// after the dead PE (falling back to all survivors when none is idle);
+  /// nodes are dealt round-robin bottom-first, so each receiver's stack
+  /// stays in depth-first order.  Each round-robin wave costs one recovery
+  /// transfer round on the machine clock.
   void kill_pe(std::uint32_t pe, IterationStats& stats, Trigger& trigger) {
-    if (dead_.test(pe)) return;
-    census_remove(pe);
-    dead_.set(pe);
+    if (lanes_.dead().test(pe)) return;
 #ifdef SIMDTS_SANITIZE
     san_dead_.mark_dead(pe);
 #endif
-    busy_flags_.reset(pe);
-    idle_flags_.reset(pe);
-    resync_lane_summaries(pe);
-    --alive_;
     ++stats.pes_killed;
 
     orphan_buf_.clear();
-    stacks_[pe].drain_into(orphan_buf_);
+    lanes_.kill(pe, orphan_buf_);
     const std::uint64_t orphans = orphan_buf_.size();
-    if (alive_ == 0) {
-      if (orphans > 0 || counts_.nonempty > 0) {
+    if (lanes_.alive() == 0) {
+      if (orphans > 0 || lanes_.nonempty() > 0) {
         throw FaultError("fault plan killed every PE with work outstanding",
                          cfg_.name(), machine_.size(), fault_clock_);
       }
@@ -860,7 +709,7 @@ class Engine {
           fault::RecoveryRecord{fault_clock_, pe, 0, 0});
       return;
     }
-    trigger.set_machine_size(alive_);
+    trigger.set_machine_size(lanes_.alive());
     if (orphans == 0) {
       recovery_journal_.push_back(
           fault::RecoveryRecord{fault_clock_, pe, 0, 0});
@@ -869,28 +718,22 @@ class Engine {
     orphaned_total_ += orphans;
 
     // Enumerate receivers: surviving idle lanes in wrap order after the dead
-    // PE — the same fairness rotation GP applies to donors — falling back to
-    // every survivor when no lane is idle.
-    const std::uint32_t p = machine_.size();
-    recovery_receivers_.clear();
-    for (std::uint32_t off = 1; off <= p; ++off) {
-      const std::uint32_t i = (pe + off) % p;
-      if (!dead_.test(i) && idle_flags_.test(i)) {
-        recovery_receivers_.push_back(i);
-      }
-    }
+    // PE — the same fairness rotation GP applies to donors (the idle plane
+    // holds no dead lane) — falling back to every survivor when no lane is
+    // idle.
+    simd::ranked_into(lanes_.idle(), lanes_.idle_summary(), pe,
+                      recovery_receivers_);
     if (recovery_receivers_.empty()) {
+      const std::uint32_t p = machine_.size();
       for (std::uint32_t off = 1; off <= p; ++off) {
         const std::uint32_t i = (pe + off) % p;
-        if (!dead_.test(i)) recovery_receivers_.push_back(i);
+        if (!lanes_.dead().test(i)) recovery_receivers_.push_back(i);
       }
     }
     const std::size_t receivers = recovery_receivers_.size();
     for (std::size_t j = 0; j < orphan_buf_.size(); ++j) {
-      const std::uint32_t rec = recovery_receivers_[j % receivers];
-      census_remove(rec);
-      stacks_[rec].push(std::move(orphan_buf_[j]));
-      census_add(rec);
+      lanes_.reclassify(recovery_receivers_[j % receivers],
+                        [&](StackT& s) { s.push(orphan_buf_[j]); });
     }
     orphan_buf_.clear();
     recovered_total_ += orphans;
@@ -909,18 +752,13 @@ class Engine {
 
   /// Revives PE `pe` as an idle receiver with an empty stack.
   void revive_pe(std::uint32_t pe, IterationStats& stats, Trigger& trigger) {
-    if (!dead_.test(pe)) return;
-    dead_.reset(pe);
+    if (!lanes_.dead().test(pe)) return;
+    lanes_.revive(pe);
 #ifdef SIMDTS_SANITIZE
     san_dead_.mark_alive(pe);
 #endif
-    ++alive_;
-    busy_flags_.reset(pe);
-    idle_flags_.set(pe);
-    resync_lane_summaries(pe);
-    ++counts_.empty;
     ++stats.pes_revived;
-    trigger.set_machine_size(alive_);
+    trigger.set_machine_size(lanes_.alive());
   }
 
   /// The conservation invariant of degraded mode: every node journaled from
@@ -933,55 +771,12 @@ class Engine {
                        "duplicated during recovery",
                        cfg_.name(), machine_.size(), fault_clock_);
     }
-    for (std::size_t i = 0; i < dead_.size(); ++i) {
-      if (dead_.test(i) && !stacks_[i].empty()) {
+    for (std::size_t i = 0; i < lanes_.size(); ++i) {
+      if (lanes_.dead().test(i) && !lanes_.stack(i).empty()) {
         throw FaultError("conservation violated: a dead PE still holds work",
                          cfg_.name(), machine_.size(), fault_clock_);
       }
     }
-  }
-
-  /// Removes stack i's current classification from the census.  Call before
-  /// mutating the stack; pair with census_add() afterwards.
-  void census_remove(std::size_t i) {
-    const auto& s = stacks_[i];
-    if (s.empty()) {
-      --counts_.empty;
-    } else {
-      --counts_.nonempty;
-      if (s.splittable()) --counts_.splittable;
-    }
-  }
-
-  /// Re-adds stack i's (possibly changed) classification to the census and
-  /// refreshes its flag-plane entries (and their summary bits).
-  void census_add(std::size_t i) {
-    const auto& s = stacks_[i];
-    if (s.empty()) {
-      ++counts_.empty;
-      idle_flags_.set(i);
-      busy_flags_.reset(i);
-    } else {
-      ++counts_.nonempty;
-      idle_flags_.reset(i);
-      const bool split = s.splittable();
-      busy_flags_.set(i, split);
-      if (split) ++counts_.splittable;
-    }
-    resync_lane_summaries(i);
-  }
-
-  /// Recomputes the three summary bits of the word holding lane `i` from the
-  /// flag planes — the serial-context counterpart of the expand cycle's
-  /// write-back maintenance.  Every serial plane mutation (census_add, fault
-  /// kill/revive) ends here.
-  void resync_lane_summaries(std::size_t i) {
-    const std::size_t w = i / simd::BitPlane::kWordBits;
-    const std::uint64_t idle_w = idle_flags_.words()[w];
-    busy_summary_.update_word(w, busy_flags_.words()[w]);
-    idle_summary_.update_word(w, idle_w);
-    work_summary_.update_word(
-        w, ~idle_w & ~dead_.words()[w] & idle_flags_.word_mask(w));
   }
 
   /// One stack-memory sample (serial, between cycles): accumulates the
@@ -991,18 +786,6 @@ class Engine {
     stack_bytes_integral_ += bytes;
     if (bytes > stack_bytes_peak_) stack_bytes_peak_ = bytes;
     ++stack_bytes_cycles_;
-  }
-
-  /// Full recomputation of all three summaries (iteration start).
-  void rebuild_summaries() {
-    busy_summary_.rebuild(busy_flags_);
-    idle_summary_.rebuild(idle_flags_);
-    const std::size_t nwords = idle_flags_.word_count();
-    for (std::size_t w = 0; w < nwords; ++w) {
-      work_summary_.update_word(w, ~idle_flags_.words()[w] &
-                                       ~dead_.words()[w] &
-                                       idle_flags_.word_mask(w));
-    }
   }
 
   /// One load-balancing phase: one transfer round, or — with
@@ -1018,7 +801,8 @@ class Engine {
     for (;;) {
       std::uint64_t transfers = 0;
       if (cfg_.match == MatchScheme::kNeighbor) {
-        neighbor_pairs_into(busy_flags_, busy_summary_, idle_flags_, pairs_);
+        neighbor_pairs_into(lanes_.busy(), lanes_.busy_summary(),
+                            lanes_.idle(), pairs_);
         if (pairs_.empty()) break;
 #ifdef SIMDTS_SANITIZE
         san_apply_pair_mutation();
@@ -1034,8 +818,9 @@ class Engine {
         const std::size_t limit = cfg_.max_pairs_per_round == 0
                                       ? static_cast<std::size_t>(-1)
                                       : cfg_.max_pairs_per_round;
-        matcher_.match_into(busy_flags_, busy_summary_, idle_flags_,
-                            idle_summary_, limit, pairs_);
+        matcher_.match_into(lanes_.busy(), lanes_.busy_summary(),
+                            lanes_.idle(), lanes_.idle_summary(), limit,
+                            pairs_);
         if (pairs_.empty()) break;
 #ifdef SIMDTS_SANITIZE
         san_apply_pair_mutation();
@@ -1073,17 +858,17 @@ class Engine {
         ++stats.messages_dropped;
         continue;
       }
-      if (!stacks_[donor].splittable() || !stacks_[receiver].empty()) {
+      if (!lanes_.stack(donor).splittable() ||
+          !lanes_.stack(receiver).empty()) {
         throw EngineError(
             "matched transfer pair violates its busy/idle preconditions",
             cfg_.name(), machine_.size(), fault_clock_);
       }
-      census_remove(donor);
-      census_remove(receiver);
-      search::split(stacks_[donor], cfg_.split, split_buf_);
-      search::receive(stacks_[receiver], split_buf_);
-      census_add(donor);
-      census_add(receiver);
+      lanes_.reclassify(donor, [&](StackT& s) {
+        search::split(s, cfg_.split, split_buf_);
+      });
+      lanes_.reclassify(receiver,
+                        [&](StackT& s) { search::receive(s, split_buf_); });
       ++done;
     }
     return done;
@@ -1097,8 +882,9 @@ class Engine {
   std::uint64_t transfer_give_one(IterationStats& stats) {
     const simd::PeIndex start_after =
         cfg_.match == MatchScheme::kGP ? matcher_.pointer() : simd::kNoPe;
-    simd::ranked_into(busy_flags_, busy_summary_, start_after, donors_buf_);
-    simd::ranked_into(idle_flags_, idle_summary_, simd::kNoPe,
+    simd::ranked_into(lanes_.busy(), lanes_.busy_summary(), start_after,
+                      donors_buf_);
+    simd::ranked_into(lanes_.idle(), lanes_.idle_summary(), simd::kNoPe,
                       receivers_buf_);
     const std::vector<simd::PeIndex>& donors = donors_buf_;
     const std::vector<simd::PeIndex>& receivers = receivers_buf_;
@@ -1109,10 +895,7 @@ class Engine {
 #ifdef SIMDTS_SANITIZE
       san_dead_.check_alive(d, "donate");
 #endif
-      auto& st = stacks_[d];
-      if (st.size() < 2) continue;
-      census_remove(d);
-      while (st.size() >= 2 && r < receivers.size()) {
+      while (lanes_.stack(d).size() >= 2 && r < receivers.size()) {
         const simd::PeIndex rec = receivers[r];
         ++r;
         if (drop_budget_ > 0) {
@@ -1120,12 +903,11 @@ class Engine {
           ++stats.messages_dropped;
           continue;
         }
-        census_remove(rec);
-        stacks_[rec].push(st.take_bottom());
-        census_add(rec);
+        Node n{};
+        lanes_.reclassify(d, [&](StackT& s) { n = s.take_bottom(); });
+        lanes_.reclassify(rec, [&](StackT& s) { s.push(n); });
         ++transfers;
       }
-      census_add(d);
     }
     return transfers;
   }
@@ -1135,19 +917,11 @@ class Engine {
   SchemeConfig cfg_;
   const vec::Isa kernel_;  ///< the word kernel's build (select_kernel)
   Matcher matcher_;
-  std::vector<StackT> stacks_;  ///< one per lane, never resized
-  simd::BitPlane busy_flags_;   ///< splittable, maintained in place
-  simd::BitPlane idle_flags_;   ///< empty *and alive*, in place
-  simd::SummaryPlane busy_summary_;  ///< one bit per busy-plane word
-  simd::SummaryPlane idle_summary_;  ///< one bit per idle-plane word
-  simd::SummaryPlane work_summary_;  ///< bit w: word w has an active lane
+  Lanes<StackT> lanes_;  ///< stacks, flag planes, summaries, census
   // Stack-memory accounting (track_stack_memory only; results-inert).
   std::uint64_t stack_bytes_integral_ = 0;  ///< sum over sampled cycles
   std::uint64_t stack_bytes_peak_ = 0;
   std::uint64_t stack_bytes_cycles_ = 0;
-  fault::DeadLanePlane dead_;   ///< killed lanes (degraded mode)
-  std::uint32_t alive_;         ///< surviving lane count
-  Counts counts_;               ///< incrementally maintained census
   WalkScratch scratch_;         ///< expand_cycle's buffers
   std::vector<simd::Pair> pairs_;  ///< reused across lb rounds
   std::vector<simd::PeIndex> donors_buf_;     ///< reused per give-one round

@@ -7,9 +7,10 @@
 // on 64 lanes at a time by the sequencer.  Storing them as byte vectors made
 // the emulator pay O(P) byte operations per cycle where the machine (and a
 // modern host CPU) does O(P/64) word operations.  This module is the packed
-// substrate: census via std::popcount word reduction, set-lane enumeration
-// via std::countr_zero word iteration, and word-granularity masks for the
-// expansion hot loop's dead/idle tests.
+// substrate: census via std::popcount word reduction, and the word access
+// that the std::countr_zero set-lane enumerations (simd/rendezvous.hpp, the
+// engine's word walk) and the hot loop's word-granularity dead/idle masks
+// are built on.
 //
 // Invariant: bits at positions >= size() (the tail of the last word) are
 // always zero, so word-level reductions never need a trailing mask.  All
@@ -131,21 +132,5 @@ class BitPlane {
   std::vector<std::uint64_t> words_;
   std::size_t lanes_ = 0;
 };
-
-/// Calls f(i) for every set lane i in ascending order, skipping clear words
-/// whole — std::countr_zero enumeration, the packed equivalent of walking a
-/// byte plane.
-template <typename F>
-void for_each_set(const BitPlane& plane, F&& f) {
-  const std::span<const std::uint64_t> ws = plane.words();
-  for (std::size_t w = 0; w < ws.size(); ++w) {
-    std::uint64_t m = ws[w];
-    while (m != 0) {
-      const auto b = static_cast<unsigned>(std::countr_zero(m));
-      f(w * BitPlane::kWordBits + b);
-      m &= m - 1;
-    }
-  }
-}
 
 }  // namespace simdts::simd

@@ -38,9 +38,9 @@ class SummaryPlane {
   SummaryPlane() = default;
 
   /// Sizes the summary for a plane of `lanes` lanes (one summary lane per
-  /// plane word), all bits clear.
-  void assign_for_lanes(std::size_t lanes) {
-    bits_.assign(BitPlane::word_count_for(lanes), false);
+  /// plane word), every bit `value`.
+  void assign_for_lanes(std::size_t lanes, bool value = false) {
+    bits_.assign(BitPlane::word_count_for(lanes), value);
   }
 
   /// Recomputes every bit from the plane (serial contexts: run start, fault

@@ -83,21 +83,6 @@ TEST(BitPlane, CensusMatchesScalarReference) {
   }
 }
 
-TEST(BitPlane, ForEachSetVisitsAscendingSetLanes) {
-  for (const std::size_t n : kSizes) {
-    const auto bytes = random_bytes(n, 13u * static_cast<std::uint32_t>(n),
-                                    30);
-    const BitPlane plane = pack(bytes);
-    std::vector<std::size_t> want;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (bytes[i] != 0) want.push_back(i);
-    }
-    std::vector<std::size_t> got;
-    for_each_set(plane, [&](std::size_t i) { got.push_back(i); });
-    EXPECT_EQ(got, want) << "n=" << n;
-  }
-}
-
 TEST(BitPlane, RankedMatchesByteKernelWithAndWithoutRotation) {
   for (const std::size_t n : kSizes) {
     const auto bytes = random_bytes(n, 19u * static_cast<std::uint32_t>(n),

@@ -47,13 +47,6 @@ void commit_children(CompactStack<Pr>& s,
   } while (i < kids.size());
 }
 
-std::uint64_t splitmix(std::uint64_t& s) {
-  std::uint64_t z = (s += 0x9E3779B97F4A7C15ULL);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E9B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
 // ---------------------------------------------------------------------------
 // Delta codecs: decode must replay expand() bit-exactly, undo must invert.
 // ---------------------------------------------------------------------------
@@ -74,7 +67,7 @@ TEST(DeltaCodec, FifteenDecodeAndUndoAreExactInverses) {
       EXPECT_EQ(problem.decode_delta(n, d), c);
       EXPECT_EQ(problem.undo_delta(c, d, n.last), n);
     }
-    n = kids[splitmix(seed) % kids.size()];
+    n = kids[fault::splitmix64(seed) % kids.size()];
   }
 }
 
@@ -94,7 +87,7 @@ TEST(DeltaCodec, FifteenLinearConflictHeuristicRoundTrips) {
       EXPECT_EQ(problem.decode_delta(n, d), c);
       EXPECT_EQ(problem.undo_delta(c, d, n.last), n);
     }
-    n = kids[splitmix(seed) % kids.size()];
+    n = kids[fault::splitmix64(seed) % kids.size()];
   }
 }
 
@@ -112,7 +105,7 @@ TEST(DeltaCodec, SyntheticDecodeReplaysExpand) {
       const std::uint8_t d = tree.encode_delta(n, c);
       EXPECT_EQ(tree.decode_delta(n, d), c);
     }
-    n = kids[splitmix(seed) % kids.size()];
+    n = kids[fault::splitmix64(seed) % kids.size()];
   }
 }
 
@@ -200,7 +193,7 @@ TEST(CompactStack, MirrorsWorkStackUnderRandomEngineOpMix) {
       pair.push(problem.root());
       continue;
     }
-    const std::uint64_t r = splitmix(seed) % 100;
+    const std::uint64_t r = fault::splitmix64(seed) % 100;
     if (r < 70) {
       pair.pop_and_expand(bound);
     } else if (r < 85) {
@@ -269,7 +262,7 @@ TEST(CompactStack, RowCommitsMirrorWorkStackAcrossGroupsAndTheDepthSplit) {
   std::uint16_t deepest = 0;
   std::size_t multi_group_pops = 0;
   for (int step = 0; step < 6000 && !full.empty(); ++step) {
-    if (splitmix(seed) % 10 == 0 && full.size() >= 2) {
+    if (fault::splitmix64(seed) % 10 == 0 && full.size() >= 2) {
       ASSERT_EQ(full.take_bottom(), compact.take_bottom()) << "step " << step;
       continue;
     }

@@ -81,13 +81,6 @@ static_assert(!vec::kHasKernel<RowStep<FifteenPuzzle>>);
 static_assert(!vec::kHasKernel<RowStep<Tree>>);
 static_assert(search::DeltaTreeProblem<RowStep<Tree>>);
 
-std::uint64_t splitmix(std::uint64_t& s) {
-  std::uint64_t z = (s += 0x9E3779B97F4A7C15ULL);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E9B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
 /// The expand_row() calls of every slot group of one node, each into a row
 /// pre-filled with `poison`, so a test cannot pass on slots left from an
 /// earlier call or zeroed memory.
@@ -427,7 +420,7 @@ std::vector<typename P::Node> tree_pool(const P& p, std::size_t want,
       kids.clear();
       p.expand(n, search::kUnbounded, kids, nb);
       if (kids.empty()) break;
-      n = kids[splitmix(seed) % kids.size()];
+      n = kids[fault::splitmix64(seed) % kids.size()];
       pool.push_back(n);
     }
   }

@@ -25,13 +25,6 @@
 namespace simdts::simd {
 namespace {
 
-std::uint64_t splitmix(std::uint64_t& s) {
-  std::uint64_t z = (s += 0x9E3779B97F4A7C15ULL);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E9B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
 /// Random plane of `p` lanes where each lane is set with probability
 /// (density_pct / 100).  density_pct == 0 gives an empty plane.
 BitPlane random_plane(std::size_t p, unsigned density_pct,
@@ -39,7 +32,7 @@ BitPlane random_plane(std::size_t p, unsigned density_pct,
   BitPlane plane;
   plane.assign(p, false);
   for (std::size_t i = 0; i < p; ++i) {
-    if (splitmix(seed) % 100 < density_pct) plane.set(i);
+    if (fault::splitmix64(seed) % 100 < density_pct) plane.set(i);
   }
   return plane;
 }
@@ -81,10 +74,10 @@ TEST(SummaryPlane, UpdateWordTracksIncrementalWrites) {
     SummaryPlane sum = summary_of(plane);
     const std::size_t nwords = plane.words().size();
     for (int step = 0; step < 2000; ++step) {
-      const std::size_t w = splitmix(seed) % nwords;
+      const std::size_t w = fault::splitmix64(seed) % nwords;
       // Random word write, clamped to the plane's valid mask (the writer
       // contract: whoever writes a plane word keeps the zero tail).
-      const std::uint64_t v = splitmix(seed) & plane.word_mask(w);
+      const std::uint64_t v = fault::splitmix64(seed) & plane.word_mask(w);
       plane.words()[w] = v;
       sum.update_word(w, v);
     }
@@ -167,7 +160,7 @@ TEST(SummaryKernels, RankedMatchesFlatAcrossSizesAndRotations) {
                                      static_cast<PeIndex>(p - 1),
                                      static_cast<PeIndex>(p / 2)};
       for (int i = 0; i < 4; ++i) {
-        starts.push_back(static_cast<PeIndex>(splitmix(seed) % p));
+        starts.push_back(static_cast<PeIndex>(fault::splitmix64(seed) % p));
       }
       const std::vector<std::uint8_t> bytes = oracle::bytes_of(flags);
       for (const PeIndex sa : starts) {
@@ -204,13 +197,13 @@ TEST(SummaryKernels, RendezvousMatchesFlatAcrossLimitsAndRotations) {
   std::uint64_t seed = 6;
   for (const std::size_t p : {63, 64, 65, 4096, 70001}) {
     for (int trial = 0; trial < 8; ++trial) {
-      const unsigned dd = static_cast<unsigned>(splitmix(seed) % 40);
-      const unsigned rd = static_cast<unsigned>(splitmix(seed) % 40);
+      const unsigned dd = static_cast<unsigned>(fault::splitmix64(seed) % 40);
+      const unsigned rd = static_cast<unsigned>(fault::splitmix64(seed) % 40);
       const BitPlane donors = random_plane(p, dd, seed);
       const BitPlane receivers = random_plane(p, rd, seed);
-      const PeIndex sa = (trial % 3 == 0)
-                             ? kNoPe
-                             : static_cast<PeIndex>(splitmix(seed) % p);
+      const PeIndex sa =
+          (trial % 3 == 0) ? kNoPe
+                           : static_cast<PeIndex>(fault::splitmix64(seed) % p);
       for (const std::size_t limit : kLimits) {
         expect_rendezvous_matches_oracle(donors, receivers, sa, limit);
       }
@@ -223,8 +216,8 @@ TEST(SummaryKernels, RendezvousMatchesFlatAcrossLimitsAndRotations) {
   BitPlane busy(p);
   BitPlane idle(p);
   for (int i = 0; i < 1024; ++i) {
-    busy.set(splitmix(seed) % p);
-    idle.set(splitmix(seed) % p);
+    busy.set(fault::splitmix64(seed) % p);
+    idle.set(fault::splitmix64(seed) % p);
   }
   for (std::size_t w = 0; w < idle.words().size(); ++w) {
     idle.words()[w] &= ~busy.words()[w];
@@ -249,10 +242,10 @@ TEST(SummaryKernels, MatcherMatchesFlatIncludingPointerAdvance) {
       // Multiple rounds: for GP the pointer advance feeds the next round, so
       // a single divergent round would cascade — exactly what we pin.
       for (int round = 0; round < 12; ++round) {
-        const BitPlane busy =
-            random_plane(p, static_cast<unsigned>(splitmix(seed) % 30), seed);
-        const BitPlane idle =
-            random_plane(p, static_cast<unsigned>(splitmix(seed) % 30), seed);
+        const BitPlane busy = random_plane(
+            p, static_cast<unsigned>(fault::splitmix64(seed) % 30), seed);
+        const BitPlane idle = random_plane(
+            p, static_cast<unsigned>(fault::splitmix64(seed) % 30), seed);
         const SummaryPlane bsum = summary_of(busy);
         const SummaryPlane isum = summary_of(idle);
         const std::size_t limit =
@@ -313,10 +306,10 @@ TEST(SummaryEngine, KillRevivePlanDeterministicAcrossThreadsAtNonX64P) {
   std::vector<fault::FaultEvent> events;
   std::uint64_t seed = 11;
   for (int i = 0; i < 6; ++i) {
-    const std::uint32_t pe = static_cast<std::uint32_t>(splitmix(seed) % p);
-    const std::uint64_t cycle = 4 + splitmix(seed) % 80;
+    const auto pe = static_cast<std::uint32_t>(fault::splitmix64(seed) % p);
+    const std::uint64_t cycle = 4 + fault::splitmix64(seed) % 80;
     events.push_back({cycle, fault::FaultKind::kKillPe, pe, 0});
-    events.push_back({cycle + 3 + splitmix(seed) % 20,
+    events.push_back({cycle + 3 + fault::splitmix64(seed) % 20,
                       fault::FaultKind::kRevivePe, pe, 0});
   }
   const fault::FaultPlan plan(events);

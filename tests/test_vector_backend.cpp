@@ -509,12 +509,7 @@ using TreeRow = std::array<synthetic::Tree::Node, 4>;
 constexpr synthetic::Tree::Node kTreePoison{~std::uint64_t{0}, 0xEEEE,
                                             0xEEEE};
 
-std::uint64_t mix(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
+std::uint64_t mix(std::uint64_t x) { return fault::splitmix64(x); }
 
 /// 64 nodes for a tree of `max_depth`: every pairing of the climates 0, 1,
 /// 0x7FFF, 0x8000 and 0xFFFF with the depths max_depth - 1 (the last level
