@@ -9,12 +9,13 @@
 //   - root(): the initial node
 //   - expand(node, bound, out, next): append children within the bound
 //   - is_goal(node) / f_value(node)
-// SubsetSum stops there, so the engine expands it through expand() (its
-// vector step).  The fast path is search::RowTreeProblem: child_slots()
+// SubsetSum stops there, so the engine's word step expands each popped
+// node once through expand() and copies the children onto the PE's stack
+// four at a time.  The fast path is search::RowTreeProblem: child_slots()
 // and expand_row(node, bound, row, next, first), which writes the children
-// of child slots [first, first + 4) into a row of four and lets the engine
-// write them straight onto a PE's stack.  Queens below implements it, with
-// expand() as the one-line search::expand_rows() over it.
+// of child slots [first, first + 4) into a row of four, straight onto a
+// PE's stack, with no copy.  Queens below implements it, with expand() as
+// the one-line search::expand_rows() over it.
 #include <cstdint>
 #include <iostream>
 #include <vector>

@@ -48,21 +48,22 @@
 // (the plane all-zero) the fault machinery costs one AND per 64 lanes and
 // the run is bit-identical to the pre-fault engine.
 //
-// Expansion step (ExpandStep): the word walk expands each word's active
-// lanes with one of two steps, fixed by the problem's type.  The word step
-// (search::RowTreeProblem, which every bundled domain is) works as the
-// paper's machine does, one expansion over all of a word's lanes: it pops
-// them all first, noting each one's top row, then expands the popped nodes
-// one group of four child slots at a time — through the domain's word
-// kernel (vec::expand_group: the 15-puzzle's AVX2 or AVX-512 build, or the
+// Expansion step: the word walk expands each word's active lanes in one
+// step, as the paper's machine does, one expansion over all of a word's
+// lanes: it pops them all first, noting each one's top row, then fills the
+// rows one group of four child slots at a time, committing every lane's
+// row between groups.  Only the row source varies, fixed by the problem's
+// type and, for a kernel, at construction: the domain's word kernel
+// (vec::expand_group: the 15-puzzle's AVX2 or AVX-512 build, or the
 // synthetic tree's AVX-512 build) where vec::kernel_rule picks one
-// (vec/expand.hpp), else through one expand_row() call per node —
-// committing every lane's row between groups.
-// The vector step, for a problem type without expand_row(), pops and
-// expands lane by lane through expand().  Both stacks take rows the same
-// way: a WorkStack's top row is its own storage, a CompactStack's a staging
-// row that commit() encodes.  Each lane sees the same pop/commit sequence
-// whichever step or kernel runs, and every step feeds the same flag/census
+// (vec/expand.hpp), else one expand_row() call per node
+// (search::RowTreeProblem, which every bundled domain is), else, for a
+// type with only expand(), the node's expand() output, staged once per
+// pop and handed out four children at a time.  Both stacks take rows the
+// same way: a WorkStack's top row is its own storage, a CompactStack's a
+// staging row that commit() encodes.  A row of four plus commit(k) equals
+// k successive pushes, so each lane sees the same stack sequence whichever
+// source runs, and the word settles through the same flag/census
 // transition in the same bit order, so the choice never moves a simulated
 // result; tests/test_row_step.cpp and tests/test_vector_backend.cpp pin
 // that.
@@ -82,7 +83,6 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -105,18 +105,6 @@
 
 namespace simdts::lb {
 
-/// How an Engine expands a flag word's active lanes; see the header comment.
-enum class ExpandStep {
-  /// per lane: pop, expand() into a scratch vector, push the children onto
-  /// the lane's WorkStack.  Only a problem type without expand_row() takes it:
-  /// a user domain that implements only expand()
-  /// (examples/custom_domain.cpp), a decorator that forwards only expand(),
-  /// and the tests' vector-step oracle.
-  kVector,
-  kWord,  ///< per word: pop every lane, expand slot group by slot group
-          ///< into the lanes' top rows, commit
-};
-
 /// `StackT` selects the per-lane stack representation: WorkStack<Node> (the
 /// default — full nodes, every TreeProblem) or search::CompactStack<P> (delta
 /// records, DeltaTreeProblem only; ~4x fewer bytes per lane on the
@@ -130,10 +118,6 @@ class Engine {
  public:
   using Node = typename P::Node;
   using Stack = StackT;
-  // The vector step pushes children one by one, which only a WorkStack
-  // takes in the lockstep cycle; a CompactStack takes them as rows.
-  static_assert(search::RowTreeProblem<P> ||
-                std::same_as<StackT, search::WorkStack<Node>>);
 
   /// Throws simdts::ConfigError on an invalid scheme configuration (see
   /// SchemeConfig::validate).
@@ -186,12 +170,6 @@ class Engine {
 #ifdef SIMDTS_SANITIZE
     san_dead_.clear();
 #endif
-  }
-
-  /// The expansion step, fixed by the problem type: the word step for a
-  /// search::RowTreeProblem, else the vector step.
-  [[nodiscard]] static constexpr ExpandStep step() noexcept {
-    return search::RowTreeProblem<P> ? ExpandStep::kWord : ExpandStep::kVector;
   }
 
   /// Whether the word step expands through a word kernel (vec::kernel_rule,
@@ -417,16 +395,20 @@ class Engine {
   using Row = std::array<Node, 4>;
 
   /// The walk's reusable buffers, held inline so a steady-state cycle and
-  /// the engine's construction allocate nothing for them.
+  /// the engine's construction allocate nothing for them.  A word's
+  /// non-goal pops, in bit order, fill entry j of each: its node (the row
+  /// sources expand_group and expand_row read it), the lane row its current
+  /// slot group goes to, and that group's child count.  Each word writes an
+  /// entry before reading it, so they start uninitialized and constructing
+  /// an engine writes none of them.
   struct WalkScratch {
-    std::vector<Node> children;  ///< vector step's staging, cleared per word
-    // Word step: a word's non-goal pops in bit order, the lane row each
-    // one's current slot group goes to, and that group's child count.
-    // Each word writes an entry before reading it, so they start
-    // uninitialized and constructing an engine writes none of them.
     std::array<Node, simd::BitPlane::kWordBits> nodes;
     std::array<Row*, simd::BitPlane::kWordBits> rows;
     std::array<std::uint32_t, simd::BitPlane::kWordBits> counts;
+    // The expand() row source: a word's expand() output, node j's children
+    // at children[staged[j], staged[j + 1]).  Cleared per word.
+    std::vector<Node> children;
+    std::array<std::uint32_t, simd::BitPlane::kWordBits + 1> staged;
   };
 
   /// The kernel rule: the word step expands through the build of
@@ -439,17 +421,6 @@ class Engine {
       return vec::kernel_rule(problem, pes, cpu);
     }
     return vec::Isa::kNone;
-  }
-
-  /// Pushes the first n nodes of st's last top_row() onto `st` in order: a
-  /// WorkStack only advances its size by n (no copy, no branch on n), a
-  /// CompactStack encodes the n children.
-  static void commit_row(StackT& st, std::uint32_t n) {
-#ifdef SIMDTS_SANITIZE
-    // Mutation: commit one child more than a row holds.
-    if (san::mutation().overcommit_row) n = 5;
-#endif
-    st.commit(n);
   }
 
   [[nodiscard]] double initial_lb_cost() const {
@@ -468,30 +439,24 @@ class Engine {
   /// thread in PE order; its pruned bound is a local, folded into the run
   /// state once at the end of the cycle.
   ///
-  /// The per-word step is the only part that varies (step(), fixed by the
-  /// problem type).  The word step pops the whole word first, noting each
-  /// lane's top row, prefetches the next occupied word's stack tops, and
-  /// expands the popped nodes one group of four child slots at a time
-  /// (expand_word); settling the word then commits each lane's last group.
-  /// Every lane thus writes each group into the four slots above its top
-  /// and commits its count, in slot order, so its stack ends up exactly as
-  /// after pushing expand()'s output.  The vector step pops and expands
-  /// while the word settles, staging children in the scratch vector (cleared
-  /// once per word) and pushing them one by one.  Both steps end in the one
-  /// flag/census transition of Lanes::settle_word, in bit order.
+  /// Each word takes the one word step.  It pops the whole word first,
+  /// noting each lane's top row, prefetches the next occupied word's stack
+  /// tops, and fills the rows one group of four child slots at a time
+  /// (expand_word); Lanes::settle_word then commits each lane's last group
+  /// and runs the flag/census transition, in bit order.  Every lane thus
+  /// writes each group into the four slots above its top and commits its
+  /// count, in slot order, so its stack ends up exactly as after pushing
+  /// expand()'s output.
   ///
-  ///   word:    pop all active bits, rows[j] = top_row
-  ///            -> prefetch next word's tops
-  ///            -> per slot group: (commit(count[j]), rows[j] = top_row)
-  ///               after the first; expand_group(rows) or
-  ///               expand_row(nodes[j], *rows[j]) for each j
-  ///            settle, each active bit:  commit(count[j]) -> flags
-  ///   vector:  prefetch this word's tops
-  ///            settle, each active bit:  pop -> goal? -> expand() -> push
-  ///                                      -> flags
+  ///   pop all active bits, rows[j] = top_row  (expand() source: stage the
+  ///                                            node's children)
+  ///   -> prefetch next word's tops
+  ///   -> per slot group: (commit(count[j]), rows[j] = top_row) after the
+  ///      first; expand_group(rows), or expand_row(nodes[j], *rows[j]), or
+  ///      the staged children's next four, for each j
+  ///   settle, each active bit:  commit(count[j]) -> flags
   // SIMDLINT-REGION(lockstep)
   void expand_cycle(search::Bound bound, IterationStats& stats) {
-    constexpr bool kWordStep = step() == ExpandStep::kWord;
     // Constant kNone for problems without a kernel, so their walk compiles
     // without it.
     const vec::Isa kernel = vec::kHasKernel<P> ? kernel_ : vec::Isa::kNone;
@@ -517,52 +482,19 @@ class Engine {
       if (san_flat) active |= lanes_.dead().words()[w];
 #endif
       if (active == 0) continue;
-      StackT* const stacks = lanes_.word_stacks(w);
 #ifdef SIMDTS_SANITIZE
       for (std::uint64_t m = active; m != 0; m &= m - 1) {
         const auto b = static_cast<unsigned>(std::countr_zero(m));
         san_dead_.check_alive(w * simd::BitPlane::kWordBits + b, "expand");
       }
 #endif
-      if constexpr (kWordStep) {
-        const std::uint64_t next_active =
-            next_w < nwords ? lanes_.active_lanes(next_w) : 0;
-        const std::uint64_t goal_bits = expand_word(
-            stacks, active,
-            next_active != 0 ? lanes_.word_stacks(next_w) : nullptr,
-            next_active, kernel, bound, next_bound);
-        std::uint32_t slot = 0;  // index into scratch_.counts
-        lanes_.settle_word(w, active, [&](StackT& st, std::uint64_t bit) {
-          if ((goal_bits & bit) == 0) commit_row(st, scratch_.counts[slot++]);
-        });
-      } else {
-        scratch_.children.clear();
-        if constexpr (requires(const StackT& s) { s.prefetch_top(); }) {
-          // The stack tops of a word's lanes are scattered across the
-          // heap; issuing every fetch up front overlaps their misses, where
-          // the bit loop's pops would otherwise take them one after
-          // another.  A single word's stacks stay cache-resident.
-          if (nwords > 1) {
-            for (std::uint64_t m = active; m != 0; m &= m - 1) {
-              stacks[std::countr_zero(m)].prefetch_top();
-            }
-          }
-        }
-        lanes_.settle_word(w, active, [&](StackT& st, std::uint64_t) {
-          Node n = st.pop();
-          if (record_goal(n)) return;
-          std::vector<Node>& children = scratch_.children;
-          const std::size_t staged = children.size();
-          // SIMDLINT-EFFECT-OK(allocates) children is persistent-
-          problem_.expand(n, bound, children, next_bound);
-          // capacity scratch: growth is amortized over the run.
-          for (std::size_t i = staged; i < children.size(); ++i) {
-            // SIMDLINT-EFFECT-OK(allocates) only a WorkStack gets here
-            st.push(children[i]);  // (static_assert at the top of the
-            // class), whose growth is amortized (effects.conf).
-          }
-        });
-      }
+      const std::uint64_t next_active =
+          next_w < nwords ? lanes_.active_lanes(next_w) : 0;
+      const std::uint64_t goal_bits = expand_word(
+          lanes_.word_stacks(w), active,
+          next_active != 0 ? lanes_.word_stacks(next_w) : nullptr,
+          next_active, kernel, bound, next_bound);
+      lanes_.settle_word(w, active, goal_bits, scratch_.counts.data());
     }
 #ifdef SIMDTS_SANITIZE
     lanes_.san_end_cycle();
@@ -586,22 +518,33 @@ class Engine {
   /// it goes (so goal order is bit order) and noting each other lane's top
   /// row; prefetches the stack tops of `next_active`'s lanes of the next
   /// occupied word (stacks from `next_lanes`), so their misses overlap this
-  /// word's expansion instead of the next gather; then expands the popped
-  /// nodes one slot group at a time, the group loop outside the node loop.
-  /// Each group after the first commits the previous group's counts and
-  /// takes a fresh top row per lane.  On return node j's last group sits in
-  /// the first scratch_.counts[j] slots of *scratch_.rows[j], uncommitted.
-  /// With a `kernel` build one vec::expand_group() call expands each group,
-  /// else one expand_row() call per node.  Returns the word's goal bits.
+  /// word's expansion instead of the next gather; then fills the rows one
+  /// slot group at a time, the group loop outside the node loop.  Each
+  /// group after the first commits the previous group's counts and takes a
+  /// fresh top row per lane.  On return node j's last group sits in the
+  /// first scratch_.counts[j] slots of *scratch_.rows[j], uncommitted.
+  /// The row source: with a `kernel` build one vec::expand_group() call per
+  /// group, else one expand_row() call per node and group; a type without
+  /// expand_row() expands each node once as it is popped, and its groups
+  /// (as many as the word's widest node needs, at least one) hand out the
+  /// staged children four at a time.  Returns the word's goal bits.
   // SIMDLINT-REGION(lockstep)
   std::uint64_t expand_word(StackT* lanes, std::uint64_t active,
                             const StackT* next_lanes,
                             std::uint64_t next_active, vec::Isa kernel,
                             search::Bound bound,
                             search::NextBound& next_bound) {
+    constexpr bool kRowSource = search::RowTreeProblem<P>;
     Node* const nodes = scratch_.nodes.data();
     Row** const rows = scratch_.rows.data();
     std::uint32_t* const counts = scratch_.counts.data();
+    std::vector<Node>& children = scratch_.children;
+    std::uint32_t* const staged = scratch_.staged.data();
+    std::uint32_t slots = 1;  // the expand() source's group loop bound
+    if constexpr (!kRowSource) {
+      children.clear();
+      staged[0] = 0;
+    }
     std::uint32_t count = 0;
     std::uint64_t goal_bits = 0;
     for (std::uint64_t m = active; m != 0; m &= m - 1) {
@@ -609,25 +552,33 @@ class Engine {
       Node n = lanes[b].pop();
       if (record_goal(n)) {
         goal_bits |= std::uint64_t{1} << b;
-      } else {
-        nodes[count] = n;
-        rows[count] = &lanes[b].top_row();
-        ++count;
+        continue;
       }
+      if constexpr (kRowSource) {
+        nodes[count] = n;
+      } else {
+        // SIMDLINT-EFFECT-OK(allocates) children is persistent-capacity
+        problem_.expand(n, bound, children, next_bound);
+        // scratch: growth is amortized over the run.
+        staged[count + 1] = static_cast<std::uint32_t>(children.size());
+        slots = std::max(slots, staged[count + 1] - staged[count]);
+      }
+      rows[count] = &lanes[b].top_row();
+      ++count;
     }
     if constexpr (requires(const StackT& s) { s.prefetch_top(); }) {
       for (std::uint64_t m = next_active; m != 0; m &= m - 1) {
         next_lanes[std::countr_zero(m)].prefetch_top();
       }
     }
+    if constexpr (kRowSource) slots = problem_.child_slots();
     const std::uint64_t expanded = active & ~goal_bits;
-    for (std::uint32_t first = 0; first < problem_.child_slots();
-         first += 4) {
+    for (std::uint32_t first = 0; first < slots; first += 4) {
       if (first != 0) {
         std::uint32_t j = 0;
         for (std::uint64_t m = expanded; m != 0; m &= m - 1, ++j) {
           StackT& st = lanes[std::countr_zero(m)];
-          commit_row(st, counts[j]);
+          st.commit(counts[j]);
           rows[j] = &st.top_row();
         }
       }
@@ -639,8 +590,16 @@ class Engine {
         }
       }
       for (std::uint32_t j = 0; j < count; ++j) {
-        counts[j] =
-            problem_.expand_row(nodes[j], bound, *rows[j], next_bound, first);
+        if constexpr (kRowSource) {
+          counts[j] = problem_.expand_row(nodes[j], bound, *rows[j],
+                                          next_bound, first);
+        } else {
+          const std::uint32_t from = staged[j] + first;
+          const std::uint32_t k =
+              from < staged[j + 1] ? std::min(staged[j + 1] - from, 4u) : 0;
+          std::copy_n(children.begin() + from, k, rows[j]->begin());
+          counts[j] = k;
+        }
       }
     }
     return goal_bits;
@@ -948,11 +907,8 @@ class Engine {
 };
 
 /// Engine with memory-bounded delta stacks: the mega-P configuration for
-/// problems that provide a delta codec (search::DeltaTreeProblem).  A
-/// CompactStack takes children only as rows, so the problem needs
-/// expand_row() too (search::RowTreeProblem).
+/// problems that provide a delta codec (search::DeltaTreeProblem).
 template <search::DeltaTreeProblem P>
-  requires search::RowTreeProblem<P>
 using CompactEngine = Engine<P, search::CompactStack<P>>;
 
 }  // namespace simdts::lb

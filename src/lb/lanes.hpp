@@ -96,18 +96,22 @@ class Lanes {
   }
 
   /// Word w's 64 stacks (fewer in the last word), for the expansion step to
-  /// pop, fill top rows and commit between active_lanes(w) and settle_word(w).
+  /// pop, fill top rows and commit between active_lanes(w) and settle_word(w),
+  /// which commits each lane's last row.
   [[nodiscard]] StackT* word_stacks(std::size_t w) noexcept {
     return &stacks_[w * kWordBits];
   }
 
-  /// Runs `lane_step(stack, bit)` on each lane of `active` (word w's active
-  /// lanes) in bit order, then sets each lane's idle and busy bits from its
-  /// stack and writes the word back.  A lane that ran dry releases its
-  /// stack's heap where the stack pools it (CompactStack), so resident
-  /// memory tracks live work; results are unchanged.
-  template <typename LaneStep>
-  void settle_word(std::size_t w, std::uint64_t active, LaneStep&& lane_step) {
+  /// Settles word w after the expansion step: each lane of `active` (word
+  /// w's active lanes) not in `goal_bits` has popped a node and written its
+  /// last slot group into its top row, and commits that group's count, the
+  /// next of `counts` in bit order; then every lane of `active` sets its
+  /// idle and busy bits from its stack, and the word is written back.  A
+  /// lane that ran dry releases its stack's heap where the stack pools it
+  /// (CompactStack), so resident memory tracks live work; results are
+  /// unchanged.
+  void settle_word(std::size_t w, std::uint64_t active,
+                   std::uint64_t goal_bits, const std::uint32_t* counts) {
     StackT* const stacks = word_stacks(w);
     std::uint64_t idle_w = idle_.words()[w];
     std::uint64_t was_busy = busy_.words()[w];
@@ -116,7 +120,14 @@ class Lanes {
       const auto b = static_cast<unsigned>(std::countr_zero(m));
       const std::uint64_t bit = std::uint64_t{1} << b;
       StackT& st = stacks[b];
-      lane_step(st, bit);
+      if ((goal_bits & bit) == 0) {
+        std::uint32_t n = *counts++;
+#ifdef SIMDTS_SANITIZE
+        // Mutation: commit one child more than a row holds.
+        if (san::mutation().overcommit_row) n = 5;
+#endif
+        st.commit(n);
+      }
       busy_w = st.splittable() ? busy_w | bit : busy_w & ~bit;
       if (st.empty()) {
         idle_w |= bit;

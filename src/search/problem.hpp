@@ -5,8 +5,11 @@
 // append only children whose f-value is within `bound`, and report the
 // minimum f-value among the children it pruned (the standard IDA* next-
 // threshold computation; domains without costs ignore the bound).  expand()
-// is all a domain needs; expand_row() (RowTreeProblem) is the fast path the
-// parallel engine takes when a domain has it, and every bundled domain does.
+// is all a domain needs: the parallel engine's word step expands such a
+// node once into a staging vector and copies its children onto the lane's
+// stack four at a time.  expand_row() (RowTreeProblem) is the fast path it
+// takes when a domain has it, writing the children in place, and every
+// bundled domain does.
 //
 // Node types must be cheap to copy — they are moved between PE stacks during
 // load balancing, and a stack entry *is* a node (each node on a stack stands

@@ -1,13 +1,15 @@
-// Forwarding wrappers that pin an Engine to one expansion path.
+// Forwarding wrappers that pin an Engine to one row source.
 //
-// lb::Engine picks its step from the problem's type (lb::ExpandStep): the
-// word step for a type with expand_row() (search::RowTreeProblem), which
-// runs a word kernel where the type has one (vec::kHasKernel) and
-// vec::kernel_rule picks a build, and the vector step for every other
-// TreeProblem.  Wrapping a domain in a type that forwards only part of its
-// interface makes the engine take a chosen path while it searches exactly
-// the same tree, which is what the step-equivalence oracles compare against.
-//  - VectorStep<P> forwards expand() but not expand_row(): the vector step.
+// lb::Engine has one expansion step, the word step; its row source comes
+// from the problem's type: a word kernel where the type has one
+// (vec::kHasKernel) and vec::kernel_rule picks a build, else expand_row()
+// for a type that has it (search::RowTreeProblem), else the node's
+// expand() output, staged once per pop.  Wrapping a domain in a type that
+// forwards only part of its interface makes the engine take a chosen
+// source while it searches exactly the same tree, which is what the
+// step-equivalence oracles compare against.
+//  - ExpandOnly<P> forwards expand() but not expand_row(): the expand()
+//    row source, the reference the oracles compare the others to.
 //  - RowStep<P> forwards expand_row() too but has no kernel: the word step's
 //    scalar loop, even at machine sizes where the inner type would take the
 //    kernel.
@@ -25,11 +27,11 @@
 namespace simdts::oracle {
 
 template <search::TreeProblem Inner>
-struct VectorStep {
+struct ExpandOnly {
   using Node = typename Inner::Node;
 
   template <typename... Args>
-  explicit VectorStep(Args&&... args) : inner(std::forward<Args>(args)...) {}
+  explicit ExpandOnly(Args&&... args) : inner(std::forward<Args>(args)...) {}
 
   [[nodiscard]] Node root() const { return inner.root(); }
   void expand(const Node& n, search::Bound b, std::vector<Node>& out,
@@ -63,9 +65,9 @@ struct VectorStep {
 };
 
 template <search::RowTreeProblem Inner>
-struct RowStep : VectorStep<Inner> {
+struct RowStep : ExpandOnly<Inner> {
   using Node = typename Inner::Node;
-  using VectorStep<Inner>::VectorStep;
+  using ExpandOnly<Inner>::ExpandOnly;
 
   [[nodiscard]] std::uint32_t child_slots() const {
     return this->inner.child_slots();

@@ -251,7 +251,6 @@ TEST(FaultTransparency, EmptyPlanIsBitIdenticalToUnarmed) {
     using Tree = std::remove_cvref_t<decltype(tree)>;
     simd::Machine m1(1024, simd::cm2_cost_model());
     lb::Engine<Tree> unarmed(tree, m1, lb::gp_static(0.9));
-    ASSERT_EQ(unarmed.step(), lb::ExpandStep::kWord);
     ASSERT_EQ(unarmed.uses_kernel(), kernel);
     const lb::RunStats a = unarmed.run();
 

@@ -1,8 +1,9 @@
 // Randomized property sweep: arbitrary scheme configurations on arbitrary
 // small trees must always conserve work, terminate, keep the metric
-// identities, and give identical results on the row and vector expansion
-// steps.  The "random" draws are deterministic (seed-indexed), so a
-// failure reproduces exactly.
+// identities, and give identical results on every row source of the word
+// step (the scalar expand_row loop, the tree kernel, and expand() output).
+// The "random" draws are deterministic (seed-indexed), so a failure
+// reproduces exactly.
 #include <gtest/gtest.h>
 
 #include "lb/engine.hpp"
@@ -73,7 +74,6 @@ TEST_P(FuzzSweep, EngineConservesAndTerminates) {
     const oracle::RowStep<synthetic::Tree> scalar_tree(tree_params);
     lb::Engine<oracle::RowStep<synthetic::Tree>> engine(scalar_tree, machine,
                                                         cfg);
-    ASSERT_EQ(engine.step(), lb::ExpandStep::kWord);
     ASSERT_FALSE(engine.uses_kernel());
     const lb::IterationStats it = engine.run_iteration(search::kUnbounded);
 
@@ -83,19 +83,17 @@ TEST_P(FuzzSweep, EngineConservesAndTerminates) {
     // where the CPU has AVX-512, and must reproduce every result.
     simd::Machine kernel_machine(p, simd::cm2_cost_model());
     lb::Engine<synthetic::Tree> kernel_engine(tree, kernel_machine, cfg);
-    ASSERT_EQ(kernel_engine.step(), lb::ExpandStep::kWord);
     ASSERT_EQ(kernel_engine.uses_kernel(),
               p >= 64 && vec::host_isa() == vec::Isa::kAvx512);
     EXPECT_EQ(kernel_engine.run_iteration(search::kUnbounded), it)
         << "seed=" << seed << " cfg=" << cfg.name() << " P=" << p;
-    // The expansion-step axis: the same config on the vector step (a
+    // The row-source axis: the same config on the expand() row source (a
     // wrapper without expand_row) must reproduce every result.
-    simd::Machine vector_machine(p, simd::cm2_cost_model());
-    const oracle::VectorStep<synthetic::Tree> vector_tree(tree_params);
-    lb::Engine<oracle::VectorStep<synthetic::Tree>> vector_engine(
-        vector_tree, vector_machine, cfg);
-    ASSERT_EQ(vector_engine.step(), lb::ExpandStep::kVector);
-    EXPECT_EQ(vector_engine.run_iteration(search::kUnbounded), it)
+    simd::Machine expand_machine(p, simd::cm2_cost_model());
+    const oracle::ExpandOnly<synthetic::Tree> expand_tree(tree_params);
+    lb::Engine<oracle::ExpandOnly<synthetic::Tree>> expand_engine(
+        expand_tree, expand_machine, cfg);
+    EXPECT_EQ(expand_engine.run_iteration(search::kUnbounded), it)
         << "seed=" << seed << " cfg=" << cfg.name() << " P=" << p;
     EXPECT_GE(it.lb_rounds, it.lb_phases);
     EXPECT_GE(it.transfers, it.lb_rounds > 0 ? 1u : 0u);

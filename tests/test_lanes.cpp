@@ -8,6 +8,7 @@
 // stacks and the dead plane, one lane at a time.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -128,20 +129,29 @@ class LaneDriver {
     return n;
   }
 
-  /// A lock-step settle of one occupied word: each active lane pops, and
-  /// either keeps its node as a goal or commits the node's first row of
-  /// children.
+  /// A lock-step settle of one occupied word, as the word step leaves it:
+  /// each active lane pops, and either keeps its node as a goal or writes
+  /// the node's first row of children into its top row; settle_word then
+  /// commits each non-goal lane's count.
   std::string settle() {
     const std::size_t w = lanes_.next_occupied(draw() % lanes_.word_count());
     if (w == lanes_.word_count()) return "settle (no work past the draw)";
     search::NextBound next;
-    lanes_.settle_word(w, lanes_.active_lanes(w),
-                       [&](StackT& st, std::uint64_t) {
-                         const Tree::Node n = st.pop();
-                         if (draw() % 4 == 0) return;  // a goal
-                         st.commit(tree_.expand_row(n, search::kUnbounded,
-                                                    st.top_row(), next, 0));
-                       });
+    const std::uint64_t active = lanes_.active_lanes(w);
+    StackT* const stacks = lanes_.word_stacks(w);
+    std::uint64_t goals = 0;
+    std::vector<std::uint32_t> counts;
+    for (std::uint64_t m = active; m != 0; m &= m - 1) {
+      const auto b = static_cast<unsigned>(std::countr_zero(m));
+      const Tree::Node n = stacks[b].pop();
+      if (draw() % 4 == 0) {  // a goal
+        goals |= std::uint64_t{1} << b;
+        continue;
+      }
+      counts.push_back(tree_.expand_row(n, search::kUnbounded,
+                                        stacks[b].top_row(), next, 0));
+    }
+    lanes_.settle_word(w, active, goals, counts.data());
     return "settle word " + std::to_string(w);
   }
 

@@ -1,6 +1,6 @@
-// The word step (search::RowTreeProblem, lb::ExpandStep::kWord) against the
-// vector step: its scalar path, and where a domain has a word kernel
-// (vec::kHasKernel) its kernel path too.
+// The word step's row sources against each other: expand_row() (its scalar
+// loop), a word kernel where a domain has one (vec::kHasKernel), and the
+// expand() output of a type without expand_row().
 //
 // Two layers of contract:
 //  - per node: the expand_row() calls of every slot group, concatenated in
@@ -9,15 +9,18 @@
 //    domain: synthetic::Tree at max_children 1..12, puzzle::FifteenPuzzle,
 //    tsp::Tsp at bounds that prune none, some and all children, and
 //    queens::Queens at n = 1..12;
-//  - per run: an engine on the word step produces identical RunStats, goal
-//    sequences and recovery journals as one on the vector step, across the
-//    six Table-1 schemes, machine sizes around one flag word, both stack
-//    representations (where the domain has a delta codec), an armed
-//    FaultPlan, and for TSP all three search modes.  The scalar leg of a
-//    domain with a kernel runs through oracle::RowStep, which has none; its
-//    kernel leg runs the domain type itself and asserts the kernel rule.
-// The vector-step reference is oracle::VectorStep (tests/step_wrappers.hpp),
-// a forwarding wrapper without expand_row().  Every domain's expand() is
+//  - per run: an engine on expand_row() produces identical RunStats, goal
+//    sequences and recovery journals as one on expand()'s output, across
+//    the six Table-1 schemes, machine sizes around one flag word, both
+//    stack representations (where the domain has a delta codec, for the
+//    expand() source too), an armed FaultPlan, and for TSP all three search
+//    modes.  The scalar leg of a domain with a kernel runs through
+//    oracle::RowStep, which has none; its kernel leg runs the domain type
+//    itself and asserts the kernel rule.
+// The expand() reference is oracle::ExpandOnly (tests/step_wrappers.hpp), a
+// forwarding wrapper without expand_row().  (The run-level tests keep their
+// older names, "...IdenticalToVectorStep", from when that reference was a
+// separate lane-by-lane step.)  Every domain's expand() is
 // search::expand_rows() over its expand_row(), so the per-node tests pin
 // that helper; the child arithmetic itself has independent references in
 // tests/test_synthetic.cpp (slot-by-slot decode_delta),
@@ -52,8 +55,8 @@
 namespace simdts::lb {
 namespace {
 
+using oracle::ExpandOnly;
 using oracle::RowStep;
-using oracle::VectorStep;
 using puzzle::FifteenPuzzle;
 using queens::Queens;
 using synthetic::Params;
@@ -64,18 +67,20 @@ static_assert(search::RowTreeProblem<Tree>);
 static_assert(search::RowTreeProblem<FifteenPuzzle>);
 static_assert(search::RowTreeProblem<Tsp>);
 static_assert(search::RowTreeProblem<Queens>);
-static_assert(!search::RowTreeProblem<VectorStep<Tree>>);
-static_assert(!search::RowTreeProblem<VectorStep<FifteenPuzzle>>);
-static_assert(!search::RowTreeProblem<VectorStep<Tsp>>);
-static_assert(!search::RowTreeProblem<VectorStep<Queens>>);
+static_assert(!search::RowTreeProblem<ExpandOnly<Tree>>);
+static_assert(!search::RowTreeProblem<ExpandOnly<FifteenPuzzle>>);
+static_assert(!search::RowTreeProblem<ExpandOnly<Tsp>>);
+static_assert(!search::RowTreeProblem<ExpandOnly<Queens>>);
 static_assert(search::RowTreeProblem<RowStep<FifteenPuzzle>>);
 static_assert(search::RowTreeProblem<RowStep<Tree>>);
-static_assert(search::DeltaTreeProblem<VectorStep<Tree>>);
-// A CompactStack takes children only as rows.
+static_assert(search::DeltaTreeProblem<ExpandOnly<Tree>>);
+// Every type with a delta codec gets a CompactEngine, an expand()-only one
+// too: the word step hands its expand() output to the stack as rows.
 template <typename P>
 concept HasCompactEngine = requires { typename CompactEngine<P>; };
 static_assert(HasCompactEngine<Tree>);
-static_assert(!HasCompactEngine<VectorStep<Tree>>);
+static_assert(HasCompactEngine<ExpandOnly<Tree>>);
+static_assert(!HasCompactEngine<Tsp>);
 static_assert(search::UndoDeltaProblem<RowStep<FifteenPuzzle>>);
 static_assert(!vec::kHasKernel<RowStep<FifteenPuzzle>>);
 static_assert(!vec::kHasKernel<RowStep<Tree>>);
@@ -257,9 +262,6 @@ TEST(TreeRow, RowStepForEveryMaxChildren) {
     const Engine<RowStep<Tree>> wide(scalar_t, m64, gp_dk());
     const Engine<Tree> narrow(t, m1, gp_dk());
     const CompactEngine<RowStep<Tree>> compact(scalar_t, m64, gp_dk());
-    EXPECT_EQ(wide.step(), ExpandStep::kWord) << mc;
-    EXPECT_EQ(narrow.step(), ExpandStep::kWord) << mc;
-    EXPECT_EQ(compact.step(), ExpandStep::kWord) << mc;
     // RowStep<Tree> has no kernel: the word step's scalar loop at every P,
     // as has the tree itself below kMinBatchPes.
     EXPECT_FALSE(wide.uses_kernel()) << mc;
@@ -269,13 +271,8 @@ TEST(TreeRow, RowStepForEveryMaxChildren) {
     // AVX-512, for every max_children.
     const Engine<Tree> kernel_wide(t, m64, gp_dk());
     const CompactEngine<Tree> kernel_compact(t, m64, gp_dk());
-    EXPECT_EQ(kernel_wide.step(), ExpandStep::kWord) << mc;
     EXPECT_EQ(kernel_wide.uses_kernel(), avx512) << mc;
     EXPECT_EQ(kernel_compact.uses_kernel(), avx512) << mc;
-    const VectorStep<Tree> wrapped(t.params());
-    EXPECT_EQ(Engine<VectorStep<Tree>>(wrapped, m64, gp_dk()).step(),
-              ExpandStep::kVector)
-        << mc;
   }
 }
 
@@ -365,28 +362,19 @@ TEST(FifteenRow, StepSelection) {
   const FifteenPuzzle manhattan(board);
   const FifteenPuzzle linear(board, puzzle::Heuristic::kLinearConflict);
   const RowStep<FifteenPuzzle> row_only(board);
-  const VectorStep<FifteenPuzzle> vector_only(board);
   for (const std::uint32_t p : {1u, 63u, 64u, 1000u}) {
     simd::Machine m(p, simd::cm2_cost_model());
     const Engine<RowStep<FifteenPuzzle>> row_engine(row_only, m, gp_dk());
-    EXPECT_EQ(row_engine.step(), ExpandStep::kWord);
     EXPECT_FALSE(row_engine.uses_kernel());
-    EXPECT_EQ(
-        Engine<VectorStep<FifteenPuzzle>>(vector_only, m, gp_dk()).step(),
-        ExpandStep::kVector);
     // Linear conflict never takes the kernel: the word step's scalar loop
     // on both stacks.
     const Engine<FifteenPuzzle> linear_work(linear, m, gp_dk());
     const CompactEngine<FifteenPuzzle> linear_compact(linear, m, gp_dk());
-    EXPECT_EQ(linear_work.step(), ExpandStep::kWord);
-    EXPECT_EQ(linear_compact.step(), ExpandStep::kWord);
     EXPECT_FALSE(linear_work.uses_kernel());
     EXPECT_FALSE(linear_compact.uses_kernel());
     const Engine<FifteenPuzzle> manhattan_work(manhattan, m, gp_dk());
     const CompactEngine<FifteenPuzzle> manhattan_compact(manhattan, m,
                                                          gp_dk());
-    EXPECT_EQ(manhattan_work.step(), ExpandStep::kWord);
-    EXPECT_EQ(manhattan_compact.step(), ExpandStep::kWord);
     if (p < vec::kMinBatchPes) {
       EXPECT_FALSE(manhattan_work.uses_kernel());
       EXPECT_FALSE(manhattan_compact.uses_kernel());
@@ -494,32 +482,24 @@ TEST(QueensRow, MatchesExpandForBoardsOneToTwelve) {
 
 TEST(TspRow, StepSelection) {
   const Tsp t(9, 3);
-  const VectorStep<Tsp> vt(9, 3);
   for (const std::uint32_t p : {1u, 63u, 64u, 1000u}) {
     simd::Machine m(p, simd::cm2_cost_model());
     const Engine<Tsp> engine(t, m, gp_dk());
-    EXPECT_EQ(engine.step(), ExpandStep::kWord);
     EXPECT_FALSE(engine.uses_kernel());
-    EXPECT_EQ(Engine<VectorStep<Tsp>>(vt, m, gp_dk()).step(),
-              ExpandStep::kVector);
   }
 }
 
 TEST(QueensRow, StepSelection) {
   const Queens q(8);
-  const VectorStep<Queens> vq(8);
   for (const std::uint32_t p : {1u, 63u, 64u, 1000u}) {
     simd::Machine m(p, simd::cm2_cost_model());
     const Engine<Queens> engine(q, m, gp_dk());
-    EXPECT_EQ(engine.step(), ExpandStep::kWord);
     EXPECT_FALSE(engine.uses_kernel());
-    EXPECT_EQ(Engine<VectorStep<Queens>>(vq, m, gp_dk()).step(),
-              ExpandStep::kVector);
   }
 }
 
 // ---------------------------------------------------------------------------
-// Whole-engine oracles: word step vs vector step
+// Whole-engine oracles: expand_row() and kernels vs expand()'s output
 // ---------------------------------------------------------------------------
 
 /// Which Engine entry point a run goes through (tests/test_modes.cpp).
@@ -552,10 +532,9 @@ template <typename P, typename StackT>
 Outcome<typename P::Node> run_engine(const P& problem, std::uint32_t p,
                                      const SchemeConfig& cfg,
                                      const fault::FaultPlan* plan,
-                                     ExpandStep want_step, Mode mode) {
+                                     Mode mode) {
   simd::Machine m(p, simd::cm2_cost_model());
   Engine<P, StackT> engine(problem, m, cfg);
-  EXPECT_EQ(engine.step(), want_step);
   // The scalar legs never take a kernel; a kernel leg takes one exactly
   // where the rule says (tests/test_vector_backend.cpp pins the rule).
   EXPECT_EQ(engine.uses_kernel(), want_kernel(problem, p));
@@ -616,26 +595,27 @@ void expect_word_legs_identical(const RowP& row_problem, std::uint32_t p,
                                 const Outcome<Node>& ref, const char* what) {
   SCOPED_TRACE(what);
   expect_same_outcome(run_engine<RowP, search::WorkStack<Node>>(
-                          row_problem, p, cfg, armed, ExpandStep::kWord, mode),
-                      ref, "word step, WorkStack");
+                          row_problem, p, cfg, armed, mode),
+                      ref, "WorkStack");
   if constexpr (search::DeltaTreeProblem<RowP>) {
     expect_same_outcome(run_engine<RowP, search::CompactStack<RowP>>(
-                            row_problem, p, cfg, armed, ExpandStep::kWord,
-                            mode),
-                        ref, "word step, CompactStack");
+                            row_problem, p, cfg, armed, mode),
+                        ref, "CompactStack");
   }
 }
 
-/// For every P x {unarmed, armed} under `cfg` and `mode`: the vector step
-/// on WorkStack is the reference; the word step on WorkStack must reproduce
-/// it exactly, and so must the word step on CompactStack where the domain
-/// has a delta codec.  A RowStep<Inner> row problem (the scalar leg: no
-/// kernel at any P) whose Inner has a word kernel also runs Inner itself
-/// against the same reference (the kernel leg, which takes the kernel
-/// where the rule gives it one).
-template <typename RowP, typename VecP>
+/// For every P x {unarmed, armed} under `cfg` and `mode`: the expand() row
+/// source on WorkStack is the reference.  Where the domain has a delta
+/// codec the expand() source on CompactStack must reproduce it exactly
+/// (the expand() leg), and so must expand_row() on each stack.  A
+/// RowStep<Inner> row problem (the scalar leg: no kernel at any P) whose
+/// Inner has a word kernel also runs Inner itself against the same
+/// reference (the kernel leg, which takes the kernel where the rule gives
+/// it one).
+template <typename RowP, typename ExpandP>
 void expect_steps_identical(
-    const RowP& row_problem, const VecP& vec_problem, const SchemeConfig& cfg,
+    const RowP& row_problem, const ExpandP& expand_problem,
+    const SchemeConfig& cfg,
     std::uint64_t plan_seed, Mode mode = Mode::kIda,
     std::initializer_list<std::uint32_t> pes = {1u, 5u, 63u, 64u, 65u,
                                                 1000u}) {
@@ -649,10 +629,15 @@ void expect_steps_identical(
                    << cfg.name() << " P=" << p << " armed="
                    << (armed != nullptr) << " mode="
                    << static_cast<int>(mode));
-      const auto ref = run_engine<VecP, search::WorkStack<Node>>(
-          vec_problem, p, cfg, armed, ExpandStep::kVector, mode);
+      const auto ref = run_engine<ExpandP, search::WorkStack<Node>>(
+          expand_problem, p, cfg, armed, mode);
       if (armed != nullptr && p > 1 && mode == Mode::kIda) {
         EXPECT_GT(ref.stats.total.pes_killed, 0u);
+      }
+      if constexpr (search::DeltaTreeProblem<ExpandP>) {
+        expect_same_outcome(run_engine<ExpandP, search::CompactStack<ExpandP>>(
+                                expand_problem, p, cfg, armed, mode),
+                            ref, "expand() leg, CompactStack");
       }
       expect_word_legs_identical(row_problem, p, cfg, armed, mode, ref,
                                  "scalar leg");
@@ -666,6 +651,46 @@ void expect_steps_identical(
   }
 }
 
+/// A full IDA* run's stack bytes (peak, average per lane).
+template <typename P, typename StackT>
+std::pair<std::uint64_t, double> stack_bytes(const P& problem,
+                                             std::uint32_t p) {
+  SchemeConfig cfg = gp_dk();
+  cfg.track_stack_memory = true;
+  simd::Machine m(p, simd::cm2_cost_model());
+  Engine<P, StackT> engine(problem, m, cfg);
+  engine.run();
+  return {engine.stack_memory_peak(), engine.stack_memory_avg_per_lane()};
+}
+
+template <typename P>
+void expect_expand_source_stack_bytes_match(const P& problem,
+                                            const ExpandOnly<P>& wrapped) {
+  using Node = typename P::Node;
+  for (const std::uint32_t p : {1u, 64u, 1000u}) {
+    SCOPED_TRACE(::testing::Message() << "P=" << p);
+    EXPECT_EQ((stack_bytes<ExpandOnly<P>, search::WorkStack<Node>>(wrapped, p)),
+              (stack_bytes<P, search::WorkStack<Node>>(problem, p)));
+    EXPECT_EQ(
+        (stack_bytes<ExpandOnly<P>, search::CompactStack<ExpandOnly<P>>>(
+            wrapped, p)),
+        (stack_bytes<P, search::CompactStack<P>>(problem, p)));
+  }
+}
+
+TEST(StackBytes, ExpandSourceGrowsStacksAsTheDomainDoes) {
+  // With at most four child slots every row source takes one top_row() and
+  // one commit() per popped node, so an expand()-only wrapper's stacks
+  // hold the bytes the domain's own (its kernel, or its expand_row loop)
+  // hold, on both stacks.  A timing wrapper with only expand() therefore
+  // measures the stacks of the program it wraps.
+  const Params tree{9104, 4, 0.45, 10};
+  expect_expand_source_stack_bytes_match(Tree(tree), ExpandOnly<Tree>(tree));
+  const puzzle::Board board = puzzle::test_workloads()[1].board();
+  expect_expand_source_stack_bytes_match(FifteenPuzzle(board),
+                                         ExpandOnly<FifteenPuzzle>(board));
+}
+
 /// Parameterized by the Table-1 scheme index, so the lattice spreads over
 /// parallel test processes.
 class RowOracle : public ::testing::TestWithParam<int> {};
@@ -677,7 +702,7 @@ TEST_P(RowOracle, SyntheticTreeIdenticalToVectorStep) {
                                     Params{9103, 3, 0.55, 14},
                                     Params{9104, 4, 0.45, 10}};
   for (const Params& params : trees) {
-    expect_steps_identical(RowStep<Tree>(params), VectorStep<Tree>(params),
+    expect_steps_identical(RowStep<Tree>(params), ExpandOnly<Tree>(params),
                            table1_scheme(GetParam()),
                            31 * params.max_children);
   }
@@ -691,7 +716,7 @@ TEST_P(RowOracle, WideSyntheticTreesIdenticalToVectorStep) {
                                            10809, 9310,  9511,  11412};
   for (std::uint32_t mc = 5; mc <= 12; ++mc) {
     const Params params{seeds[mc - 5], mc, 1.5 / mc, 12};
-    expect_steps_identical(RowStep<Tree>(params), VectorStep<Tree>(params),
+    expect_steps_identical(RowStep<Tree>(params), ExpandOnly<Tree>(params),
                            table1_scheme(GetParam()), 37 * mc);
   }
 }
@@ -699,7 +724,7 @@ TEST_P(RowOracle, WideSyntheticTreesIdenticalToVectorStep) {
 TEST_P(RowOracle, FifteenPuzzleIdenticalToVectorStep) {
   const puzzle::Board board = puzzle::test_workloads()[1].board();
   expect_steps_identical(RowStep<FifteenPuzzle>(board),
-                         VectorStep<FifteenPuzzle>(board),
+                         ExpandOnly<FifteenPuzzle>(board),
                          table1_scheme(GetParam()), 7);
 }
 
@@ -709,7 +734,7 @@ TEST_P(RowOracle, LinearConflictPuzzleIdenticalToVectorStep) {
   const puzzle::Board board = puzzle::test_workloads()[1].board();
   const auto lc = puzzle::Heuristic::kLinearConflict;
   expect_steps_identical(FifteenPuzzle(board, lc),
-                         VectorStep<FifteenPuzzle>(board, lc),
+                         ExpandOnly<FifteenPuzzle>(board, lc),
                          table1_scheme(GetParam()), 11);
 }
 
@@ -717,7 +742,7 @@ TEST_P(RowOracle, TspIdenticalToVectorStepInEveryMode) {
   // Nine cities: three row groups, the last one partial.
   // Distances in [1, 5] keep IDA* to five iterations.
   const Tsp t(9, 1, 5);
-  const VectorStep<Tsp> v(9, 1, 5);
+  const ExpandOnly<Tsp> v(9, 1, 5);
   for (const Mode mode :
        {Mode::kIda, Mode::kFirstSolution, Mode::kBranchAndBound}) {
     expect_steps_identical(t, v, table1_scheme(GetParam()), 13, mode);
@@ -729,7 +754,7 @@ TEST_P(RowOracle, QueensIdenticalToVectorStep) {
   simd::Machine m(64, simd::cm2_cost_model());
   Engine<Queens> engine(q, m, table1_scheme(GetParam()));
   EXPECT_EQ(engine.run().goals_found, Queens::known_solutions(8));
-  expect_steps_identical(q, VectorStep<Queens>(8), table1_scheme(GetParam()),
+  expect_steps_identical(q, ExpandOnly<Queens>(8), table1_scheme(GetParam()),
                          19);
 }
 
@@ -841,7 +866,7 @@ TEST_P(RowOracle, DeepWideTreesInterleaveGroupCommits) {
       widest = std::max(widest, t.working);
     }
     EXPECT_GE(widest, 8u) << "slots " << slots;
-    expect_steps_identical(tree, VectorStep<DeepTree>(700 + slots, slots,
+    expect_steps_identical(tree, ExpandOnly<DeepTree>(700 + slots, slots,
                                                       std::uint16_t{300}),
                            table1_scheme(GetParam()), 41 * slots, Mode::kIda,
                            {1u, 63u, 64u, 65u, 130u});

@@ -78,8 +78,8 @@ void expect_fires(const char* invariant, Fn&& fn) {
 }
 
 /// synthetic::Tree behind a wrapper without expand_row(): the same tree on
-/// the vector step.
-using VectorTree = oracle::VectorStep<synthetic::Tree>;
+/// the word step's expand() row source.
+using ExpandTree = oracle::ExpandOnly<synthetic::Tree>;
 /// synthetic::Tree behind a wrapper with expand_row() but no kernel: the
 /// word step's scalar loop at every P.
 using ScalarTree = oracle::RowStep<synthetic::Tree>;
@@ -89,9 +89,9 @@ bool tree_kernel_runs() { return vec::host_isa() == vec::Isa::kAvx512; }
 
 /// A moderate synthetic-tree run that exercises expansion, lb phases and
 /// (with a plan) the kill/recovery path — the scenario every engine-level
-/// mutation test perturbs.  `Problem` picks the expansion step: ScalarTree
-/// takes the word step's scalar loop, VectorTree the vector step, and each
-/// mutation test runs both; the Tree itself takes its word kernel at
+/// mutation test perturbs.  `Problem` picks the word step's row source:
+/// ScalarTree takes its scalar loop, ExpandTree its expand() output, and
+/// each mutation test runs both; the Tree itself takes its word kernel at
 /// P >= 64 where the CPU has AVX-512 (the scalar loop elsewhere).
 template <typename Problem = ScalarTree>
 lb::RunStats run_synthetic(std::uint32_t p,
@@ -99,9 +99,6 @@ lb::RunStats run_synthetic(std::uint32_t p,
   const Problem tree(synthetic::Params{9013, 4, 0.395, 14});
   simd::Machine machine(p, simd::cm2_cost_model());
   lb::Engine<Problem> engine(tree, machine, lb::gp_static(0.9));
-  EXPECT_EQ(engine.step(), search::RowTreeProblem<Problem>
-                               ? lb::ExpandStep::kWord
-                               : lb::ExpandStep::kVector);
   EXPECT_EQ(engine.uses_kernel(), vec::kHasKernel<Problem> && p >= 64 &&
                                       tree_kernel_runs());
   if (plan != nullptr) engine.arm_faults(plan);
@@ -117,7 +114,6 @@ lb::RunStats run_batched_puzzle(std::uint32_t p,
   simd::Machine machine(p, simd::cm2_cost_model());
   lb::Engine<puzzle::FifteenPuzzle> engine(problem, machine,
                                            lb::gp_static(0.9));
-  EXPECT_EQ(engine.step(), lb::ExpandStep::kWord);
   EXPECT_TRUE(engine.uses_kernel());
   if (plan != nullptr) engine.arm_faults(plan);
   return engine.run();
@@ -136,7 +132,7 @@ lb::RunStats run_batched_puzzle(std::uint32_t p,
 TEST(Sanitizer, CleanRunPassesAllChecksArmedAndDisarmed) {
   MutationGuard guard;
   // Arming the checks must change no simulated result: the whole RunStats
-  // of an armed run equals the disarmed run's, on every expansion step.
+  // of an armed run equals the disarmed run's, on every row source.
   const auto armed_equals_disarmed = [](auto run) {
     san::set_armed(true);
     const lb::RunStats armed = run();
@@ -148,9 +144,9 @@ TEST(Sanitizer, CleanRunPassesAllChecksArmedAndDisarmed) {
   };
   const lb::RunStats row =
       armed_equals_disarmed([] { return run_synthetic(64); });
-  const lb::RunStats vector =
-      armed_equals_disarmed([] { return run_synthetic<VectorTree>(64); });
-  EXPECT_EQ(vector, row);
+  const lb::RunStats expand =
+      armed_equals_disarmed([] { return run_synthetic<ExpandTree>(64); });
+  EXPECT_EQ(expand, row);
   if (vec::host_isa() >= vec::Isa::kAvx2) {
     armed_equals_disarmed([] { return run_batched_puzzle(64); });
   }
@@ -173,7 +169,7 @@ TEST(Sanitizer, CleanFaultRunPassesAllChecks) {
   const fault::FaultPlan plan =
       fault::FaultPlan::random_kills(77, 64, 9, 5, 60);
   EXPECT_NO_THROW(run_synthetic(64, &plan));
-  EXPECT_NO_THROW(run_synthetic<VectorTree>(64, &plan));
+  EXPECT_NO_THROW(run_synthetic<ExpandTree>(64, &plan));
 }
 
 // ---------------------------------------------------------------------------
@@ -187,7 +183,7 @@ TEST(SanitizerMutation, ExpandingADeadLaneTripsDeadLane) {
   // With the dead mask ignored, lane 0 re-enters the active set the cycle
   // after its kill; the shadow plane catches the expansion read.
   expect_fires("dead-lane", [&] { run_synthetic(64, &plan); });
-  expect_fires("dead-lane", [&] { run_synthetic<VectorTree>(64, &plan); });
+  expect_fires("dead-lane", [&] { run_synthetic<ExpandTree>(64, &plan); });
 }
 
 TEST(SanitizerMutation, DonationFromADeadLaneTripsDeadLane) {
@@ -195,7 +191,7 @@ TEST(SanitizerMutation, DonationFromADeadLaneTripsDeadLane) {
   san::mutation().donate_from_dead = true;
   const fault::FaultPlan plan({{2, fault::FaultKind::kKillPe, 0, 0}});
   expect_fires("dead-lane", [&] { run_synthetic(64, &plan); });
-  expect_fires("dead-lane", [&] { run_synthetic<VectorTree>(64, &plan); });
+  expect_fires("dead-lane", [&] { run_synthetic<ExpandTree>(64, &plan); });
 }
 
 TEST(SanitizerMutation, DuplicateMatchPairTripsDoubleDonation) {
@@ -203,7 +199,7 @@ TEST(SanitizerMutation, DuplicateMatchPairTripsDoubleDonation) {
   san::mutation().duplicate_match_pair = true;
   // Fires at the first rendezvous round that matches two or more pairs.
   expect_fires("double-donation", [] { run_synthetic(64); });
-  expect_fires("double-donation", [] { run_synthetic<VectorTree>(64); });
+  expect_fires("double-donation", [] { run_synthetic<ExpandTree>(64); });
 }
 
 TEST(SanitizerMutation, CorruptedTailTripsTailBits) {
@@ -212,7 +208,7 @@ TEST(SanitizerMutation, CorruptedTailTripsTailBits) {
   // P=100 leaves 28 invalid tail bits in the last word for the mutation to
   // flip (at P%64==0 there is no tail and the mutation is a no-op).
   expect_fires("tail-bits", [] { run_synthetic(100); });
-  expect_fires("tail-bits", [] { run_synthetic<VectorTree>(100); });
+  expect_fires("tail-bits", [] { run_synthetic<ExpandTree>(100); });
 }
 
 TEST(SanitizerMutation, DroppedCensusDeltaTripsCensusDivergence) {
@@ -220,7 +216,7 @@ TEST(SanitizerMutation, DroppedCensusDeltaTripsCensusDivergence) {
   // Zeroes the walk's splittable delta before the cycle's fold.
   san::mutation().drop_census_delta = true;
   expect_fires("census-divergence", [] { run_synthetic(64); });
-  expect_fires("census-divergence", [] { run_synthetic<VectorTree>(64); });
+  expect_fires("census-divergence", [] { run_synthetic<ExpandTree>(64); });
 }
 
 // The engine mutations again, on the word step through the kernel.
@@ -258,17 +254,17 @@ template <typename Problem, typename StackT>
 void run_word(const Problem& problem, std::uint32_t p, bool kernel) {
   simd::Machine machine(p, simd::cm2_cost_model());
   lb::Engine<Problem, StackT> engine(problem, machine, lb::gp_static(0.9));
-  EXPECT_EQ(engine.step(), lb::ExpandStep::kWord);
   EXPECT_EQ(engine.uses_kernel(), kernel);
   engine.run();
 }
 
-/// The word step's commits on every shape, over the stacks `StackOf`
-/// picks: a four-slot tree (only the bit loop's commit), a nine-slot tree
-/// (the group loop commits between slot groups too) and the
-/// linear-conflict 15-puzzle (no kernel), each inside one flag word and
-/// across three.  The trees run twice: on the scalar loop (ScalarTree) and
-/// through the tree kernel where the CPU has AVX-512.
+/// The word step's settle commits (Lanes::settle_word, which commits every
+/// lane's last slot group) on every shape, over the stacks `StackOf`
+/// picks: a four-slot tree (one group), a nine-slot tree (the group loop
+/// commits the earlier groups) and the linear-conflict 15-puzzle (no
+/// kernel), each inside one flag word and across three.  The trees run
+/// three times: on the scalar loop (ScalarTree), on the expand() row source
+/// (ExpandTree) and through the tree kernel where the CPU has AVX-512.
 template <template <typename> typename StackOf>
 void expect_overcommit_fires() {
   const synthetic::Params narrow{9013, 4, 0.395, 14};
@@ -279,6 +275,10 @@ void expect_overcommit_fires() {
     for (const synthetic::Params& params : {narrow, wide}) {
       expect_fires("row-commit", [&] {
         run_word<ScalarTree, StackOf<ScalarTree>>(ScalarTree(params), p,
+                                                  false);
+      });
+      expect_fires("row-commit", [&] {
+        run_word<ExpandTree, StackOf<ExpandTree>>(ExpandTree(params), p,
                                                   false);
       });
       expect_fires("row-commit", [&] {
@@ -300,10 +300,11 @@ using CompactStackOf = search::CompactStack<P>;
 
 TEST(SanitizerMutation, OvercommittedRowTripsRowCommit) {
   MutationGuard guard;
-  // The word step commits five children into its four-slot top row.  (The
-  // vector step appends a counted run and has no row to overrun.)
+  // The word step commits five children into its four-slot top row, from
+  // every row source.
   san::mutation().overcommit_row = true;
   expect_fires("row-commit", [] { run_synthetic(64); });
+  expect_fires("row-commit", [] { run_synthetic<ExpandTree>(64); });
   expect_overcommit_fires<WorkStackOf>();
 }
 

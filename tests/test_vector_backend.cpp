@@ -1,11 +1,11 @@
-// The word kernels against expand_row() and the vector-step reference.
+// The word kernels against expand_row() and the expand() reference.
 //
 // The contract under test (vec/expand.hpp): every build of a word kernel
 // writes the rows, counts and NextBound outcome that expand_row() gives for
 // each node of a group, and an engine that expands through a kernel
 // produces *identical* RunStats (nodes expanded, goals, every lb metric,
-// the simulated clock) and an identical goal-node sequence as the vector
-// step — across bounds, run modes, both stack representations, engines
+// the simulated clock) and an identical goal-node sequence as the expand()
+// row source — across bounds, run modes, both stack representations, engines
 // running side by side on sweep threads, and with a FaultPlan armed (dead
 // lanes must never enter a batch).  The kernel rule is a pure function of
 // (problem, P, CPU features), so each of its branches is pinned here for
@@ -13,8 +13,8 @@
 //
 // The reference is NoBatchPuzzle: a forwarding wrapper around FifteenPuzzle
 // (tests/step_wrappers.hpp) whose type has no kernel and no expand_row(), so
-// the engine always gives it the vector step while it searches exactly the
-// same tree.  A test of one kernel build skips only when the host CPU lacks
+// the engine's word step always takes its rows from expand() while it
+// searches exactly the same tree.  A test of one kernel build skips only when the host CPU lacks
 // that build's instruction set, and says so.
 #include <gtest/gtest.h>
 
@@ -47,15 +47,15 @@ namespace {
 using puzzle::FifteenPuzzle;
 
 /// FifteenPuzzle behind a type with neither a kernel nor expand_row(): the
-/// vector-step reference.
-using NoBatchPuzzle = oracle::VectorStep<FifteenPuzzle>;
+/// expand() reference.
+using NoBatchPuzzle = oracle::ExpandOnly<FifteenPuzzle>;
 
 static_assert(search::TreeProblem<NoBatchPuzzle>);
 static_assert(vec::kHasKernel<FifteenPuzzle>);
 static_assert(!vec::kHasKernel<NoBatchPuzzle>);
 static_assert(vec::kHasKernel<synthetic::Tree>);
 static_assert(!vec::kHasKernel<oracle::RowStep<synthetic::Tree>>);
-static_assert(!vec::kHasKernel<oracle::VectorStep<synthetic::Tree>>);
+static_assert(!vec::kHasKernel<oracle::ExpandOnly<synthetic::Tree>>);
 
 const char* isa_name(vec::Isa isa) {
   switch (isa) {
@@ -431,18 +431,13 @@ TEST(FifteenKernel, SelectionRulePinsEachBranch) {
   simd::Machine m64(64, simd::cm2_cost_model());
   simd::Machine m63(63, simd::cm2_cost_model());
   const Engine<FifteenPuzzle> conflict64(conflict, m64, gp_dk());
-  EXPECT_EQ(conflict64.step(), ExpandStep::kWord);
   EXPECT_FALSE(conflict64.uses_kernel());
   const Engine<FifteenPuzzle> manhattan63(manhattan, m63, gp_dk());
-  EXPECT_EQ(manhattan63.step(), ExpandStep::kWord);
   EXPECT_FALSE(manhattan63.uses_kernel());
   const Engine<NoBatchPuzzle> no_kernel64(no_kernel, m64, gp_dk());
-  EXPECT_EQ(no_kernel64.step(), ExpandStep::kVector);
   EXPECT_FALSE(no_kernel64.uses_kernel());
   const Engine<FifteenPuzzle> manhattan64(manhattan, m64, gp_dk());
   const CompactEngine<FifteenPuzzle> compact64(manhattan, m64, gp_dk());
-  EXPECT_EQ(manhattan64.step(), ExpandStep::kWord);
-  EXPECT_EQ(compact64.step(), ExpandStep::kWord);
   const bool avx2 = vec::host_isa() >= vec::Isa::kAvx2;
   EXPECT_EQ(manhattan64.uses_kernel(), avx2);
   EXPECT_EQ(compact64.uses_kernel(), avx2);
@@ -485,8 +480,6 @@ TEST(TreeKernel, SelectionRulePinsEachBranch) {
     const CompactEngine<synthetic::Tree> compact(tree, m, gp_dk());
     const Engine<oracle::RowStep<synthetic::Tree>> scalar(
         oracle::RowStep<synthetic::Tree>(tree.params()), m, gp_dk());
-    EXPECT_EQ(work.step(), ExpandStep::kWord);
-    EXPECT_EQ(compact.step(), ExpandStep::kWord);
     EXPECT_EQ(work.uses_kernel(), p >= 64 && avx512) << "P=" << p;
     EXPECT_EQ(compact.uses_kernel(), p >= 64 && avx512) << "P=" << p;
     EXPECT_FALSE(scalar.uses_kernel()) << "P=" << p;
@@ -717,7 +710,7 @@ struct PuzzleRun {
 };
 
 /// Full IDA* on the `isa` kernel build (stack `StackT`) against the
-/// vector-step reference, for every case.  The batched engines run two per
+/// expand() reference, for every case.  The batched engines run two per
 /// case, side by side through runtime::SweepRunner at 1 and 8 threads:
 /// engines share no state, so each must match its reference whatever runs
 /// next to it.
@@ -826,7 +819,7 @@ PER_BUILD_TEST(FifteenOracle, ArmedFaultPlanIdenticalAndDeadLanesExcluded) {
   EXPECT_EQ(batched.recovery_journal(), per_bit.recovery_journal());
 }
 
-/// Full runs of the tree kernel against the vector step, for stack
+/// Full runs of the tree kernel against the expand() row source, for stack
 /// `StackT`: every case twice, side by side through runtime::SweepRunner at
 /// 1 and 8 threads (the tree kernel's concurrent callers).
 template <typename StackT>
@@ -839,9 +832,9 @@ void expect_tree_kernel_runs_match() {
   std::vector<RunStats> refs;
   for (const synthetic::Params& params : trees) {
     for (const std::uint32_t p : pes) {
-      const oracle::VectorStep<synthetic::Tree> reference(params);
+      const oracle::ExpandOnly<synthetic::Tree> reference(params);
       simd::Machine m(p, simd::cm2_cost_model());
-      Engine<oracle::VectorStep<synthetic::Tree>> per_bit(reference, m,
+      Engine<oracle::ExpandOnly<synthetic::Tree>> per_bit(reference, m,
                                                           gp_static(0.9));
       refs.push_back(per_bit.run());
     }
